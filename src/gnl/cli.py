@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import fock, graphs, nullifiers, schwinger, states
-from .errors import GnlError
+from .errors import GnlError, IndexOutOfRange
 
 TEXT_HEADER = "gnl-report v1"
 
@@ -113,7 +113,11 @@ def _named_generator(built, spec):
         layout = built.layout
         if spec.startswith("local:"):
             i = int(spec.split(":", 1)[1])
-            return states.wire_local_nullifiers(layout)[i % layout.n_spins]
+            if not 0 <= i < layout.n_spins:
+                raise IndexOutOfRange(
+                    f"local:{i} needs a spin index in 0..{layout.n_spins - 1}"
+                )
+            return states.wire_local_nullifiers(layout)[i]
         if spec == "global-x":
             return states.wire_global_x(layout)
         if spec == "global-z":
@@ -223,6 +227,8 @@ def cmd_nullifiers(args):
 
 
 def cmd_check(args):
+    if args.theta_points < 2:
+        raise GnlError(f"--theta-points must be at least 2, got {args.theta_points}")
     built = _build_state(args)
     expr = _named_generator(built, args.gen)
     m = schwinger.expression_to_matrix(expr)
@@ -319,12 +325,6 @@ def cmd_oracle(args):
     return 0
 
 
-def cmd_export(args):
-    built = _build_state(args)
-    _write(args, graphs.to_dot(built.k, built.labels))
-    return 0
-
-
 def _add_state_arguments(sub, config):
     sub.add_argument("state", help="state name, e.g. tms, wire, bell:phi+")
     sub.add_argument(
@@ -387,7 +387,7 @@ def build_parser(config):
     )
     p.add_argument(
         "--theta-points", type=int, default=config.get("theta_points", 16),
-        help="symmetry grid size over [0, 2pi) (default 16)",
+        help="symmetry grid size over [0, 2pi], at least 2 (default 16)",
     )
     _add_output_arguments(p, config, formats=("json", "text"))
     p.set_defaults(func=cmd_check)
@@ -413,7 +413,7 @@ def build_parser(config):
     p = sub.add_parser("export", help="write the state graph as DOT")
     _add_state_arguments(p, config)
     p.add_argument("--out", default=config.get("out"), help="output path (default stdout)")
-    p.set_defaults(func=cmd_export)
+    p.set_defaults(func=cmd_state, format="dot")
 
     return parser
 

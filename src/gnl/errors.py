@@ -96,3 +96,7 @@ class OddCutoff(GnlError):
 
 class BadPairing(GnlError):
     """Spin pairing must partition the modes into disjoint ordered pairs."""
+
+
+class SelfCheckFailed(GnlError):
+    """A derived result failed the package's own verification (a solver defect)."""

@@ -156,7 +156,16 @@ def u_from_k(k):
 
 
 def validate(k):
-    """Build a :class:`ValidationReport` for a candidate K. Never raises."""
+    """Build a :class:`ValidationReport` for a candidate K.
+
+    An invalid K is reported, not rejected; only input that is not a square
+    2-D matrix raises.
+
+    Raises
+    ------
+    ShapeMismatch
+        K is not square 2-D.
+    """
     k = _square_complex(k, "K")
     defect = float(np.max(np.abs(k - k.T))) if k.size else 0.0
     norm = float(np.linalg.norm(k, 2)) if k.size else 0.0

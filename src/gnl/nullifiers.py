@@ -9,7 +9,8 @@ Everything in this module is built on that antisymmetry criterion:
 
 * :func:`is_nullifier` evaluates it directly;
 * :func:`nullifier_space` returns an orthonormal basis of ALL Hermitian M
-  satisfying it, as the kernel of a real linear map;
+  satisfying it, solved in the Takagi frame K = Q diag(s) Q^T, where the
+  criterion is diagonal and its spectrum has a closed form;
 * :func:`bipartite_nullifier` constructs one analytically from the singular
   value decomposition of a bipartite block;
 * :func:`two_mode_invariant_class` inverts the question and solves for all
@@ -26,6 +27,7 @@ from .errors import (
     AllZeroCoefficients,
     InvalidBlockShape,
     NonCommutingD,
+    SelfCheckFailed,
     ShapeMismatch,
 )
 from .schwinger import generator_to_unitary
@@ -44,10 +46,11 @@ class NullifierBasis:
 
     generators are Hermitian matrices, orthonormal under the real inner
     product Re tr(A B); dimension = len(generators); singular_values is the
-    full spectrum of the kernel solve (descending) with threshold the cut
-    below which values counted as kernel, useful for judging how clear the
-    cut was; borderline is True when the spectral gap around the threshold
-    is thinner than a factor 10.
+    full spectrum of the map M -> MK + (MK)^T (n^2 values, descending), in
+    closed form from the Takagi values s of K: 2 s_i, and s_i + s_j and
+    |s_i - s_j| for i < j.  threshold is the cut below which values counted
+    as kernel, useful for judging how clear the cut was; borderline is True
+    when the spectral gap around the threshold is thinner than a factor 10.
     """
 
     generators: list
@@ -88,7 +91,7 @@ def is_nullifier(m, k, tol=TOL_NULL):
 
 
 def _snap_and_sign(w, tol_zero=1e-13, tol_tie=1e-9):
-    """Canonicalize one kernel vector in place of arbitrary SVD gauge.
+    """Canonicalize one kernel vector in place of arbitrary solver gauge.
 
     Coordinates below tol_zero (relative to the largest) are solver dust and
     are snapped to zero; the vector is renormalized and then phased/signed so
@@ -110,105 +113,137 @@ def _snap_and_sign(w, tol_zero=1e-13, tol_tie=1e-9):
     return w
 
 
-def _hermitian_basis(n):
-    """Orthonormal Hermitian basis under Re tr(A B), in canonical order.
+def _canonical_basis(kernel):
+    """Deterministic orthonormal basis of the row space of ``kernel``.
 
-    n diagonal units E_ii first, then for each r < s (lexicographic) the
-    normalized embedded sigma_x and sigma_y.
+    kernel holds orthonormal rows, real or complex, in some coordinate
+    space.  The candidates are the columns of the projector onto their span,
+    taken in coordinate order; each is accepted greedily (Gram-Schmidt) when
+    it adds a new direction and is then cleaned by :func:`_snap_and_sign`.
+    The result depends only on the span, not on the gauge of the rows.
+
+    The orthogonalization runs in kernel coordinates (column idx of the
+    projector is kernel^T conj(kernel[:, idx])), where the rows act as an
+    isometry; every accepted direction therefore lies in the span up to
+    rounding, however much cancellation the projection involved.
     """
-    basis = []
-    for i in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for r in range(n):
-        for s in range(r + 1, n):
-            x = np.zeros((n, n), dtype=complex)
-            x[r, s] = inv_sqrt2
-            x[s, r] = inv_sqrt2
-            basis.append(x)
-            y = np.zeros((n, n), dtype=complex)
-            y[r, s] = -1j * inv_sqrt2
-            y[s, r] = 1j * inv_sqrt2
-            basis.append(y)
-    return basis
+    dim, size = kernel.shape
+    chosen = np.zeros_like(kernel)
+    coords = np.zeros((dim, dim), dtype=kernel.dtype)
+    count = 0
+    for idx in range(size):
+        if count == dim:
+            break
+        c = kernel[:, idx].conj()
+        # classical Gram-Schmidt twice: one pass can leave rounding noise
+        # above the acceptance norm when the column is already spanned
+        for _ in range(2):
+            c = c - coords[:count].T @ (coords[:count].conj() @ c)
+        norm = np.linalg.norm(c)
+        if norm > 1e-8:
+            chosen[count] = _snap_and_sign(kernel.T @ (c / norm))
+            coords[count] = kernel.conj() @ chosen[count]
+            count += 1
+    return chosen[:count]
+
+
+def _coordinates(m, r, s):
+    """Rows of real coordinates of a stack of Hermitian matrices ``m[d, n, n]``.
+
+    The coordinates are taken over the canonical orthonormal Hermitian basis
+    under Re tr(A B): the n diagonal units E_ii first, then for each pair
+    (r, s), r < s in lexicographic order, the normalized embedded sigma_x and
+    sigma_y.
+    """
+    z = np.sqrt(2.0) * m[:, r, s]
+    pairs = np.stack([z.real, -z.imag], axis=-1).reshape(len(m), 2 * len(r))
+    return np.hstack([np.diagonal(m, axis1=1, axis2=2).real, pairs])
+
+
+def _from_coordinates(w, r, s):
+    """Hermitian matrices from rows of canonical coordinates (see _coordinates)."""
+    n = w.shape[1] - 2 * len(r)
+    m = np.zeros((len(w), n, n), dtype=complex)
+    m[:, np.arange(n), np.arange(n)] = w[:, :n]
+    z = np.sqrt(0.5) * (w[:, n::2] - 1j * w[:, n + 1::2])
+    m[:, r, s] = z
+    m[:, s, r] = z.conj()
+    return m
 
 
 def nullifier_space(k):
-    """Complete space of quadratic nullifiers of K, via one SVD.
+    """Complete space of quadratic nullifiers of K, solved in its Takagi frame.
 
-    Hermitian M is parametrized by n^2 real coordinates over the canonical
-    orthonormal basis; the real-linear map M -> MK + (MK)^T is assembled as
-    a real matrix and its kernel extracted by singular value decomposition.
-    The kernel basis is then canonicalized deterministically: candidate
-    directions are the projections of the canonical basis elements onto the
-    kernel, accepted greedily (Gram-Schmidt) in canonical order, each signed
-    so its largest-magnitude coordinate is positive.  Output is therefore
-    reproducible byte-for-byte across runs.
+    Write K = Q diag(s) Q^T (the Takagi form; Bloch-Messiah for a pure
+    state) and M = Q A Q^H.  The real-linear map M -> MK + (MK)^T becomes
+    A -> A diag(s) + diag(s) A^T, which is diagonal over the Hermitian units
+    of A: the diagonal unit E_ii has singular value 2 s_i, and the
+    sigma_x-like and sigma_y-like units on a pair i < j have s_i + s_j and
+    |s_i - s_j|.  These n^2 numbers are the full spectrum of the map, and
+    its kernel is spanned by the units whose value is at most
+    TOL_KERNEL_REL times the largest.
+
+    Q and s come from one symmetric eigendecomposition of the real matrix
+    [[Re K, Im K], [Im K, -Re K]], whose eigenvalues are +-s_i: each
+    eigenvector [x; y] of an eigenvalue s > TOL_KERNEL_REL s_max gives the
+    Takagi vector x + iy, and the orthonormal complement of those vectors
+    spans the (numerical) kernel of K, where s = 0.
+
+    The kernel is then canonicalized deterministically over the canonical
+    orthonormal Hermitian basis of M (see :func:`_coordinates` and
+    :func:`_canonical_basis`), so output is reproducible byte-for-byte
+    across runs.  Every generator is checked against the antisymmetry
+    criterion before it is returned.
+
+    Raises
+    ------
+    ShapeMismatch
+        K is not square.
+    SelfCheckFailed
+        A derived generator fails the criterion (a solver defect).
     """
     k = np.asarray(k, dtype=complex)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ShapeMismatch(f"K must be square 2-D, got {k.shape}")
     n = k.shape[0]
-    basis = _hermitian_basis(n)
-    cols = []
-    for b in basis:
-        s = b @ k + (b @ k).T
-        cols.append(np.concatenate([s.real.ravel(), s.imag.ravel()]))
-    a = np.array(cols).T  # (2 n^2, n^2), columns indexed by basis elements
-    _, sing, vh = np.linalg.svd(a)
-    sing = list(sing) + [0.0] * (len(basis) - len(sing))
-    sing = np.array(sing)
-    smax = sing[0] if len(sing) else 0.0
-    tau = TOL_KERNEL_REL * smax
-    in_kernel = sing <= tau
+    x, y = k.real, k.imag
+    vals, vecs = np.linalg.eigh(np.vstack([np.hstack([x, y]), np.hstack([y, -x])]))
+    # the upper half of the spectrum holds every s_i; those under the cut
+    # form an ascending prefix and are the zero block of the Takagi form
+    keep = vals[n:] > TOL_KERNEL_REL * vals[-1]
+    takagi = vecs[:n, n:][:, keep] + 1j * vecs[n:, n:][:, keep]
+    zero_block = np.linalg.qr(takagi, mode="complete")[0][:, takagi.shape[1]:]
+    q = np.hstack([zero_block, takagi])
+    s = np.where(keep, vals[n:], 0.0)
+
+    diag = np.arange(n)
+    i, j = np.nonzero(diag[:, None] < diag)  # pairs i < j, lexicographic
+    values = np.concatenate([2.0 * s, s[i] + s[j], np.abs(s[i] - s[j])])
+    tau = TOL_KERNEL_REL * values.max()
+    in_kernel = values <= tau
     dim = int(np.sum(in_kernel))
 
     borderline = False
-    if 0 < dim < len(sing):
-        above = sing[~in_kernel].min()
-        below = sing[in_kernel].max()
+    if 0 < dim < len(values):
+        above = values[~in_kernel].min()
+        below = values[in_kernel].max()
         if below > 0 and above / below < KERNEL_GAP_MIN:
             borderline = True
 
-    kernel = vh[len(sing) - dim:] if dim else np.zeros((0, len(basis)))
-    # projector onto the kernel in coefficient space
-    proj = kernel.T @ kernel
-    chosen = []
-    for idx in range(len(basis)):
-        w = proj[:, idx].copy()
-        for c in chosen:
-            w -= (c @ w) * c
-        norm = np.linalg.norm(w)
-        if norm <= 1e-8:
-            continue
-        chosen.append(_snap_and_sign(w / norm))
-        if len(chosen) == dim:
-            break
-    # the canonical directions span everything, but guard against extreme
-    # cancellation by topping up from the raw kernel rows
-    for row in kernel:
-        if len(chosen) == dim:
-            break
-        w = row.copy()
-        for c in chosen:
-            w -= (c @ w) * c
-        norm = np.linalg.norm(w)
-        if norm > 1e-8:
-            chosen.append(_snap_and_sign(w / norm))
+    # unit A = u E_ab + conj(u) E_ba, mapped back to M = Q A Q^H
+    a = np.concatenate([diag, i, i])[in_kernel]
+    b = np.concatenate([diag, j, j])[in_kernel]
+    u = np.repeat([0.5, np.sqrt(0.5), -1j * np.sqrt(0.5)], [n, len(i), len(i)])
+    t = u[in_kernel, None, None] * q.T[a, :, None] * q.T[b, None, :].conj()
+    chosen = _canonical_basis(_coordinates(t + t.conj().transpose(0, 2, 1), i, j))
 
-    generators = []
-    for w in chosen:
-        m = np.zeros((n, n), dtype=complex)
-        for coeff, b in zip(w, basis):
-            if coeff != 0.0:
-                m += coeff * b
-        m = 0.5 * (m + m.conj().T)
+    generators = list(_from_coordinates(chosen, i, j))
+    for m in generators:
         ok, res = is_nullifier(m, k)
-        assert ok, f"kernel element failed the residual check: {res:.3e}"
-        generators.append(m)
-    return NullifierBasis(generators, dim, [float(s) for s in sing], float(tau), borderline)
+        if not ok:
+            raise SelfCheckFailed(f"kernel element failed the residual check: {res:.3e}")
+    singular_values = np.sort(values)[::-1].tolist()
+    return NullifierBasis(generators, dim, singular_values, float(tau), borderline)
 
 
 def _as_block_diag(d, size, name):
@@ -308,21 +343,8 @@ def two_mode_invariant_class(alpha, beta, gamma, delta):
     smax = sing[0]
     tau = TOL_KERNEL_REL * smax
     dim = int(np.sum(sing <= tau))
-    kernel = vh[3 - dim:].conj() if dim else np.zeros((0, 3), dtype=complex)
-    # same deterministic canonicalization as nullifier_space, complex case
-    proj = kernel.T @ kernel.conj()  # Hermitian projector onto the kernel
-    chosen = []
-    for idx in range(3):
-        w = proj[:, idx].copy()
-        for c in chosen:
-            w -= np.vdot(c, w) * c
-        norm = np.linalg.norm(w)
-        if norm <= 1e-8:
-            continue
-        chosen.append(_snap_and_sign(w / norm))
-        if len(chosen) == dim:
-            break
-    return TwoModeClass(chosen, dim)
+    kernel = vh[3 - dim:].conj()
+    return TwoModeClass(list(_canonical_basis(kernel)), dim)
 
 
 def verify_symmetry(k, m, theta_grid):

@@ -60,6 +60,36 @@ def brute_force_dim(k, rng, repeats=3):
     return dims[0]
 
 
+def reference_nullifier_space(k):
+    """Kernel of M -> MK + (MK)^T by a dense SVD over a Hermitian basis (n <= 6).
+
+    Assembles the real 2n^2 x n^2 matrix of the map over an orthonormal
+    Hermitian basis in one batched product and takes its SVD; singular
+    values below 1e-8 of the largest count as kernel. Returns the
+    projector onto the kernel, written in the coordinates
+    [Re M.ravel(), Im M.ravel()] (an isometry for Re tr(A B), so it does not
+    depend on the basis), and the n^2 singular values in descending order.
+    """
+    k = np.asarray(k, dtype=complex)
+    n = k.shape[0]
+    assert n <= 6, "the dense reference is for small n only"
+    units = np.einsum("ai,bj->abij", np.eye(n), np.eye(n)).astype(complex)
+    r, s = np.triu_indices(n, 1)
+    basis = np.concatenate([
+        units[np.arange(n), np.arange(n)],
+        (units[r, s] + units[s, r]) / np.sqrt(2.0),
+        (-1j * units[r, s] + 1j * units[s, r]) / np.sqrt(2.0),
+    ])
+    images = basis @ k
+    images = images + images.transpose(0, 2, 1)
+    a = np.hstack([images.real.reshape(n * n, -1), images.imag.reshape(n * n, -1)]).T
+    _, sing, vh = np.linalg.svd(a)
+    kernel = vh[sing <= 1e-8 * sing.max()]
+    embedded = np.tensordot(kernel, basis, axes=1).reshape(len(kernel), n * n)
+    embedded = np.hstack([embedded.real, embedded.imag])
+    return embedded.T @ embedded, sing
+
+
 def occupation_list(n_modes, cutoff):
     """All occupation tuples with total photon number <= cutoff, sorted."""
     occs = []

@@ -118,6 +118,25 @@ def test_check_wire_generators(capsys):
     assert rc == 0
 
 
+def test_check_rejects_a_theta_grid_below_two_points(capsys):
+    base = ("check", "wire", "--spins", "4", "--gen", "local:0", "--format", "json")
+    for points in ("0", "1"):
+        rc, out, err = run(capsys, *base, "--theta-points", points)
+        assert rc == 2 and out == ""
+        assert "--theta-points must be at least 2" in err
+    rc, out, _ = run(capsys, *base, "--theta-points", "2", "--cutoff", "4")
+    assert rc == 0 and json.loads(out)["pass"] is True
+
+
+def test_check_rejects_a_local_index_outside_the_wire(capsys):
+    for index in ("4", "99", "-1"):
+        rc, out, err = run(capsys, "check", "wire", "--spins", "4", "--gen", f"local:{index}")
+        assert rc == 2 and out == ""
+        assert "spin index in 0..3" in err
+    rc, _, _ = run(capsys, "check", "wire", "--spins", "4", "--gen", "local:3", "--cutoff", "4")
+    assert rc == 0
+
+
 def test_check_generator_from_file(tmp_path, capsys):
     expr = schwinger.SchwingerExpression(
         2, [schwinger.SchwingerTerm("z", (0, 1), 1.0)]

@@ -1,9 +1,22 @@
 """Nullifier engine: the algebraic criterion, kernel solver, constructors."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_force_dim, random_hermitian, random_k
+from conftest import (
+    brute_force_dim,
+    random_hermitian,
+    random_k,
+    random_unitary,
+    reference_nullifier_space,
+)
 from gnl import fock, graphs, nullifiers, states
 from gnl.errors import (
     AllZeroCoefficients,
@@ -11,6 +24,8 @@ from gnl.errors import (
     NonCommutingD,
     ShapeMismatch,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SY = np.array([[0.0, -1j], [1j, 0.0]])
@@ -102,6 +117,74 @@ def test_nullifier_space_output_is_deterministic():
     for ga, gb in zip(a.generators, b.generators):
         assert np.array_equal(ga, gb)
     assert a.singular_values == b.singular_values
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    levels=st.lists(st.sampled_from([0.0, 0.15, 0.4, 0.7, 0.95]), min_size=1, max_size=6),
+)
+def test_nullifier_space_matches_the_dense_reference(seed, levels):
+    # K = W diag(s) W^T with repeated levels: the Takagi multiplicities fix
+    # the dimension, sum m_j (m_j - 1) / 2 over nonzero levels plus m_0^2
+    n = len(levels)
+    w = random_unitary(np.random.default_rng(seed), n)
+    k = (w * np.array(levels)) @ w.T
+    counts = {level: levels.count(level) for level in levels}
+    expected = sum(m * (m - 1) // 2 for level, m in counts.items() if level) + counts.get(0.0, 0) ** 2
+
+    basis = nullifiers.nullifier_space(k)
+    projector, spectrum = reference_nullifier_space(k)
+    assert basis.dimension == expected == round(np.trace(projector))
+    assert np.max(np.abs(np.array(basis.singular_values) - spectrum)) <= 1e-12
+
+    gens = np.array([g.ravel() for g in basis.generators]).reshape(expected, n * n)
+    embedded = np.hstack([gens.real, gens.imag])
+    assert np.max(np.abs(embedded.T @ embedded - projector)) <= 1e-8
+    gram = embedded @ embedded.T  # Re tr(A B) of Hermitian A, B
+    assert np.max(np.abs(gram - np.eye(expected)), initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n, draw", [(16, 31), (20, 4)])
+def test_nullifier_space_dense_involutions_pass_the_self_check(n, draw):
+    # G = Q diag(+-1) Q^T with dense Q: every Takagi value of K = tanh(alpha G)
+    # is tanh(alpha), so the kernel is the full n(n-1)/2 sigma_y-like block
+    rng = np.random.default_rng((2011, n, draw))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    g = (q * rng.choice([-1, 1], n)) @ q.T
+    k = graphs.hgraph_k(0.5 * (g + g.T), round(rng.uniform(0.3, 1.0), 4))
+    basis = nullifiers.nullifier_space(k)
+    assert basis.dimension == n * (n - 1) // 2
+    assert max(nullifiers.is_nullifier(m, k)[1] for m in basis.generators) <= 1e-12
+
+
+def test_self_check_survives_python_optimize():
+    script = """
+import sys
+from gnl import cli, graphs, nullifiers
+from gnl.errors import SelfCheckFailed
+
+nullifiers.is_nullifier = lambda m, k, tol=nullifiers.TOL_NULL: (False, 1.0)
+try:
+    nullifiers.nullifier_space(graphs.tms_k(0.5))
+except SelfCheckFailed as exc:
+    print("raised:", exc)
+print("exit", cli.main(["nullifiers", "tms"]))
+print("optimize", sys.flags.optimize)
+"""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines == [
+        "raised: kernel element failed the residual check: 1.000e+00",
+        "exit 2",
+        "optimize 1",
+    ]
+    assert "error: kernel element failed the residual check" in proc.stderr
 
 
 def test_bipartite_single_edge_recovers_sigma_z():
