@@ -309,14 +309,15 @@ def cmd_oracle(args):
     if args.format == "json":
         _write(args, _json_dumps(fock.fock_to_json(v)))
         return 0
+    kept = v.kept()
     lines = [
         TEXT_HEADER,
         f"state {built.name}",
         f"modes {v.n_modes} cutoff {v.cutoff}",
-        f"kept amplitudes {len(v.amplitudes)}",
+        f"kept amplitudes {len(kept)}",
     ]
     by_sector = {}
-    for occ, c in v.amplitudes.items():
+    for occ, c in kept.items():
         tot = sum(occ)
         by_sector[tot] = max(by_sector.get(tot, 0.0), abs(c))
     for tot in sorted(by_sector):

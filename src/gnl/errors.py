@@ -100,3 +100,7 @@ class BadPairing(GnlError):
 
 class SelfCheckFailed(GnlError):
     """A derived result failed the package's own verification (a solver defect)."""
+
+
+class FockTooLarge(GnlError):
+    """Truncated Fock space too large for the oracle (the message gives the size)."""

@@ -7,27 +7,55 @@ recursion for the Fock amplitudes of the state of K:
 
 for any i with mu_i > 0.  Starting from c(vacuum) = 1 and walking total
 photon number upward in steps of two fills every even sector up to the
-cutoff; odd sectors vanish identically.  Different choices of i must agree,
-which is asserted and doubles as a consistency check of K itself.
+cutoff; odd sectors vanish identically.  Different choices of i (routes)
+must agree, which is checked and doubles as a consistency check of K itself.
+
+Sector/ladder form.  The amplitudes of photon-number sector t are one dense
+complex vector over the occupations of that sector in lexicographic order.
+A ladder table gives, for each mode j and each occupation mu of sector t,
+the row in sector t - 1 of mu - e_j (-1 where mu_j = 0), so a_j and adag_j
+are a scatter and a gather of one vector.  Every vector that is gathered
+from carries one extra zero entry at the end, which the -1 rows read.  One
+recursion step works through the odd sector t - 1:
+
+    D = K (adag c_{t-2})                    an (n, N_{t-1}) array
+    route i:  c_t(mu) = D[i, mu - e_i] / sqrt(mu_i)
+
+and each route is compared with their mean.  This is the dense per-sector
+Fock recursion of Miatto & Quesada, "Fast optimization of parametrized
+quantum optical circuits", Quantum 4, 366 (2020), and the recursive hafnian
+scheme of The Walrus (Gupt, Izaac & Quesada, JOSS 4, 1705 (2019)).  The
+tables are built sector by sector from the previous one, so ranks are exact
+positions and no occupation is ever encoded as one integer.
 
 Quadratic operators adag M a conserve photon number, so applying them to a
-truncated state is exact sector by sector: residual norms computed here have
-no truncation artifact and confirm (or refute) nullifier claims to machine
-precision.
+truncated state is exact sector by sector (lower, multiply by M, raise):
+residual norms computed here have no truncation artifact and confirm (or
+refute) nullifier claims to machine precision.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadPairing, InconsistentRecursion, OddCutoff, ShapeMismatch
+from .errors import (
+    BadPairing,
+    FockTooLarge,
+    InconsistentRecursion,
+    OddCutoff,
+    ShapeMismatch,
+)
 
 # relative (to the sector's largest amplitude) agreement required between
 # the recursion's different mode choices
 CONSISTENCY_TOL = 1e-10
 # amplitudes below this are dropped from JSON exports
 EXPORT_CUTOFF = 1e-14
+# the largest photon-number sector the oracle builds, C(cutoff + n - 1, n - 1)
+# amplitudes; a sector of 10^6 amplitudes over 16 modes needs about 100 MB
+MAX_SECTOR_AMPLITUDES = 10**6
 
 
 @dataclass
@@ -55,6 +83,12 @@ class FockVector:
     def amplitude(self, occ):
         return self.amplitudes.get(tuple(occ), 0.0 + 0.0j)
 
+    def kept(self):
+        """The amplitudes of magnitude >= EXPORT_CUTOFF, the set JSON exports."""
+        return {
+            occ: c for occ, c in self.amplitudes.items() if abs(c) >= EXPORT_CUTOFF
+        }
+
 
 @dataclass
 class SpinBasisView:
@@ -72,14 +106,168 @@ class SpinBasisView:
         return self.amplitudes.get(tuple(spins), 0.0 + 0.0j)
 
 
-def _occupations(total, modes):
-    """All occupation tuples of `modes` modes summing to `total`."""
-    if modes == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _occupations(total - head, modes - 1):
-            yield (head,) + rest
+def _sector_size(total, modes):
+    """Number of occupations of `modes` modes summing to `total`."""
+    return math.comb(total + modes - 1, modes - 1)
+
+
+def _ladder(n, top):
+    """Yield the tables (occ, down) of the sectors t = 0, 1, ..., top in turn.
+
+    occ is the (n, N_t) table of the occupations of sector t in
+    lexicographic order; down[j, r] is the row in sector t - 1 of
+    occ[:, r] - e_j, or -1 where occ[j, r] == 0.
+
+    Sector t is built from sector t - 1 alone.  Ordered by the first
+    occupied mode j, from n - 1 down to 0, its block j is mu = nu + e_j over
+    the nu of sector t - 1 whose modes before j are empty, which are the
+    first C(t - 1 + n - j - 1, n - j - 1) rows of sector t - 1.  For i > j,
+    mu - e_i = (nu - e_i) + e_j lies in block j of sector t - 1, at the row
+    of nu - e_i in sector t - 2 past the start of that block.
+
+    Raises
+    ------
+    FockTooLarge
+        Before any allocation, if sector `top` would exceed
+        MAX_SECTOR_AMPLITUDES.
+    """
+    largest = _sector_size(top, n)
+    if largest > MAX_SECTOR_AMPLITUDES:
+        raise FockTooLarge(
+            f"{n} modes at cutoff {top}: the largest Fock sector holds "
+            f"C({top + n - 1}, {n - 1}) = {largest:.3e} amplitudes, about "
+            f"{largest * (16 + 5 * n):.3e} bytes of amplitudes and ladder "
+            f"tables; the oracle's limit is {MAX_SECTOR_AMPLITUDES:.0e} per sector"
+        )
+    occ = np.zeros((n, 1), dtype=np.min_scalar_type(top))
+    down = np.full((n, 1), -1, dtype=np.int32)
+    yield occ, down
+    for t in range(1, top + 1):
+        occ, down = _next_sector(occ, down, t)
+        yield occ, down
+
+
+def _next_sector(occ, down, t):
+    """The tables of sector t from those of sector t - 1 (see _ladder)."""
+    n = occ.shape[0]
+    new_occ = np.empty((n, _sector_size(t, n)), dtype=occ.dtype)
+    new_down = np.full(new_occ.shape, -1, dtype=np.int32)
+    at = 0
+    for j in range(n - 1, -1, -1):
+        size = _sector_size(t - 1, n - j)
+        block = slice(at, at + size)
+        new_occ[:, block] = occ[:, :size]
+        new_occ[j, block] += 1
+        new_down[j, block] = np.arange(size)
+        if j < n - 1:
+            prev = down[j + 1:, :size]
+            start = _sector_size(t - 1, n - j - 1)
+            new_down[j + 1:, block] = np.where(prev < 0, -1, prev + start)
+        at += size
+    return new_occ, new_down
+
+
+def _raise(c, occ, down, roots):
+    """adag_j c for every mode j, c over sector t - 1 -> (n, N_t + 1) over sector t."""
+    c = np.append(c, 0.0)
+    out = np.zeros((occ.shape[0], occ.shape[1] + 1), dtype=complex)
+    for j in range(occ.shape[0]):
+        np.multiply(roots.take(occ[j]), c.take(down[j]), out=out[j, :-1])
+    return out
+
+
+def _lower(c, occ, down, roots):
+    """a_j c for every mode j, c over sector t -> (n, N_{t-1} + 1) over sector t - 1.
+
+    Every row of sector t - 1 is reached through mode 0, so the largest
+    entry of down is N_{t-1} - 1; unoccupied modes write sqrt(0) c = 0 into
+    the last column.
+    """
+    n = occ.shape[0]
+    out = np.zeros((n, int(down.max(initial=-1)) + 2), dtype=complex)
+    for j in range(n):
+        out[j, down[j]] = roots.take(occ[j]) * c
+    return out
+
+
+def _apply(m, c, occ, down, roots):
+    """adag M a on one sector: lower, multiply by M, raise (sum over modes)."""
+    p = m @ _lower(c, occ, down, roots)
+    out = np.zeros(occ.shape[1], dtype=complex)
+    for i in range(occ.shape[0]):
+        out += roots.take(occ[i]) * p[i].take(down[i])
+    return out
+
+
+def _routes(d, occ, down, t):
+    """Sector-t amplitudes, the mean of the routes c(mu) = d[i, mu - e_i].
+
+    d[i, nu] is (a_i c_t)(nu) / sqrt(nu_i + 1), from the nullifier relation.
+    Routes through unoccupied modes read the zero column of d and are left
+    out of the mean and of the spread.
+    """
+    n = occ.shape[0]
+    total = np.zeros(occ.shape[1], dtype=complex)
+    count = np.zeros(occ.shape[1], dtype=np.int32)
+    for i in range(n):
+        total += d[i].take(down[i])
+        count += occ[i] > 0
+    c = total / count
+    spread = 0.0
+    for i in range(n):
+        dev = np.abs(d[i].take(down[i]) - c)
+        spread = max(spread, float(np.max(dev, where=occ[i] > 0, initial=0.0)))
+    scale = float(np.abs(c).max())
+    if scale > 0.0 and spread > CONSISTENCY_TOL * scale:
+        raise InconsistentRecursion(
+            f"recursion routes disagree by {spread:.3e} in sector {t} "
+            f"(scale {scale:.3e})"
+        )
+    return c
+
+
+def _even_sectors(k, cutoff):
+    """Yield (occ, down, c) for the sectors 0, 2, ..., cutoff in turn.
+
+    c holds the unnormalized amplitudes of the sector (c(vacuum) = 1); only
+    the previous even sector and the odd one between are kept.
+    """
+    roots = np.sqrt(np.arange(cutoff + 1))
+    ladder = _ladder(k.shape[0], cutoff)
+    occ, down = next(ladder)
+    c = np.ones(1, dtype=complex)
+    yield occ, down, c
+    for t in range(2, cutoff + 1, 2):
+        occ, down = next(ladder)
+        # a_i c_t = sum_j K_ij adag_j c_{t-2} on sector t - 1
+        d = k @ _raise(c, occ, down, roots)
+        d[:, :-1] /= roots[occ + 1]
+        occ, down = next(ladder)
+        c = _routes(d, occ, down, t)
+        del d  # not held while the caller works on sector t
+        yield occ, down, c
+
+
+def _checked_k(k, cutoff):
+    k = np.asarray(k, dtype=complex)
+    if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] == 0:
+        raise ShapeMismatch(f"K must be square 2-D, got {k.shape}")
+    if cutoff % 2 != 0 or cutoff < 2:
+        raise OddCutoff("cutoff must be an even integer >= 2")
+    return k
+
+
+def _checked_m(m, n):
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape != (n, n):
+        raise ShapeMismatch(f"M shape {m.shape} does not match {n} modes")
+    return m
+
+
+def _sparse(occ, c):
+    """The nonzero entries of one sector as (occupation tuple, complex) pairs."""
+    nz = np.flatnonzero(c)
+    return zip(map(tuple, occ[:, nz].T.tolist()), c[nz].tolist())
 
 
 def state_from_k(k, cutoff):
@@ -94,82 +282,49 @@ def state_from_k(k, cutoff):
     Returns
     -------
     FockVector
-        Normalized; only even sectors are populated.
+        Normalized; only even sectors are populated, and amplitudes that
+        are exactly zero are left out.
 
     Raises
     ------
     OddCutoff
+    FockTooLarge
+        If the sector at the cutoff exceeds MAX_SECTOR_AMPLITUDES.
     InconsistentRecursion
         If two recursion routes disagree, which signals a non-symmetric or
         otherwise invalid K (or a bug).
     """
-    k = np.asarray(k, dtype=complex)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise ShapeMismatch(f"K must be square 2-D, got {k.shape}")
-    if cutoff % 2 != 0 or cutoff < 2:
-        raise OddCutoff("cutoff must be an even integer >= 2")
-    n = k.shape[0]
-    amps = {(0,) * n: 1.0 + 0.0j}
-    sqrt = np.sqrt
-    for total in range(2, cutoff + 1, 2):
-        sector = {}
-        scale = 0.0
-        spread = 0.0
-        for mu in _occupations(total, n):
-            vals = []
-            for i in range(n):
-                if mu[i] == 0:
-                    continue
-                nu = list(mu)
-                nu[i] -= 1
-                acc = 0.0 + 0.0j
-                for j in range(n):
-                    if k[i, j] == 0.0 or nu[j] == 0:
-                        continue
-                    nu[j] -= 1
-                    acc += k[i, j] * sqrt(nu[j] + 1) * amps.get(tuple(nu), 0.0)
-                    nu[j] += 1
-                vals.append(acc / sqrt(mu[i]))
-            value = sum(vals) / len(vals)
-            spread = max(
-                spread, max(abs(v - value) for v in vals)
-            )
-            scale = max(scale, abs(value))
-            if value != 0.0:
-                sector[mu] = value
-        if scale > 0.0 and spread > CONSISTENCY_TOL * scale:
-            raise InconsistentRecursion(
-                f"recursion routes disagree by {spread:.3e} in sector {total} "
-                f"(scale {scale:.3e})"
-            )
-        amps.update(sector)
-    return FockVector(n, cutoff, amps).normalize()
+    k = _checked_k(k, cutoff)
+    sectors = [(occ, c) for occ, _, c in _even_sectors(k, cutoff)]
+    nrm = math.sqrt(sum(float(np.vdot(c, c).real) for _, c in sectors))
+    amps = {}
+    for occ, c in sectors:
+        amps.update(_sparse(occ, c / nrm))
+    return FockVector(k.shape[0], cutoff, amps)
 
 
 def apply_quadratic(m, v):
     """Apply the photon-conserving operator adag M a to a Fock vector.
 
     Exact within each photon-number sector (these operators never leave a
-    sector, so the truncation does not leak).
+    sector, so the truncation does not leak).  Entries that come out
+    exactly zero are left out.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape != (v.n_modes, v.n_modes):
-        raise ShapeMismatch(
-            f"M shape {m.shape} does not match {v.n_modes} modes"
-        )
-    out = {}
-    nz = [(i, j) for i in range(v.n_modes) for j in range(v.n_modes) if m[i, j] != 0.0]
+    m = _checked_m(m, v.n_modes)
+    by_total = {}
     for occ, amp in v.amplitudes.items():
-        for i, j in nz:
-            if occ[j] == 0:
-                continue
-            # adag_i a_j |occ> = sqrt(occ_j) sqrt(occ_i + 1 - delta_ij) |occ - e_j + e_i>
-            coeff = m[i, j] * np.sqrt(occ[j]) * np.sqrt(occ[i] + 1 - (i == j))
-            tgt = list(occ)
-            tgt[j] -= 1
-            tgt[i] += 1
-            tgt = tuple(tgt)
-            out[tgt] = out.get(tgt, 0.0 + 0.0j) + coeff * amp
+        by_total.setdefault(sum(occ), []).append((tuple(occ), amp))
+    top = max(by_total, default=0)
+    roots = np.sqrt(np.arange(top + 1))
+    out = {}
+    for t, (occ, down) in enumerate(_ladder(v.n_modes, top)):
+        if t not in by_total:
+            continue
+        row = {o: r for r, o in enumerate(map(tuple, occ.T.tolist()))}
+        c = np.zeros(occ.shape[1], dtype=complex)
+        for o, amp in by_total[t]:
+            c[row[o]] = amp
+        out.update(_sparse(occ, _apply(m, c, occ, down, roots)))
     return FockVector(v.n_modes, v.cutoff, out)
 
 
@@ -177,10 +332,18 @@ def nullifier_residual(m, k, cutoff):
     """|| adag M a |phi_K> || for the normalized truncated state.
 
     Sector-exact: true nullifiers give rounding-level residuals at any even
-    cutoff >= 2, with no cutoff artifact.
+    cutoff >= 2, with no cutoff artifact.  The sectors are streamed: the
+    state is never held whole.
     """
-    v = state_from_k(k, cutoff)
-    return apply_quadratic(m, v).norm()
+    k = _checked_k(k, cutoff)
+    m = _checked_m(m, k.shape[0])
+    roots = np.sqrt(np.arange(cutoff + 1))
+    res2 = norm2 = 0.0
+    for occ, down, c in _even_sectors(k, cutoff):
+        norm2 += float(np.vdot(c, c).real)
+        r = _apply(m, c, occ, down, roots)
+        res2 += float(np.vdot(r, r).real)
+    return math.sqrt(res2 / norm2)
 
 
 def spin_basis_view(v, pairing):
@@ -215,17 +378,14 @@ def spin_basis_view(v, pairing):
 def fock_to_json(v):
     """FockVector -> {"n":, "cutoff":, "amps": [{"occ":, "re":, "im":}]}.
 
-    Amplitudes below 1e-14 in magnitude are omitted; entries are sorted by
-    (total photons, occupation) so output is deterministic.
+    Amplitudes below EXPORT_CUTOFF in magnitude are omitted; entries are
+    sorted by (total photons, occupation) so output is deterministic.
     """
-    amps = []
-    for occ in sorted(v.amplitudes, key=lambda o: (sum(o), o)):
-        c = v.amplitudes[occ]
-        if abs(c) < EXPORT_CUTOFF:
-            continue
-        amps.append(
-            {"occ": [int(x) for x in occ], "re": float(c.real), "im": float(c.imag)}
-        )
+    kept = v.kept()
+    amps = [
+        {"occ": [int(x) for x in occ], "re": float(c.real), "im": float(c.imag)}
+        for occ, c in sorted(kept.items(), key=lambda item: (sum(item[0]), item[0]))
+    ]
     return {"n": int(v.n_modes), "cutoff": int(v.cutoff), "amps": amps}
 
 

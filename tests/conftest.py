@@ -4,6 +4,9 @@ Everything here is deliberately dumb and self-contained so the production
 code never checks itself against its own machinery.
 """
 
+import functools
+import math
+
 import numpy as np
 
 
@@ -104,6 +107,37 @@ def occupation_list(n_modes, cutoff):
 
     fill((), cutoff)
     return sorted(occs, key=lambda o: (sum(o), o))
+
+
+def hafnian_amplitudes(k, cutoff):
+    """Normalized Fock amplitudes of the state of K from hafnians (n <= 5).
+
+    c(mu) = haf(K_mu) / sqrt(prod_i mu_i!), where K_mu repeats row and
+    column i of K mu_i times. The hafnian is the first-row expansion over
+    perfect matchings, memoized on the sorted labels of the rows left.
+    Returns every occupation of the even sectors up to the cutoff, zeros
+    included, normalized over that set.
+    """
+    k = np.asarray(k, dtype=complex)
+    n = k.shape[0]
+    assert n <= 5, "the hafnian reference is for small n only"
+
+    @functools.lru_cache(maxsize=None)
+    def haf(labels):
+        if not labels:
+            return 1.0 + 0.0j
+        first, rest = labels[0], labels[1:]
+        return sum(
+            k[first, rest[p]] * haf(rest[:p] + rest[p + 1:]) for p in range(len(rest))
+        )
+
+    amps = {}
+    for occ in occupation_list(n, cutoff):
+        if sum(occ) % 2 == 0:
+            labels = tuple(i for i, m in enumerate(occ) for _ in range(m))
+            amps[occ] = haf(labels) / math.sqrt(math.prod(map(math.factorial, occ)))
+    norm = math.sqrt(sum(abs(c) ** 2 for c in amps.values()))
+    return {occ: c / norm for occ, c in amps.items()}
 
 
 def dense_vector(v, occs):

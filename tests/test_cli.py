@@ -1,6 +1,7 @@
 """Command-line surface: payload shapes, exit codes, config handling."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -176,6 +177,24 @@ def test_oracle_text_sectors(capsys):
     assert rc == 0
     assert "sector 0: max |amp|" in out
     assert "sector 4: max |amp|" in out
+
+
+def test_oracle_text_counts_the_amplitudes_json_exports(capsys):
+    argv = ("oracle", "wire", "--spins", "3", "--cutoff", "8", "--alpha", "0.7")
+    rc, out, _ = run(capsys, *argv, "--format", "json")
+    assert rc == 0
+    exported = len(json.loads(out)["amps"])
+    rc, out, _ = run(capsys, *argv, "--format", "text")
+    assert rc == 0
+    assert f"kept amplitudes {exported}\n" in out
+
+
+def test_oracle_refuses_an_oversized_fock_space_at_once(capsys):
+    start = time.monotonic()
+    rc, out, err = run(capsys, "oracle", "wire", "--spins", "20", "--cutoff", "20")
+    assert rc == 2 and out == ""
+    assert "2.795e+15 amplitudes" in err and "bytes" in err
+    assert time.monotonic() - start < 5.0
 
 
 def test_export_writes_a_dot_file(tmp_path, capsys):

@@ -1,14 +1,25 @@
 """Truncated-Fock oracle: the recursion, operator application, spin view."""
 
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import linear_nullifier_residual, random_k
-from gnl import fock, graphs, schwinger, states
+from conftest import (
+    hafnian_amplitudes,
+    linear_nullifier_residual,
+    random_hermitian,
+    random_k,
+    random_unitary,
+)
+from gnl import fock, graphs, nullifiers, schwinger, states
 from gnl.errors import (
     BadPairing,
+    FockTooLarge,
     InconsistentRecursion,
     OddCutoff,
     ShapeMismatch,
@@ -66,6 +77,78 @@ def test_state_from_k_input_guards():
         fock.state_from_k(np.array([[0.0, 0.5], [0.2, 0.0]]), 4)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    cutoff=st.sampled_from([2, 4, 6, 8]),
+    norm=st.floats(0.05, 0.95),
+)
+def test_amplitudes_match_the_hafnian_reference(seed, n, cutoff, norm):
+    k = random_k(np.random.default_rng(seed), n, norm=norm)
+    v = fock.state_from_k(k, cutoff)
+    ref = hafnian_amplitudes(k, cutoff)
+    assert set(v.amplitudes) <= set(ref)
+    scale = {}
+    for occ, c in ref.items():
+        scale[sum(occ)] = max(scale.get(sum(occ), 0.0), abs(c))
+    for occ, c in ref.items():
+        assert abs(v.amplitude(occ) - c) <= 1e-12 * scale[sum(occ)], occ
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 6),
+    cutoff=st.sampled_from([2, 4, 6]),
+    skew=st.floats(1e-6, 0.1),
+)
+def test_a_single_asymmetric_entry_is_caught(seed, n, cutoff, skew):
+    # every route is compared, so one K_ij != K_ji anywhere fails sector 2
+    rng = np.random.default_rng(seed)
+    k = random_k(rng, n, norm=0.5)
+    i, j = rng.choice(n, 2, replace=False)
+    k[i, j] += skew
+    with pytest.raises(InconsistentRecursion):
+        fock.state_from_k(k, cutoff)
+
+
+@pytest.mark.parametrize("cutoff", [2, 4])
+def test_forty_mode_product_state_has_exact_ranks(cutoff):
+    # 20 disjoint TMS pairs: 3^40 > 2^63, so a base-(cutoff + 1) code of
+    # the occupations would wrap in int64
+    t = np.tanh(0.4)
+    k = np.kron(np.eye(20), graphs.tms_k(0.4))
+    v = fock.state_from_k(k, cutoff)
+    expected = {(0,) * 40: 1.0}
+    for _ in range(cutoff // 2):
+        for occ, c in list(expected.items()):
+            for p in range(20):
+                nxt = list(occ)
+                nxt[2 * p] += 1
+                nxt[2 * p + 1] += 1
+                expected[tuple(nxt)] = c * t
+    c0 = 1.0 / math.sqrt(sum(c * c for c in expected.values()))
+    assert set(v.amplitudes) == set(expected)
+    for occ, c in expected.items():
+        assert abs(v.amplitudes[occ] - c0 * c) <= 1e-14
+
+
+def test_oversized_fock_spaces_fail_before_allocating():
+    k = np.zeros((40, 40))
+    estimate = r"C\(59, 39\) = 2\.795e\+15 amplitudes, about .* bytes"
+    with pytest.raises(FockTooLarge, match=estimate):
+        fock.state_from_k(k, 20)
+    with pytest.raises(FockTooLarge):
+        fock.nullifier_residual(np.eye(40), k, 20)
+    v = fock.FockVector(40, 20, {(20,) + (0,) * 39: 1.0 + 0.0j})
+    with pytest.raises(FockTooLarge):
+        fock.apply_quadratic(np.eye(40), v)
+    # a 6-spin wire (12 modes) at cutoff 8 stays within the limit
+    v = fock.state_from_k(np.zeros((12, 12)), 8)
+    assert v.amplitudes == {(0,) * 12: 1.0 + 0.0j}
+
+
 def test_apply_quadratic_single_ladder_steps():
     v = fock.FockVector(2, 4, {(1, 0): 1.0 + 0.0j})
     out = fock.apply_quadratic(np.eye(2), v)
@@ -106,6 +189,43 @@ def test_nullifier_residual_separates_the_two_cases():
     assert fock.nullifier_residual(0.5 * np.diag([1.0, -1.0]), k, 16) < 1e-10
     sx = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]])
     assert fock.nullifier_residual(sx, k, 16) > 0.1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    levels=st.lists(st.sampled_from([0.0, 0.15, 0.4, 0.7]), min_size=2, max_size=5),
+)
+def test_criterion_agrees_with_the_fock_residual(seed, levels):
+    rng = np.random.default_rng(seed)
+    n = len(levels)
+    w = random_unitary(rng, n)
+    k = (w * levels) @ w.T
+    for g in nullifiers.nullifier_space(k).generators:
+        assert fock.nullifier_residual(g, k, 6) <= 1e-12
+    m = random_hermitian(rng, n)
+    _, res = nullifiers.is_nullifier(m, k)
+    if res > 1e-3:
+        # sector 2 alone gives |c_0| |MK + (MK)^T|_F / sqrt(2)
+        s = m @ k + (m @ k).T
+        c0 = abs(fock.state_from_k(k, 6).amplitude((0,) * n))
+        floor = c0 * np.linalg.norm(s) / math.sqrt(2.0)
+        assert floor > 1e-4
+        assert fock.nullifier_residual(m, k, 6) >= (1.0 - 1e-9) * floor
+
+
+def test_nullifier_residual_streams_its_sectors():
+    layout = states.WireLayout(6, 0.5)
+    k = states.dual_rail_wire(layout)
+    m = schwinger.expression_to_matrix(states.wire_local_nullifiers(layout)[0])
+    tracemalloc.start()
+    try:
+        res = fock.nullifier_residual(m, k, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res < 1e-12
+    assert peak <= 4e6, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_wire_local_residuals_at_small_cutoff():
