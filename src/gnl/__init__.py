@@ -34,6 +34,7 @@ from .schwinger import (
     SchwingerExpression,
     SchwingerTerm,
     change_basis,
+    display_expressions,
     embed_pauli,
     expression_from_json,
     expression_to_json,
@@ -107,6 +108,7 @@ __all__ = [
     "change_basis",
     "generator_to_unitary",
     "format_expression",
+    "display_expressions",
     "expression_to_json",
     "expression_from_json",
     "NullifierBasis",

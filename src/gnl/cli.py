@@ -22,6 +22,8 @@ Exit codes: 0 all requested checks pass, 1 a check ran and failed,
 """
 
 import argparse
+import functools
+import itertools
 import json
 import sys
 
@@ -48,9 +50,108 @@ CHECK_TOL_NULL = 1e-10
 CHECK_TOL_SYM = 1e-9
 CHECK_TOL_FOCK = 1e-8
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _json_scalar(o):
+    """json's spelling of None, a bool, an int or a float; None for any other type."""
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == _INF:
+            return "Infinity"
+        if o == -_INF:
+            return "-Infinity"
+        return float.__repr__(o)
+    return None
+
 
 def _json_dumps(obj):
-    return json.dumps(obj, indent=2) + "\n"
+    """``json.dumps(obj, indent=2) + "\n"``, byte for byte, for any JSON value.
+
+    json's indented layout runs its pure-Python encoder; this writer keeps
+    the same layout and spelling (NaN, Infinity, ASCII string escapes) but
+    writes a list of equal-length lists of finite floats, such as the
+    entries of :func:`graphs.matrix_to_json`, through one ``%r`` template
+    over the flattened values, built once per shape and depth.
+    """
+    chunks = []
+    append = chunks.append
+    templates = {}
+
+    def float_table(rows, level):
+        if type(rows) is not list or set(map(type, rows)) != {list}:
+            return False
+        widths = set(map(len, rows))
+        if len(widths) != 1 or 0 in widths:
+            return False
+        flat = list(itertools.chain.from_iterable(rows))
+        if set(map(type, flat)) != {float}:
+            return False
+        total = sum(flat)
+        if total - total != 0.0:  # a NaN or an infinity (or an overflowing sum)
+            return False
+        key = (len(rows), len(rows[0]), level)
+        if key not in templates:
+            outer, inner = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
+            row = "[" + ",".join([inner + "%r"] * key[1]) + outer + "]"
+            templates[key] = (
+                "[" + ",".join([outer + row] * key[0]) + "\n" + "  " * level + "]"
+            )
+        append(templates[key] % tuple(flat))
+        return True
+
+    def key_text(key):
+        text = key if isinstance(key, str) else _json_scalar(key)
+        if text is None:
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+            )
+        return _ESCAPE(text)
+
+    def encode(o, level):
+        scalar = _json_scalar(o)
+        if scalar is not None:
+            append(scalar)
+        elif isinstance(o, str):
+            append(_ESCAPE(o))
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                append("[]")
+            elif not float_table(o, level):
+                sep = "\n" + "  " * (level + 1)
+                append("[")
+                for i, item in enumerate(o):
+                    append("," + sep if i else sep)
+                    encode(item, level + 1)
+                append("\n" + "  " * level + "]")
+        elif isinstance(o, dict):
+            if not o:
+                append("{}")
+            else:
+                sep = "\n" + "  " * (level + 1)
+                append("{")
+                for i, (key, value) in enumerate(o.items()):
+                    append(("," + sep if i else sep) + key_text(key) + ": ")
+                    encode(value, level + 1)
+                append("\n" + "  " * level + "}")
+        else:
+            raise TypeError(
+                f"Object of type {o.__class__.__name__} is not JSON serializable"
+            )
+
+    encode(obj, 0)
+    append("\n")
+    return "".join(chunks)
 
 
 def _fmt_res(x):
@@ -141,27 +242,6 @@ def _write(args, text):
         sys.stdout.write(text)
 
 
-def _display_expression(gen, labels):
-    """Pretty expression, rescaled so the largest coefficient is 1.0.
-
-    Coefficients twelve orders below the largest are rounding dust from the
-    kernel solve and are dropped from the printout (the JSON generators stay
-    exact).
-    """
-    expr = schwinger.matrix_to_expression(gen)
-    if expr.terms:
-        scale = max(abs(t.coeff) for t in expr.terms)
-        expr = schwinger.SchwingerExpression(
-            expr.n,
-            [
-                schwinger.SchwingerTerm(t.axis, t.pair, t.coeff / scale)
-                for t in expr.terms
-                if abs(t.coeff) >= 1e-12 * scale
-            ],
-        )
-    return schwinger.format_expression(expr, labels)
-
-
 def _state_text_lines(built):
     rep = graphs.validate(built.k)
     lines = [
@@ -205,17 +285,15 @@ def cmd_nullifiers(args):
             "borderline": basis.borderline,
             "singular_values": basis.singular_values,
             "generators": [graphs.matrix_to_json(g) for g in basis.generators],
-            "expressions": [
-                _display_expression(g, built.labels) for g in basis.generators
-            ],
+            "expressions": schwinger.display_expressions(basis.generators, built.labels),
         }
         _write(args, _json_dumps(payload))
         return 0
     lines = [TEXT_HEADER, f"state {built.name}", f"dimension {basis.dimension}"]
     if basis.borderline:
         lines.append("warning: borderline kernel spectrum, dimension uncertain")
-    for idx, g in enumerate(basis.generators):
-        lines.append(f"g{idx}: {_display_expression(g, built.labels)}")
+    expressions = schwinger.display_expressions(basis.generators, built.labels)
+    lines += [f"g{idx}: {expr}" for idx, expr in enumerate(expressions)]
     tail = [s for s in basis.singular_values if s > basis.threshold][-3:]
     if tail:
         lines.append(
@@ -346,23 +424,32 @@ def _add_output_arguments(sub, config, formats=("json", "dot", "text"), default=
     sub.add_argument("--out", default=config.get("out"), help="output path (default stdout)")
 
 
+@functools.cache
+def _config_parser():
+    # no abbreviations: "--c" must stay free for a subcommand's --cutoff
+    parser = argparse.ArgumentParser(prog="gnl", add_help=False, allow_abbrev=False)
+    parser.add_argument("--config", help="JSON file with default flag values")
+    return parser
+
+
 def _load_config(argv):
-    if "--config" in argv:
-        path = argv[argv.index("--config") + 1]
-        with open(path) as fh:
-            cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise GnlError("config file must hold a JSON object")
-        return cfg
-    return {}
+    path = _config_parser().parse_known_args(argv)[0].config
+    if path is None:
+        return {}
+    with open(path) as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise GnlError("config file must hold a JSON object")
+    return cfg
 
 
 def build_parser(config):
     parser = argparse.ArgumentParser(
         prog="gnl",
         description="Gaussian-state graph calculus and Schwinger nullifiers",
+        parents=[_config_parser()],
+        allow_abbrev=False,
     )
-    parser.add_argument("--config", help="JSON file with default flag values")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("state", help="build a state and print its matrix")
@@ -419,12 +506,18 @@ def build_parser(config):
     return parser
 
 
+@functools.lru_cache(maxsize=8)
+def _cached_parser(config_json):
+    # parse_args leaves the parser untouched, so one tree serves every call
+    # with the same config
+    return build_parser(json.loads(config_json))
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         config = _load_config(argv)
-        parser = build_parser(config)
-        args = parser.parse_args(argv)
+        args = _cached_parser(json.dumps(config, sort_keys=True)).parse_args(argv)
         return args.func(args)
     except GnlError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -261,7 +261,7 @@ def tms_k(alpha):
 def matrix_to_json(m):
     """Dense complex matrix -> {"n": n, "entries": [[re, im], ...]} (row-major)."""
     m = _square_complex(m, "matrix")
-    entries = [[float(v.real), float(v.imag)] for v in m.ravel()]
+    entries = np.column_stack([m.real.ravel(), m.imag.ravel()]).tolist()
     return {"n": int(m.shape[0]), "entries": entries}
 
 

@@ -17,6 +17,7 @@ Schwinger terms <-> Hermitian matrices, unitary basis changes, and matrix
 exponentials of generators.
 """
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -128,6 +129,58 @@ def expression_to_matrix(expr):
     return m
 
 
+def _check_hermitian(m, what):
+    if m.size and np.max(np.abs(m - m.conj().swapaxes(-1, -2))) > TOL_HERM:
+        raise NonHermitian(f"{what} is not Hermitian within tolerance")
+
+
+def _slots(n):
+    """The (axis, pair) of every coefficient, in canonical order (see below)."""
+    slots = []
+    for k in range(n // 2):
+        slots += [("0", (2 * k, 2 * k + 1)), ("z", (2 * k, 2 * k + 1))]
+    if n % 2 == 1 and n >= 2:
+        slots += [("0", (n - 2, n - 1)), ("z", (n - 2, n - 1))]
+    if n == 1:
+        # no partner mode: keep the bare number operator
+        slots.append(("0", (0, 0)))
+    for r in range(n):
+        for s in range(r + 1, n):
+            slots += [("x", (r, s)), ("y", (r, s))]
+    return slots
+
+
+def _coefficient_table(ms):
+    """Canonical Schwinger coefficients of a stack of Hermitian matrices.
+
+    ms has shape (d, n, n).  Returns the slot list ``[(axis, pair), ...]``
+    and a (d, len(slots)) float array; a zero coefficient means the term is
+    absent.  The slots are the diagonal pairs (2k, 2k+1) as
+    (d_r + d_s) S^0 + (d_r - d_s) S^z, for odd n the lone trailing entry d
+    as d S^0 - d S^z on the last pair (for n = 1 the bare d S^0_{0,0}), then
+    2 Re(M_rs) S^x - 2 Im(M_rs) S^y for each r < s in lexicographic order.
+
+    Raises
+    ------
+    ShapeMismatch, NonHermitian
+    """
+    ms = np.asarray(ms, dtype=complex)
+    if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
+        raise ShapeMismatch(f"expected a stack of square matrices, got {ms.shape}")
+    _check_hermitian(ms, "matrix")
+    d, n = ms.shape[0], ms.shape[1]
+    diag = np.diagonal(ms, axis1=1, axis2=2).real
+    even, odd = diag[:, 0:n - 1:2], diag[:, 1:n:2]
+    parts = [np.stack([even + odd, even - odd], axis=-1).reshape(d, -1)]
+    if n % 2 == 1:
+        last = diag[:, n - 1:]
+        parts.append(np.hstack([last, -last]) if n >= 2 else last)
+    r, s = np.triu_indices(n, 1)
+    upper = ms[:, r, s]
+    parts.append(np.stack([2.0 * upper.real, -2.0 * upper.imag], axis=-1).reshape(d, -1))
+    return _slots(n), np.hstack(parts)
+
+
 def matrix_to_expression(m):
     """Decompose a Hermitian matrix into Schwinger terms (canonical form).
 
@@ -146,35 +199,13 @@ def matrix_to_expression(m):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"matrix must be square 2-D, got {m.shape}")
-    if m.size and np.max(np.abs(m - m.conj().T)) > TOL_HERM:
-        raise NonHermitian("matrix is not Hermitian within tolerance")
-    n = m.shape[0]
-    terms = []
-    diag = m.diagonal().real
-    for k in range(n // 2):
-        r, s = 2 * k, 2 * k + 1
-        c0 = diag[r] + diag[s]
-        cz = diag[r] - diag[s]
-        if c0 != 0.0:
-            terms.append(SchwingerTerm("0", (r, s), float(c0)))
-        if cz != 0.0:
-            terms.append(SchwingerTerm("z", (r, s), float(cz)))
-    if n % 2 == 1 and n >= 2 and diag[n - 1] != 0.0:
-        d = float(diag[n - 1])
-        terms.append(SchwingerTerm("0", (n - 2, n - 1), d))
-        terms.append(SchwingerTerm("z", (n - 2, n - 1), -d))
-    if n == 1 and diag[0] != 0.0:
-        # no partner mode: keep the bare number operator
-        terms.append(SchwingerTerm("0", (0, 0), float(diag[0])))
-    for r in range(n):
-        for s in range(r + 1, n):
-            cx = 2.0 * m[r, s].real
-            cy = -2.0 * m[r, s].imag
-            if cx != 0.0:
-                terms.append(SchwingerTerm("x", (r, s), float(cx)))
-            if cy != 0.0:
-                terms.append(SchwingerTerm("y", (r, s), float(cy)))
-    return SchwingerExpression(n, terms)
+    slots, table = _coefficient_table(m[None])
+    terms = [
+        SchwingerTerm(axis, pair, c)
+        for (axis, pair), c in zip(slots, table[0].tolist())
+        if c != 0.0
+    ]
+    return SchwingerExpression(m.shape[0], terms)
 
 
 def combine_terms(expr):
@@ -252,8 +283,7 @@ def generator_to_unitary(m, theta):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"matrix must be square 2-D, got {m.shape}")
-    if m.size and np.max(np.abs(m - m.conj().T)) > TOL_HERM:
-        raise NonHermitian("generator is not Hermitian within tolerance")
+    _check_hermitian(m, "generator")
     vals, vecs = np.linalg.eigh(m)
     return (vecs * np.exp(-1j * theta * vals)) @ vecs.conj().T
 
@@ -291,6 +321,38 @@ def _format_coeff(c):
     return f"{c:.10g}"
 
 
+# sign before a term: first term (c >= 0, else), later term (c >= 0, c < 0)
+_SIGNS = ("", "-", " + ", " - ")
+
+
+def _join_terms(coeffs, bodies, ends):
+    """Signed sums "c0·b0 - c1·b1 + ..." over consecutive runs of terms.
+
+    coeffs and bodies hold the terms of all runs back to back and ends the
+    offset where each run stops; returns one string per run, "0" for an
+    empty run.  Each distinct |coeff| is formatted once.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    ends = np.asarray(ends, dtype=int)
+    mags, which = np.unique(np.abs(coeffs), return_inverse=True)
+    texts = [_format_coeff(m) for m in mags.tolist()]
+    starts = np.concatenate([[0], ends[:-1]])
+    first = np.zeros(len(coeffs), dtype=bool)
+    first[starts[starts < len(coeffs)]] = True
+    signs = np.where(first, ~(coeffs >= 0), 2 + (coeffs < 0))
+    terms = list(map("".join, zip(
+        map(_SIGNS.__getitem__, signs.tolist()),
+        map(texts.__getitem__, which.tolist()),
+        itertools.repeat("·"),
+        bodies,
+    )))
+    return ["".join(terms[b:e]) or "0" for b, e in zip(starts.tolist(), ends.tolist())]
+
+
+def _term_body(axis, pair, labels):
+    return f"S^{axis}_{{{labels[pair[0]]},{labels[pair[1]]}}}"
+
+
 def format_expression(expr, labels=None):
     """Render an expression like "1.0·S^z_{0,1} - 0.5·S^x_{0,2}".
 
@@ -301,20 +363,55 @@ def format_expression(expr, labels=None):
         Per-mode labels replacing the bare indices (e.g. "1a" for wire
         spin/rail naming).
     """
-    if not expr.terms:
-        return "0"
     if labels is None:
         labels = [str(i) for i in range(expr.n)]
-    pieces = []
-    for i, t in enumerate(expr.terms):
-        c = t.coeff
-        sign = "-" if c < 0 else "+"
-        body = (
-            f"{_format_coeff(abs(c))}·"
-            f"S^{t.axis}_{{{labels[t.pair[0]]},{labels[t.pair[1]]}}}"
+    return _join_terms(
+        [t.coeff for t in expr.terms],
+        [_term_body(t.axis, t.pair, labels) for t in expr.terms],
+        [len(expr.terms)],
+    )[0]
+
+
+# generators rendered per block of the (d, n, n) stack, which bounds the
+# temporary coefficient table on large kernels
+DISPLAY_BLOCK = 64
+
+
+def display_expressions(generators, labels=None):
+    """Pretty expression of each Hermitian matrix, largest coefficient 1.0.
+
+    Each matrix is written in the canonical Schwinger form of
+    :func:`matrix_to_expression` and rescaled so its largest |coefficient|
+    is 1.0.  Coefficients twelve orders below the largest are rounding dust
+    from the kernel solve and are dropped from the printout.  A matrix with
+    no terms renders as "0".
+
+    Parameters
+    ----------
+    generators : sequence of (n, n) Hermitian matrices, or a (d, n, n) array
+    labels : list of str, optional
+        Per-mode labels, as in :func:`format_expression`.
+
+    Raises
+    ------
+    ShapeMismatch, NonHermitian
+    """
+    out = []
+    bodies = None
+    for start in range(0, len(generators), DISPLAY_BLOCK):
+        block = np.asarray(generators[start:start + DISPLAY_BLOCK], dtype=complex)
+        slots, table = _coefficient_table(block)
+        if bodies is None:
+            if labels is None:
+                labels = [str(i) for i in range(block.shape[-1])]
+            bodies = [_term_body(axis, pair, labels) for axis, pair in slots]
+        mags = np.abs(table)
+        scale = mags.max(axis=1, initial=0.0)
+        keep = (table != 0.0) & (mags >= 1e-12 * scale[:, None])
+        rows, cols = np.nonzero(keep)
+        out += _join_terms(
+            table[rows, cols] / scale[rows],
+            map(bodies.__getitem__, cols.tolist()),
+            np.cumsum(np.bincount(rows, minlength=len(table))),
         )
-        if i == 0:
-            pieces.append(body if c >= 0 else "-" + body)
-        else:
-            pieces.append(f" {sign} {body}")
-    return "".join(pieces)
+    return out

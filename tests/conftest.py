@@ -181,3 +181,49 @@ def linear_nullifier_residual(k, v):
                 r = r - k[i, j] * (lowering[j].conj().T @ vec)
         worst = max(worst, float(np.linalg.norm(r[keep])))
     return worst
+
+
+def reference_display_expression(m, labels=None):
+    """Pretty Schwinger expression of one Hermitian matrix, term by term.
+
+    The per-generator display rule written out with plain loops: the
+    canonical decomposition (diagonal pairs (2k, 2k+1) as S^0 and S^z, the
+    odd trailing entry as d S^0 - d S^z on the last pair, the bare S^0_{0,0}
+    for n = 1, then S^x and S^y for each r < s), rescaled so the largest
+    |coefficient| is 1.0, terms below 1e-12 of it dropped, coefficients
+    printed with one decimal when integral and 10 significant digits
+    otherwise.
+    """
+    m = np.asarray(m, dtype=complex)
+    n = m.shape[0]
+    labels = [str(i) for i in range(n)] if labels is None else labels
+    diag = m.diagonal().real
+    terms = []
+    for k in range(n // 2):
+        r, s = 2 * k, 2 * k + 1
+        terms += [("0", r, s, float(diag[r] + diag[s])), ("z", r, s, float(diag[r] - diag[s]))]
+    if n % 2 == 1 and n >= 2:
+        d = float(diag[n - 1])
+        terms += [("0", n - 2, n - 1, d), ("z", n - 2, n - 1, -d)]
+    if n == 1:
+        terms.append(("0", 0, 0, float(diag[0])))
+    for r in range(n):
+        for s in range(r + 1, n):
+            terms += [("x", r, s, float(2.0 * m[r, s].real)), ("y", r, s, float(-2.0 * m[r, s].imag))]
+    terms = [t for t in terms if t[3] != 0.0]
+    if not terms:
+        return "0"
+    scale = max(abs(t[3]) for t in terms)
+    pieces = []
+    for axis, r, s, c in terms:
+        if abs(c) < 1e-12 * scale:
+            continue
+        c = c / scale
+        mag = abs(c)
+        text = f"{mag:.1f}" if mag == int(mag) and mag < 1e15 else f"{mag:.10g}"
+        body = f"{text}·S^{axis}_{{{labels[r]},{labels[s]}}}"
+        if not pieces:
+            pieces.append(body if c >= 0 else "-" + body)
+        else:
+            pieces.append(f" {'-' if c < 0 else '+'} {body}")
+    return "".join(pieces)

@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnl import cli, graphs, schwinger
 
@@ -216,6 +218,57 @@ def test_config_supplies_defaults_and_flags_win(tmp_path, capsys):
     assert json.loads(out)["entries"][1][0] == pytest.approx(np.tanh(0.5))
     rc, out, _ = run(capsys, "--config", str(cfg), "nullifiers", "tms")
     assert json.loads(out)["dimension"] == 1
+
+
+def test_config_parsers_do_not_leak_between_calls(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 1.0}))
+    for argv, alpha in (
+        (["--config", str(cfg), "state", "tms"], 1.0),
+        (["state", "tms"], 0.5),
+        (["--config", str(cfg), "state", "tms"], 1.0),
+    ):
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0
+        assert json.loads(out)["entries"][1][0] == pytest.approx(np.tanh(alpha))
+
+
+def test_config_equals_form_loads(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 0.9}))
+    rc, out, _ = run(capsys, f"--config={cfg}", "state", "tms", "--format", "text")
+    assert rc == 0
+    assert f"spectral norm {np.tanh(0.9):.12g}\n" in out
+
+
+def test_config_without_a_path_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["state", "tms", "--config"])
+    assert exc.value.code == 2
+    assert "--config: expected one argument" in capsys.readouterr().err
+
+
+_FLOATS = st.floats() | st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e16]
+)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e16])
+_TEXT = st.text(st.characters() | st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\u2028", "é", "😀"]))
+_ROWS = st.integers(1, 3).flatmap(
+    lambda w: st.lists(st.lists(_FINITE | _FLOATS, min_size=w, max_size=w), max_size=5)
+    | st.lists(st.lists(_FINITE, min_size=w, max_size=w), min_size=1, max_size=5)
+    | st.lists(st.lists(_FINITE, min_size=1, max_size=3), min_size=2, max_size=4)
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | _FLOATS | _TEXT | _ROWS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(value=_JSON)
+def test_json_writer_matches_the_indented_stdlib_layout(value):
+    assert cli._json_dumps(value) == json.dumps(value, indent=2) + "\n"
 
 
 def test_bad_inputs_exit_with_2(capsys):

@@ -4,8 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_hermitian, random_unitary
+from conftest import random_hermitian, random_unitary, reference_display_expression
 from gnl import schwinger, states
 from gnl.errors import (
     EqualIndices,
@@ -251,3 +253,55 @@ def test_format_expression_rendering():
     assert schwinger.format_expression(SchwingerExpression(2, [])) == "0"
     labeled = SchwingerExpression(2, [SchwingerTerm("z", (0, 1), -0.25)])
     assert schwinger.format_expression(labeled, ["0a", "0b"]) == "-0.25·S^z_{0a,0b}"
+
+
+def _mixed_hermitian(rng, n):
+    """Hermitian matrix whose Schwinger coefficients mix exact zeros, integer
+    values, random floats and dust just above and below the display cut."""
+    kind = rng.integers(0, 3, size=(2, n, n))
+    parts = np.where(kind == 0, 0.0, rng.standard_normal((2, n, n)))
+    parts = np.where(kind == 1, rng.integers(-3, 4, size=(2, n, n)) / 2.0, parts)
+    m = np.triu(parts[0] + 1j * parts[1], 1)
+    m = m + m.conj().T + np.diag(parts[0].diagonal())
+    d = m.diagonal().real
+    r, s = np.triu_indices(n, 1)
+    coeffs = np.concatenate([
+        d[0:n - 1:2] + d[1:n:2], d[0:n - 1:2] - d[1:n:2], d[n - 1:] if n % 2 else [],
+        2.0 * m[r, s].real, 2.0 * m[r, s].imag,
+    ])
+    scale = np.max(np.abs(coeffs), initial=0.0)
+    for a, b in zip(r, s):
+        if scale and m[a, b].real == 0.0 and rng.random() < 0.5:
+            # S^x coefficient 2 Re M_ab at 1e-12 * scale * (1 +- 1e-3)
+            dust = 0.5e-12 * scale * rng.choice([1 - 1e-3, 1 + 1e-3]) * rng.choice([-1, 1])
+            m[a, b] += dust
+            m[b, a] += dust
+    return m
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 7),
+    d=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    wire_labels=st.booleans(),
+)
+def test_display_expressions_match_the_reference(n, d, seed, wire_labels):
+    rng = np.random.default_rng(seed)
+    gens = [_mixed_hermitian(rng, n) for _ in range(d)]
+    if rng.random() < 0.2:
+        gens[0] = np.zeros((n, n), dtype=complex)
+    labels = [f"{i // 2}{'ab'[i % 2]}" for i in range(n)] if wire_labels else None
+    expected = [reference_display_expression(g, labels) for g in gens]
+    assert schwinger.display_expressions(gens, labels) == expected
+    assert schwinger.display_expressions(np.array(gens), labels) == expected
+
+
+def test_display_expressions_run_across_blocks_and_check_hermiticity():
+    rng = np.random.default_rng(9)
+    gens = [_mixed_hermitian(rng, 5) for _ in range(2 * schwinger.DISPLAY_BLOCK + 3)]
+    out = schwinger.display_expressions(gens)
+    assert out == [reference_display_expression(g) for g in gens]
+    gens[-1][0, 1] += 1e-6
+    with pytest.raises(NonHermitian):
+        schwinger.display_expressions(gens)
