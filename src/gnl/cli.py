@@ -12,10 +12,20 @@ Subcommands:
 
 States are named ``tms``, ``tms-pair``, ``bell:phi+`` / ``bell:phi-`` /
 ``bell:psi+`` / ``bell:psi-``, ``hgraph`` (with ``--g`` pointing at a matrix
-JSON file) and ``wire`` (with ``--spins``).  Output is deterministic
-byte-for-byte for a fixed command line; there are no environment knobs, only
-flags and an optional ``--config`` JSON file whose keys are flag names
-(explicit flags win).
+JSON file) and ``wire`` (with ``--spins``).  :data:`STATES` holds one entry
+per name: its builder and its named generators, keyed by the head of a
+``--gen`` spec ``head[:I[:J]]``.  A spec whose head the state does not have,
+with the wrong number of parameters or with a non-integer one is invalid
+input.
+
+Output is deterministic byte-for-byte for a fixed command line; there are no
+environment knobs, only flags and an optional ``--config`` JSON file, given
+before the subcommand.  Its keys are the dests of optional flags
+(``theta_points`` for ``--theta-points``); its values go to argparse as
+flags right after the subcommand, so argparse converts and checks them and
+an explicit flag wins.  A key that is no optional flag of any subcommand, or
+a value that is not a string or a number, is invalid input; a key that only
+another subcommand takes is skipped.
 
 Exit codes: 0 all requested checks pass, 1 a check ran and failed,
 2 invalid input.
@@ -30,20 +40,9 @@ import sys
 import numpy as np
 
 from . import fock, graphs, nullifiers, schwinger, states
-from .errors import GnlError, IndexOutOfRange
+from .errors import BadSpec, GnlError, IndexOutOfRange
 
 TEXT_HEADER = "gnl-report v1"
-
-STATE_NAMES = (
-    "tms",
-    "tms-pair",
-    "bell:phi+",
-    "bell:phi-",
-    "bell:psi+",
-    "bell:psi-",
-    "hgraph",
-    "wire",
-)
 
 # check thresholds: algebraic criterion, exponentiated symmetry, Fock oracle
 CHECK_TOL_NULL = 1e-10
@@ -159,79 +158,109 @@ def _fmt_res(x):
     return f"{x:.2e}"
 
 
-class _BuiltState:
-    def __init__(self, name, k, labels=None, layout=None):
-        self.name = name
-        self.k = k
-        self.labels = labels
-        self.layout = layout
+def _axis_generators(expression):
+    """Generators 0, x, y and z, each expression(axis), taking no parameter."""
+
+    def generator(axis):
+        return lambda layout: expression(axis)
+
+    return {axis: generator(axis) for axis in schwinger.AXES}
+
+
+def _spin_pair(variant, build=None):
+    """Table entry of a Bell-like spin pair, generators from bell_analogue."""
+    # bell_analogue lists the expressions of the axes x, y, z, 0
+    return (
+        build or (lambda a: (states.bell_analogue(variant, a.alpha)[0], None)),
+        _axis_generators(
+            lambda axis: states.bell_analogue(variant, 1.0)[1]["xyz0".index(axis)]
+        ),
+    )
+
+
+def _hgraph(args):
+    if not args.g:
+        raise GnlError("hgraph needs --g pointing at a matrix JSON file")
+    with open(args.g) as fh:
+        return graphs.hgraph_k(graphs.matrix_from_json(fh.read()), args.alpha), None
+
+
+def _wire(args):
+    if args.spins is None:
+        raise GnlError("wire needs --spins")
+    layout = states.WireLayout(args.spins, args.alpha)
+    return states.dual_rail_wire(layout), layout
+
+
+def _wire_local(layout, i):
+    if not 0 <= i < layout.n_spins:
+        raise IndexOutOfRange(
+            f"local:{i} needs a spin index in 0..{layout.n_spins - 1}"
+        )
+    return states.wire_local_nullifiers(layout)[i]
+
+
+# One entry per state name: (build, generators).  build(args) returns K and
+# the WireLayout (None off wires); generators maps a --gen head to a plain
+# function of the layout and the spec's integer parameters, whose positional
+# parameter count sets how many the spec takes.  Layer functions are looked up
+# at call time, so the table does no work at import and traced runs see them.
+STATES = {
+    "tms": (
+        lambda a: (graphs.tms_k(a.alpha), None),
+        _axis_generators(
+            lambda axis: schwinger.SchwingerExpression(
+                2, [schwinger.SchwingerTerm(axis, (0, 1), 1.0)]
+            )
+        ),
+    ),
+    "tms-pair": _spin_pair("phi+", lambda a: (states.tms_pair(a.alpha), None)),
+    **{f"bell:{v}": _spin_pair(v) for v in states.BELL_VARIANTS},
+    "hgraph": (_hgraph, {}),
+    "wire": (
+        _wire,
+        {
+            "local": _wire_local,
+            "global-x": lambda layout: states.wire_global_x(layout),
+            "global-z": lambda layout: states.wire_global_z(layout),
+            "chain": lambda layout, i, j: states.wire_chain_nullifier(layout, i, j),
+            "six-mode": lambda layout: states.six_mode_symmetry_decomposition(
+                layout, 0.0
+            )[0],
+            "y-local": lambda layout: states.wire_y_symmetry(layout),
+        },
+    ),
+}
 
 
 def _build_state(args):
-    name = args.state
-    if name not in STATE_NAMES:
-        raise GnlError(
-            f"unknown state {name!r}; choose from {', '.join(STATE_NAMES)}"
+    """K, the wire layout and the mode labels (both None off wires) of args.state."""
+    if args.state not in STATES:
+        raise BadSpec(
+            f"unknown state {args.state!r}; choose from {', '.join(STATES)}"
         )
-    if name == "hgraph":
-        if not args.g:
-            raise GnlError("hgraph needs --g pointing at a matrix JSON file")
-        with open(args.g) as fh:
-            g = graphs.matrix_from_json(fh.read())
-        return _BuiltState(name, graphs.hgraph_k(g, args.alpha))
-    if name == "wire":
-        if args.spins is None:
-            raise GnlError("wire needs --spins")
-        layout = states.WireLayout(args.spins, args.alpha)
-        return _BuiltState(
-            name, states.dual_rail_wire(layout), layout.labels(), layout
-        )
-    if name == "tms":
-        return _BuiltState(name, graphs.tms_k(args.alpha))
-    if name == "tms-pair":
-        return _BuiltState(name, states.tms_pair(args.alpha))
-    variant = name.split(":", 1)[1]
-    k, _ = states.bell_analogue(variant, args.alpha)
-    return _BuiltState(name, k)
+    k, layout = STATES[args.state][0](args)
+    return k, layout, layout.labels() if layout else None
 
 
-def _named_generator(built, spec):
-    """Resolve a --gen spec to a SchwingerExpression for the given state."""
+def _generator(state, layout, spec):
+    """Resolve a --gen spec, @FILE or head[:I[:J]], to a SchwingerExpression."""
     if spec.startswith("@"):
         with open(spec[1:]) as fh:
             return schwinger.expression_from_json(fh.read())
-    name = built.name
-    if name == "tms" and spec in ("0", "x", "y", "z"):
-        return schwinger.SchwingerExpression(
-            2, [schwinger.SchwingerTerm(spec, (0, 1), 1.0)]
-        )
-    if name in ("tms-pair", "bell:phi+", "bell:phi-", "bell:psi+", "bell:psi-"):
-        if spec in ("0", "x", "y", "z"):
-            variant = "phi+" if name == "tms-pair" else name.split(":", 1)[1]
-            _, exprs = states.bell_analogue(variant, 1.0)
-            return exprs[("x", "y", "z", "0").index(spec)]
-    if name == "wire" and built.layout is not None:
-        layout = built.layout
-        if spec.startswith("local:"):
-            i = int(spec.split(":", 1)[1])
-            if not 0 <= i < layout.n_spins:
-                raise IndexOutOfRange(
-                    f"local:{i} needs a spin index in 0..{layout.n_spins - 1}"
-                )
-            return states.wire_local_nullifiers(layout)[i]
-        if spec == "global-x":
-            return states.wire_global_x(layout)
-        if spec == "global-z":
-            return states.wire_global_z(layout)
-        if spec.startswith("chain:"):
-            _, a, b = spec.split(":")
-            return states.wire_chain_nullifier(layout, int(a), int(b))
-        if spec == "six-mode":
-            expr, _ = states.six_mode_symmetry_decomposition(layout, 0.0)
-            return expr
-        if spec == "y-local":
-            return states.wire_y_symmetry(layout)
-    raise GnlError(f"generator spec {spec!r} not recognized for state {name}")
+    head, *params = spec.split(":")
+    make = STATES[state][1].get(head)
+    if make is None:
+        raise BadSpec(f"generator spec {spec!r} not recognized for state {state}")
+    arity = make.__code__.co_argcount - 1
+    if len(params) != arity:
+        form = ":".join([head, *"IJ"[:arity]])
+        raise BadSpec(f"generator spec {spec!r} does not match the form {form}")
+    try:
+        ints = [int(p) for p in params]
+    except ValueError:
+        raise BadSpec(f"generator spec {spec!r} needs integer parameters") from None
+    return make(layout, *ints)
 
 
 def _write(args, text):
@@ -242,57 +271,50 @@ def _write(args, text):
         sys.stdout.write(text)
 
 
-def _state_text_lines(built):
-    rep = graphs.validate(built.k)
-    lines = [
+def _state_text_lines(name, k, labels):
+    rep = graphs.validate(k)
+    labels = labels or [str(i) for i in range(k.shape[0])]
+    return [
         TEXT_HEADER,
-        f"state {built.name}",
-        f"modes {built.k.shape[0]}",
+        f"state {name}",
+        f"modes {k.shape[0]}",
         f"spectral norm {rep.spectral_norm:.12g}",
         f"symmetric defect {_fmt_res(rep.symmetric_defect)}",
+    ] + [
+        f"edge {labels[i]} {labels[j]} {graphs.format_weight(v)}"
+        for i, j, v in graphs.edges(k)
     ]
-    labels = built.labels or [str(i) for i in range(built.k.shape[0])]
-    n = built.k.shape[0]
-    for i in range(n):
-        for j in range(i, n):
-            v = built.k[i, j]
-            if abs(v) < graphs.DOT_EDGE_CUTOFF:
-                continue
-            lines.append(
-                f"edge {labels[i]} {labels[j]} {graphs.format_weight(v)}"
-            )
-    return lines
 
 
 def cmd_state(args):
-    built = _build_state(args)
+    k, _, labels = _build_state(args)
     if args.format == "json":
-        _write(args, _json_dumps(graphs.matrix_to_json(built.k)))
+        _write(args, _json_dumps(graphs.matrix_to_json(k)))
     elif args.format == "dot":
-        _write(args, graphs.to_dot(built.k, built.labels))
+        _write(args, graphs.to_dot(k, labels))
     else:
-        _write(args, "\n".join(_state_text_lines(built)) + "\n")
+        _write(args, "\n".join(_state_text_lines(args.state, k, labels)) + "\n")
     return 0
 
 
 def cmd_nullifiers(args):
-    built = _build_state(args)
-    basis = nullifiers.nullifier_space(built.k)
+    k, _, labels = _build_state(args)
+    basis = nullifiers.nullifier_space(k)
     if args.format == "json":
         payload = {
-            "state": built.name,
+            "state": args.state,
             "dimension": basis.dimension,
             "borderline": basis.borderline,
             "singular_values": basis.singular_values,
             "generators": [graphs.matrix_to_json(g) for g in basis.generators],
-            "expressions": schwinger.display_expressions(basis.generators, built.labels),
+            "expressions": schwinger.display_expressions(basis.generators, labels),
         }
         _write(args, _json_dumps(payload))
         return 0
-    lines = [TEXT_HEADER, f"state {built.name}", f"dimension {basis.dimension}"]
+    lines = [TEXT_HEADER, f"state {args.state}", f"dimension {basis.dimension}"]
     if basis.borderline:
         lines.append("warning: borderline kernel spectrum, dimension uncertain")
-    expressions = schwinger.display_expressions(basis.generators, built.labels)
+    expressions = schwinger.display_expressions(basis.generators, labels)
     lines += [f"g{idx}: {expr}" for idx, expr in enumerate(expressions)]
     tail = [s for s in basis.singular_values if s > basis.threshold][-3:]
     if tail:
@@ -307,14 +329,13 @@ def cmd_nullifiers(args):
 def cmd_check(args):
     if args.theta_points < 2:
         raise GnlError(f"--theta-points must be at least 2, got {args.theta_points}")
-    built = _build_state(args)
-    expr = _named_generator(built, args.gen)
-    m = schwinger.expression_to_matrix(expr)
-    ok, residual = nullifiers.is_nullifier(m, built.k)
+    k, layout, _ = _build_state(args)
+    m = schwinger.expression_to_matrix(_generator(args.state, layout, args.gen))
+    ok, residual = nullifiers.is_nullifier(m, k)
     if not ok:
         if args.format == "json":
             payload = {
-                "state": built.name,
+                "state": args.state,
                 "generator": args.gen,
                 "is_nullifier": False,
                 "residual": residual,
@@ -327,8 +348,8 @@ def cmd_check(args):
             )
         return 1
     grid = np.linspace(0.0, 2.0 * np.pi, args.theta_points)
-    dev = nullifiers.verify_symmetry(built.k, m, grid)
-    fres = fock.nullifier_residual(m, built.k, args.cutoff)
+    dev = nullifiers.verify_symmetry(k, m, grid)
+    fres = fock.nullifier_residual(m, k, args.cutoff)
     passed = (
         residual <= CHECK_TOL_NULL
         and dev <= CHECK_TOL_SYM
@@ -336,7 +357,7 @@ def cmd_check(args):
     )
     if args.format == "json":
         payload = {
-            "state": built.name,
+            "state": args.state,
             "generator": args.gen,
             "is_nullifier": True,
             "residual": residual,
@@ -382,15 +403,14 @@ def cmd_twomode(args):
 
 
 def cmd_oracle(args):
-    built = _build_state(args)
-    v = fock.state_from_k(built.k, args.cutoff)
+    v = fock.state_from_k(_build_state(args)[0], args.cutoff)
     if args.format == "json":
         _write(args, _json_dumps(fock.fock_to_json(v)))
         return 0
     kept = v.kept()
     lines = [
         TEXT_HEADER,
-        f"state {built.name}",
+        f"state {args.state}",
         f"modes {v.n_modes} cutoff {v.cutoff}",
         f"kept amplitudes {len(kept)}",
     ]
@@ -404,24 +424,18 @@ def cmd_oracle(args):
     return 0
 
 
-def _add_state_arguments(sub, config):
+def _add_state_arguments(sub):
     sub.add_argument("state", help="state name, e.g. tms, wire, bell:phi+")
     sub.add_argument(
-        "--alpha", type=float, default=config.get("alpha", 0.5),
-        help="squeezing parameter (default 0.5)",
+        "--alpha", type=float, default=0.5, help="squeezing parameter (default 0.5)"
     )
-    sub.add_argument(
-        "--spins", type=int, default=config.get("spins"),
-        help="spin count for wire states",
-    )
-    sub.add_argument("--g", default=config.get("g"), help="matrix JSON file for hgraph")
+    sub.add_argument("--spins", type=int, help="spin count for wire states")
+    sub.add_argument("--g", help="matrix JSON file for hgraph")
 
 
-def _add_output_arguments(sub, config, formats=("json", "dot", "text"), default="text"):
-    sub.add_argument(
-        "--format", choices=formats, default=config.get("format", default),
-    )
-    sub.add_argument("--out", default=config.get("out"), help="output path (default stdout)")
+def _add_output_arguments(sub, formats=("json", "text"), default="text"):
+    sub.add_argument("--format", choices=formats, default=default)
+    sub.add_argument("--out", help="output path (default stdout)")
 
 
 @functools.cache
@@ -432,18 +446,13 @@ def _config_parser():
     return parser
 
 
-def _load_config(argv):
-    path = _config_parser().parse_known_args(argv)[0].config
-    if path is None:
-        return {}
-    with open(path) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise GnlError("config file must hold a JSON object")
-    return cfg
+@functools.cache
+def build_parser():
+    """The argparse tree, built once; parse_args leaves it untouched.
 
-
-def build_parser(config):
+    Its ``config_flags`` attribute maps each subcommand to the config keys it
+    takes: the dest of every optional flag with one value, mapped to the flag.
+    """
     parser = argparse.ArgumentParser(
         prog="gnl",
         description="Gaussian-state graph calculus and Schwinger nullifiers",
@@ -453,31 +462,31 @@ def build_parser(config):
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("state", help="build a state and print its matrix")
-    _add_state_arguments(p, config)
-    _add_output_arguments(p, config, default="json")
+    _add_state_arguments(p)
+    _add_output_arguments(p, formats=("json", "dot", "text"), default="json")
     p.set_defaults(func=cmd_state)
 
     p = sub.add_parser("nullifiers", help="derive the full nullifier basis")
-    _add_state_arguments(p, config)
-    _add_output_arguments(p, config, formats=("json", "text"))
+    _add_state_arguments(p)
+    _add_output_arguments(p)
     p.set_defaults(func=cmd_nullifiers)
 
     p = sub.add_parser("check", help="check one generator against a state")
-    _add_state_arguments(p, config)
+    _add_state_arguments(p)
     p.add_argument(
         "--gen", required=True,
         help="generator: 0/x/y/z, local:I, global-x, global-z, chain:I:J, "
         "six-mode, y-local, or @expression.json",
     )
     p.add_argument(
-        "--cutoff", type=int, default=config.get("cutoff", 8),
+        "--cutoff", type=int, default=8,
         help="Fock cutoff for the oracle residual (default 8)",
     )
     p.add_argument(
-        "--theta-points", type=int, default=config.get("theta_points", 16),
+        "--theta-points", type=int, default=16,
         help="symmetry grid size over [0, 2pi], at least 2 (default 16)",
     )
-    _add_output_arguments(p, config, formats=("json", "text"))
+    _add_output_arguments(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("twomode", help="solve the two-mode invariance class")
@@ -486,43 +495,67 @@ def build_parser(config):
         metavar=("A", "B", "C", "D"),
         help="coefficients of (S^0, S^x, S^y, S^z)",
     )
-    _add_output_arguments(p, config, formats=("json", "text"))
+    _add_output_arguments(p)
     p.set_defaults(func=cmd_twomode)
 
     p = sub.add_parser("oracle", help="truncated Fock expansion of a state")
-    _add_state_arguments(p, config)
+    _add_state_arguments(p)
     p.add_argument(
-        "--cutoff", type=int, default=config.get("cutoff", 8),
+        "--cutoff", type=int, default=8,
         help="max total photon number, even (default 8)",
     )
-    _add_output_arguments(p, config, formats=("json", "text"), default="json")
+    _add_output_arguments(p, default="json")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("export", help="write the state graph as DOT")
-    _add_state_arguments(p, config)
-    p.add_argument("--out", default=config.get("out"), help="output path (default stdout)")
+    _add_state_arguments(p)
+    p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_state, format="dot")
 
+    parser.config_flags = {
+        name: {
+            a.dest: a.option_strings[0]
+            for a in p._actions
+            if a.option_strings and a.nargs is None and not a.required
+        }
+        for name, p in sub.choices.items()
+    }
     return parser
 
 
-@functools.lru_cache(maxsize=8)
-def _cached_parser(config_json):
-    # parse_args leaves the parser untouched, so one tree serves every call
-    # with the same config
-    return build_parser(json.loads(config_json))
+def _with_config(argv, rest, path):
+    """argv with the config file's values as flags right after the subcommand.
+
+    rest is argv without its --config options.  A flag given on the line
+    comes later and wins; a key of another subcommand's flag is skipped.
+    """
+    with open(path) as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise GnlError("config file must hold a JSON object")
+    flags = build_parser().config_flags
+    for key, value in config.items():
+        if not any(key in keys for keys in flags.values()):
+            raise GnlError(f"config key {key!r} is no optional flag of any subcommand")
+        if type(value) not in (str, int, float):
+            raise GnlError(f"config key {key!r} needs a string or a number")
+    at = len(argv) - len(rest)  # the subcommand's index when --config precedes it
+    if not rest or argv[at] != rest[0] or rest[0] not in flags:
+        return argv
+    keys = flags[rest[0]]
+    tokens = [f"{keys[key]}={value}" for key, value in config.items() if key in keys]
+    return argv[: at + 1] + tokens + argv[at + 1 :]
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        config = _load_config(argv)
-        args = _cached_parser(json.dumps(config, sort_keys=True)).parse_args(argv)
+        config, rest = _config_parser().parse_known_args(argv)
+        if config.config is not None:
+            argv = _with_config(argv, rest, config.config)
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except GnlError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, KeyError, IndexError) as exc:
+    except (GnlError, OSError, json.JSONDecodeError, KeyError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

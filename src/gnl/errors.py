@@ -104,3 +104,7 @@ class SelfCheckFailed(GnlError):
 
 class FockTooLarge(GnlError):
     """Truncated Fock space too large for the oracle (the message gives the size)."""
+
+
+class BadSpec(GnlError):
+    """A state name or a --gen spec that the command line does not define."""

@@ -266,14 +266,25 @@ def matrix_to_json(m):
 
 
 def matrix_from_json(obj):
-    """Inverse of :func:`matrix_to_json`; accepts a dict or a JSON string."""
+    """Inverse of :func:`matrix_to_json`; accepts a dict or a JSON string.
+
+    Raises
+    ------
+    ShapeMismatch
+        The value is not an object with an integer n >= 0 and n*n
+        ``[re, im]`` entries.
+    """
     if isinstance(obj, str):
         obj = json.loads(obj)
-    n = int(obj["n"])
-    entries = obj["entries"]
-    if len(entries) != n * n:
+    try:
+        n, entries = int(obj["n"]), obj["entries"]
+        flat = np.array([complex(re, im) for re, im in entries])
+    except (LookupError, TypeError, ValueError) as exc:
+        raise ShapeMismatch(
+            f"matrix JSON needs n and entries of [re, im] pairs: {exc}"
+        ) from None
+    if n < 0 or len(entries) != n * n:
         raise ShapeMismatch(f"expected {n * n} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries])
     return flat.reshape(n, n)
 
 
@@ -286,6 +297,17 @@ def format_weight(v):
     if abs(v.imag) < 1e-12 * max(1.0, abs(v.real)):
         return f"{v.real:.6g}"
     return f"{v.real:.6g}{v.imag:+.6g}i"
+
+
+def edges(k):
+    """The drawn edges of the K-graph: (i, j, K_ij) for i <= j, row by row.
+
+    Entries with |K_ij| < DOT_EDGE_CUTOFF are left out; the weights are
+    Python complex numbers.
+    """
+    k = _square_complex(k, "K")
+    rows, cols = np.nonzero(np.triu(~(np.abs(k) < DOT_EDGE_CUTOFF)))
+    return list(zip(rows.tolist(), cols.tolist(), k[rows, cols].tolist()))
 
 
 def to_dot(k, labels=None):
@@ -306,14 +328,10 @@ def to_dot(k, labels=None):
     lines = ["graph K {"]
     for i in range(n):
         lines.append(f'  {i} [label="{labels[i]}"];')
-    for i in range(n):
-        for j in range(i, n):
-            v = k[i, j]
-            if abs(v) < DOT_EDGE_CUTOFF:
-                continue
-            style = ""
-            if abs(v.imag) < 1e-12 * max(1.0, abs(v.real)) and v.real < 0:
-                style = ", style=dashed"
-            lines.append(f'  {i} -- {j} [label="{format_weight(v)}"{style}];')
+    for i, j, v in edges(k):
+        style = ""
+        if abs(v.imag) < 1e-12 * max(1.0, abs(v.real)) and v.real < 0:
+            style = ", style=dashed"
+        lines.append(f'  {i} -- {j} [label="{format_weight(v)}"{style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

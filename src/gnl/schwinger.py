@@ -304,14 +304,27 @@ def expression_to_json(expr):
 
 
 def expression_from_json(obj):
-    """Inverse of :func:`expression_to_json`; accepts a dict or JSON string."""
+    """Inverse of :func:`expression_to_json`; accepts a dict or JSON string.
+
+    Raises
+    ------
+    ShapeMismatch
+        The value is not an object with an integer n and a list of terms,
+        each with an axis, an integer pair and a numeric coeff.
+    """
     if isinstance(obj, str):
         obj = json.loads(obj)
-    terms = [
-        SchwingerTerm(t["axis"], (int(t["pair"][0]), int(t["pair"][1])), float(t["coeff"]))
-        for t in obj["terms"]
-    ]
-    return SchwingerExpression(int(obj["n"]), terms)
+    try:
+        n = int(obj["n"])
+        terms = [
+            (t["axis"], (int(t["pair"][0]), int(t["pair"][1])), float(t["coeff"]))
+            for t in obj["terms"]
+        ]
+    except (LookupError, TypeError, ValueError) as exc:
+        raise ShapeMismatch(
+            f"expression JSON needs n and terms with axis, pair and coeff: {exc}"
+        ) from None
+    return SchwingerExpression(n, [SchwingerTerm(*t) for t in terms])
 
 
 def _format_coeff(c):

@@ -51,14 +51,9 @@ _BELL_SIGNS = {
 
 @dataclass(frozen=True)
 class SpinPairing:
-    """Partition of the modes into ordered pairs, each read as one spin.
-
-    orientation is a human-facing tag ("vertical" or "horizontal") recording
-    how the pairing slices a two-row mode layout.
-    """
+    """Partition of the modes into ordered pairs, each read as one spin."""
 
     pairs: tuple
-    orientation: str = "vertical"
 
     def __post_init__(self):
         flat = [i for p in self.pairs for i in p]
@@ -75,7 +70,7 @@ class SpinPairing:
 
 def tms_pair_pairing():
     """The spin-A/spin-B pairing of the 4-mode TMS pair."""
-    return SpinPairing((SPIN_A, SPIN_B), "vertical")
+    return SpinPairing((SPIN_A, SPIN_B))
 
 
 def tms_pair(alpha, alpha_second=None):
@@ -121,6 +116,14 @@ def tms_pair_nullifiers():
     ]
 
 
+# what the first three tms_pair_nullifiers() expressions do to the pair
+_SYMMETRY_NOTES = (
+    "counter-rotating x mixers on spins A and B",
+    "co-rotating y mixers on spins A and B",
+    "opposite phase differentials on spins A and B",
+)
+
+
 def four_mode_symmetries(alpha):
     """Symmetry generators of the TMS pair, with short descriptions.
 
@@ -129,11 +132,7 @@ def four_mode_symmetries(alpha):
     """
     if not alpha > 0:
         raise NonPositiveAlpha("alpha must be > 0")
-    return [
-        (_pair_expression("x", -1.0), "counter-rotating x mixers on spins A and B"),
-        (_pair_expression("y", +1.0), "co-rotating y mixers on spins A and B"),
-        (_pair_expression("z", -1.0), "opposite phase differentials on spins A and B"),
-    ]
+    return list(zip(tms_pair_nullifiers()[:3], _SYMMETRY_NOTES))
 
 
 def bell_analogue(variant, alpha):
@@ -205,7 +204,6 @@ class WireLayout:
 
     n_spins: int
     alpha: float
-    periodic: bool = True
 
     def __post_init__(self):
         if self.n_spins < 2:

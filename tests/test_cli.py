@@ -291,3 +291,133 @@ def test_argparse_usage_errors_raise_system_exit():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+# ----------------------------------------------------------------------
+# the state table: every name builds, every named generator checks
+
+
+def _state_args(name, tmp_path):
+    if name == "hgraph":
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(graphs.matrix_to_json(np.array([[0.0, 1.0], [1.0, 0.0]]))))
+        return ["--g", str(path)]
+    return ["--spins", "4"] if name == "wire" else []
+
+
+def test_the_state_table_holds_the_documented_generators():
+    axes = {"0", "x", "y", "z"}
+    wire = {"local", "global-x", "global-z", "chain", "six-mode", "y-local"}
+    heads = {name: set(gens) for name, (_, gens) in cli.STATES.items()}
+    assert heads == {
+        "tms": axes, "tms-pair": axes, "bell:phi+": axes, "bell:phi-": axes,
+        "bell:psi+": axes, "bell:psi-": axes, "hgraph": set(), "wire": wire,
+    }
+
+
+@pytest.mark.parametrize("name", list(cli.STATES))
+def test_every_state_in_the_table_builds(name, tmp_path, capsys):
+    rc, out, err = run(capsys, "state", name, *_state_args(name, tmp_path))
+    assert rc == 0 and err == ""
+    assert json.loads(out)["n"] == {"tms": 2, "hgraph": 2, "wire": 8}.get(name, 4)
+
+
+# heads that take parameters, with the values checked; tms fails x, y and 0
+_SPEC_OF_HEAD = {"local": "local:0", "chain": "chain:0:2"}
+_FAILING = {("tms", "0"), ("tms", "x"), ("tms", "y")}
+
+
+@pytest.mark.parametrize(
+    "name, head", [(name, head) for name, (_, gens) in cli.STATES.items() for head in gens]
+)
+def test_check_exit_code_of_every_named_generator(name, head, tmp_path, capsys):
+    spec = _SPEC_OF_HEAD.get(head, head)
+    argv = ("check", name, *_state_args(name, tmp_path), "--gen", spec, "--cutoff", "4")
+    rc, _, err = run(capsys, *argv)
+    assert rc == (1 if (name, head) in _FAILING else 0), err
+
+
+def _assert_input_error(rc, out, err):
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "name, spec",
+    [
+        ("wire", "local:abc"),
+        ("wire", "chain:1"),
+        ("wire", "chain:1:2:3"),
+        ("wire", "chain:x:2"),
+        ("wire", "global-x:1"),
+        ("tms", "z:1"),
+    ],
+)
+def test_malformed_generator_specs_exit_with_2(name, spec, capsys):
+    rc, out, err = run(capsys, "check", name, "--spins", "4", "--gen", spec)
+    _assert_input_error(rc, out, err)
+    assert repr(spec) in err
+
+
+def test_config_value_of_the_wrong_type_exits_with_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": [1]}))
+    _assert_input_error(*run(capsys, "--config", str(cfg), "state", "tms"))
+
+
+def test_config_value_that_argparse_rejects_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": "abc"}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(cfg), "state", "tms"])
+    assert exc.value.code == 2
+    assert "argument --alpha: invalid float value: 'abc'" in capsys.readouterr().err
+
+
+def test_unknown_config_key_exits_with_2_and_names_it(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpah": 0.9}))
+    rc, out, err = run(capsys, "--config", str(cfg), "state", "tms")
+    _assert_input_error(rc, out, err)
+    assert "'alpah'" in err
+
+
+def test_config_key_of_another_subcommand_is_skipped(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cutoff": 6, "theta_points": 3}))
+    rc, out, _ = run(capsys, "--config", str(cfg), "state", "tms")
+    assert rc == 0 and json.loads(out)["n"] == 2
+    rc, out, _ = run(capsys, "--config", str(cfg), "oracle", "tms", "--format", "text")
+    assert rc == 0 and "cutoff 6\n" in out
+
+
+def test_the_argument_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 2, "entries": [[0, 0], [1], [1, 0], [0, 0]]}',
+        "[]",
+        '{"n": "x", "entries": []}',
+    ],
+)
+def test_malformed_matrix_files_exit_with_2(text, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    _assert_input_error(*run(capsys, "state", "hgraph", "--g", str(path)))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 2, "terms": [{"axis": "z", "pair": [0, 1], "coeff": "abc"}]}',
+        '{"n": 2, "terms": [{"axis": "z", "pair": [0, 1], "coeff": [1]}]}',
+        "[]",
+    ],
+)
+def test_malformed_expression_files_exit_with_2(text, tmp_path, capsys):
+    path = tmp_path / "gen.json"
+    path.write_text(text)
+    _assert_input_error(*run(capsys, "check", "tms", "--gen", f"@{path}"))

@@ -219,6 +219,28 @@ def test_matrix_from_json_checks_entry_count():
         graphs.matrix_from_json({"n": 2, "entries": [[0.0, 0.0]]})
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"n": 2, "entries": [[0, 0], [1], [1, 0], [0, 0]]},
+        {"n": 1, "entries": ["ab"]},
+        [],
+        {"n": "x", "entries": []},
+        {"n": 1},
+        {"n": -1, "entries": [[0, 0]]},
+    ],
+)
+def test_matrix_from_json_rejects_malformed_input(obj):
+    with pytest.raises(ShapeMismatch):
+        graphs.matrix_from_json(obj)
+
+
+def test_edges_walk_the_upper_triangle_above_the_cutoff():
+    k = np.array([[0.5, 1e-12, -0.25j], [1e-12, 0.0, 0.1], [-0.25j, 0.1, 0.0]])
+    assert graphs.edges(k) == [(0, 0, 0.5 + 0j), (0, 2, -0.25j), (1, 2, 0.1 + 0j)]
+    assert all(type(v) is complex for _, _, v in graphs.edges(k))
+
+
 def test_format_weight_rendering():
     assert graphs.format_weight(np.tanh(0.5)) == "0.462117"
     assert graphs.format_weight(0.3 - 0.4j) == "0.3-0.4i"

@@ -245,6 +245,27 @@ def test_expression_json_round_trip():
     ]
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"n": 2, "terms": [{"axis": "z", "pair": [0, 1], "coeff": "abc"}]},
+        {"n": 2, "terms": [{"axis": "z", "pair": [0, 1], "coeff": [1]}]},
+        {"n": 2, "terms": [{"axis": "z", "pair": [0], "coeff": 1.0}]},
+        {"n": 2},
+        [],
+    ],
+)
+def test_expression_from_json_rejects_malformed_input(obj):
+    with pytest.raises(ShapeMismatch):
+        schwinger.expression_from_json(obj)
+
+
+def test_expression_from_json_keeps_the_term_errors():
+    blob = {"n": 2, "terms": [{"axis": "z", "pair": [0, 2], "coeff": 1.0}]}
+    with pytest.raises(IndexOutOfRange):
+        schwinger.expression_from_json(blob)
+
+
 def test_format_expression_rendering():
     expr = SchwingerExpression(
         5, [SchwingerTerm("x", (1, 3), 1.0), SchwingerTerm("x", (2, 4), -1.0)]
