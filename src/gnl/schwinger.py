@@ -328,10 +328,13 @@ def expression_from_json(obj):
 
 
 def _format_coeff(c):
-    # keep one decimal on integral coefficients so "1.0" reads as a weight
+    # keep one decimal on integral coefficients so "1.0" reads as a weight;
+    # a value that only rounds to an integer (0.9999999999999999) reads the
+    # same, so a last-bit change cannot flip "1.0" to "1"
     if c == int(c) and abs(c) < 1e15:
         return f"{c:.1f}"
-    return f"{c:.10g}"
+    text = f"{c:.10g}"
+    return text + ".0" if text.lstrip("-").isdigit() else text
 
 
 # sign before a term: first term (c >= 0, else), later term (c >= 0, c < 0)

@@ -192,7 +192,7 @@ def reference_display_expression(m, labels=None):
     for n = 1, then S^x and S^y for each r < s), rescaled so the largest
     |coefficient| is 1.0, terms below 1e-12 of it dropped, coefficients
     printed with one decimal when integral and 10 significant digits
-    otherwise.
+    otherwise, plus ".0" when those digits are a bare integer.
     """
     m = np.asarray(m, dtype=complex)
     n = m.shape[0]
@@ -221,6 +221,8 @@ def reference_display_expression(m, labels=None):
         c = c / scale
         mag = abs(c)
         text = f"{mag:.1f}" if mag == int(mag) and mag < 1e15 else f"{mag:.10g}"
+        if "." not in text and "e" not in text:
+            text += ".0"
         body = f"{text}·S^{axis}_{{{labels[r]},{labels[s]}}}"
         if not pieces:
             pieces.append(body if c >= 0 else "-" + body)

@@ -391,6 +391,13 @@ def test_config_key_of_another_subcommand_is_skipped(tmp_path, capsys):
     assert rc == 0 and "cutoff 6\n" in out
 
 
+def test_near_integral_coefficients_print_with_one_decimal(capsys):
+    # g5 of the 3-spin wire has coefficients 0.9999999999999999 and 1.0
+    rc, out, _ = run(capsys, "nullifiers", "wire", "--spins", "3", "--format", "text")
+    assert rc == 0
+    assert "g5: 1.0·S^x_{0a,0b} + 1.0·S^x_{1a,1b} + 1.0·S^x_{2a,2b}\n" in out
+
+
 def test_the_argument_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 

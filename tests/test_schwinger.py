@@ -276,6 +276,20 @@ def test_format_expression_rendering():
     assert schwinger.format_expression(labeled, ["0a", "0b"]) == "-0.25·S^z_{0a,0b}"
 
 
+def test_near_integral_coefficients_print_like_integral_ones():
+    # 0.9999999999999999 differs from 1.0 in the last bit only; both must
+    # render "1.0", or rounding noise flips the text output
+    terms = [
+        SchwingerTerm("x", (0, 1), 0.9999999999999999),
+        SchwingerTerm("x", (1, 2), 1.0),
+        SchwingerTerm("y", (0, 2), -2.0000000000000004),
+        SchwingerTerm("z", (0, 1), 0.5000000000000001),
+    ]
+    assert schwinger.format_expression(SchwingerExpression(3, terms)) == (
+        "1.0·S^x_{0,1} + 1.0·S^x_{1,2} - 2.0·S^y_{0,2} + 0.5·S^z_{0,1}"
+    )
+
+
 def _mixed_hermitian(rng, n):
     """Hermitian matrix whose Schwinger coefficients mix exact zeros, integer
     values, random floats and dust just above and below the display cut."""
