@@ -168,13 +168,10 @@ def _axis_generators(expression):
 
 
 def _spin_pair(variant, build=None):
-    """Table entry of a Bell-like spin pair, generators from bell_analogue."""
-    # bell_analogue lists the expressions of the axes x, y, z, 0
+    """Table entry of a Bell-like spin pair, generators from bell_nullifier."""
     return (
         build or (lambda a: (states.bell_analogue(variant, a.alpha)[0], None)),
-        _axis_generators(
-            lambda axis: states.bell_analogue(variant, 1.0)[1]["xyz0".index(axis)]
-        ),
+        _axis_generators(lambda axis: states.bell_nullifier(variant, axis)),
     )
 
 

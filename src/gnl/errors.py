@@ -106,5 +106,9 @@ class FockTooLarge(GnlError):
     """Truncated Fock space too large for the oracle (the message gives the size)."""
 
 
+class KernelTooLarge(GnlError):
+    """Nullifier space too large for the kernel solver (the message gives the size)."""
+
+
 class BadSpec(GnlError):
     """A state name or a --gen spec that the command line does not define."""

@@ -277,13 +277,15 @@ def matrix_from_json(obj):
     if isinstance(obj, str):
         obj = json.loads(obj)
     try:
-        n, entries = int(obj["n"]), obj["entries"]
+        n, entries = obj["n"], obj["entries"]
         flat = np.array([complex(re, im) for re, im in entries])
     except (LookupError, TypeError, ValueError) as exc:
         raise ShapeMismatch(
             f"matrix JSON needs n and entries of [re, im] pairs: {exc}"
         ) from None
-    if n < 0 or len(entries) != n * n:
+    if type(n) is not int or n < 0:
+        raise ShapeMismatch(f"matrix JSON needs an integer n >= 0, got {n!r}")
+    if len(entries) != n * n:
         raise ShapeMismatch(f"expected {n * n} entries, got {len(entries)}")
     return flat.reshape(n, n)
 

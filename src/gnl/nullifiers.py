@@ -10,7 +10,9 @@ Everything in this module is built on that antisymmetry criterion:
 * :func:`is_nullifier` evaluates it directly;
 * :func:`nullifier_space` returns an orthonormal basis of ALL Hermitian M
   satisfying it, solved in the Takagi frame K = Q diag(s) Q^T, where the
-  criterion is diagonal and its spectrum has a closed form;
+  criterion is diagonal and its spectrum has a closed form, and made
+  canonical by a greedy Gram-Schmidt over coordinate columns that runs in
+  blocks of matrix-matrix products (:func:`_canonical_basis`);
 * :func:`bipartite_nullifier` constructs one analytically from the singular
   value decomposition of a bipartite block;
 * :func:`two_mode_invariant_class` inverts the question and solves for all
@@ -19,6 +21,7 @@ Everything in this module is built on that antisymmetry criterion:
   W = exp(-i theta M) satisfies W K W^T = K.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +29,7 @@ import numpy as np
 from .errors import (
     AllZeroCoefficients,
     InvalidBlockShape,
+    KernelTooLarge,
     NonCommutingD,
     SelfCheckFailed,
     ShapeMismatch,
@@ -38,6 +42,11 @@ TOL_NULL = 1e-10
 TOL_KERNEL_REL = 1e-10
 # spectra with above/below ratio under this are flagged, not trusted
 KERNEL_GAP_MIN = 10.0
+# candidate columns per Gram-Schmidt block, kernel rows per assembly step and
+# generators per self-check call in nullifier_space
+BLOCK = 64
+# nullifier_space refuses a kernel whose working arrays would exceed this
+MAX_KERNEL_BYTES = 2**30
 
 
 @dataclass
@@ -76,40 +85,47 @@ class TwoModeClass:
 def is_nullifier(m, k, tol=TOL_NULL):
     """Antisymmetry test: does adag M a annihilate the state of K?
 
+    m is one (n, n) matrix or a (d, n, n) stack of them, tested together.
+
     Returns
     -------
-    (bool, float)
-        The verdict and the residual max |MK + (MK)^T|.
+    (bool, float), or for a stack (bool array, float array)
+        The verdict and the residual max |MK + (MK)^T| of each matrix.
     """
     m = np.asarray(m, dtype=complex)
     k = np.asarray(k, dtype=complex)
-    if m.shape != k.shape or m.ndim != 2 or m.shape[0] != m.shape[1]:
+    square = k.ndim == 2 and k.shape[0] == k.shape[1]
+    if not square or m.ndim not in (2, 3) or m.shape[-2:] != k.shape:
         raise ShapeMismatch(f"shapes {m.shape} and {k.shape} incompatible")
     mk = m @ k
-    residual = float(np.max(np.abs(mk + mk.T))) if m.size else 0.0
+    residual = np.abs(mk + mk.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    if m.ndim == 2:
+        return bool(residual <= tol), float(residual)
     return residual <= tol, residual
 
 
-def _snap_and_sign(w, tol_zero=1e-13, tol_tie=1e-9):
-    """Canonicalize one kernel vector in place of arbitrary solver gauge.
+def _snap_rows(w, tol_zero=1e-13, tol_tie=1e-9):
+    """Canonicalize each row of ``w`` in place of arbitrary solver gauge.
 
-    Coordinates below tol_zero (relative to the largest) are solver dust and
-    are snapped to zero; the vector is renormalized and then phased/signed so
-    that its first coordinate of near-maximal magnitude is real positive.
-    The near-tie tolerance keeps the choice stable when two coordinates are
-    equal up to rounding.
+    Entries below tol_zero of the row's largest are solver dust and are
+    snapped to zero; the row is renormalized and then phased/signed so that
+    its first entry of near-maximal magnitude is real positive.  The near-tie
+    tolerance keeps the choice stable when two entries are equal up to
+    rounding.
     """
     mags = np.abs(w)
-    w = np.where(mags < tol_zero * mags.max(), 0.0, w)
-    w = w / np.linalg.norm(w)
+    w = np.where(mags < tol_zero * mags.max(axis=1, keepdims=True), 0.0, w)
+    w = w / np.linalg.norm(w, axis=1, keepdims=True)
     mags = np.abs(w)
-    lead = int(np.argmax(mags >= (1.0 - tol_tie) * mags.max()))
+    rows = np.arange(len(w))
+    lead = np.argmax(mags >= (1.0 - tol_tie) * mags.max(axis=1, keepdims=True), axis=1)
+    head = w[rows, lead]
     if np.iscomplexobj(w):
-        w = w * (mags[lead] / w[lead])
-        if abs(w[lead].imag) < tol_zero:
-            w[lead] = w[lead].real
-    elif w[lead] < 0:
-        w = -w
+        w = w * (mags[rows, lead] / head)[:, None]
+        head = w[rows, lead]
+        w[rows, lead] = np.where(np.abs(head.imag) < tol_zero, head.real, head)
+    else:
+        w = w * np.where(head < 0, -1.0, 1.0)[:, None]
     return w
 
 
@@ -119,55 +135,102 @@ def _canonical_basis(kernel):
     kernel holds orthonormal rows, real or complex, in some coordinate
     space.  The candidates are the columns of the projector onto their span,
     taken in coordinate order; each is accepted greedily (Gram-Schmidt) when
-    it adds a new direction and is then cleaned by :func:`_snap_and_sign`.
+    its residual norm exceeds 1e-8 and is then cleaned by :func:`_snap_rows`.
     The result depends only on the span, not on the gauge of the rows.
 
     The orthogonalization runs in kernel coordinates (column idx of the
     projector is kernel^T conj(kernel[:, idx])), where the rows act as an
     isometry; every accepted direction therefore lies in the span up to
-    rounding, however much cancellation the projection involved.
+    rounding, however much cancellation the projection involved.  It is a
+    block classical Gram-Schmidt with reorthogonalization (Barlow and
+    Smoktunowicz, Numer. Math. 123, 2013) over blocks of BLOCK candidates:
+    two matrix-matrix passes project a block against every vector accepted
+    before it, then each column is accepted or rejected against the block's
+    own accepted vectors, again in two passes, and the block's accepted
+    vectors are snapped together, one matrix product to the coordinate space
+    and one back.
     """
     dim, size = kernel.shape
-    chosen = np.zeros_like(kernel)
-    coords = np.zeros((dim, dim), dtype=kernel.dtype)
+    chosen = np.empty_like(kernel)
+    coords = np.empty((dim, dim), dtype=kernel.dtype)
     count = 0
-    for idx in range(size):
+    for start in range(0, size, BLOCK):
         if count == dim:
             break
-        c = kernel[:, idx].conj()
-        # classical Gram-Schmidt twice: one pass can leave rounding noise
-        # above the acceptance norm when the column is already spanned
-        for _ in range(2):
-            c = c - coords[:count].T @ (coords[:count].conj() @ c)
-        norm = np.linalg.norm(c)
-        if norm > 1e-8:
-            chosen[count] = _snap_and_sign(kernel.T @ (c / norm))
-            coords[count] = kernel.conj() @ chosen[count]
-            count += 1
+        block = kernel[:, start:start + BLOCK].conj()
+        if count:
+            # classical Gram-Schmidt twice: one pass can leave rounding noise
+            # above the acceptance norm when a column is already spanned.  The
+            # first pass's coefficients conj(coords) @ block are the accepted
+            # rows' own entries in these columns, since the rows lie in the
+            # span (up to the snapped dust); only rows with a nonzero entry
+            # there take part.
+            done = coords[:count]
+            coef = chosen[:count, start:start + BLOCK].conj()
+            live = np.flatnonzero(coef.any(axis=1))
+            block = block - done[live].T @ coef[live]
+            block = block - done.T @ (done.conj() @ block)
+        new = np.empty((min(BLOCK, dim - count), dim), dtype=kernel.dtype)
+        taken = 0
+        # a column this short already stays short under further projection
+        for c in block.T[np.linalg.norm(block, axis=0) > 1e-8]:
+            if taken:
+                ours = new[:taken]
+                for _ in range(2):
+                    c = c - ours.T @ (ours.conj() @ c)
+            norm = math.sqrt(np.vdot(c, c).real)
+            if norm > 1e-8:
+                new[taken] = c / norm
+                taken += 1
+                if taken == len(new):
+                    break
+        if taken:
+            rows = _snap_rows(new[:taken] @ kernel)
+            chosen[count:count + taken] = rows
+            # snapped rows are sparse on sparse kernels: skip their zero columns
+            used = np.flatnonzero(rows.any(axis=0))
+            coords[count:count + taken] = rows[:, used] @ kernel[:, used].conj().T
+            count += taken
     return chosen[:count]
 
 
-def _coordinates(m, r, s):
-    """Rows of real coordinates of a stack of Hermitian matrices ``m[d, n, n]``.
+def _kernel_rows(q, a, b, u, r, s):
+    """Canonical coordinates of the kernel units M = Q (u E_ab + conj(u) E_ba) Q^H.
 
-    The coordinates are taken over the canonical orthonormal Hermitian basis
-    under Re tr(A B): the n diagonal units E_ii first, then for each pair
+    One row per unit (a, b, u) over the canonical orthonormal Hermitian basis
+    under Re tr(A B): the n diagonal units E_rr first, then for each pair
     (r, s), r < s in lexicographic order, the normalized embedded sigma_x and
-    sigma_y.
+    sigma_y.  Entry rs of M is u q_ra conj(q_sb) + conj(u) q_rb conj(q_sa),
+    so the diagonal is 2 Re(u q_ra conj(q_rb)) and each pair has coordinates
+    (Re z, -Im z) with z = sqrt(2) M_rs.  Rows are filled BLOCK at a time,
+    which bounds the complex temporaries.
     """
-    z = np.sqrt(2.0) * m[:, r, s]
-    pairs = np.stack([z.real, -z.imag], axis=-1).reshape(len(m), 2 * len(r))
-    return np.hstack([np.diagonal(m, axis1=1, axis2=2).real, pairs])
+    n = q.shape[0]
+    rows = np.empty((len(a), n + 2 * len(r)))
+    for start in range(0, len(a), BLOCK):
+        part = slice(start, start + BLOCK)
+        ua = u[part, None] * q.T[a[part]]
+        qb = q.T[b[part]].conj()
+        rows[part, :n] = 2.0 * (ua * qb).real
+        z = np.sqrt(2.0) * (ua[:, r] * qb[:, s] + (ua[:, s] * qb[:, r]).conj())
+        rows[part, n::2] = z.real
+        rows[part, n + 1::2] = -z.imag
+    return rows
 
 
 def _from_coordinates(w, r, s):
-    """Hermitian matrices from rows of canonical coordinates (see _coordinates)."""
+    """Hermitian matrices from rows of canonical coordinates (see _kernel_rows).
+
+    Filled BLOCK rows at a time, which bounds the complex temporaries.
+    """
     n = w.shape[1] - 2 * len(r)
     m = np.zeros((len(w), n, n), dtype=complex)
     m[:, np.arange(n), np.arange(n)] = w[:, :n]
-    z = np.sqrt(0.5) * (w[:, n::2] - 1j * w[:, n + 1::2])
-    m[:, r, s] = z
-    m[:, s, r] = z.conj()
+    for start in range(0, len(w), BLOCK):
+        part = slice(start, start + BLOCK)
+        z = np.sqrt(0.5) * (w[part, n::2] - 1j * w[part, n + 1::2])
+        m[part, r, s] = z
+        m[part, s, r] = z.conj()
     return m
 
 
@@ -189,16 +252,20 @@ def nullifier_space(k):
     Takagi vector x + iy, and the orthonormal complement of those vectors
     spans the (numerical) kernel of K, where s = 0.
 
-    The kernel is then canonicalized deterministically over the canonical
-    orthonormal Hermitian basis of M (see :func:`_coordinates` and
-    :func:`_canonical_basis`), so output is reproducible byte-for-byte
-    across runs.  Every generator is checked against the antisymmetry
-    criterion before it is returned.
+    The kernel units are written straight from the columns of Q into the
+    canonical orthonormal Hermitian basis of M (see :func:`_kernel_rows`)
+    and canonicalized there by the blocked greedy Gram-Schmidt of
+    :func:`_canonical_basis`, so output is reproducible byte-for-byte across
+    runs.  Every generator is checked against the antisymmetry criterion,
+    BLOCK generators per :func:`is_nullifier` call, before it is returned.
 
     Raises
     ------
     ShapeMismatch
         K is not square.
+    KernelTooLarge
+        Before the kernel is built, if its working arrays would take more
+        than MAX_KERNEL_BYTES.
     SelfCheckFailed
         A derived generator fails the criterion (a solver defect).
     """
@@ -211,9 +278,6 @@ def nullifier_space(k):
     # the upper half of the spectrum holds every s_i; those under the cut
     # form an ascending prefix and are the zero block of the Takagi form
     keep = vals[n:] > TOL_KERNEL_REL * vals[-1]
-    takagi = vecs[:n, n:][:, keep] + 1j * vecs[n:, n:][:, keep]
-    zero_block = np.linalg.qr(takagi, mode="complete")[0][:, takagi.shape[1]:]
-    q = np.hstack([zero_block, takagi])
     s = np.where(keep, vals[n:], 0.0)
 
     diag = np.arange(n)
@@ -223,6 +287,16 @@ def nullifier_space(k):
     in_kernel = values <= tau
     dim = int(np.sum(in_kernel))
 
+    # kernel rows, canonical rows and their coordinates (float64), and the
+    # complex generators
+    need = dim * (32 * n * n + 8 * dim)
+    if need > MAX_KERNEL_BYTES:
+        raise KernelTooLarge(
+            f"{n} modes: the nullifier space has dimension {dim} and its solve "
+            f"needs about {need:.3e} bytes; the solver's limit is "
+            f"{MAX_KERNEL_BYTES:.3e} bytes"
+        )
+
     borderline = False
     if 0 < dim < len(values):
         above = values[~in_kernel].min()
@@ -230,20 +304,25 @@ def nullifier_space(k):
         if below > 0 and above / below < KERNEL_GAP_MIN:
             borderline = True
 
+    q = vecs[:n, n:][:, keep] + 1j * vecs[n:, n:][:, keep]
+    if not keep.all():
+        # the orthonormal complement of the Takagi vectors is the zero block
+        q = np.hstack([np.linalg.qr(q, mode="complete")[0][:, q.shape[1]:], q])
     # unit A = u E_ab + conj(u) E_ba, mapped back to M = Q A Q^H
     a = np.concatenate([diag, i, i])[in_kernel]
     b = np.concatenate([diag, j, j])[in_kernel]
     u = np.repeat([0.5, np.sqrt(0.5), -1j * np.sqrt(0.5)], [n, len(i), len(i)])
-    t = u[in_kernel, None, None] * q.T[a, :, None] * q.T[b, None, :].conj()
-    chosen = _canonical_basis(_coordinates(t + t.conj().transpose(0, 2, 1), i, j))
+    chosen = _canonical_basis(_kernel_rows(q, a, b, u[in_kernel], i, j))
 
-    generators = list(_from_coordinates(chosen, i, j))
-    for m in generators:
-        ok, res = is_nullifier(m, k)
-        if not ok:
-            raise SelfCheckFailed(f"kernel element failed the residual check: {res:.3e}")
+    generators = _from_coordinates(chosen, i, j)
+    for start in range(0, dim, BLOCK):
+        ok, res = is_nullifier(generators[start:start + BLOCK], k)
+        if not np.all(ok):
+            raise SelfCheckFailed(
+                f"kernel element failed the residual check: {np.max(res):.3e}"
+            )
     singular_values = np.sort(values)[::-1].tolist()
-    return NullifierBasis(generators, dim, singular_values, float(tau), borderline)
+    return NullifierBasis(list(generators), dim, singular_values, float(tau), borderline)
 
 
 def _as_block_diag(d, size, name):

@@ -310,21 +310,30 @@ def expression_from_json(obj):
     ------
     ShapeMismatch
         The value is not an object with an integer n and a list of terms,
-        each with an axis, an integer pair and a numeric coeff.
+        each with an axis, a pair of two integers and a numeric coeff (JSON
+        numbers, not strings).
     """
     if isinstance(obj, str):
         obj = json.loads(obj)
     try:
-        n = int(obj["n"])
-        terms = [
-            (t["axis"], (int(t["pair"][0]), int(t["pair"][1])), float(t["coeff"]))
-            for t in obj["terms"]
-        ]
-    except (LookupError, TypeError, ValueError) as exc:
+        n = obj["n"]
+        terms = [(t["axis"], t["pair"], t["coeff"]) for t in obj["terms"]]
+    except (LookupError, TypeError) as exc:
         raise ShapeMismatch(
             f"expression JSON needs n and terms with axis, pair and coeff: {exc}"
         ) from None
-    return SchwingerExpression(n, [SchwingerTerm(*t) for t in terms])
+    if type(n) is not int or not all(
+        type(pair) is list and len(pair) == 2 and {type(i) for i in pair} == {int}
+        and type(coeff) in (int, float)
+        for _, pair, coeff in terms
+    ):
+        raise ShapeMismatch(
+            "expression JSON needs an integer n and terms with an integer pair "
+            "[r, s] and a numeric coeff"
+        )
+    return SchwingerExpression(
+        n, [SchwingerTerm(axis, tuple(pair), float(coeff)) for axis, pair, coeff in terms]
+    )
 
 
 def _format_coeff(c):

@@ -180,14 +180,25 @@ def bell_analogue(variant, alpha):
         k = graphs.passive_transform(
             k, schwinger.generator_to_unitary(gen_z_b, np.pi)
         )
-    signs = _BELL_SIGNS[variant]
-    exprs = [
-        _pair_expression("x", signs["x"]),
-        _pair_expression("y", signs["y"]),
-        _pair_expression("z", signs["z"]),
-        _pair_expression("0", -1.0),
-    ]
-    return k, exprs
+    return k, [bell_nullifier(variant, axis) for axis in "xyz0"]
+
+
+def bell_nullifier(variant, axis):
+    """The nullifier of a Bell-like variant on one axis, "x", "y", "z" or "0".
+
+    The pair's S^axis_A term with the variant's sign on S^axis_B, as listed
+    by :func:`bell_analogue`, without building the state; axis "0" gives the
+    photon-number difference.
+
+    Raises
+    ------
+    UnknownVariant
+    """
+    if variant not in BELL_VARIANTS:
+        raise UnknownVariant(
+            f"variant {variant!r} not in {', '.join(BELL_VARIANTS)}"
+        )
+    return _pair_expression(axis, -1.0 if axis == "0" else _BELL_SIGNS[variant][axis])
 
 
 # ----------------------------------------------------------------------

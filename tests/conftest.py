@@ -93,6 +93,48 @@ def reference_nullifier_space(k):
     return embedded.T @ embedded, sing
 
 
+def reference_canonical_basis(kernel):
+    """Greedy canonical basis of the row space of ``kernel``, one column at a time.
+
+    The per-column form of ``nullifiers._canonical_basis``: the projector
+    columns are taken in coordinate order, each is orthogonalized against
+    every accepted vector with two classical Gram-Schmidt passes in kernel
+    coordinates and accepted when the residual norm exceeds 1e-8; each
+    accepted vector is snapped on its own (entries below 1e-13 of the largest
+    set to zero, renormalized, the first entry within 1e-9 of the largest
+    magnitude made real positive).
+    """
+    dim, size = kernel.shape
+    chosen = np.zeros_like(kernel)
+    coords = np.zeros((dim, dim), dtype=kernel.dtype)
+    count = 0
+    for idx in range(size):
+        if count == dim:
+            break
+        c = kernel[:, idx].conj()
+        for _ in range(2):
+            c = c - coords[:count].T @ (coords[:count].conj() @ c)
+        norm = np.linalg.norm(c)
+        if norm <= 1e-8:
+            continue
+        w = kernel.T @ (c / norm)
+        mags = np.abs(w)
+        w = np.where(mags < 1e-13 * mags.max(), 0.0, w)
+        w = w / np.linalg.norm(w)
+        mags = np.abs(w)
+        lead = int(np.argmax(mags >= (1.0 - 1e-9) * mags.max()))
+        if np.iscomplexobj(w):
+            w = w * (mags[lead] / w[lead])
+            if abs(w[lead].imag) < 1e-13:
+                w[lead] = w[lead].real
+        elif w[lead] < 0:
+            w = -w
+        chosen[count] = w
+        coords[count] = kernel.conj() @ w
+        count += 1
+    return chosen[:count]
+
+
 def occupation_list(n_modes, cutoff):
     """All occupation tuples with total photon number <= cutoff, sorted."""
     occs = []

@@ -1,14 +1,20 @@
 """Command-line surface: payload shapes, exit codes, config handling."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnl import cli, graphs, schwinger
+from gnl import cli, graphs, schwinger, states
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -398,6 +404,36 @@ def test_near_integral_coefficients_print_with_one_decimal(capsys):
     assert "g5: 1.0·S^x_{0a,0b} + 1.0·S^x_{1a,1b} + 1.0·S^x_{2a,2b}\n" in out
 
 
+def test_nullifiers_refuse_an_oversized_kernel_at_once():
+    # its own process with one BLAS thread: a multi-threaded eigh sometimes
+    # stalls for about a second on a busy two-core machine
+    script = """
+import contextlib, io, time
+from gnl import cli
+err = io.StringIO()
+start = time.perf_counter()
+with contextlib.redirect_stderr(err):
+    rc = cli.main(["nullifiers", "wire", "--spins", "100"])
+print(rc, time.perf_counter() - start, repr(err.getvalue()))
+"""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    rc, seconds, err = proc.stdout.split(" ", 2)
+    assert rc == "2" and float(seconds) < 1.0, proc.stdout
+    assert "error: 200 modes" in err and "bytes" in err
+
+
+@pytest.mark.parametrize("variant", ["phi+", "phi-", "psi+", "psi-"])
+def test_spin_pair_generators_are_the_bell_nullifiers(variant):
+    expected = states.bell_analogue(variant, 1.0)[1]
+    for name in {f"bell:{variant}", "tms-pair"} if variant == "phi+" else {f"bell:{variant}"}:
+        table = cli.STATES[name][1]
+        assert [table[axis](None) for axis in "xyz0"] == expected
+
+
 def test_the_argument_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
@@ -408,6 +444,7 @@ def test_the_argument_parser_is_built_once():
         '{"n": 2, "entries": [[0, 0], [1], [1, 0], [0, 0]]}',
         "[]",
         '{"n": "x", "entries": []}',
+        '{"n": 2.9, "entries": [[0, 0], [0.1, 0], [0.1, 0], [0, 0]]}',
     ],
 )
 def test_malformed_matrix_files_exit_with_2(text, tmp_path, capsys):
@@ -422,6 +459,8 @@ def test_malformed_matrix_files_exit_with_2(text, tmp_path, capsys):
         '{"n": 2, "terms": [{"axis": "z", "pair": [0, 1], "coeff": "abc"}]}',
         '{"n": 2, "terms": [{"axis": "z", "pair": [0, 1], "coeff": [1]}]}',
         "[]",
+        '{"n": 2, "terms": [{"axis": "z", "pair": "01", "coeff": 1.0}]}',
+        '{"n": 2, "terms": [{"axis": "z", "pair": [0, 1], "coeff": "1.5"}]}',
     ],
 )
 def test_malformed_expression_files_exit_with_2(text, tmp_path, capsys):

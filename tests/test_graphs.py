@@ -228,6 +228,7 @@ def test_matrix_from_json_checks_entry_count():
         {"n": "x", "entries": []},
         {"n": 1},
         {"n": -1, "entries": [[0, 0]]},
+        {"n": 2.9, "entries": [[0, 0], [0.1, 0], [0.1, 0], [0, 0]]},
     ],
 )
 def test_matrix_from_json_rejects_malformed_input(obj):

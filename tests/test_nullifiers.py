@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -15,12 +15,14 @@ from conftest import (
     random_hermitian,
     random_k,
     random_unitary,
+    reference_canonical_basis,
     reference_nullifier_space,
 )
 from gnl import fock, graphs, nullifiers, states
 from gnl.errors import (
     AllZeroCoefficients,
     InvalidBlockShape,
+    KernelTooLarge,
     NonCommutingD,
     ShapeMismatch,
 )
@@ -56,6 +58,87 @@ def test_is_nullifier_scales_linearly_in_m():
     _, res1 = nullifiers.is_nullifier(m, k)
     _, res3 = nullifiers.is_nullifier(3.0 * m, k)
     assert abs(res3 - 3.0 * res1) < 1e-12
+
+
+def test_is_nullifier_on_a_stack_matches_each_matrix():
+    rng = np.random.default_rng(3)
+    k = states.tms_pair(0.5)
+    stack = np.array(
+        nullifiers.nullifier_space(k).generators
+        + [random_hermitian(rng, 4) for _ in range(3)]
+        + [1e-11 * random_hermitian(rng, 4)]
+    )
+    ok, res = nullifiers.is_nullifier(stack, k)
+    assert ok.shape == res.shape == (len(stack),)
+    single = [nullifiers.is_nullifier(m, k) for m in stack]
+    assert ok.tolist() == [v for v, _ in single] == [True] * 6 + [False] * 3 + [True]
+    assert np.allclose(res, [r for _, r in single], rtol=1e-14, atol=0.0)
+    ok, res = nullifiers.is_nullifier(np.zeros((0, 4, 4)), k)
+    assert ok.shape == res.shape == (0,)
+    with pytest.raises(ShapeMismatch):
+        nullifiers.is_nullifier(stack[:, :3, :3], k)
+
+
+def _kernel(seed, size, dim, kind, is_complex):
+    """Orthonormal rows spanning a random dim-dimensional subspace, in a random gauge.
+
+    kind "dense" draws the subspace at random; "sparse" draws it inside a
+    random set of 2 dim coordinates, so that every other projector column is
+    zero and half of the others are spanned by earlier ones; "faint" is
+    "sparse" with half of those coordinates scaled by 1e-5, so that their
+    projector columns are short but new; "units" spans dim coordinate unit
+    vectors, whose projector columns are those units.
+    """
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        a = rng.standard_normal(shape)
+        return a + 1j * rng.standard_normal(shape) if is_complex else a
+
+    rows = np.zeros((dim, size), dtype=complex if is_complex else float)
+    if kind == "units":
+        rows[np.arange(dim), rng.choice(size, dim, replace=False)] = 1.0
+    else:
+        support = rng.choice(size, min(size, 2 * dim), replace=False)
+        if kind == "dense":
+            support = np.arange(size)
+        rows[:, support] = draw(dim, len(support))
+        if kind == "faint":
+            rows[:, support[: len(support) // 2]] *= 1e-5
+    basis = np.linalg.qr(rows.T)[0].T if dim else rows
+    gauge = np.linalg.qr(draw(dim, dim))[0] if dim else np.eye(0)
+    return gauge @ basis
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 3 * nullifiers.BLOCK + 10),
+    share=st.floats(0.0, 1.0),
+    kind=st.sampled_from(["dense", "sparse", "faint", "units"]),
+    is_complex=st.booleans(),
+)
+@example(seed=1, size=200, share=0.0, kind="dense", is_complex=False)  # dim = 0
+@example(seed=2, size=150, share=1.0, kind="dense", is_complex=True)  # dim = size
+@example(seed=3, size=200, share=0.35, kind="dense", is_complex=False)  # fills at column 70
+@example(seed=4, size=200, share=0.45, kind="sparse", is_complex=True)
+@example(seed=5, size=150, share=0.3, kind="faint", is_complex=False)
+def test_blocked_canonical_basis_matches_the_column_loop(seed, size, share, kind, is_complex):
+    dim = round(share * size)
+    kernel = _kernel(seed, size, dim, kind, is_complex)
+    blocked = nullifiers._canonical_basis(kernel)
+    reference = reference_canonical_basis(kernel)
+    assert blocked.shape == reference.shape == (dim, size)
+    assert blocked.dtype == kernel.dtype
+    assert np.max(np.abs(blocked - reference), initial=0.0) <= 1e-10
+    gram = blocked.conj() @ blocked.T
+    assert np.max(np.abs(gram - np.eye(dim)), initial=0.0) <= 1e-12
+
+
+def test_oversized_kernels_fail_before_allocating():
+    n = 80  # K = 0: every Hermitian M is a nullifier, dim = n^2
+    with pytest.raises(KernelTooLarge, match=r"dimension 6400 .* about 1\.6\d\de\+09 bytes"):
+        nullifiers.nullifier_space(np.zeros((n, n)))
 
 
 def test_nullifier_space_vacuum_is_everything():
