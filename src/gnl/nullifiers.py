@@ -144,11 +144,11 @@ def _canonical_basis(kernel):
     rounding, however much cancellation the projection involved.  It is a
     block classical Gram-Schmidt with reorthogonalization (Barlow and
     Smoktunowicz, Numer. Math. 123, 2013) over blocks of BLOCK candidates:
-    two matrix-matrix passes project a block against every vector accepted
-    before it, then each column is accepted or rejected against the block's
-    own accepted vectors, again in two passes, and the block's accepted
-    vectors are snapped together, one matrix product to the coordinate space
-    and one back.
+    two passes of matrix-matrix products project a block against every
+    vector accepted before it, then each column is accepted or rejected
+    against the block's own accepted vectors, again in two passes, and the
+    block's accepted vectors are snapped together, one matrix product to the
+    coordinate space and one back.
     """
     dim, size = kernel.shape
     chosen = np.empty_like(kernel)
