@@ -111,21 +111,22 @@ def _snap_rows(w, tol_zero=1e-13, tol_tie=1e-9):
     snapped to zero; the row is renormalized and then phased/signed so that
     its first entry of near-maximal magnitude is real positive.  The near-tie
     tolerance keeps the choice stable when two entries are equal up to
-    rounding.
+    rounding.  w is overwritten and returned.
     """
     mags = np.abs(w)
-    w = np.where(mags < tol_zero * mags.max(axis=1, keepdims=True), 0.0, w)
-    w = w / np.linalg.norm(w, axis=1, keepdims=True)
-    mags = np.abs(w)
+    top = mags.max(axis=1, keepdims=True)
+    w[mags < tol_zero * top] = 0.0
+    w /= np.sqrt(np.add.reduce((w.conj() * w).real, axis=1, keepdims=True))
     rows = np.arange(len(w))
-    lead = np.argmax(mags >= (1.0 - tol_tie) * mags.max(axis=1, keepdims=True), axis=1)
+    lead = (mags >= (1.0 - tol_tie) * top).argmax(axis=1)
     head = w[rows, lead]
     if np.iscomplexobj(w):
-        w = w * (mags[rows, lead] / head)[:, None]
+        w *= (np.abs(head) / head)[:, None]
         head = w[rows, lead]
-        w[rows, lead] = np.where(np.abs(head.imag) < tol_zero, head.real, head)
+        head.imag[np.abs(head.imag) < tol_zero] = 0.0
+        w[rows, lead] = head
     else:
-        w = w * np.where(head < 0, -1.0, 1.0)[:, None]
+        w *= np.where(head < 0, -1.0, 1.0)[:, None]
     return w
 
 
@@ -167,13 +168,13 @@ def _canonical_basis(kernel):
             # there take part.
             done = coords[:count]
             coef = chosen[:count, start:start + BLOCK].conj()
-            live = np.flatnonzero(coef.any(axis=1))
+            live = coef.any(axis=1)
             block = block - done[live].T @ coef[live]
             block = block - done.T @ (done.conj() @ block)
         new = np.empty((min(BLOCK, dim - count), dim), dtype=kernel.dtype)
         taken = 0
-        # a column this short already stays short under further projection
-        for c in block.T[np.linalg.norm(block, axis=0) > 1e-8]:
+        # a column of norm under 1e-8 stays under it when projected further
+        for c in block.T[np.add.reduce((block.conj() * block).real, axis=0) > 1e-16]:
             if taken:
                 ours = new[:taken]
                 for _ in range(2):
@@ -188,7 +189,7 @@ def _canonical_basis(kernel):
             rows = _snap_rows(new[:taken] @ kernel)
             chosen[count:count + taken] = rows
             # snapped rows are sparse on sparse kernels: skip their zero columns
-            used = np.flatnonzero(rows.any(axis=0))
+            used = rows.any(axis=0)
             coords[count:count + taken] = rows[:, used] @ kernel[:, used].conj().T
             count += taken
     return chosen[:count]

@@ -251,10 +251,10 @@ def test_expression_json_round_trip():
         {"n": 2, "terms": [{"axis": "z", "pair": [0, 1], "coeff": "abc"}]},
         {"n": 2, "terms": [{"axis": "z", "pair": [0, 1], "coeff": [1]}]},
         {"n": 2, "terms": [{"axis": "z", "pair": [0], "coeff": 1.0}]},
-        {"n": 2, "terms": [{"axis": "z", "pair": "01", "coeff": 1.0}]},
-        {"n": 2, "terms": [{"axis": "z", "pair": [0, 1], "coeff": "1.5"}]},
         {"n": 2},
         [],
+        {"n": 2, "terms": [{"axis": "z", "pair": "01", "coeff": 1.0}]},
+        {"n": 2, "terms": [{"axis": "z", "pair": [0, 1], "coeff": "1.5"}]},
     ],
 )
 def test_expression_from_json_rejects_malformed_input(obj):
