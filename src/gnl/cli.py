@@ -74,18 +74,104 @@ def _json_scalar(o):
     return None
 
 
+# matrices written per block by _matrix_list, which bounds its per-value
+# temporaries on large nullifier spaces
+MATRIX_BLOCK = 64
+_SCALAR = ("", "")  # the texts around a lone leaf: nothing before, nothing after
+
+
+@functools.cache
+def _layout(level):
+    """Separators of a JSON container at this indent level (indent=2).
+
+    The text before its first item, between two items and before its
+    closing bracket.
+    """
+    indent = "\n" + "  " * (level + 1)
+    return indent, "," + indent, "\n" + "  " * level
+
+
+def _list_seps(count, item, level):
+    """The texts around the leaves of a list of count (>= 1) equal items.
+
+    item holds the texts around the leaves of one item, written at level + 1:
+    one before each leaf and one after the last (:data:`_SCALAR` for a
+    number).  Returns the same for the list at level, by list repetition.
+    """
+    first, comma, close = _layout(level)
+    body = list(item[1:-1])
+    return (
+        ["[" + first + item[0]]
+        + (body + [item[-1] + comma + item[0]]) * (count - 1)
+        + body
+        + [item[-1] + close + "]"]
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _table_template(rows, width, level):
+    """``%r`` template of a list of rows lists of width floats at level."""
+    return "%r".join(_list_seps(rows, _list_seps(width, _SCALAR, level + 1), level))
+
+
+def _float_texts(values):
+    """The JSON text of each float of an array, in order, as a list.
+
+    Each distinct bit pattern is spelled once, so -0.0 stays -0.0 and no two
+    floats merge; 0.0, most of a sparse generator, is set aside first.
+    """
+    bits = values.view(np.uint64).reshape(-1)
+    nonzero = np.flatnonzero(bits)
+    distinct, which = np.unique(bits[nonzero], return_inverse=True)
+    texts = np.array(["0.0", *map(_json_scalar, distinct.view(float).tolist())], dtype=object)
+    index = np.zeros(len(bits), dtype=np.intp)
+    index[nonzero] = which + 1
+    return texts[index].tolist()
+
+
+def _matrix_list(matrices, level):
+    """``[graphs.matrix_to_json(m) for m in matrices]`` as JSON text at level.
+
+    Each block of MATRIX_BLOCK matrices is one join of the texts of
+    :func:`_float_texts` with the separators of :func:`_list_seps`.
+    """
+    if not len(matrices):
+        return "[]"
+    n = matrices[0].shape[0]
+    first, comma, close = _layout(level + 1)
+    entries = _list_seps(n * n, _list_seps(2, _SCALAR, level + 3), level + 2)
+    head = "{" + first + f'"n": {n}' + comma + '"entries": '
+    item = [head + entries[0], *entries[1:-1], entries[-1] + close + "}"]
+    joint = item[-1] + _layout(level)[1] + item[0]
+    chunks, count = [], 0
+    for start in range(0, len(matrices), MATRIX_BLOCK):
+        block = np.array(matrices[start:start + MATRIX_BLOCK], dtype=complex)
+        if len(block) != count:
+            count = len(block)
+            seps = _list_seps(count, item, level)
+            pieces = [None] * (2 * len(seps) - 2)
+            pieces[0::2] = seps[:-1]
+        pieces[0] = joint if start else seps[0]  # joint closes the previous block
+        pieces[1::2] = _float_texts(block)
+        chunks.append("".join(pieces))
+    chunks.append(seps[-1])
+    return "".join(chunks)
+
+
 def _json_dumps(obj):
     """``json.dumps(obj, indent=2) + "\n"``, byte for byte, for any JSON value.
 
     json's indented layout runs its pure-Python encoder; this writer keeps
-    the same layout and spelling (NaN, Infinity, ASCII string escapes) but
-    writes a list of equal-length lists of finite floats, such as the
-    entries of :func:`graphs.matrix_to_json`, through one ``%r`` template
-    over the flattened values, built once per shape and depth.
+    the same layout and spelling (NaN, Infinity, ASCII string escapes) with
+    its separators from :func:`_layout`.  A list of equal-length lists of
+    finite floats, such as the entries of :func:`graphs.matrix_to_json`, goes
+    through one ``%r`` template over the flattened values, built once per
+    shape and depth.  A callable value is pre-rendered: it is called with the
+    current indent level and its text is written as is (the generator stack
+    of ``nullifiers``, see :func:`_matrix_list`).
     """
     chunks = []
     append = chunks.append
-    templates = {}
 
     def float_table(rows, level):
         if type(rows) is not list or set(map(type, rows)) != {list}:
@@ -99,14 +185,7 @@ def _json_dumps(obj):
         total = sum(flat)
         if total - total != 0.0:  # a NaN or an infinity (or an overflowing sum)
             return False
-        key = (len(rows), len(rows[0]), level)
-        if key not in templates:
-            outer, inner = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
-            row = "[" + ",".join([inner + "%r"] * key[1]) + outer + "]"
-            templates[key] = (
-                "[" + ",".join([outer + row] * key[0]) + "\n" + "  " * level + "]"
-            )
-        append(templates[key] % tuple(flat))
+        append(_table_template(len(rows), len(rows[0]), level) % tuple(flat))
         return True
 
     def key_text(key):
@@ -127,22 +206,24 @@ def _json_dumps(obj):
             if not o:
                 append("[]")
             elif not float_table(o, level):
-                sep = "\n" + "  " * (level + 1)
+                first, comma, close = _layout(level)
                 append("[")
                 for i, item in enumerate(o):
-                    append("," + sep if i else sep)
+                    append(comma if i else first)
                     encode(item, level + 1)
-                append("\n" + "  " * level + "]")
+                append(close + "]")
         elif isinstance(o, dict):
             if not o:
                 append("{}")
             else:
-                sep = "\n" + "  " * (level + 1)
+                first, comma, close = _layout(level)
                 append("{")
                 for i, (key, value) in enumerate(o.items()):
-                    append(("," + sep if i else sep) + key_text(key) + ": ")
+                    append((comma if i else first) + key_text(key) + ": ")
                     encode(value, level + 1)
-                append("\n" + "  " * level + "}")
+                append(close + "}")
+        elif callable(o):
+            append(o(level))
         else:
             raise TypeError(
                 f"Object of type {o.__class__.__name__} is not JSON serializable"
@@ -303,7 +384,7 @@ def cmd_nullifiers(args):
             "dimension": basis.dimension,
             "borderline": basis.borderline,
             "singular_values": basis.singular_values,
-            "generators": [graphs.matrix_to_json(g) for g in basis.generators],
+            "generators": functools.partial(_matrix_list, basis.generators),
             "expressions": schwinger.display_expressions(basis.generators, labels),
         }
         _write(args, _json_dumps(payload))

@@ -17,7 +17,6 @@ Schwinger terms <-> Hermitian matrices, unitary basis changes, and matrix
 exponentials of generators.
 """
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -347,7 +346,7 @@ def _format_coeff(c):
 
 
 # sign before a term: first term (c >= 0, else), later term (c >= 0, c < 0)
-_SIGNS = ("", "-", " + ", " - ")
+_SIGNS_ARRAY = np.array(["", "-", " + ", " - "], dtype=object)
 
 
 def _join_terms(coeffs, bodies, ends):
@@ -355,27 +354,36 @@ def _join_terms(coeffs, bodies, ends):
 
     coeffs and bodies hold the terms of all runs back to back and ends the
     offset where each run stops; returns one string per run, "0" for an
-    empty run.  Each distinct |coeff| is formatted once.
+    empty run.  The distinct |coeff| are formatted in one ``%.10g`` template
+    pass; :func:`_format_coeff` spells only those it treats specially.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     ends = np.asarray(ends, dtype=int)
     mags, which = np.unique(np.abs(coeffs), return_inverse=True)
-    texts = [_format_coeff(m) for m in mags.tolist()]
+    values = mags.tolist()
+    texts = ("\0".join(["%.10g"] * len(values)) % tuple(values)).split("\0")
+    # integral and non-finite values, and those within 1e-9 of an integer,
+    # whose %.10g text may be a bare integer
+    nearest = np.rint(mags)
+    for i in np.flatnonzero(~(np.abs(mags - nearest) > 1e-9 * nearest)).tolist():
+        texts[i] = _format_coeff(values[i])
     starts = np.concatenate([[0], ends[:-1]])
     first = np.zeros(len(coeffs), dtype=bool)
     first[starts[starts < len(coeffs)]] = True
     signs = np.where(first, ~(coeffs >= 0), 2 + (coeffs < 0))
-    terms = list(map("".join, zip(
-        map(_SIGNS.__getitem__, signs.tolist()),
-        map(texts.__getitem__, which.tolist()),
-        itertools.repeat("·"),
-        bodies,
-    )))
-    return ["".join(terms[b:e]) or "0" for b, e in zip(starts.tolist(), ends.tolist())]
+    # three pieces per term: its sign, its |coeff| and "·" with its body
+    pieces = [None] * (3 * len(coeffs))
+    pieces[0::3] = _SIGNS_ARRAY[signs].tolist()
+    pieces[1::3] = np.array(texts, dtype=object)[which].tolist()
+    pieces[2::3] = bodies
+    return [
+        "".join(pieces[3 * b:3 * e]) or "0"
+        for b, e in zip(starts.tolist(), ends.tolist())
+    ]
 
 
 def _term_body(axis, pair, labels):
-    return f"S^{axis}_{{{labels[pair[0]]},{labels[pair[1]]}}}"
+    return f"·S^{axis}_{{{labels[pair[0]]},{labels[pair[1]]}}}"
 
 
 def format_expression(expr, labels=None):
@@ -429,14 +437,16 @@ def display_expressions(generators, labels=None):
         if bodies is None:
             if labels is None:
                 labels = [str(i) for i in range(block.shape[-1])]
-            bodies = [_term_body(axis, pair, labels) for axis, pair in slots]
+            bodies = np.array(
+                [_term_body(axis, pair, labels) for axis, pair in slots], dtype=object
+            )
         mags = np.abs(table)
         scale = mags.max(axis=1, initial=0.0)
         keep = (table != 0.0) & (mags >= 1e-12 * scale[:, None])
         rows, cols = np.nonzero(keep)
         out += _join_terms(
             table[rows, cols] / scale[rows],
-            map(bodies.__getitem__, cols.tolist()),
+            bodies[cols].tolist(),
             np.cumsum(np.bincount(rows, minlength=len(table))),
         )
     return out
