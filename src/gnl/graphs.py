@@ -272,7 +272,7 @@ def matrix_from_json(obj):
     ------
     ShapeMismatch
         The value is not an object with an integer n >= 0 and n*n
-        ``[re, im]`` entries.
+        ``[re, im]`` entries, or an entry is NaN or infinite.
     """
     if isinstance(obj, str):
         obj = json.loads(obj)
@@ -287,6 +287,8 @@ def matrix_from_json(obj):
         raise ShapeMismatch(f"matrix JSON needs an integer n >= 0, got {n!r}")
     if len(entries) != n * n:
         raise ShapeMismatch(f"expected {n * n} entries, got {len(entries)}")
+    if not np.all(np.isfinite(flat)):
+        raise ShapeMismatch("matrix JSON entries must be finite, not NaN or Infinity")
     return flat.reshape(n, n)
 
 

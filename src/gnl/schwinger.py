@@ -18,6 +18,7 @@ exponentials of generators.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -309,8 +310,8 @@ def expression_from_json(obj):
     ------
     ShapeMismatch
         The value is not an object with an integer n and a list of terms,
-        each with an axis, a pair of two integers and a numeric coeff (JSON
-        numbers, not strings).
+        each with an axis, a pair of two integers and a finite numeric coeff
+        (JSON numbers, not strings, NaN or Infinity).
     """
     if isinstance(obj, str):
         obj = json.loads(obj)
@@ -323,12 +324,12 @@ def expression_from_json(obj):
         ) from None
     if type(n) is not int or not all(
         type(pair) is list and len(pair) == 2 and {type(i) for i in pair} == {int}
-        and type(coeff) in (int, float)
+        and type(coeff) in (int, float) and math.isfinite(coeff)
         for _, pair, coeff in terms
     ):
         raise ShapeMismatch(
             "expression JSON needs an integer n and terms with an integer pair "
-            "[r, s] and a numeric coeff"
+            "[r, s] and a finite numeric coeff"
         )
     return SchwingerExpression(
         n, [SchwingerTerm(axis, tuple(pair), float(coeff)) for axis, pair, coeff in terms]

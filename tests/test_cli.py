@@ -468,3 +468,22 @@ def test_malformed_expression_files_exit_with_2(text, tmp_path, capsys):
     path = tmp_path / "gen.json"
     path.write_text(text)
     _assert_input_error(*run(capsys, "check", "tms", "--gen", f"@{path}"))
+
+
+@pytest.mark.parametrize("command", ["state", "nullifiers", "oracle"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_matrix_files_exit_with_2(command, value, tmp_path, capsys):
+    # a NaN entry made state and nullifiers crash in the eigensolver and
+    # oracle pass vacuously with "kept amplitudes 0"
+    path = tmp_path / "g.json"
+    path.write_text(f'{{"n": 2, "entries": [[0, 0], [{value}, 0], [{value}, 0], [0, 0]]}}')
+    argv = (command, "hgraph", "--g", str(path), "--format", "text")
+    _assert_input_error(*run(capsys, *argv))
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_expression_files_exit_with_2(value, tmp_path, capsys):
+    # a NaN coefficient made check print "residual nan" and exit 1
+    path = tmp_path / "gen.json"
+    path.write_text(f'{{"n": 2, "terms": [{{"axis": "z", "pair": [0, 1], "coeff": {value}}}]}}')
+    _assert_input_error(*run(capsys, "check", "tms", "--gen", f"@{path}"))

@@ -229,6 +229,9 @@ def test_matrix_from_json_checks_entry_count():
         {"n": 1},
         {"n": -1, "entries": [[0, 0]]},
         {"n": 2.9, "entries": [[0, 0], [0.1, 0], [0.1, 0], [0, 0]]},
+        {"n": 1, "entries": [[float("nan"), 0.0]]},
+        {"n": 1, "entries": [[0.0, float("-inf")]]},
+        '{"n": 1, "entries": [[Infinity, 0]]}',
     ],
 )
 def test_matrix_from_json_rejects_malformed_input(obj):

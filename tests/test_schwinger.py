@@ -255,6 +255,9 @@ def test_expression_json_round_trip():
         [],
         {"n": 2, "terms": [{"axis": "z", "pair": "01", "coeff": 1.0}]},
         {"n": 2, "terms": [{"axis": "z", "pair": [0, 1], "coeff": "1.5"}]},
+        {"n": 2, "terms": [{"axis": "z", "pair": [0, 1], "coeff": float("nan")}]},
+        {"n": 2, "terms": [{"axis": "z", "pair": [0, 1], "coeff": float("-inf")}]},
+        '{"n": 2, "terms": [{"axis": "z", "pair": [0, 1], "coeff": Infinity}]}',
     ],
 )
 def test_expression_from_json_rejects_malformed_input(obj):
