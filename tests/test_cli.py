@@ -1,5 +1,6 @@
 """Command-line surface: payload shapes, exit codes, config handling."""
 
+import functools
 import json
 import os
 import subprocess
@@ -275,6 +276,47 @@ _JSON = st.recursive(
 @given(value=_JSON)
 def test_json_writer_matches_the_indented_stdlib_layout(value):
     assert cli._json_dumps(value) == json.dumps(value, indent=2) + "\n"
+
+
+# entries of generator stacks: signed zeros, the smallest subnormal, a value
+# whose repr switches to an exponent, floats one ulp apart, NaN and Infinity
+_ULP_PAIRS = [x for v in (0.1, 1.0, 0.5, 1e16) for x in (v, np.nextafter(v, np.inf))]
+_STACK_POOL = st.lists(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, -1e-300, float("nan"),
+                     float("inf"), *_ULP_PAIRS])
+    | st.floats(),
+    min_size=1,
+    max_size=6,
+)
+
+
+@st.composite
+def _generator_stacks(draw):
+    """(dim, n, n) complex stacks: all zero, fully dense, or drawn from a
+    small pool of values mixed with zeros; dim 0 and dims across blocks."""
+    n = draw(st.integers(1, 4))
+    dim = draw(st.sampled_from([0, 1, 2, 5]) | st.integers(cli.MATRIX_BLOCK - 1, 2 * cli.MATRIX_BLOCK + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["zero", "dense", "pool"]))
+    if kind == "zero":
+        parts = np.zeros((dim, n, n, 2))
+    elif kind == "dense":
+        parts = rng.standard_normal((dim, n, n, 2)) * 10.0 ** rng.integers(-20, 20, (dim, n, n, 2))
+    else:
+        pool = np.array(draw(_STACK_POOL) + [0.0])
+        parts = rng.choice(pool, (dim, n, n, 2))
+    return parts[..., 0] + 1j * parts[..., 1]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(stack=_generator_stacks(), depth=st.integers(0, 2), as_list=st.booleans())
+def test_generator_stack_writer_matches_the_per_matrix_payload(stack, depth, as_list):
+    generators = list(stack) if as_list else stack
+    new = functools.partial(cli._matrix_list, generators)
+    old = [graphs.matrix_to_json(g) for g in stack]
+    for _ in range(depth):  # the nullifiers payload holds the stack at depth 1
+        new, old = {"generators": new, "n": 1}, {"generators": old, "n": 1}
+    assert cli._json_dumps(new) == json.dumps(old, indent=2) + "\n"
 
 
 def test_bad_inputs_exit_with_2(capsys):

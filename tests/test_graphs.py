@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_k, random_unitary, random_z
 from gnl import graphs
@@ -30,6 +32,21 @@ def test_z_to_k_two_mode_squeezer():
     z = 1j * (np.cosh(2 * a) * np.eye(2) - np.sinh(2 * a) * SX)
     k = graphs.z_to_k(z)
     assert np.max(np.abs(k - np.tanh(a) * SX)) < 1e-12
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    norm=st.floats(0.0, 0.99),
+)
+def test_z_and_k_round_trip(seed, n, norm):
+    rng = np.random.default_rng(seed)
+    z = random_z(rng, n)
+    back = graphs.k_to_z(graphs.z_to_k(z))
+    assert np.max(np.abs(back - z)) <= 1e-9 * max(1.0, np.max(np.abs(z)))
+    k = random_k(rng, n, norm=norm)
+    assert np.max(np.abs(graphs.z_to_k(graphs.k_to_z(k)) - k)) <= 1e-10
 
 
 def test_z_to_k_rejects_bad_inputs():

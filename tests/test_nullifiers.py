@@ -228,6 +228,31 @@ def test_nullifier_space_matches_the_dense_reference(seed, levels):
     assert np.max(np.abs(gram - np.eye(expected)), initial=0.0) <= 1e-12
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    levels=st.lists(st.sampled_from([0.0, 0.15, 0.4, 0.7, 0.95]), min_size=1, max_size=6),
+    spins=st.none() | st.integers(3, 5),
+)
+def test_nullifiers_are_covariant_under_passive_transforms(seed, levels, spins):
+    # K -> W K W^T maps the criterion M K + (M K)^T to W (M K + (M K)^T) W^T
+    # for M -> W M W^H, so the nullifier spaces correspond one to one
+    rng = np.random.default_rng(seed)
+    if spins is None:
+        v = random_unitary(rng, len(levels))
+        k = (v * np.array(levels)) @ v.T
+    else:
+        k = states.dual_rail_wire(states.WireLayout(spins, float(rng.uniform(0.2, 1.0))))
+    w = random_unitary(rng, k.shape[0])
+    moved = graphs.passive_transform(k, w)
+    basis = nullifiers.nullifier_space(k)
+    assert nullifiers.nullifier_space(moved).dimension == basis.dimension
+    if basis.dimension:
+        mapped = w @ np.array(basis.generators) @ w.conj().T
+        ok, residual = nullifiers.is_nullifier(mapped, moved)
+        assert np.all(ok), np.max(residual)
+
+
 @pytest.mark.parametrize("n, draw", [(16, 31), (20, 4)])
 def test_nullifier_space_dense_involutions_pass_the_self_check(n, draw):
     # G = Q diag(+-1) Q^T with dense Q: every Takagi value of K = tanh(alpha G)

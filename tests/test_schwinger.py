@@ -319,16 +319,44 @@ def _mixed_hermitian(rng, n):
     return m
 
 
+# near-integral magnitudes: %.10g prints the bare integer "1" for all but
+# the first, whose binary value sits just under 0.99999999995
+_NEAR_INTEGRAL = (
+    0.99999999995, np.nextafter(0.99999999995, 1.0), 1 - 2**-53, 0.9999999999950001,
+    0.999999999999, 1.0, 0.5, 0.49999999999, 0.25,
+)
+
+
+def _near_integral_hermitian(rng, n):
+    """Hermitian matrix with zero diagonal whose S^x and S^y coefficients are
+    0 or +-_NEAR_INTEGRAL values, one of them exactly 1.0 so that the display
+    scale leaves them as they are."""
+    coeffs = rng.choice(_NEAR_INTEGRAL + (0.0,), (2, n, n)) * rng.choice([-1.0, 1.0], (2, n, n))
+    if n > 1:
+        coeffs[0, 0, 1] = 1.0
+    # S^x = 2 Re M_rs and S^y = -2 Im M_rs
+    m = np.triu(0.5 * coeffs[0] - 0.5j * coeffs[1], 1)
+    return m + m.conj().T
+
+
+_HERMITIAN = {
+    "mixed": _mixed_hermitian,
+    "dense": random_hermitian,  # every coefficient a distinct magnitude
+    "near": _near_integral_hermitian,
+}
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     n=st.integers(1, 7),
-    d=st.integers(1, 4),
+    d=st.integers(1, 4) | st.integers(20, 70),
     seed=st.integers(0, 2**32 - 1),
     wire_labels=st.booleans(),
+    kind=st.sampled_from(sorted(_HERMITIAN)),
 )
-def test_display_expressions_match_the_reference(n, d, seed, wire_labels):
+def test_display_expressions_match_the_reference(n, d, seed, wire_labels, kind):
     rng = np.random.default_rng(seed)
-    gens = [_mixed_hermitian(rng, n) for _ in range(d)]
+    gens = [_HERMITIAN[kind](rng, n) for _ in range(d)]
     if rng.random() < 0.2:
         gens[0] = np.zeros((n, n), dtype=complex)
     labels = [f"{i // 2}{'ab'[i % 2]}" for i in range(n)] if wire_labels else None
