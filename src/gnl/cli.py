@@ -132,11 +132,12 @@ def _float_texts(values):
 def _matrix_list(matrices, level):
     """``[graphs.matrix_to_json(m) for m in matrices]`` as JSON text at level.
 
-    Each block of MATRIX_BLOCK matrices is one join of the texts of
-    :func:`_float_texts` with the separators of :func:`_list_seps`.
+    Returns the text in chunks, one per block of MATRIX_BLOCK matrices: one
+    join of the texts of :func:`_float_texts` with the separators of
+    :func:`_list_seps`.
     """
     if not len(matrices):
-        return "[]"
+        return ["[]"]
     n = matrices[0].shape[0]
     first, comma, close = _layout(level + 1)
     entries = _list_seps(n * n, _list_seps(2, _SCALAR, level + 3), level + 2)
@@ -155,7 +156,7 @@ def _matrix_list(matrices, level):
         pieces[1::2] = _float_texts(block)
         chunks.append("".join(pieces))
     chunks.append(seps[-1])
-    return "".join(chunks)
+    return chunks
 
 
 def _json_dumps(obj):
@@ -166,9 +167,10 @@ def _json_dumps(obj):
     its separators from :func:`_layout`.  A list of equal-length lists of
     finite floats, such as the entries of :func:`graphs.matrix_to_json`, goes
     through one ``%r`` template over the flattened values, built once per
-    shape and depth.  A callable value is pre-rendered: it is called with the
-    current indent level and its text is written as is (the generator stack
-    of ``nullifiers``, see :func:`_matrix_list`).
+    shape and depth.  A callable value is pre-rendered: called with the
+    current indent level, it returns the value's text as a list of chunks,
+    written as they are (the generator stack of ``nullifiers``, see
+    :func:`_matrix_list`).
     """
     chunks = []
     append = chunks.append
@@ -223,7 +225,7 @@ def _json_dumps(obj):
                     encode(value, level + 1)
                 append(close + "}")
         elif callable(o):
-            append(o(level))
+            chunks.extend(o(level))
         else:
             raise TypeError(
                 f"Object of type {o.__class__.__name__} is not JSON serializable"

@@ -347,7 +347,7 @@ def _format_coeff(c):
 
 
 # sign before a term: first term (c >= 0, else), later term (c >= 0, c < 0)
-_SIGNS_ARRAY = np.array(["", "-", " + ", " - "], dtype=object)
+_SIGNS = np.array(["", "-", " + ", " - "], dtype=object)
 
 
 def _join_terms(coeffs, bodies, ends):
@@ -374,7 +374,7 @@ def _join_terms(coeffs, bodies, ends):
     signs = np.where(first, ~(coeffs >= 0), 2 + (coeffs < 0))
     # three pieces per term: its sign, its |coeff| and "·" with its body
     pieces = [None] * (3 * len(coeffs))
-    pieces[0::3] = _SIGNS_ARRAY[signs].tolist()
+    pieces[0::3] = _SIGNS[signs].tolist()
     pieces[1::3] = np.array(texts, dtype=object)[which].tolist()
     pieces[2::3] = bodies
     return [
@@ -418,7 +418,10 @@ def display_expressions(generators, labels=None):
     :func:`matrix_to_expression` and rescaled so its largest |coefficient|
     is 1.0.  Coefficients twelve orders below the largest are rounding dust
     from the kernel solve and are dropped from the printout.  A matrix with
-    no terms renders as "0".
+    no terms renders as "0".  The matrices are read DISPLAY_BLOCK at a time
+    into one coefficient table; each distinct magnitude of a block is
+    spelled once (see :func:`_join_terms`) and each expression is one join
+    of sign, coefficient and term pieces.
 
     Parameters
     ----------
