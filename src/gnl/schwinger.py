@@ -363,8 +363,8 @@ def _join_terms(coeffs, bodies, ends):
     mags, which = np.unique(np.abs(coeffs), return_inverse=True)
     values = mags.tolist()
     texts = ("\0".join(["%.10g"] * len(values)) % tuple(values)).split("\0")
-    # integral and non-finite values, and those within 1e-9 of an integer,
-    # whose %.10g text may be a bare integer
+    # _format_coeff respells integral and non-finite values and those within
+    # 1e-9 of an integer, whose %.10g text may be a bare integer
     nearest = np.rint(mags)
     for i in np.flatnonzero(~(np.abs(mags - nearest) > 1e-9 * nearest)).tolist():
         texts[i] = _format_coeff(values[i])
