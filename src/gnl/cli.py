@@ -144,14 +144,12 @@ def _matrix_list(matrices, level):
     head = "{" + first + f'"n": {n}' + comma + '"entries": '
     item = [head + entries[0], *entries[1:-1], entries[-1] + close + "}"]
     joint = item[-1] + _layout(level)[1] + item[0]
-    chunks, count = [], 0
+    chunks = []
     for start in range(0, len(matrices), MATRIX_BLOCK):
         block = np.array(matrices[start:start + MATRIX_BLOCK], dtype=complex)
-        if len(block) != count:
-            count = len(block)
-            seps = _list_seps(count, item, level)
-            pieces = [None] * (2 * len(seps) - 2)
-            pieces[0::2] = seps[:-1]
+        seps = _list_seps(len(block), item, level)
+        pieces = [None] * (2 * len(seps) - 2)
+        pieces[0::2] = seps[:-1]
         pieces[0] = joint if start else seps[0]  # joint closes the previous block
         pieces[1::2] = _float_texts(block)
         chunks.append("".join(pieces))

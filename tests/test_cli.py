@@ -295,7 +295,8 @@ def _generator_stacks(draw):
     """(dim, n, n) complex stacks: all zero, fully dense, or drawn from a
     small pool of values mixed with zeros; dim 0 and dims across blocks."""
     n = draw(st.integers(1, 4))
-    dim = draw(st.sampled_from([0, 1, 2, 5]) | st.integers(cli.MATRIX_BLOCK - 1, 2 * cli.MATRIX_BLOCK + 1))
+    block = cli.MATRIX_BLOCK
+    dim = draw(st.sampled_from([0, 1, 2, 5]) | st.integers(block - 1, 2 * block + 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["zero", "dense", "pool"]))
     if kind == "zero":
