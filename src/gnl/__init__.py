@@ -18,6 +18,7 @@ Gaussian pure state:
 from .errors import GnlError
 from .graphs import (
     ValidationReport,
+    finite_square,
     hgraph_k,
     k_to_z,
     matrix_from_json,
@@ -43,6 +44,7 @@ from .schwinger import (
     generator_to_unitary,
     matrix_to_expression,
     su2_structure_check,
+    unitary_path,
 )
 from .nullifiers import (
     NullifierBasis,
@@ -76,6 +78,7 @@ from .fock import (
     FockVector,
     SpinBasisView,
     apply_quadratic,
+    export_table,
     fock_from_json,
     fock_to_json,
     nullifier_residual,
@@ -91,6 +94,7 @@ __all__ = [
     "z_to_k",
     "k_to_z",
     "validate",
+    "finite_square",
     "u_from_k",
     "phase_shift",
     "passive_transform",
@@ -107,6 +111,7 @@ __all__ = [
     "su2_structure_check",
     "change_basis",
     "generator_to_unitary",
+    "unitary_path",
     "format_expression",
     "display_expressions",
     "expression_to_json",
@@ -138,6 +143,7 @@ __all__ = [
     "FockVector",
     "SpinBasisView",
     "state_from_k",
+    "export_table",
     "apply_quadratic",
     "nullifier_residual",
     "spin_basis_view",

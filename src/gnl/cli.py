@@ -157,6 +157,52 @@ def _matrix_list(matrices, level):
     return chunks
 
 
+@functools.lru_cache(maxsize=64)
+def _amplitude_template(n, level):
+    """``%`` template of one amplitude record of n modes at level.
+
+    ``%d`` for each occupation and ``%r`` for re and im, under the keys
+    :data:`fock.AMP_KEYS`.
+    """
+    first, comma, close = _layout(level)
+    occ = "%d".join(_list_seps(n, _SCALAR, level + 1)) if n else "[]"
+    fields = [f"{_ESCAPE(key)}: {text}" for key, text in zip(fock.AMP_KEYS, (occ, "%r", "%r"))]
+    return "{" + first + comma.join(fields) + close + "}"
+
+
+def _amplitude_list(v, level):
+    """``fock.fock_to_json(v)["amps"]`` as JSON text at level, as chunks.
+
+    One pass of a ``%`` template over the rows of :func:`fock.export_table`:
+    the record template of :func:`_amplitude_template` once per amplitude,
+    joined by the separators of :func:`_list_seps`.  ``%r`` would spell NaN
+    and Infinity as Python does, so a table with a non-finite part goes
+    through the generic encoder instead.
+    """
+    occ, amps = fock.export_table(v)
+    if not len(amps):
+        return ["[]"]
+    if not np.isfinite(amps).all():
+        return _json_chunks(fock.fock_to_json(v)["amps"], level)
+    count, n = occ.shape
+    values = [None] * (count * (n + 2))
+    for j, column in enumerate(occ.T.tolist()):
+        values[j::n + 2] = column
+    values[n::n + 2] = amps.real.tolist()
+    values[n + 1::n + 2] = amps.imag.tolist()
+    template = _amplitude_template(n, level + 1).join(_list_seps(count, _SCALAR, level))
+    return [template % tuple(values)]
+
+
+def _fock_payload(v):
+    """:func:`fock.fock_to_json` of v with its amplitudes pre-rendered."""
+    return {
+        "n": int(v.n_modes),
+        "cutoff": int(v.cutoff),
+        "amps": functools.partial(_amplitude_list, v),
+    }
+
+
 def _json_dumps(obj):
     """``json.dumps(obj, indent=2) + "\n"``, byte for byte, for any JSON value.
 
@@ -168,8 +214,16 @@ def _json_dumps(obj):
     shape and depth.  A callable value is pre-rendered: called with the
     current indent level, it returns the value's text as a list of chunks,
     written as they are (the generator stack of ``nullifiers``, see
-    :func:`_matrix_list`).
+    :func:`_matrix_list`, and the amplitudes of ``oracle``, see
+    :func:`_amplitude_list`).
     """
+    chunks = _json_chunks(obj, 0)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _json_chunks(obj, level):
+    """The text of obj at indent level, as :func:`_json_dumps` writes it, in chunks."""
     chunks = []
     append = chunks.append
 
@@ -229,9 +283,8 @@ def _json_dumps(obj):
                 f"Object of type {o.__class__.__name__} is not JSON serializable"
             )
 
-    encode(obj, 0)
-    append("\n")
-    return "".join(chunks)
+    encode(obj, level)
+    return chunks
 
 
 def _fmt_res(x):
@@ -483,21 +536,21 @@ def cmd_twomode(args):
 def cmd_oracle(args):
     v = fock.state_from_k(_build_state(args)[0], args.cutoff)
     if args.format == "json":
-        _write(args, _json_dumps(fock.fock_to_json(v)))
+        _write(args, _json_dumps(_fock_payload(v)))
         return 0
-    kept = v.kept()
+    occ, amps = fock.export_table(v)
     lines = [
         TEXT_HEADER,
         f"state {args.state}",
         f"modes {v.n_modes} cutoff {v.cutoff}",
-        f"kept amplitudes {len(kept)}",
+        f"kept amplitudes {len(amps)}",
     ]
-    by_sector = {}
-    for occ, c in kept.items():
-        tot = sum(occ)
-        by_sector[tot] = max(by_sector.get(tot, 0.0), abs(c))
-    for tot in sorted(by_sector):
-        lines.append(f"sector {tot}: max |amp| {_fmt_res(by_sector[tot])}")
+    # rows come sorted by sector; the largest |amp| of each
+    totals = occ.sum(axis=1)
+    starts = np.flatnonzero(np.diff(totals, prepend=-1))
+    peaks = np.maximum.reduceat(np.hypot(amps.real, amps.imag), starts)
+    for tot, peak in zip(totals[starts].tolist(), peaks.tolist()):
+        lines.append(f"sector {tot}: max |amp| {_fmt_res(peak)}")
     _write(args, "\n".join(lines) + "\n")
     return 0
 

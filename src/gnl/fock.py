@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import graphs
 from .errors import (
     BadPairing,
     FockTooLarge,
@@ -53,6 +54,8 @@ from .errors import (
 CONSISTENCY_TOL = 1e-10
 # amplitudes below this are dropped from JSON exports
 EXPORT_CUTOFF = 1e-14
+# the keys of one exported amplitude record
+AMP_KEYS = ("occ", "re", "im")
 # the largest photon-number sector the oracle builds, C(cutoff + n - 1, n - 1)
 # amplitudes; a sector of 10^6 amplitudes over 16 modes needs about 100 MB
 MAX_SECTOR_AMPLITUDES = 10**6
@@ -82,12 +85,6 @@ class FockVector:
 
     def amplitude(self, occ):
         return self.amplitudes.get(tuple(occ), 0.0 + 0.0j)
-
-    def kept(self):
-        """The amplitudes of magnitude >= EXPORT_CUTOFF, the set JSON exports."""
-        return {
-            occ: c for occ, c in self.amplitudes.items() if abs(c) >= EXPORT_CUTOFF
-        }
 
 
 @dataclass
@@ -249,9 +246,9 @@ def _even_sectors(k, cutoff):
 
 
 def _checked_k(k, cutoff):
-    k = np.asarray(k, dtype=complex)
-    if k.ndim != 2 or k.shape[0] != k.shape[1] or k.shape[0] == 0:
-        raise ShapeMismatch(f"K must be square 2-D, got {k.shape}")
+    k = graphs.finite_square(k, "K")
+    if k.shape[0] == 0:
+        raise ShapeMismatch("K must have at least one mode")
     if cutoff % 2 != 0 or cutoff < 2:
         raise OddCutoff("cutoff must be an even integer >= 2")
     return k
@@ -287,6 +284,9 @@ def state_from_k(k, cutoff):
 
     Raises
     ------
+    ShapeMismatch
+        K is not square 2-D with at least one mode, or has a NaN or
+        infinite entry.
     OddCutoff
     FockTooLarge
         If the sector at the cutoff exceeds MAX_SECTOR_AMPLITUDES.
@@ -375,26 +375,76 @@ def spin_basis_view(v, pairing):
 # serialization
 
 
+def export_table(v):
+    """The amplitudes a JSON export keeps, as arrays in export order.
+
+    Returns (occ, amps): occ is the (count, n) int64 table of the kept
+    occupations, one row each, and amps their complex amplitudes.  Kept are
+    the amplitudes of magnitude >= EXPORT_CUTOFF, the magnitude taken as
+    ``abs`` takes it (``np.hypot`` of the parts), so NaN is dropped and an
+    infinite part is kept.  Rows are sorted by total photon number and then
+    by occupation, ``np.lexsort`` over (total, occ_0, ..., occ_{n-1}); this
+    is the one ordering rule of every export.
+    """
+    n = v.n_modes
+    occ = np.array(list(v.amplitudes), dtype=np.int64).reshape(len(v.amplitudes), n)
+    amps = np.fromiter(v.amplitudes.values(), dtype=complex, count=len(v.amplitudes))
+    keep = np.hypot(amps.real, amps.imag) >= EXPORT_CUTOFF
+    occ, amps = occ[keep], amps[keep]
+    order = np.lexsort((*occ.T[::-1], occ.sum(axis=1)))
+    return occ[order], amps[order]
+
+
 def fock_to_json(v):
     """FockVector -> {"n":, "cutoff":, "amps": [{"occ":, "re":, "im":}]}.
 
-    Amplitudes below EXPORT_CUTOFF in magnitude are omitted; entries are
-    sorted by (total photons, occupation) so output is deterministic.
+    The records are the rows of :func:`export_table`: amplitudes below
+    EXPORT_CUTOFF in magnitude are omitted, and the rest are sorted by
+    (total photons, occupation), so output is deterministic.
     """
-    kept = v.kept()
-    amps = [
-        {"occ": [int(x) for x in occ], "re": float(c.real), "im": float(c.imag)}
-        for occ, c in sorted(kept.items(), key=lambda item: (sum(item[0]), item[0]))
-    ]
-    return {"n": int(v.n_modes), "cutoff": int(v.cutoff), "amps": amps}
+    occ, amps = export_table(v)
+    rows = zip(occ.tolist(), amps.real.tolist(), amps.imag.tolist())
+    return {
+        "n": int(v.n_modes),
+        "cutoff": int(v.cutoff),
+        "amps": [dict(zip(AMP_KEYS, row)) for row in rows],
+    }
 
 
 def fock_from_json(obj):
-    """Inverse of :func:`fock_to_json`; accepts a dict or JSON string."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    amps = {
-        tuple(int(x) for x in row["occ"]): complex(row["re"], row["im"])
-        for row in obj["amps"]
-    }
-    return FockVector(int(obj["n"]), int(obj["cutoff"]), amps)
+    """Inverse of :func:`fock_to_json`; accepts a dict or JSON string.
+
+    Amplitudes may be NaN or infinite; a later record of an occupation
+    replaces an earlier one.
+
+    Raises
+    ------
+    ShapeMismatch
+        The text is not JSON, or the value is not an object with integers
+        n >= 1 and cutoff >= 0 and a list of amps records, each with an occ
+        of n integers >= 0 summing to at most cutoff and numeric re and im.
+    """
+    try:
+        if isinstance(obj, str):
+            obj = json.loads(obj)
+        n, cutoff = obj["n"], obj["cutoff"]
+        rows = [(row["occ"], complex(row["re"], row["im"])) for row in obj["amps"]]
+    except (LookupError, TypeError, ValueError) as exc:
+        raise ShapeMismatch(
+            f"Fock JSON needs n, cutoff and amps records with occ, re and im: {exc}"
+        ) from None
+    if type(n) is not int or type(cutoff) is not int or n < 1 or cutoff < 0:
+        raise ShapeMismatch(
+            f"Fock JSON needs integers n >= 1 and cutoff >= 0, got {n!r} and {cutoff!r}"
+        )
+    for occ, _ in rows:
+        if (
+            type(occ) is not list
+            or len(occ) != n
+            or any(type(x) is not int or x < 0 for x in occ)
+            or sum(occ) > cutoff
+        ):
+            raise ShapeMismatch(
+                f"occupation {occ!r} is not {n} integers >= 0 with total <= {cutoff}"
+            )
+    return FockVector(n, cutoff, {tuple(occ): c for occ, c in rows})

@@ -78,6 +78,23 @@ def _square_complex(m, name="matrix"):
     return m
 
 
+def finite_square(m, name="K"):
+    """m as a square 2-D complex array whose entries are all finite.
+
+    The one finiteness check of the package: K, G and matrix files go
+    through it before any solver sees them.
+
+    Raises
+    ------
+    ShapeMismatch
+        m is not square 2-D, or an entry is NaN or infinite.
+    """
+    m = _square_complex(m, name)
+    if not np.isfinite(m).all():
+        raise ShapeMismatch(f"{name} entries must be finite, not NaN or Infinity")
+    return m
+
+
 def _symmetrize(k):
     # suppress floating-point drift after transforms; K stays symmetric
     return 0.5 * (k + k.T)
@@ -159,7 +176,8 @@ def validate(k):
     """Build a :class:`ValidationReport` for a candidate K.
 
     An invalid K is reported, not rejected; only input that is not a square
-    2-D matrix raises.
+    2-D matrix raises.  A K with a NaN or infinite entry is invalid, and
+    its symmetric defect, spectral norm and min_eig_U are all NaN.
 
     Raises
     ------
@@ -167,6 +185,9 @@ def validate(k):
         K is not square 2-D.
     """
     k = _square_complex(k, "K")
+    if not np.isfinite(k).all():
+        nan = float("nan")
+        return ValidationReport(nan, nan, nan, False)
     defect = float(np.max(np.abs(k - k.T))) if k.size else 0.0
     norm = float(np.linalg.norm(k, 2)) if k.size else 0.0
     try:
@@ -228,15 +249,17 @@ def hgraph_k(g, alpha):
     g : (n, n) array_like, real symmetric
     alpha : float > 0
         Overall squeezing parameter.
+
+    Raises
+    ------
+    ShapeMismatch
+        G is not square 2-D or has a NaN or infinite entry.
+    NonSymmetricG, NonPositiveAlpha
     """
-    g = np.asarray(g)
-    if np.iscomplexobj(g):
-        if np.max(np.abs(g.imag)) > TOL_SYM:
-            raise NonSymmetricG("G must be real")
-        g = g.real
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ShapeMismatch(f"G must be square 2-D, got shape {g.shape}")
+    g = finite_square(g, "G")
+    if g.size and np.max(np.abs(g.imag)) > TOL_SYM:
+        raise NonSymmetricG("G must be real")
+    g = g.real
     if g.size and np.max(np.abs(g - g.T)) > TOL_SYM:
         raise NonSymmetricG("G is not symmetric within tolerance")
     if not alpha > 0:
@@ -287,9 +310,7 @@ def matrix_from_json(obj):
         raise ShapeMismatch(f"matrix JSON needs an integer n >= 0, got {n!r}")
     if len(entries) != n * n:
         raise ShapeMismatch(f"expected {n * n} entries, got {len(entries)}")
-    if not np.all(np.isfinite(flat)):
-        raise ShapeMismatch("matrix JSON entries must be finite, not NaN or Infinity")
-    return flat.reshape(n, n)
+    return finite_square(flat.reshape(n, n), "matrix JSON")
 
 
 def format_weight(v):

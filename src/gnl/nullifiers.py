@@ -34,7 +34,8 @@ from .errors import (
     SelfCheckFailed,
     ShapeMismatch,
 )
-from .schwinger import generator_to_unitary
+from . import graphs
+from .schwinger import unitary_path
 
 # residual threshold for the antisymmetry criterion (max entry)
 TOL_NULL = 1e-10
@@ -263,16 +264,14 @@ def nullifier_space(k):
     Raises
     ------
     ShapeMismatch
-        K is not square.
+        K is not square, or has a NaN or infinite entry.
     KernelTooLarge
         Before the kernel is built, if its working arrays would take more
         than MAX_KERNEL_BYTES.
     SelfCheckFailed
         A derived generator fails the criterion (a solver defect).
     """
-    k = np.asarray(k, dtype=complex)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise ShapeMismatch(f"K must be square 2-D, got {k.shape}")
+    k = graphs.finite_square(k, "K")
     n = k.shape[0]
     x, y = k.real, k.imag
     vals, vecs = np.linalg.eigh(np.vstack([np.hstack([x, y]), np.hstack([y, -x])]))
@@ -433,14 +432,23 @@ def verify_symmetry(k, m, theta_grid):
     For a true nullifier the deviation stays at rounding level for every
     theta; otherwise it grows linearly near theta = 0 with slope set by the
     antisymmetry residual.
+
+    M is checked and diagonalized once (:func:`schwinger.unitary_path`);
+    each W is the product :func:`schwinger.generator_to_unitary` computes,
+    bit for bit.
+
+    Raises
+    ------
+    ShapeMismatch, NonHermitian
     """
     k = np.asarray(k, dtype=complex)
     m = np.asarray(m, dtype=complex)
     if m.shape != k.shape:
         raise ShapeMismatch(f"shapes {m.shape} and {k.shape} incompatible")
+    unitary = unitary_path(m)
     worst = 0.0
     for theta in np.atleast_1d(np.asarray(theta_grid, dtype=float)):
-        w = generator_to_unitary(m, float(theta))
+        w = unitary(float(theta))
         dev = float(np.max(np.abs(w @ k @ w.T - k)))
         worst = max(worst, dev)
     return worst

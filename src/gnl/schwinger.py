@@ -60,6 +60,8 @@ class SchwingerTerm:
             raise EqualIndices(f"axis {self.axis} needs two distinct modes")
         if r > s:
             raise IndexOutOfRange(f"pair must be ordered, got ({r}, {s})")
+        if not math.isfinite(self.coeff):
+            raise ShapeMismatch(f"coefficient must be finite, got {self.coeff!r}")
 
 
 @dataclass
@@ -274,18 +276,37 @@ def change_basis(m, w):
     return 0.5 * (out + out.conj().T)
 
 
-def generator_to_unitary(m, theta):
-    """Mode unitary W = exp(-i theta M) generated by the Hamiltonian adag M a.
+def unitary_path(m):
+    """The map theta -> exp(-i theta M), with M checked and diagonalized once.
 
-    Computed through the Hermitian eigendecomposition of M, so W is unitary
-    to rounding for any real theta.
+    W = V exp(-i theta Lambda) V^H from the Hermitian eigendecomposition
+    M = V Lambda V^H, so W is unitary to rounding for any real theta.  This
+    is the one unitary formula; :func:`generator_to_unitary` is one point of
+    it.
+
+    Raises
+    ------
+    ShapeMismatch, NonHermitian
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"matrix must be square 2-D, got {m.shape}")
     _check_hermitian(m, "generator")
     vals, vecs = np.linalg.eigh(m)
-    return (vecs * np.exp(-1j * theta * vals)) @ vecs.conj().T
+    vecs_h = vecs.conj().T
+
+    def unitary(theta):
+        return (vecs * np.exp(-1j * theta * vals)) @ vecs_h
+
+    return unitary
+
+
+def generator_to_unitary(m, theta):
+    """Mode unitary W = exp(-i theta M) generated by the Hamiltonian adag M a.
+
+    See :func:`unitary_path`.
+    """
+    return unitary_path(m)(theta)
 
 
 # ----------------------------------------------------------------------

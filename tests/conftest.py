@@ -8,6 +8,7 @@ import functools
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 
 def random_z(rng, n):
@@ -271,3 +272,40 @@ def reference_display_expression(m, labels=None):
         else:
             pieces.append(f" {'-' if c < 0 else '+'} {body}")
     return "".join(pieces)
+
+
+# amplitude parts: signed zeros, the smallest subnormal, values one ulp apart
+# (also across EXPORT_CUTOFF), a repr with an exponent, NaN and Infinity
+_PARTS = st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e16, -0.5, float("nan"), float("inf"), float("-inf")]
+    + [x for v in (1e-14, 0.1, 1.0) for x in (v, np.nextafter(v, 0.0), np.nextafter(v, 2.0))]
+) | st.floats(-1e300, 1e300)
+
+
+@st.composite
+def fock_vectors(draw):
+    """FockVectors whose amplitudes are not stored in export order.
+
+    Either fock.fock_from_json of shuffled records (n = 1..4, occupations up
+    to 0, 3, 12 or 300, possibly none kept) or apply_quadratic of a random
+    Hermitian M on the state of a random K, whose sectors come out in ladder
+    order.
+    """
+    from gnl import fock
+
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        top = draw(st.sampled_from([0, 3, 12, 300]))
+        occs = draw(st.lists(
+            st.lists(st.integers(0, top), min_size=n, max_size=n), max_size=25, unique_by=tuple
+        ))
+        parts = draw(st.lists(st.tuples(_PARTS, _PARTS), min_size=len(occs), max_size=len(occs)))
+        records = [{"occ": o, "re": re, "im": im} for o, (re, im) in zip(occs, parts)]
+        cutoff = max(map(sum, occs), default=0) + draw(st.integers(0, 2))
+        return fock.fock_from_json(
+            {"n": n, "cutoff": cutoff, "amps": draw(st.permutations(records))}
+        )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = min(n, 3)
+    v = fock.state_from_k(random_k(rng, n), draw(st.sampled_from([2, 4, 6])))
+    return fock.apply_quadratic(random_hermitian(rng, n), v)

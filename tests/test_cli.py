@@ -10,10 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gnl import cli, graphs, schwinger, states
+from conftest import fock_vectors
+from gnl import cli, fock, graphs, schwinger, states
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -317,6 +318,21 @@ def test_generator_stack_writer_matches_the_per_matrix_payload(stack, depth, as_
     old = [graphs.matrix_to_json(g) for g in stack]
     for _ in range(depth):  # the nullifiers payload holds the stack at depth 1
         new, old = {"generators": new, "n": 1}, {"generators": old, "n": 1}
+    assert cli._json_dumps(new) == json.dumps(old, indent=2) + "\n"
+
+
+_ONE_ULP = np.nextafter(0.1, 1.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(v=fock_vectors(), depth=st.integers(0, 2))
+@example(v=fock.FockVector(1, 600, {(300,): complex(0.1, -0.0), (256,): complex(_ONE_ULP, 0.0)}), depth=1)
+@example(v=fock.FockVector(2, 4, {(1, 1): complex(float("nan"), float("inf")), (0, 2): 1.0}), depth=0)
+@example(v=fock.FockVector(3, 4, {(0, 0, 2): 1e-15 + 0j}), depth=2)
+def test_oracle_writer_matches_the_stdlib_payload(v, depth):
+    new, old = cli._fock_payload(v), fock.fock_to_json(v)
+    for _ in range(depth):  # the writer must hold its layout at any depth
+        new, old = {"oracle": new, "n": 1}, {"oracle": old, "n": 1}
     assert cli._json_dumps(new) == json.dumps(old, indent=2) + "\n"
 
 

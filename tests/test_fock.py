@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    fock_vectors,
     hafnian_amplitudes,
     linear_nullifier_residual,
     random_hermitian,
@@ -277,3 +278,51 @@ def test_fock_json_round_trip_drops_dust_and_sorts():
     assert back.n_modes == 2 and back.cutoff == 6
     for row in blob["amps"]:
         assert back.amplitude(row["occ"]) == complex(row["re"], row["im"])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(v=fock_vectors())
+def test_export_table_sorts_the_kept_amplitudes(v):
+    kept = {o: c for o, c in v.amplitudes.items() if abs(c) >= fock.EXPORT_CUTOFF}
+    order = sorted(kept, key=lambda o: (sum(o), o))
+    occ, amps = fock.export_table(v)
+    assert occ.shape == (len(order), v.n_modes)
+    assert list(map(tuple, occ.tolist())) == order
+    expected = np.array([kept[o] for o in order], dtype=complex)
+    assert amps.tobytes() == expected.tobytes()  # bit for bit: -0.0 and NaN too
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"n": 2, "cutoff": 4, "amps": [{"occ": [1, 1, 1], "re": 1.0, "im": 0.0}]},
+        {"n": 2, "cutoff": 4, "amps": [{"occ": [3, 3], "re": 1.0, "im": 0.0}]},
+        {"n": 2, "cutoff": 4, "amps": [{"occ": [1], "re": 1.0, "im": 0.0}]},
+        {"n": 2, "cutoff": 4, "amps": [{"occ": [-1, 1], "re": 1.0, "im": 0.0}]},
+        {"n": 2, "cutoff": 4, "amps": [{"occ": [1.5, 0], "re": 1.0, "im": 0.0}]},
+        {"n": 2, "cutoff": 4, "amps": [{"occ": "11", "re": 1.0, "im": 0.0}]},
+        {"n": 2, "cutoff": 4, "amps": [{"occ": [1, 1], "re": "1", "im": 0.0}]},
+        {"n": 2, "cutoff": 4, "amps": [{"occ": [1, 1], "re": 1.0}]},
+        {"n": 2, "cutoff": 4, "amps": [[1, 1]]},
+        {"n": 2, "cutoff": 4},
+        {"n": 2.0, "cutoff": 4, "amps": []},
+        {"n": 0, "cutoff": 4, "amps": []},
+        {"n": 2, "cutoff": -2, "amps": []},
+        [],
+        "not json",
+        '{"n": 2, "cutoff": 4, "amps": [',
+    ],
+)
+def test_fock_from_json_rejects_malformed_input(obj):
+    with pytest.raises(ShapeMismatch):
+        fock.fock_from_json(obj)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_the_oracle_rejects_a_non_finite_k(value):
+    # a NaN entry gave a FockVector of NaN amplitudes and a RuntimeWarning
+    k = np.array([[0.0, value], [value, 0.0]])
+    with pytest.raises(ShapeMismatch):
+        fock.state_from_k(k, 4)
+    with pytest.raises(ShapeMismatch):
+        fock.nullifier_residual(np.eye(2), k, 4)

@@ -106,6 +106,24 @@ def test_validate_flags_asymmetry():
     assert not rep.is_valid
 
 
+_NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("value", _NON_FINITE)
+def test_validate_reports_a_non_finite_k_as_invalid(value):
+    # a NaN entry made the SVD raise numpy's LinAlgError
+    rep = graphs.validate(np.array([[0.0, value], [value, 0.0]]))
+    assert not rep.is_valid
+    assert np.isnan([rep.symmetric_defect, rep.spectral_norm, rep.min_eig_U]).all()
+
+
+@pytest.mark.parametrize("value", _NON_FINITE)
+def test_hgraph_k_rejects_a_non_finite_g(value):
+    # a NaN entry gave an all-NaN K
+    with pytest.raises(ShapeMismatch):
+        graphs.hgraph_k(np.array([[0.0, value], [value, 0.0]]), 0.5)
+
+
 def test_u_from_k_vacuum_is_identity():
     u = graphs.u_from_k(np.zeros((3, 3)))
     assert np.max(np.abs(u - np.eye(3))) == 0.0

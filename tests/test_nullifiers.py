@@ -18,7 +18,7 @@ from conftest import (
     reference_canonical_basis,
     reference_nullifier_space,
 )
-from gnl import fock, graphs, nullifiers, states
+from gnl import fock, graphs, nullifiers, schwinger, states
 from gnl.errors import (
     AllZeroCoefficients,
     InvalidBlockShape,
@@ -425,6 +425,34 @@ def test_verify_symmetry_invariance_and_first_order_slope():
     _, residual = nullifiers.is_nullifier(sx, k)
     assert dev > 1e-8  # a non-nullifier moves the graph at first order
     assert abs(dev / theta - residual) < 0.01 * residual
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_nullifier_space_rejects_a_non_finite_k(value):
+    # a NaN entry was reported as a solver defect (SelfCheckFailed)
+    with pytest.raises(ShapeMismatch):
+        nullifiers.nullifier_space(np.array([[0.0, value], [value, 0.0]]))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_verify_symmetry_diagonalizes_once_and_matches_the_unitary_loop(seed, monkeypatch):
+    # odd seeds: a random K and M; even seeds: a wire and one of its nullifiers
+    rng = np.random.default_rng(seed)
+    if seed % 2:
+        k, m = random_k(rng, 2 + seed), random_hermitian(rng, 2 + seed)
+    else:
+        k = states.dual_rail_wire(states.WireLayout(3 + seed // 2, 0.6))
+        m = nullifiers.nullifier_space(k).generators[seed]
+    grid = np.linspace(0.0, 2.0 * np.pi, 16)
+    expected = 0.0
+    for theta in grid:
+        w = schwinger.generator_to_unitary(m, float(theta))
+        expected = max(expected, float(np.max(np.abs(w @ k @ w.T - k))))
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    assert nullifiers.verify_symmetry(k, m, grid) == expected
+    assert len(calls) == 1
 
 
 def test_verify_symmetry_shape_guard():

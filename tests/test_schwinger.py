@@ -28,6 +28,15 @@ def test_term_validation():
         SchwingerTerm("x", (-1, 0), 1.0)
     with pytest.raises(ShapeMismatch):
         SchwingerTerm("w", (0, 1), 1.0)
+
+
+@pytest.mark.parametrize("coeff", [float("inf"), float("-inf"), float("nan")])
+def test_format_expression_rejects_a_non_finite_coefficient(coeff):
+    # an infinite coefficient made _format_coeff raise OverflowError
+    with pytest.raises(ShapeMismatch):
+        schwinger.format_expression(
+            SchwingerExpression(2, [SchwingerTerm("z", (0, 1), coeff)])
+        )
     # singleton on axis 0 is the number operator and is allowed
     SchwingerTerm("0", (1, 1), 1.0)
     with pytest.raises(IndexOutOfRange):
