@@ -165,7 +165,7 @@ def _amplitude_template(n, level):
     :data:`fock.AMP_KEYS`.
     """
     first, comma, close = _layout(level)
-    occ = "%d".join(_list_seps(n, _SCALAR, level + 1)) if n else "[]"
+    occ = "%d".join(_list_seps(n, _SCALAR, level + 1))
     fields = [f"{_ESCAPE(key)}: {text}" for key, text in zip(fock.AMP_KEYS, (occ, "%r", "%r"))]
     return "{" + first + comma.join(fields) + close + "}"
 
