@@ -27,13 +27,17 @@ an explicit flag wins.  A key that is no optional flag of any subcommand, or
 a value that is not a string or a number, is invalid input; a key that only
 another subcommand takes is skipped.
 
+``--format json`` output is exactly ``json.dumps(payload, indent=2)`` plus a
+newline.  The stdlib writes every value but the two large tables of numbers,
+the ``nullifiers`` generator stack and the ``oracle`` amplitude records; one
+table writer, :func:`_table`, writes those from arrays to the same bytes.
+
 Exit codes: 0 all requested checks pass, 1 a check ran and failed,
 2 invalid input.
 """
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 
@@ -49,242 +53,110 @@ CHECK_TOL_NULL = 1e-10
 CHECK_TOL_SYM = 1e-9
 CHECK_TOL_FOCK = 1e-8
 
-_ESCAPE = json.encoder.encode_basestring_ascii
-_INF = float("inf")
+# numbers per block of a table; bounds the writer's temporaries on large
+# nullifier spaces and oracle tables
+BLOCK = 16384
+_NUMBER = "\0"  # stands for a number in a record skeleton
+_MARK = json.dumps(_NUMBER)
 
 
-def _json_scalar(o):
-    """json's spelling of None, a bool, an int or a float; None for any other type."""
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == _INF:
-            return "Infinity"
-        if o == -_INF:
-            return "-Infinity"
-        return float.__repr__(o)
-    return None
+# json.dumps(value, indent=2) with the encoder built once; payloads are trees,
+# so json's cycle check (about 7 % of a small state payload's time) is off
+_indented = json.JSONEncoder(indent=2, check_circular=False).encode
 
 
-# matrices written per block by _matrix_list, which bounds its per-value
-# temporaries on large nullifier spaces
-MATRIX_BLOCK = 64
-_SCALAR = ("", "")  # the texts around a lone leaf: nothing before, nothing after
+def _texts(array):
+    """The JSON text of each number of an int64 or float64 array, flat, in order.
 
-
-@functools.cache
-def _layout(level):
-    """Separators of a JSON container at this indent level (indent=2).
-
-    The text before its first item, between two items and before its
-    closing bracket.
+    Returns an object array.  Each distinct bit pattern is spelled once, by
+    one ``json.dumps`` of the distinct values, so -0.0, NaN and Infinity keep
+    json's spelling and no two floats merge; zero, most of a sparse
+    generator, is set aside first.
     """
-    indent = "\n" + "  " * (level + 1)
-    return indent, "," + indent, "\n" + "  " * level
-
-
-def _list_seps(count, item, level):
-    """The texts around the leaves of a list of count (>= 1) equal items.
-
-    item holds the texts around the leaves of one item, written at level + 1:
-    one before each leaf and one after the last (:data:`_SCALAR` for a
-    number).  Returns the same for the list at level, by list repetition.
-    """
-    first, comma, close = _layout(level)
-    body = list(item[1:-1])
-    return (
-        ["[" + first + item[0]]
-        + (body + [item[-1] + comma + item[0]]) * (count - 1)
-        + body
-        + [item[-1] + close + "]"]
-    )
-
-
-@functools.lru_cache(maxsize=64)
-def _table_template(rows, width, level):
-    """``%r`` template of a list of rows lists of width floats at level."""
-    return "%r".join(_list_seps(rows, _list_seps(width, _SCALAR, level + 1), level))
-
-
-def _float_texts(values):
-    """The JSON text of each float of an array, in order, as a list.
-
-    Each distinct bit pattern is spelled once, so -0.0 stays -0.0 and no two
-    floats merge; 0.0, most of a sparse generator, is set aside first.
-    """
-    bits = values.view(np.uint64).reshape(-1)
+    bits = array.view(np.int64).reshape(-1)
     nonzero = np.flatnonzero(bits)
     distinct, which = np.unique(bits[nonzero], return_inverse=True)
-    texts = np.array(["0.0", *map(_json_scalar, distinct.view(float).tolist())], dtype=object)
+    values = np.concatenate(([0], distinct)).view(array.dtype).tolist()
+    texts = np.array(json.dumps(values)[1:-1].split(", "), dtype=object)
     index = np.zeros(len(bits), dtype=np.intp)
     index[nonzero] = which + 1
-    return texts[index].tolist()
+    return texts[index]
 
 
-def _matrix_list(matrices, level):
-    """``[graphs.matrix_to_json(m) for m in matrices]`` as JSON text at level.
+def _table(record, columns, level):
+    """A list of records of one layout as JSON text at indent level, in chunks.
 
-    Returns the text in chunks, one per block of MATRIX_BLOCK matrices: one
-    join of the texts of :func:`_float_texts` with the separators of
-    :func:`_list_seps`.
+    record is one record with :data:`_NUMBER` in place of each number.
+    columns are C-contiguous 2-D int64 or float64 arrays with one row per
+    record; a record's numbers are its rows, column after column.  The text
+    between two numbers comes from ``json.dumps`` of a one-record list,
+    split at the markers, so json alone sets the layout; json ends a list
+    item with "," before the next one.  Returns one chunk per block of about
+    :data:`BLOCK` numbers.
     """
-    if not len(matrices):
+    count = len(columns[0])
+    if not count:
         return ["[]"]
-    n = matrices[0].shape[0]
-    first, comma, close = _layout(level + 1)
-    entries = _list_seps(n * n, _list_seps(2, _SCALAR, level + 3), level + 2)
-    head = "{" + first + f'"n": {n}' + comma + '"entries": '
-    item = [head + entries[0], *entries[1:-1], entries[-1] + close + "}"]
-    joint = item[-1] + _layout(level)[1] + item[0]
+    text = _indented([record]).replace("\n", "\n" + "  " * level)
+    first, *inner, last = text.split(_MARK)
+    joint = last[:last.rindex("\n")] + "," + first[1:]  # from one record to the next
+    each = [joint, *inner]  # the text before each number of a record
+    rows = max(1, BLOCK // len(each))
     chunks = []
-    for start in range(0, len(matrices), MATRIX_BLOCK):
-        block = np.array(matrices[start:start + MATRIX_BLOCK], dtype=complex)
-        seps = _list_seps(len(block), item, level)
-        pieces = [None] * (2 * len(seps) - 2)
-        pieces[0::2] = seps[:-1]
-        pieces[0] = joint if start else seps[0]  # joint closes the previous block
-        pieces[1::2] = _float_texts(block)
-        chunks.append("".join(pieces))
-    chunks.append(seps[-1])
+    for start in range(0, count, rows):
+        block = [c[start:start + rows] for c in columns]
+        pieces = np.empty((len(block[0]), 2 * len(each)), dtype=object)
+        pieces[:, 0::2] = each
+        pieces[:, 1::2] = np.concatenate([_texts(c).reshape(c.shape) for c in block], axis=1)
+        if not start:
+            pieces[0, 0] = first
+        chunks.append("".join(pieces.reshape(-1).tolist()))
+    chunks.append(last)
     return chunks
 
 
-@functools.lru_cache(maxsize=64)
-def _amplitude_template(n, level):
-    """``%`` template of one amplitude record of n modes at level.
+def _generator_table(generators, n):
+    """``[graphs.matrix_to_json(m) for m in generators]`` as a table.
 
-    ``%d`` for each occupation and ``%r`` for re and im, under the keys
-    :data:`fock.AMP_KEYS`.
+    generators are (n, n) complex matrices, as a list or a stack.
     """
-    first, comma, close = _layout(level)
-    occ = "%d".join(_list_seps(n, _SCALAR, level + 1))
-    fields = [f"{_ESCAPE(key)}: {text}" for key, text in zip(fock.AMP_KEYS, (occ, "%r", "%r"))]
-    return "{" + first + comma.join(fields) + close + "}"
-
-
-def _amplitude_list(v, level):
-    """``fock.fock_to_json(v)["amps"]`` as JSON text at level, as chunks.
-
-    One pass of a ``%`` template over the rows of :func:`fock.export_table`:
-    the record template of :func:`_amplitude_template` once per amplitude,
-    joined by the separators of :func:`_list_seps`.  ``%r`` would spell NaN
-    and Infinity as Python does, so a table with a non-finite part goes
-    through the generic encoder instead.
-    """
-    occ, amps = fock.export_table(v)
-    if not len(amps):
-        return ["[]"]
-    if not np.isfinite(amps).all():
-        return _json_chunks(fock.fock_to_json(v)["amps"], level)
-    count, n = occ.shape
-    values = [None] * (count * (n + 2))
-    for j, column in enumerate(occ.T.tolist()):
-        values[j::n + 2] = column
-    values[n::n + 2] = amps.real.tolist()
-    values[n + 1::n + 2] = amps.imag.tolist()
-    template = _amplitude_template(n, level + 1).join(_list_seps(count, _SCALAR, level))
-    return [template % tuple(values)]
+    stack = np.array(generators, dtype=complex).reshape(-1, n * n)
+    record = {"n": n, "entries": [[_NUMBER, _NUMBER]] * (n * n)}
+    return functools.partial(_table, record, [stack.view(float)])
 
 
 def _fock_payload(v):
-    """:func:`fock.fock_to_json` of v with its amplitudes pre-rendered."""
+    """:func:`fock.fock_to_json` of v with its amplitudes as a table."""
+    occ, amps = fock.export_table(v)
+    record = dict(zip(fock.AMP_KEYS, ([_NUMBER] * v.n_modes, _NUMBER, _NUMBER)))
     return {
         "n": int(v.n_modes),
         "cutoff": int(v.cutoff),
-        "amps": functools.partial(_amplitude_list, v),
+        "amps": functools.partial(_table, record, [occ, amps.view(float).reshape(-1, 2)]),
     }
 
 
-def _json_dumps(obj):
-    """``json.dumps(obj, indent=2) + "\n"``, byte for byte, for any JSON value.
+def _json_dumps(payload):
+    """``json.dumps(payload, indent=2) + "\n"``, byte for byte.
 
-    json's indented layout runs its pure-Python encoder; this writer keeps
-    the same layout and spelling (NaN, Infinity, ASCII string escapes) with
-    its separators from :func:`_layout`.  A list of equal-length lists of
-    finite floats, such as the entries of :func:`graphs.matrix_to_json`, goes
-    through one ``%r`` template over the flattened values, built once per
-    shape and depth.  A callable value is pre-rendered: called with the
-    current indent level, it returns the value's text as a list of chunks,
-    written as they are (the generator stack of ``nullifiers``, see
-    :func:`_matrix_list`, and the amplitudes of ``oracle``, see
-    :func:`_amplitude_list`).
+    A payload without a table is ``json.dumps`` itself.  A value of a
+    top-level object may be a table: a callable that takes the indent level
+    of that value, 1, and returns the table's text in chunks (see
+    :func:`_table`).  Every other value is then ``json.dumps(value,
+    indent=2)`` indented by one level, which is exact because JSON strings
+    hold no raw newline.  The document is joined once.
     """
-    chunks = _json_chunks(obj, 0)
-    chunks.append("\n")
-    return "".join(chunks)
-
-
-def _json_chunks(obj, level):
-    """The text of obj at indent level, as :func:`_json_dumps` writes it, in chunks."""
-    chunks = []
-    append = chunks.append
-
-    def float_table(rows, level):
-        if type(rows) is not list or set(map(type, rows)) != {list}:
-            return False
-        widths = set(map(len, rows))
-        if len(widths) != 1 or 0 in widths:
-            return False
-        flat = list(itertools.chain.from_iterable(rows))
-        if set(map(type, flat)) != {float}:
-            return False
-        total = sum(flat)
-        if total - total != 0.0:  # a NaN or an infinity (or an overflowing sum)
-            return False
-        append(_table_template(len(rows), len(rows[0]), level) % tuple(flat))
-        return True
-
-    def key_text(key):
-        text = key if isinstance(key, str) else _json_scalar(key)
-        if text is None:
-            raise TypeError(
-                f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
-            )
-        return _ESCAPE(text)
-
-    def encode(o, level):
-        scalar = _json_scalar(o)
-        if scalar is not None:
-            append(scalar)
-        elif isinstance(o, str):
-            append(_ESCAPE(o))
-        elif isinstance(o, (list, tuple)):
-            if not o:
-                append("[]")
-            elif not float_table(o, level):
-                first, comma, close = _layout(level)
-                append("[")
-                for i, item in enumerate(o):
-                    append(comma if i else first)
-                    encode(item, level + 1)
-                append(close + "]")
-        elif isinstance(o, dict):
-            if not o:
-                append("{}")
-            else:
-                first, comma, close = _layout(level)
-                append("{")
-                for i, (key, value) in enumerate(o.items()):
-                    append((comma if i else first) + key_text(key) + ": ")
-                    encode(value, level + 1)
-                append(close + "}")
-        elif callable(o):
-            chunks.extend(o(level))
+    if not isinstance(payload, dict) or not any(map(callable, payload.values())):
+        return _indented(payload) + "\n"
+    chunks = ["{"]
+    for i, (key, value) in enumerate(payload.items()):
+        chunks.append(("," if i else "") + "\n  " + json.dumps(key) + ": ")
+        if callable(value):
+            chunks += value(1)
         else:
-            raise TypeError(
-                f"Object of type {o.__class__.__name__} is not JSON serializable"
-            )
-
-    encode(obj, level)
-    return chunks
+            chunks.append(_indented(value).replace("\n", "\n  "))
+    chunks.append("\n}\n")
+    return "".join(chunks)
 
 
 def _fmt_res(x):
@@ -437,7 +309,7 @@ def cmd_nullifiers(args):
             "dimension": basis.dimension,
             "borderline": basis.borderline,
             "singular_values": basis.singular_values,
-            "generators": functools.partial(_matrix_list, basis.generators),
+            "generators": _generator_table(basis.generators, k.shape[0]),
             "expressions": schwinger.display_expressions(basis.generators, labels),
         }
         _write(args, _json_dumps(payload))
@@ -686,7 +558,7 @@ def main(argv=None):
             argv = _with_config(argv, rest, config.config)
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (GnlError, OSError, json.JSONDecodeError, KeyError, IndexError) as exc:
+    except (GnlError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

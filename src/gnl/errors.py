@@ -35,7 +35,7 @@ class NonSymmetricG(GnlError):
 
 
 class NonPositiveAlpha(GnlError):
-    """Squeezing parameter must be strictly positive."""
+    """Squeezing parameter must be finite and strictly positive."""
 
 
 class IndexOutOfRange(GnlError):

@@ -247,8 +247,6 @@ def _even_sectors(k, cutoff):
 
 def _checked_k(k, cutoff):
     k = graphs.finite_square(k, "K")
-    if k.shape[0] == 0:
-        raise ShapeMismatch("K must have at least one mode")
     if cutoff % 2 != 0 or cutoff < 2:
         raise OddCutoff("cutoff must be an even integer >= 2")
     return k

@@ -79,7 +79,7 @@ def _square_complex(m, name="matrix"):
 
 
 def finite_square(m, name="K"):
-    """m as a square 2-D complex array whose entries are all finite.
+    """m as a square 2-D complex array of at least one mode, all entries finite.
 
     The one finiteness check of the package: K, G and matrix files go
     through it before any solver sees them.
@@ -87,12 +87,29 @@ def finite_square(m, name="K"):
     Raises
     ------
     ShapeMismatch
-        m is not square 2-D, or an entry is NaN or infinite.
+        m is not square 2-D with at least one mode, or an entry is NaN or
+        infinite.
     """
     m = _square_complex(m, name)
+    if not m.size:
+        raise ShapeMismatch(f"{name} must have at least one mode")
     if not np.isfinite(m).all():
         raise ShapeMismatch(f"{name} entries must be finite, not NaN or Infinity")
     return m
+
+
+def check_alpha(alpha, name="alpha"):
+    """The one squeezing-parameter check: alpha must be finite and > 0.
+
+    Raises
+    ------
+    NonPositiveAlpha
+        alpha is zero, negative, infinite or NaN.
+    """
+    if not alpha > 0:
+        raise NonPositiveAlpha(f"{name} must be > 0")
+    if not alpha < np.inf:
+        raise NonPositiveAlpha(f"{name} must be finite")
 
 
 def _symmetrize(k):
@@ -247,23 +264,23 @@ def hgraph_k(g, alpha):
     Parameters
     ----------
     g : (n, n) array_like, real symmetric
-    alpha : float > 0
+    alpha : float, finite and > 0
         Overall squeezing parameter.
 
     Raises
     ------
     ShapeMismatch
-        G is not square 2-D or has a NaN or infinite entry.
+        G is not square 2-D with at least one mode, or has a NaN or
+        infinite entry.
     NonSymmetricG, NonPositiveAlpha
     """
     g = finite_square(g, "G")
-    if g.size and np.max(np.abs(g.imag)) > TOL_SYM:
+    if np.max(np.abs(g.imag)) > TOL_SYM:
         raise NonSymmetricG("G must be real")
     g = g.real
-    if g.size and np.max(np.abs(g - g.T)) > TOL_SYM:
+    if np.max(np.abs(g - g.T)) > TOL_SYM:
         raise NonSymmetricG("G is not symmetric within tolerance")
-    if not alpha > 0:
-        raise NonPositiveAlpha("alpha must be > 0")
+    check_alpha(alpha)
     vals, vecs = np.linalg.eigh(0.5 * (g + g.T))
     k = (vecs * np.tanh(alpha * vals)) @ vecs.T
     return _symmetrize(k.astype(complex))
@@ -271,8 +288,7 @@ def hgraph_k(g, alpha):
 
 def tms_k(alpha):
     """Two-mode squeezed vacuum: K = tanh(alpha) * sigma_x (2 x 2)."""
-    if not alpha > 0:
-        raise NonPositiveAlpha("alpha must be > 0")
+    check_alpha(alpha)
     t = np.tanh(alpha)
     return np.array([[0.0, t], [t, 0.0]], dtype=complex)
 
@@ -294,7 +310,7 @@ def matrix_from_json(obj):
     Raises
     ------
     ShapeMismatch
-        The value is not an object with an integer n >= 0 and n*n
+        The value is not an object with an integer n >= 1 and n*n
         ``[re, im]`` entries, or an entry is NaN or infinite.
     """
     if isinstance(obj, str):
@@ -306,8 +322,8 @@ def matrix_from_json(obj):
         raise ShapeMismatch(
             f"matrix JSON needs n and entries of [re, im] pairs: {exc}"
         ) from None
-    if type(n) is not int or n < 0:
-        raise ShapeMismatch(f"matrix JSON needs an integer n >= 0, got {n!r}")
+    if type(n) is not int or n < 1:
+        raise ShapeMismatch(f"matrix JSON needs an integer n >= 1, got {n!r}")
     if len(entries) != n * n:
         raise ShapeMismatch(f"expected {n * n} entries, got {len(entries)}")
     return finite_square(flat.reshape(n, n), "matrix JSON")

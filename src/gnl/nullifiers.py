@@ -264,7 +264,8 @@ def nullifier_space(k):
     Raises
     ------
     ShapeMismatch
-        K is not square, or has a NaN or infinite entry.
+        K is not square with at least one mode, or has a NaN or infinite
+        entry.
     KernelTooLarge
         Before the kernel is built, if its working arrays would take more
         than MAX_KERNEL_BYTES.

@@ -132,6 +132,9 @@ def expression_to_matrix(expr):
 
 
 def _check_hermitian(m, what):
+    # a NaN entry would pass the tolerance test below: nan > TOL_HERM is False
+    if not np.isfinite(m).all():
+        raise NonHermitian(f"{what} has a NaN or infinite entry")
     if m.size and np.max(np.abs(m - m.conj().swapaxes(-1, -2))) > TOL_HERM:
         raise NonHermitian(f"{what} is not Hermitian within tolerance")
 

@@ -24,7 +24,6 @@ import numpy as np
 from . import graphs, schwinger
 from .errors import (
     BadPairing,
-    NonPositiveAlpha,
     OddSpinCount,
     IndexOutOfRange,
     SpanTooLong,
@@ -80,11 +79,9 @@ def tms_pair(alpha, alpha_second=None):
     spin-pair nullifiers below only hold when both edges are squeezed
     equally.
     """
-    if not alpha > 0:
-        raise NonPositiveAlpha("alpha must be > 0")
+    graphs.check_alpha(alpha)
     a2 = alpha if alpha_second is None else alpha_second
-    if not a2 > 0:
-        raise NonPositiveAlpha("alpha_second must be > 0")
+    graphs.check_alpha(a2, "alpha_second")
     k = np.zeros((4, 4), dtype=complex)
     k[0, 1] = k[1, 0] = np.tanh(alpha)
     k[2, 3] = k[3, 2] = np.tanh(a2)
@@ -130,8 +127,7 @@ def four_mode_symmetries(alpha):
     Each expression M passes the nullifier test against tms_pair(alpha), so
     exp(-i theta adag M a) leaves the state invariant for every theta.
     """
-    if not alpha > 0:
-        raise NonPositiveAlpha("alpha must be > 0")
+    graphs.check_alpha(alpha)
     return list(zip(tms_pair_nullifiers()[:3], _SYMMETRY_NOTES))
 
 
@@ -161,8 +157,7 @@ def bell_analogue(variant, alpha):
         raise UnknownVariant(
             f"variant {variant!r} not in {', '.join(BELL_VARIANTS)}"
         )
-    if not alpha > 0:
-        raise NonPositiveAlpha("alpha must be > 0")
+    graphs.check_alpha(alpha)
     k = tms_pair(alpha)
     if variant != "phi+":
         k = graphs.phase_shift(k, [0.0, 0.0, np.pi, 0.0])
@@ -219,8 +214,7 @@ class WireLayout:
     def __post_init__(self):
         if self.n_spins < 2:
             raise TooFewSpins("a wire needs at least 2 spins")
-        if not self.alpha > 0:
-            raise NonPositiveAlpha("alpha must be > 0")
+        graphs.check_alpha(self.alpha)
 
     @property
     def n_modes(self):

@@ -1,12 +1,12 @@
 """Command-line surface: payload shapes, exit codes, config handling."""
 
-import functools
 import json
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -291,13 +291,20 @@ _STACK_POOL = st.lists(
 )
 
 
+# numbers per block of the table writer: one record per block, a few
+# records, and the default
+_BLOCKS = st.sampled_from([1, 100, cli.BLOCK])
+
+
 @st.composite
 def _generator_stacks(draw):
-    """(dim, n, n) complex stacks: all zero, fully dense, or drawn from a
-    small pool of values mixed with zeros; dim 0 and dims across blocks."""
+    """(block, stack): a writer block size and a (dim, n, n) complex stack, all
+    zero, fully dense, or drawn from a small pool of values mixed with zeros;
+    dim 0 and dims across blocks."""
     n = draw(st.integers(1, 4))
-    block = cli.MATRIX_BLOCK
-    dim = draw(st.sampled_from([0, 1, 2, 5]) | st.integers(block - 1, 2 * block + 1))
+    block = draw(_BLOCKS)
+    rows = max(1, block // (2 * n * n))  # generators per block
+    dim = draw(st.sampled_from([0, 1, 2, 5]) | st.integers(rows - 1, 2 * rows + 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["zero", "dense", "pool"]))
     if kind == "zero":
@@ -307,33 +314,34 @@ def _generator_stacks(draw):
     else:
         pool = np.array(draw(_STACK_POOL) + [0.0])
         parts = rng.choice(pool, (dim, n, n, 2))
-    return parts[..., 0] + 1j * parts[..., 1]
+    # a view, not re + 1j * im: 1j * inf would turn the real part into NaN
+    return block, parts.view(complex)[..., 0]
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(stack=_generator_stacks(), depth=st.integers(0, 2), as_list=st.booleans())
-def test_generator_stack_writer_matches_the_per_matrix_payload(stack, depth, as_list):
+@given(drawn=_generator_stacks(), as_list=st.booleans())
+def test_generator_stack_writer_matches_the_per_matrix_payload(drawn, as_list):
+    block, stack = drawn
     generators = list(stack) if as_list else stack
-    new = functools.partial(cli._matrix_list, generators)
-    old = [graphs.matrix_to_json(g) for g in stack]
-    for _ in range(depth):  # the nullifiers payload holds the stack at depth 1
-        new, old = {"generators": new, "n": 1}, {"generators": old, "n": 1}
-    assert cli._json_dumps(new) == json.dumps(old, indent=2) + "\n"
+    # the nullifiers payload holds the stack as a top-level value
+    new = {"generators": cli._generator_table(generators, stack.shape[1]), "n": 1}
+    old = {"generators": [graphs.matrix_to_json(g) for g in stack], "n": 1}
+    with mock.patch.object(cli, "BLOCK", block):
+        assert cli._json_dumps(new) == json.dumps(old, indent=2) + "\n"
 
 
 _ONE_ULP = np.nextafter(0.1, 1.0)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(v=fock_vectors(), depth=st.integers(0, 2))
-@example(v=fock.FockVector(1, 600, {(300,): complex(0.1, -0.0), (256,): complex(_ONE_ULP, 0.0)}), depth=1)
-@example(v=fock.FockVector(2, 4, {(1, 1): complex(float("nan"), float("inf")), (0, 2): 1.0}), depth=0)
-@example(v=fock.FockVector(3, 4, {(0, 0, 2): 1e-15 + 0j}), depth=2)
-def test_oracle_writer_matches_the_stdlib_payload(v, depth):
+@given(v=fock_vectors(), block=_BLOCKS)
+@example(v=fock.FockVector(1, 600, {(300,): complex(0.1, -0.0), (256,): complex(_ONE_ULP, 0.0)}), block=1)
+@example(v=fock.FockVector(2, 4, {(1, 1): complex(float("nan"), float("inf")), (0, 2): 1.0}), block=8)
+@example(v=fock.FockVector(3, 4, {(0, 0, 2): 1e-15 + 0j}), block=cli.BLOCK)
+def test_oracle_writer_matches_the_stdlib_payload(v, block):
     new, old = cli._fock_payload(v), fock.fock_to_json(v)
-    for _ in range(depth):  # the writer must hold its layout at any depth
-        new, old = {"oracle": new, "n": 1}, {"oracle": old, "n": 1}
-    assert cli._json_dumps(new) == json.dumps(old, indent=2) + "\n"
+    with mock.patch.object(cli, "BLOCK", block):
+        assert cli._json_dumps(new) == json.dumps(old, indent=2) + "\n"
 
 
 def test_bad_inputs_exit_with_2(capsys):
@@ -538,6 +546,63 @@ def test_non_finite_matrix_files_exit_with_2(command, value, tmp_path, capsys):
     path.write_text(f'{{"n": 2, "entries": [[0, 0], [{value}, 0], [{value}, 0], [0, 0]]}}')
     argv = (command, "hgraph", "--g", str(path), "--format", "text")
     _assert_input_error(*run(capsys, *argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["state", "tms", "--format", "text"],
+        ["state", "tms-pair", "--format", "text"],
+        ["state", "wire", "--spins", "3", "--format", "text"],
+        ["oracle", "tms", "--cutoff", "4"],
+    ],
+)
+def test_infinite_alpha_exits_with_2(argv, capsys):
+    # state printed "spectral norm 1" and oracle flat amplitudes of 5.77e-01
+    rc, out, err = run(capsys, *argv, "--alpha", "inf")
+    _assert_input_error(rc, out, err)
+    assert "alpha must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["state", "hgraph", "--format", "text"], ["nullifiers", "hgraph"]]
+)
+def test_zero_mode_matrix_files_exit_with_2(argv, tmp_path, capsys):
+    # state died in a ValueError traceback; nullifiers printed numpy's
+    # "index -1 is out of bounds"
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 0, "entries": []}')
+    rc, out, err = run(capsys, *argv, "--g", str(path))
+    _assert_input_error(rc, out, err)
+    assert "n >= 1" in err
+
+
+# one command line of every JSON output; {g} is a matrix file
+_JSON_COMMANDS = {
+    "state": ["state", "wire", "--spins", "3"],
+    "nullifiers-wire": ["nullifiers", "wire", "--spins", "3"],
+    "nullifiers-tms-pair": ["nullifiers", "tms-pair"],
+    "nullifiers-hgraph": ["nullifiers", "hgraph", "--g", "{g}"],
+    "check-pass": ["check", "tms", "--gen", "z", "--cutoff", "4"],
+    "check-fail": ["check", "tms", "--gen", "x"],
+    "twomode": ["twomode", "--coeffs", "0", "0", "0", "1"],
+    "oracle-tms": ["oracle", "tms", "--cutoff", "6"],
+    "oracle-bell": ["oracle", "bell:psi-", "--cutoff", "4"],
+}
+
+
+@pytest.mark.parametrize("name", list(_JSON_COMMANDS))
+def test_json_output_is_the_indented_stdlib_layout(name, tmp_path, capsys):
+    # G with distinct nonzero eigenvalues: the hgraph has no passive symmetry
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graphs.matrix_to_json(np.array([[0.3, 1.0], [1.0, 0.0]]))))
+    argv = [arg.format(g=path) for arg in _JSON_COMMANDS[name]]
+    rc, out, err = run(capsys, *argv, "--format", "json")
+    assert rc in (0, 1) and err == ""
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2) + "\n"
+    if name == "nullifiers-hgraph":
+        assert payload["dimension"] == 0 and payload["generators"] == []
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])

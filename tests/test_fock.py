@@ -74,6 +74,8 @@ def test_state_from_k_input_guards():
         fock.state_from_k(np.zeros((2, 2)), 0)
     with pytest.raises(ShapeMismatch):
         fock.state_from_k(np.zeros((2, 3)), 4)
+    with pytest.raises(ShapeMismatch):
+        fock.state_from_k(np.zeros((0, 0)), 4)
     with pytest.raises(InconsistentRecursion):
         fock.state_from_k(np.array([[0.0, 0.5], [0.2, 0.0]]), 4)
 

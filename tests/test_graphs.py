@@ -225,8 +225,11 @@ def test_hgraph_rejects_bad_inputs():
         graphs.hgraph_k(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5)
     with pytest.raises(NonSymmetricG):
         graphs.hgraph_k(SX + 0.1j * np.eye(2), 0.5)
-    with pytest.raises(NonPositiveAlpha):
-        graphs.hgraph_k(SX, 0.0)
+    with pytest.raises(ShapeMismatch):
+        graphs.hgraph_k(np.zeros((0, 0)), 0.5)
+    for alpha in (0.0, np.inf):
+        with pytest.raises(NonPositiveAlpha):
+            graphs.hgraph_k(SX, alpha)
 
 
 def test_tms_k_values_and_norm():
@@ -237,8 +240,9 @@ def test_tms_k_values_and_norm():
     assert np.max(np.abs(graphs.tms_k(1e-8))) < 2e-8
     for a in (0.1, 1.0, 3.0):
         assert abs(np.linalg.norm(graphs.tms_k(a), 2) - np.tanh(a)) < 1e-12
-    with pytest.raises(NonPositiveAlpha):
-        graphs.tms_k(-1.0)
+    for alpha in (-1.0, np.inf):
+        with pytest.raises(NonPositiveAlpha):
+            graphs.tms_k(alpha)
 
 
 def test_matrix_json_round_trip():
@@ -267,6 +271,7 @@ def test_matrix_from_json_checks_entry_count():
         {"n": 1, "entries": [[float("nan"), 0.0]]},
         {"n": 1, "entries": [[0.0, float("-inf")]]},
         '{"n": 1, "entries": [[Infinity, 0]]}',
+        {"n": 0, "entries": []},
     ],
 )
 def test_matrix_from_json_rejects_malformed_input(obj):

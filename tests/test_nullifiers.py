@@ -24,6 +24,7 @@ from gnl.errors import (
     InvalidBlockShape,
     KernelTooLarge,
     NonCommutingD,
+    NonHermitian,
     ShapeMismatch,
 )
 
@@ -458,6 +459,12 @@ def test_verify_symmetry_diagonalizes_once_and_matches_the_unitary_loop(seed, mo
 def test_verify_symmetry_shape_guard():
     with pytest.raises(ShapeMismatch):
         nullifiers.verify_symmetry(np.zeros((2, 2)), np.eye(3), [0.1])
+
+
+def test_verify_symmetry_rejects_a_nan_generator():
+    # it returned a deviation of nan, which no tolerance test rejects
+    with pytest.raises(NonHermitian):
+        nullifiers.verify_symmetry(graphs.tms_k(0.5), np.full((2, 2), np.nan), [0.1])
 
 
 def test_residual_lower_bounds_the_fock_residual():

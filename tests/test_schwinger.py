@@ -241,6 +241,20 @@ def test_generator_to_unitary_rejects_non_hermitian():
         schwinger.generator_to_unitary(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.3)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_unitary_path_rejects_a_non_finite_generator(value):
+    # nan > TOL_HERM is False, so a NaN generator gave a NaN unitary
+    with pytest.raises(NonHermitian):
+        schwinger.unitary_path(np.full((2, 2), value))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_display_expressions_rejects_a_non_finite_generator(value):
+    # the NaN generator displayed as "0"
+    with pytest.raises(NonHermitian):
+        schwinger.display_expressions([np.full((2, 2), value)])
+
+
 def test_expression_json_round_trip():
     expr = SchwingerExpression(
         5, [SchwingerTerm("x", (1, 3), 1.0), SchwingerTerm("x", (2, 4), -1.0)]

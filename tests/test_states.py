@@ -35,10 +35,11 @@ def test_tms_pair_edges():
     expected[0, 1] = expected[1, 0] = t
     expected[2, 3] = expected[3, 2] = t
     assert np.array_equal(k, expected)
-    with pytest.raises(NonPositiveAlpha):
-        states.tms_pair(0.0)
-    with pytest.raises(NonPositiveAlpha):
-        states.tms_pair(0.5, alpha_second=-0.1)
+    for alpha in (0.0, -0.1, np.inf):
+        with pytest.raises(NonPositiveAlpha):
+            states.tms_pair(alpha)
+        with pytest.raises(NonPositiveAlpha):
+            states.tms_pair(0.5, alpha_second=alpha)
 
 
 def test_tms_pair_nullifiers_all_pass():
@@ -147,8 +148,9 @@ def test_bell_edge_structure():
 def test_bell_unknown_variant():
     with pytest.raises(UnknownVariant):
         states.bell_analogue("omega", 0.5)
-    with pytest.raises(NonPositiveAlpha):
-        states.bell_analogue("phi+", 0.0)
+    for alpha in (0.0, np.inf):
+        with pytest.raises(NonPositiveAlpha):
+            states.bell_analogue("phi+", alpha)
 
 
 def test_wire_layout_indexing_and_labels():
@@ -164,8 +166,9 @@ def test_wire_layout_indexing_and_labels():
         layout.mode_index(0, "c")
     with pytest.raises(TooFewSpins):
         states.WireLayout(1, 0.5)
-    with pytest.raises(NonPositiveAlpha):
-        states.WireLayout(3, 0.0)
+    for alpha in (0.0, np.inf):
+        with pytest.raises(NonPositiveAlpha):
+            states.WireLayout(3, alpha)
 
 
 def test_wire_distributed_edges():
