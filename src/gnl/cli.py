@@ -48,8 +48,8 @@ from .errors import BadSpec, GnlError, IndexOutOfRange
 
 TEXT_HEADER = "gnl-report v1"
 
-# check thresholds: algebraic criterion, exponentiated symmetry, Fock oracle
-CHECK_TOL_NULL = 1e-10
+# check thresholds past the algebraic criterion (nullifiers.TOL_NULL):
+# exponentiated symmetry and Fock oracle
 CHECK_TOL_SYM = 1e-9
 CHECK_TOL_FOCK = 1e-8
 
@@ -353,11 +353,7 @@ def cmd_check(args):
     grid = np.linspace(0.0, 2.0 * np.pi, args.theta_points)
     dev = nullifiers.verify_symmetry(k, m, grid)
     fres = fock.nullifier_residual(m, k, args.cutoff)
-    passed = (
-        residual <= CHECK_TOL_NULL
-        and dev <= CHECK_TOL_SYM
-        and fres <= CHECK_TOL_FOCK
-    )
+    passed = dev <= CHECK_TOL_SYM and fres <= CHECK_TOL_FOCK
     if args.format == "json":
         payload = {
             "state": args.state,

@@ -76,13 +76,6 @@ class FockVector:
     def norm(self):
         return float(np.sqrt(sum(abs(c) ** 2 for c in self.amplitudes.values())))
 
-    def normalize(self):
-        """Scale to unit norm in place and return self."""
-        nrm = self.norm()
-        if nrm > 0:
-            self.amplitudes = {k: v / nrm for k, v in self.amplitudes.items()}
-        return self
-
     def amplitude(self, occ):
         return self.amplitudes.get(tuple(occ), 0.0 + 0.0j)
 
@@ -253,8 +246,9 @@ def _checked_k(k, cutoff):
 
 
 def _checked_m(m, n):
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape != (n, n):
+    # shape and finiteness only: a non-Hermitian M is a valid operator here
+    m = graphs.finite_square(m, "M")
+    if m.shape != (n, n):
         raise ShapeMismatch(f"M shape {m.shape} does not match {n} modes")
     return m
 
@@ -307,6 +301,12 @@ def apply_quadratic(m, v):
     Exact within each photon-number sector (these operators never leave a
     sector, so the truncation does not leak).  Entries that come out
     exactly zero are left out.
+
+    Raises
+    ------
+    ShapeMismatch
+        M is not (n, n) for the n modes of v, or has a NaN or infinite
+        entry.
     """
     m = _checked_m(m, v.n_modes)
     by_total = {}
@@ -332,6 +332,14 @@ def nullifier_residual(m, k, cutoff):
     Sector-exact: true nullifiers give rounding-level residuals at any even
     cutoff >= 2, with no cutoff artifact.  The sectors are streamed: the
     state is never held whole.
+
+    Raises
+    ------
+    ShapeMismatch
+        K is not square 2-D with at least one mode, M is not of its shape,
+        or an entry of either is NaN or infinite.
+    OddCutoff, FockTooLarge, InconsistentRecursion
+        As :func:`state_from_k`.
     """
     k = _checked_k(k, cutoff)
     m = _checked_m(m, k.shape[0])

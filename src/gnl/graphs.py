@@ -11,6 +11,11 @@ This module converts between the two pictures, validates them, and applies
 passive (photon-number-conserving) mode transformations.  Under b = W a the
 adjacency matrix transforms as K' = W K W^T, which reduces to
 K' = e^{-i Theta} K e^{-i Theta} for pure phase shifts.
+
+It also holds the input policy of the package, one gate per kind of
+operand: :func:`finite_square` for square matrices, :func:`unitary` for mode
+unitaries, :func:`finite` for every other number and :func:`check_alpha`
+for the squeezing parameter.
 """
 
 import json
@@ -78,11 +83,34 @@ def _square_complex(m, name="matrix"):
     return m
 
 
+def finite(x, name, dtype=float):
+    """x as an array of dtype with every entry finite.
+
+    The finiteness rule of every number a solver reads, applied once, before
+    any arithmetic: here for vectors, coefficients and rectangular blocks,
+    through :func:`finite_square` for square matrices.  A tolerance test
+    cannot take its place, because ``nan > tol`` is False.  (A generator is
+    checked by ``schwinger._check_hermitian``, which reports a non-finite
+    one as NonHermitian.)
+
+    Raises
+    ------
+    ShapeMismatch
+        An entry is NaN or infinite.
+    """
+    x = np.asarray(x, dtype=dtype)
+    if not np.isfinite(x).all():
+        raise ShapeMismatch(f"{name} entries must be finite, not NaN or Infinity")
+    return x
+
+
 def finite_square(m, name="K"):
     """m as a square 2-D complex array of at least one mode, all entries finite.
 
-    The one finiteness check of the package: K, G and matrix files go
-    through it before any solver sees them.
+    The gate of every square matrix a solver reads: K, Z, G, the M of the
+    Fock oracle, :func:`schwinger.matrix_to_expression` and
+    :func:`schwinger.change_basis`, a mode unitary W (see :func:`unitary`)
+    and matrix files.
 
     Raises
     ------
@@ -93,9 +121,28 @@ def finite_square(m, name="K"):
     m = _square_complex(m, name)
     if not m.size:
         raise ShapeMismatch(f"{name} must have at least one mode")
-    if not np.isfinite(m).all():
-        raise ShapeMismatch(f"{name} entries must be finite, not NaN or Infinity")
-    return m
+    return finite(m, name, complex)
+
+
+def unitary(w, n):
+    """w as an n-mode unitary: :func:`finite_square`, shape (n, n), W W^H = I.
+
+    The one unitarity gate, for the mode maps of :func:`passive_transform`
+    and :func:`schwinger.change_basis`.
+
+    Raises
+    ------
+    ShapeMismatch
+        W is not a finite (n, n) matrix.
+    NonUnitary
+        If max |W W^H - I| > 1e-10.
+    """
+    w = finite_square(w, "W")
+    if w.shape != (n, n):
+        raise ShapeMismatch(f"W shape {w.shape} does not match {n} modes")
+    if np.max(np.abs(w @ w.conj().T - np.eye(n))) > 1e-10:
+        raise NonUnitary("W is not unitary within 1e-10")
+    return w
 
 
 def check_alpha(alpha, name="alpha"):
@@ -132,9 +179,12 @@ def z_to_k(z):
 
     Raises
     ------
+    ShapeMismatch
+        Z is not square 2-D with at least one mode, or has a NaN or
+        infinite entry.
     NonSymmetric, NonPositiveU, SingularSolve
     """
-    z = _square_complex(z, "Z")
+    z = finite_square(z, "Z")
     if np.max(np.abs(z - z.T)) > TOL_SYM:
         raise NonSymmetric("Z is not symmetric within tolerance")
     u = 0.5 * (z.imag + z.imag.T)
@@ -155,10 +205,13 @@ def k_to_z(k):
 
     Raises
     ------
+    ShapeMismatch
+        K is not square 2-D with at least one mode, or has a NaN or
+        infinite entry.
     NormAtOrAboveOne
         If the spectral norm of K is not strictly below 1 - TOL_EDGE.
     """
-    k = _square_complex(k, "K")
+    k = finite_square(k, "K")
     if np.linalg.norm(k, 2) >= 1.0 - TOL_EDGE:
         raise NormAtOrAboveOne("spectral norm of K is at or above the edge")
     n = k.shape[0]
@@ -176,8 +229,15 @@ def u_from_k(k):
     Uses U = (I + K)^{-1} (I - K K*) (I + K*)^{-1}, which is Hermitian and,
     for symmetric K, real symmetric up to rounding.  The returned matrix is
     the real symmetric part; it is positive definite exactly when ||K|| < 1.
+
+    Raises
+    ------
+    ShapeMismatch
+        K is not square 2-D with at least one mode, or has a NaN or
+        infinite entry.
+    SingularSolve
     """
-    k = _square_complex(k, "K")
+    k = finite_square(k, "K")
     n = k.shape[0]
     eye = np.eye(n)
     try:
@@ -193,24 +253,25 @@ def validate(k):
     """Build a :class:`ValidationReport` for a candidate K.
 
     An invalid K is reported, not rejected; only input that is not a square
-    2-D matrix raises.  A K with a NaN or infinite entry is invalid, and
-    its symmetric defect, spectral norm and min_eig_U are all NaN.
+    2-D matrix of at least one mode raises.  A K with a NaN or infinite
+    entry is invalid, and its symmetric defect, spectral norm and min_eig_U
+    are all NaN.
 
     Raises
     ------
     ShapeMismatch
-        K is not square 2-D.
+        K is not square 2-D with at least one mode (from :func:`u_from_k`).
     """
     k = _square_complex(k, "K")
     if not np.isfinite(k).all():
         nan = float("nan")
         return ValidationReport(nan, nan, nan, False)
-    defect = float(np.max(np.abs(k - k.T))) if k.size else 0.0
-    norm = float(np.linalg.norm(k, 2)) if k.size else 0.0
     try:
         min_eig = float(np.linalg.eigvalsh(u_from_k(k)).min())
     except SingularSolve:
         min_eig = float("nan")
+    defect = float(np.max(np.abs(k - k.T)))
+    norm = float(np.linalg.norm(k, 2))
     is_valid = defect <= TOL_SYM and norm < 1.0 - TOL_EDGE
     return ValidationReport(defect, norm, min_eig, is_valid)
 
@@ -222,9 +283,15 @@ def phase_shift(k, thetas):
     ----------
     k : (n, n) array_like
     thetas : (n,) array_like of reals
+
+    Raises
+    ------
+    ShapeMismatch
+        K is not square 2-D with at least one mode, there are not n angles,
+        or an entry of either is NaN or infinite.
     """
-    k = _square_complex(k, "K")
-    thetas = np.asarray(thetas, dtype=float)
+    k = finite_square(k, "K")
+    thetas = finite(thetas, "phase angles")
     if thetas.shape != (k.shape[0],):
         raise ShapeMismatch(
             f"need {k.shape[0]} phase angles, got shape {thetas.shape}"
@@ -241,15 +308,14 @@ def passive_transform(k, w):
 
     Raises
     ------
+    ShapeMismatch
+        K or W is not square 2-D with at least one mode, their shapes
+        differ, or an entry is NaN or infinite.
     NonUnitary
         If max |W W^H - I| > 1e-10.
     """
-    k = _square_complex(k, "K")
-    w = _square_complex(w, "W")
-    if w.shape != k.shape:
-        raise ShapeMismatch(f"W shape {w.shape} does not match K {k.shape}")
-    if np.max(np.abs(w @ w.conj().T - np.eye(w.shape[0]))) > 1e-10:
-        raise NonUnitary("W is not unitary within 1e-10")
+    k = finite_square(k, "K")
+    w = unitary(w, k.shape[0])
     return _symmetrize(w @ k @ w.T)
 
 
@@ -258,8 +324,9 @@ def hgraph_k(g, alpha):
 
     The matrix function is evaluated through the real symmetric
     eigendecomposition of G (tanh applied to eigenvalues), so it is valid for
-    every alpha; no series expansion is involved.  For self-inverse G
-    (G^2 = I) this collapses to tanh(alpha) * G since the eigenvalues are +-1.
+    every finite alpha and G, with no overflow; no series expansion is
+    involved.  For self-inverse G (G^2 = I) this collapses to
+    tanh(alpha) * G since the eigenvalues are +-1.
 
     Parameters
     ----------
@@ -277,12 +344,15 @@ def hgraph_k(g, alpha):
     g = finite_square(g, "G")
     if np.max(np.abs(g.imag)) > TOL_SYM:
         raise NonSymmetricG("G must be real")
-    g = g.real
-    if np.max(np.abs(g - g.T)) > TOL_SYM:
+    # G is halved before any sum and alpha * eigenvalue clipped where tanh is
+    # exactly +-1 already, so no finite G or alpha overflows
+    half = 0.5 * g.real
+    if np.max(np.abs(half - half.T)) > 0.5 * TOL_SYM:
         raise NonSymmetricG("G is not symmetric within tolerance")
     check_alpha(alpha)
-    vals, vecs = np.linalg.eigh(0.5 * (g + g.T))
-    k = (vecs * np.tanh(alpha * vals)) @ vecs.T
+    vals, vecs = np.linalg.eigh(half + half.T)
+    limit = 20.0 / float(alpha)
+    k = (vecs * np.tanh(alpha * np.clip(vals, -limit, limit))) @ vecs.T
     return _symmetrize(k.astype(complex))
 
 

@@ -83,15 +83,22 @@ class TwoModeClass:
     dimension: int
 
 
-def is_nullifier(m, k, tol=TOL_NULL):
+def is_nullifier(m, k):
     """Antisymmetry test: does adag M a annihilate the state of K?
 
     m is one (n, n) matrix or a (d, n, n) stack of them, tested together.
+    A matrix passes when its residual is at most TOL_NULL; a NaN residual
+    fails.
 
     Returns
     -------
     (bool, float), or for a stack (bool array, float array)
         The verdict and the residual max |MK + (MK)^T| of each matrix.
+
+    Raises
+    ------
+    ShapeMismatch
+        K is not square 2-D, or m is not one matrix or a stack of K's shape.
     """
     m = np.asarray(m, dtype=complex)
     k = np.asarray(k, dtype=complex)
@@ -101,8 +108,8 @@ def is_nullifier(m, k, tol=TOL_NULL):
     mk = m @ k
     residual = np.abs(mk + mk.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
     if m.ndim == 2:
-        return bool(residual <= tol), float(residual)
-    return residual <= tol, residual
+        return bool(residual <= TOL_NULL), float(residual)
+    return residual <= TOL_NULL, residual
 
 
 def _snap_rows(w, tol_zero=1e-13, tol_tie=1e-9):
@@ -327,7 +334,7 @@ def nullifier_space(k):
 
 
 def _as_block_diag(d, size, name):
-    d = np.asarray(d, dtype=float)
+    d = graphs.finite(d, name)
     if d.ndim == 0:
         return float(d) * np.eye(size)
     if d.ndim == 1:
@@ -359,9 +366,11 @@ def bipartite_nullifier(k0, d, d_right=None):
 
     Raises
     ------
+    ShapeMismatch
+        K0, D or d_right has a NaN or infinite entry.
     InvalidBlockShape, NonCommutingD
     """
-    k0 = np.asarray(k0, dtype=complex)
+    k0 = graphs.finite(k0, "K0", complex)
     if k0.ndim != 2:
         raise InvalidBlockShape(f"K0 must be 2-D, got {k0.ndim}-D")
     n1, n2 = k0.shape
@@ -399,16 +408,20 @@ def two_mode_invariant_class(alpha, beta, gamma, delta):
         (beta + i gamma) k11 + 2 alpha k12 + (beta - i gamma) k22 = 0
 
     The returned basis spans the solution set; the caller picks the scale
-    (solutions are rays, physical states need spectral norm < 1).
+    (solutions are rays, physical states need spectral norm < 1).  The
+    coefficients are first divided by the power of two of the largest
+    magnitude, which is exact and keeps the system from overflowing.
 
     Raises
     ------
+    ShapeMismatch
+        A coefficient is NaN or infinite.
     AllZeroCoefficients
     """
-    coeffs = np.array([alpha, beta, gamma, delta], dtype=float)
+    coeffs = graphs.finite([alpha, beta, gamma, delta], "generator coefficients")
     if np.all(coeffs == 0.0):
         raise AllZeroCoefficients("generator coefficients are all zero")
-    a, b, g, d = coeffs
+    a, b, g, d = np.ldexp(coeffs, -np.frexp(np.abs(coeffs).max())[1])
     bp = b + 1j * g
     bm = b - 1j * g
     system = np.array(
@@ -438,18 +451,22 @@ def verify_symmetry(k, m, theta_grid):
     each W is the product :func:`schwinger.generator_to_unitary` computes,
     bit for bit.
 
+    The deviation is NaN when a W is, for example when theta M overflows;
+    a NaN fails every tolerance test of it.
+
     Raises
     ------
-    ShapeMismatch, NonHermitian
+    ShapeMismatch
+        K is not square 2-D with at least one mode, M does not have its
+        shape, or an entry of K or of the grid is NaN or infinite.
+    NonHermitian
+        M has a NaN or infinite entry or is not Hermitian.
     """
-    k = np.asarray(k, dtype=complex)
-    m = np.asarray(m, dtype=complex)
-    if m.shape != k.shape:
-        raise ShapeMismatch(f"shapes {m.shape} and {k.shape} incompatible")
+    k = graphs.finite_square(k, "K")
+    if np.shape(m) != k.shape:
+        raise ShapeMismatch(f"shapes {np.shape(m)} and {k.shape} incompatible")
+    thetas = np.atleast_1d(graphs.finite(theta_grid, "theta grid")).tolist()
     unitary = unitary_path(m)
-    worst = 0.0
-    for theta in np.atleast_1d(np.asarray(theta_grid, dtype=float)):
-        w = unitary(float(theta))
-        dev = float(np.max(np.abs(w @ k @ w.T - k)))
-        worst = max(worst, dev)
-    return worst
+    devs = [np.max(np.abs(w @ k @ w.T - k)) for w in map(unitary, thetas)]
+    # np.max, not max: max(0.0, nan) is 0.0
+    return float(np.max(devs, initial=0.0))

@@ -23,13 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EqualIndices,
-    IndexOutOfRange,
-    NonHermitian,
-    NonUnitary,
-    ShapeMismatch,
-)
+from . import graphs
+from .errors import EqualIndices, IndexOutOfRange, NonHermitian, ShapeMismatch
 
 AXES = ("0", "x", "y", "z")
 
@@ -199,11 +194,12 @@ def matrix_to_expression(m):
 
     Raises
     ------
+    ShapeMismatch
+        M is not square 2-D with at least one mode, or has a NaN or
+        infinite entry.
     NonHermitian
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeMismatch(f"matrix must be square 2-D, got {m.shape}")
+    m = graphs.finite_square(m, "matrix")
     slots, table = _coefficient_table(m[None])
     terms = [
         SchwingerTerm(axis, pair, c)
@@ -268,13 +264,17 @@ def change_basis(m, w):
 
     Returns M' = W^H M W, so adag_new M' a_new is the same operator.
     Hermiticity is preserved (re-symmetrized against rounding).
+
+    Raises
+    ------
+    ShapeMismatch
+        M or W is not square 2-D with at least one mode, their shapes
+        differ, or an entry is NaN or infinite.
+    NonUnitary
+        If max |W W^H - I| > 1e-10 (see :func:`graphs.unitary`).
     """
-    m = np.asarray(m, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    if m.shape != w.shape or m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeMismatch(f"shapes {m.shape} and {w.shape} incompatible")
-    if np.max(np.abs(w @ w.conj().T - np.eye(w.shape[0]))) > 1e-10:
-        raise NonUnitary("W is not unitary within 1e-10")
+    m = graphs.finite_square(m, "M")
+    w = graphs.unitary(w, m.shape[0])
     out = w.conj().T @ m @ w
     return 0.5 * (out + out.conj().T)
 
@@ -289,11 +289,14 @@ def unitary_path(m):
 
     Raises
     ------
-    ShapeMismatch, NonHermitian
+    ShapeMismatch
+        M is not square 2-D.
+    NonHermitian
+        M has a NaN or infinite entry or is not Hermitian.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeMismatch(f"matrix must be square 2-D, got {m.shape}")
+    # the shape step lets a non-finite M through to _check_hermitian, which
+    # reports it as NonHermitian
+    m = graphs._square_complex(m, "generator")
     _check_hermitian(m, "generator")
     vals, vecs = np.linalg.eigh(m)
     vecs_h = vecs.conj().T
@@ -308,8 +311,14 @@ def generator_to_unitary(m, theta):
     """Mode unitary W = exp(-i theta M) generated by the Hamiltonian adag M a.
 
     See :func:`unitary_path`.
+
+    Raises
+    ------
+    ShapeMismatch
+        M is not square 2-D, or theta is NaN or infinite.
+    NonHermitian
     """
-    return unitary_path(m)(theta)
+    return unitary_path(m)(graphs.finite(theta, "theta"))
 
 
 # ----------------------------------------------------------------------

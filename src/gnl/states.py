@@ -105,12 +105,7 @@ def tms_pair_nullifiers():
     three generate the pair's interferometric symmetries, the last states
     that both spins carry the same total photon number.
     """
-    return [
-        _pair_expression("x", -1.0),
-        _pair_expression("y", +1.0),
-        _pair_expression("z", -1.0),
-        _pair_expression("0", -1.0),
-    ]
+    return [bell_nullifier("phi+", axis) for axis in "xyz0"]
 
 
 # what the first three tms_pair_nullifiers() expressions do to the pair

@@ -172,6 +172,40 @@ def test_twomode_all_zero_is_an_input_error(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("coeffs", [["nan", "1", "0", "0"], ["0", "inf", "0", "0"], ["0", "0", "1", "1e400"]])
+def test_non_finite_twomode_coefficients_exit_with_2(coeffs, capsys):
+    # a NaN died in numpy's LinAlgError: a traceback and exit 1
+    _assert_input_error(*run(capsys, "twomode", "--coeffs", *coeffs))
+
+
+def test_twomode_coefficients_near_the_float_limit(capsys):
+    # 2.0 * 1e308 overflowed: "dimension 0" after a RuntimeWarning
+    rc, out, err = run(capsys, "twomode", "--coeffs", "1e308", "1e308", "0", "0")
+    assert rc == 0 and err == ""
+    assert "dimension 1" in out
+
+
+def test_check_fails_when_the_symmetry_grid_overflows(tmp_path, capsys):
+    # exp(-i theta M) overflowed to NaN at the larger theta; max(0.0, nan) kept
+    # 0.0, so check passed with "symmetry dev 5.96e-17" and exit 0
+    expr = schwinger.SchwingerExpression(2, [schwinger.SchwingerTerm("z", (0, 1), 1e308)])
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps(schwinger.expression_to_json(expr)))
+    with pytest.warns(RuntimeWarning):
+        rc, out, _ = run(capsys, "check", "tms", "--gen", f"@{path}")
+    assert rc == 1
+    assert "symmetry dev nan" in out
+
+
+def test_hgraph_state_of_a_large_finite_g(tmp_path, capsys):
+    # 0.5 * (g + g.T) overflowed: "spectral norm nan", NaN edges and exit 0
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graphs.matrix_to_json(np.array([[0.0, 1e308], [1e308, 0.0]]))))
+    rc, out, err = run(capsys, "state", "hgraph", "--g", str(path), "--format", "text")
+    assert rc == 0 and err == ""
+    assert "spectral norm 1\n" in out and "nan" not in out
+
+
 def test_oracle_tms_json(capsys):
     rc, out, _ = run(capsys, "oracle", "tms", "--cutoff", "6")
     assert rc == 0

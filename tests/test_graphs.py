@@ -106,6 +106,12 @@ def test_validate_flags_asymmetry():
     assert not rep.is_valid
 
 
+def test_validate_rejects_a_zero_mode_k():
+    # an empty K died in numpy's ValueError ("zero-size array to reduction")
+    with pytest.raises(ShapeMismatch):
+        graphs.validate(np.zeros((0, 0)))
+
+
 _NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
@@ -230,6 +236,27 @@ def test_hgraph_rejects_bad_inputs():
     for alpha in (0.0, np.inf):
         with pytest.raises(NonPositiveAlpha):
             graphs.hgraph_k(SX, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0])
+def test_hgraph_k_does_not_overflow_on_a_large_finite_g(alpha):
+    # 0.5 * (g + g.T) and alpha * eigenvalue overflowed: NaN edges and a
+    # RuntimeWarning
+    k = graphs.hgraph_k(1e308 * SX, alpha)
+    assert np.max(np.abs(k - SX)) < 1e-15
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    entries=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=6, max_size=6),
+    alpha=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+def test_hgraph_k_is_finite_for_every_finite_g_and_alpha(entries, alpha):
+    g = np.zeros((3, 3))
+    g[np.triu_indices(3)] = entries
+    g = np.triu(g) + np.triu(g, 1).T
+    k = graphs.hgraph_k(g, alpha)
+    assert np.isfinite(k).all()
 
 
 def test_tms_k_values_and_norm():

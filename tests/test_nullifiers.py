@@ -273,7 +273,7 @@ import sys
 from gnl import cli, graphs, nullifiers
 from gnl.errors import SelfCheckFailed
 
-nullifiers.is_nullifier = lambda m, k, tol=nullifiers.TOL_NULL: (False, 1.0)
+nullifiers.is_nullifier = lambda m, k: (False, 1.0)
 try:
     nullifiers.nullifier_space(graphs.tms_k(0.5))
 except SelfCheckFailed as exc:
@@ -398,6 +398,26 @@ def test_two_mode_class_rejects_all_zero():
         nullifiers.two_mode_invariant_class(0.0, 0.0, 0.0, 0.0)
 
 
+def test_two_mode_class_survives_coefficients_near_the_float_limit():
+    # 2.0 * alpha overflowed in the 3x3 system: dimension 0 after a RuntimeWarning
+    big = nullifiers.two_mode_invariant_class(1e308, 1e308, 0.0, 0.0)
+    unit = nullifiers.two_mode_invariant_class(1.0, 1.0, 0.0, 0.0)
+    assert big.dimension == unit.dimension == 1
+    assert np.max(np.abs(np.array(big.basis) - unit.basis)) < 1e-15
+
+
+@pytest.mark.parametrize("exponent", [-1074 + 60, -300, -1, 1, 300, 1000])
+@pytest.mark.parametrize(
+    "coeffs", [(0.0, np.cos(0.4), np.sin(0.4), 0.0), (0.3, 1.0, -0.7, 0.2), (1.0, 1.0, 0.0, 0.0)]
+)
+def test_two_mode_class_is_exact_under_power_of_two_scaling(coeffs, exponent):
+    # the solve divides the coefficients by a power of two, which is exact
+    base = nullifiers.two_mode_invariant_class(*coeffs)
+    cls = nullifiers.two_mode_invariant_class(*np.ldexp(coeffs, exponent).tolist())
+    assert cls.dimension == base.dimension
+    assert np.array_equal(np.array(cls.basis), np.array(base.basis))
+
+
 def test_two_mode_class_members_are_nullified():
     cases = [
         (0.0, 1.0, 0.0, 0.0),
@@ -459,6 +479,15 @@ def test_verify_symmetry_diagonalizes_once_and_matches_the_unitary_loop(seed, mo
 def test_verify_symmetry_shape_guard():
     with pytest.raises(ShapeMismatch):
         nullifiers.verify_symmetry(np.zeros((2, 2)), np.eye(3), [0.1])
+
+
+def test_verify_symmetry_keeps_a_nan_deviation():
+    # max(0.0, nan) is 0.0: when exp(-i theta M) overflowed at one theta of the
+    # grid, the deviation of the others passed for the whole grid
+    m = 0.5e308 * SZ  # S^z with coefficient 1e308
+    with pytest.warns(RuntimeWarning):
+        dev = nullifiers.verify_symmetry(graphs.tms_k(0.5), m, [0.0, 2.0 * np.pi])
+    assert np.isnan(dev)
 
 
 def test_verify_symmetry_rejects_a_nan_generator():
