@@ -160,8 +160,9 @@ def check_alpha(alpha, name="alpha"):
 
 
 def _symmetrize(k):
-    # suppress floating-point drift after transforms; K stays symmetric
-    return 0.5 * (k + k.T)
+    # suppress floating-point drift after transforms; K stays symmetric.
+    # Halved before the sum, so no finite entry overflows
+    return 0.5 * k + 0.5 * k.T
 
 
 def z_to_k(z):
@@ -187,7 +188,7 @@ def z_to_k(z):
     z = finite_square(z, "Z")
     if np.max(np.abs(z - z.T)) > TOL_SYM:
         raise NonSymmetric("Z is not symmetric within tolerance")
-    u = 0.5 * (z.imag + z.imag.T)
+    u = 0.5 * z.imag + 0.5 * z.imag.T
     if np.linalg.eigvalsh(u).min() <= 0:
         raise NonPositiveU("Im(Z) is not positive definite")
     n = z.shape[0]

@@ -12,7 +12,12 @@ Everything in this module is built on that antisymmetry criterion:
   satisfying it, solved in the Takagi frame K = Q diag(s) Q^T, where the
   criterion is diagonal and its spectrum has a closed form, and made
   canonical by a greedy Gram-Schmidt over coordinate columns that runs in
-  blocks of matrix-matrix products (:func:`_canonical_basis`);
+  blocks of matrix-matrix products (:func:`_canonical_basis`).  A complex K
+  takes the complex Takagi route.  A real K takes a real route: with
+  M = R + iS (R real symmetric, S real antisymmetric) the criterion splits
+  into RK = -KR and SK = KS, so the space is the sum of an S^0/S^z/S^x half
+  and an S^y half, each solved in real arithmetic from one real
+  eigendecomposition K = O diag(lam) O^T;
 * :func:`bipartite_nullifier` constructs one analytically from the singular
   value decomposition of a bipartite block;
 * :func:`two_mode_invariant_class` inverts the question and solves for all
@@ -158,9 +163,13 @@ def _canonical_basis(kernel):
     against the block's own accepted vectors, again in two passes, and the
     block's accepted vectors are snapped together, one matrix product to the
     coordinate space and one back.
+
+    Returns the accepted rows and, for each, the coordinate index of the
+    candidate column it was accepted at (ascending).
     """
     dim, size = kernel.shape
     chosen = np.empty_like(kernel)
+    index = np.empty(dim, dtype=int)
     coords = np.empty((dim, dim), dtype=kernel.dtype)
     count = 0
     for start in range(0, size, BLOCK):
@@ -182,17 +191,20 @@ def _canonical_basis(kernel):
         new = np.empty((min(BLOCK, dim - count), dim), dtype=kernel.dtype)
         taken = 0
         # a column of norm under 1e-8 stays under it when projected further
-        for c in block.T[np.add.reduce((block.conj() * block).real, axis=0) > 1e-16]:
+        cand = np.flatnonzero(np.add.reduce((block.conj() * block).real, axis=0) > 1e-16)
+        for col, c in zip(cand, block.T[cand]):
             if taken:
-                ours = new[:taken]
-                for _ in range(2):
-                    c = c - ours.T @ (ours.conj() @ c)
+                c = c - ours.T @ (ours_h @ c)
+                c = c - ours.T @ (ours_h @ c)
             norm = math.sqrt(np.vdot(c, c).real)
             if norm > 1e-8:
                 new[taken] = c / norm
+                index[count + taken] = start + col
                 taken += 1
                 if taken == len(new):
                     break
+                ours = new[:taken]
+                ours_h = ours.conj()
         if taken:
             rows = _snap_rows(new[:taken] @ kernel)
             chosen[count:count + taken] = rows
@@ -200,7 +212,7 @@ def _canonical_basis(kernel):
             used = rows.any(axis=0)
             coords[count:count + taken] = rows[:, used] @ kernel[:, used].conj().T
             count += taken
-    return chosen[:count]
+    return chosen[:count], index[:count]
 
 
 def _kernel_rows(q, a, b, u, r, s):
@@ -227,6 +239,33 @@ def _kernel_rows(q, a, b, u, r, s):
     return rows
 
 
+def _real_kernel_rows(o, a, b, r, s, symmetric):
+    """Coordinates of the real kernel units O (E_ab +- E_ba) O^T of a real K.
+
+    The symmetric units (E_ab + E_ba, a <= b, normalized) give the real
+    symmetric part R of M, written over the diagonal units E_rr and then the
+    normalized sigma_x of each pair r < s: entry rs of R is
+    f (o_ra o_sb + o_rb o_sa) / 2 with f = 1 for a = b and sqrt(2) for
+    a < b.  The antisymmetric units (E_ab - E_ba, a < b) give the real
+    antisymmetric S of M = iS, written over the sigma_y of each pair, with
+    coordinate o_ra o_sb - o_rb o_sa (the sign of a row does not change the
+    span).  See :func:`_kernel_rows` for the canonical basis.  Rows are
+    filled BLOCK at a time.
+    """
+    n = o.shape[0]
+    rows = np.empty((len(a), n + len(r) if symmetric else len(r)))
+    for start in range(0, len(a), BLOCK):
+        part = slice(start, start + BLOCK)
+        oa, ob = o.T[a[part]], o.T[b[part]]
+        if symmetric:
+            oa = np.where(a[part] == b[part], 1.0, np.sqrt(2.0))[:, None] * oa
+            rows[part, :n] = oa * ob
+            rows[part, n:] = np.sqrt(0.5) * (oa[:, r] * ob[:, s] + oa[:, s] * ob[:, r])
+        else:
+            rows[part] = oa[:, r] * ob[:, s] - oa[:, s] * ob[:, r]
+    return rows
+
+
 def _from_coordinates(w, r, s):
     """Hermitian matrices from rows of canonical coordinates (see _kernel_rows).
 
@@ -243,6 +282,54 @@ def _from_coordinates(w, r, s):
     return m
 
 
+def _takagi_spectrum(k):
+    """Takagi vectors Q and values s of a complex symmetric K = Q diag(s) Q^T.
+
+    From one symmetric eigendecomposition of [[Re K, Im K], [Im K, -Re K]],
+    whose eigenvalues are +-s_i: each eigenvector [x; y] of an eigenvalue
+    s > TOL_KERNEL_REL s_max gives the Takagi vector x + iy, and an
+    orthonormal complement of those vectors spans the (numerical) kernel of
+    K, where s is set to 0.
+    """
+    n = k.shape[0]
+    x, y = k.real, k.imag
+    vals, vecs = np.linalg.eigh(np.vstack([np.hstack([x, y]), np.hstack([y, -x])]))
+    # the upper half of the spectrum holds every s_i; those under the cut
+    # form an ascending prefix and are the zero block of the Takagi form
+    keep = vals[n:] > TOL_KERNEL_REL * vals[-1]
+    q = vecs[:n, n:][:, keep] + 1j * vecs[n:, n:][:, keep]
+    if not keep.all():
+        q = np.hstack([np.linalg.qr(q, mode="complete")[0][:, q.shape[1]:], q])
+    return q, np.where(keep, vals[n:], 0.0)
+
+
+def _real_canonical_rows(o, in_kernel, i, j):
+    """Canonical coordinates of the kernel of a real K, one half at a time.
+
+    in_kernel marks the units of :func:`nullifier_space`'s real route: the
+    n diagonal and the pair symmetric units (the R half, supported on the
+    diagonal and sigma_x coordinates), then the pair antisymmetric units
+    (the S half, on the sigma_y coordinates).  The two halves occupy
+    disjoint coordinates, so every projector column lies in one of them and
+    the greedy basis over all coordinates is the union of each half's own,
+    in the order of the coordinates at which their vectors were accepted.
+    """
+    n, pairs = o.shape[0], len(i)
+    sym, anti = in_kernel[:n + pairs], in_kernel[n + pairs:]
+    a, b = np.concatenate([np.arange(n), i]), np.concatenate([np.arange(n), j])
+    sym_rows, sym_at = _canonical_basis(_real_kernel_rows(o, a[sym], b[sym], i, j, True))
+    anti_rows, anti_at = _canonical_basis(_real_kernel_rows(o, i[anti], j[anti], i, j, False))
+    # each half's place among all coordinates: E_rr is r, and the sigma_x and
+    # sigma_y of pair p are n + 2p and n + 2p + 1
+    sym_cols = np.concatenate([np.arange(n), n + 2 * np.arange(pairs)])
+    anti_cols = n + 1 + 2 * np.arange(pairs)
+    place = np.argsort(np.argsort(np.concatenate([sym_cols[sym_at], anti_cols[anti_at]])))
+    chosen = np.zeros((len(place), n * n))
+    chosen[place[:len(sym_at), None], sym_cols] = sym_rows
+    chosen[place[len(sym_at):, None], anti_cols] = anti_rows
+    return chosen
+
+
 def nullifier_space(k):
     """Complete space of quadratic nullifiers of K, solved in its Takagi frame.
 
@@ -253,20 +340,30 @@ def nullifier_space(k):
     sigma_x-like and sigma_y-like units on a pair i < j have s_i + s_j and
     |s_i - s_j|.  These n^2 numbers are the full spectrum of the map, and
     its kernel is spanned by the units whose value is at most
-    TOL_KERNEL_REL times the largest.
+    TOL_KERNEL_REL times the largest.  There are two routes to it:
 
-    Q and s come from one symmetric eigendecomposition of the real matrix
-    [[Re K, Im K], [Im K, -Re K]], whose eigenvalues are +-s_i: each
-    eigenvector [x; y] of an eigenvalue s > TOL_KERNEL_REL s_max gives the
-    Takagi vector x + iy, and the orthonormal complement of those vectors
-    spans the (numerical) kernel of K, where s = 0.
+    * Complex K: Q and s come from one symmetric eigendecomposition of a
+      real 2n x 2n matrix (:func:`_takagi_spectrum`), and the kernel units
+      are written straight from the columns of Q into the canonical
+      orthonormal Hermitian basis of M (see :func:`_kernel_rows`).
+    * Real K (no imaginary part): write M = R + iS with R real symmetric
+      and S real antisymmetric.  The criterion splits into RK = -KR and
+      SK = KS, and with K = O diag(lam) O^T from one real n x n
+      eigendecomposition, into (lam_a + lam_b) A_ab = 0 for the symmetric
+      units of R = O A O^T (pairs a <= b) and (lam_a - lam_b) B_ab = 0 for
+      the antisymmetric units of S = O B O^T (pairs a < b).  These are the
+      same n^2 values, as s = |lam|.  In Schwinger terms every nullifier of
+      a real K is a sum of an S^0/S^z/S^x part (R, on the diagonal and
+      sigma_x coordinates) and an S^y part (iS, on the sigma_y
+      coordinates), each a nullifier on its own.  Each half is solved in
+      real arithmetic over its own coordinates
+      (:func:`_real_canonical_rows`).
 
-    The kernel units are written straight from the columns of Q into the
-    canonical orthonormal Hermitian basis of M (see :func:`_kernel_rows`)
-    and canonicalized there by the blocked greedy Gram-Schmidt of
-    :func:`_canonical_basis`, so output is reproducible byte-for-byte across
-    runs.  Every generator is checked against the antisymmetry criterion,
-    BLOCK generators per :func:`is_nullifier` call, before it is returned.
+    Either way the kernel is canonicalized by the blocked greedy
+    Gram-Schmidt of :func:`_canonical_basis`, so output is reproducible
+    byte-for-byte across runs and, up to rounding, the same on both routes.
+    Every generator is checked against the antisymmetry criterion, BLOCK
+    generators per :func:`is_nullifier` call, before it is returned.
 
     Raises
     ------
@@ -281,16 +378,16 @@ def nullifier_space(k):
     """
     k = graphs.finite_square(k, "K")
     n = k.shape[0]
-    x, y = k.real, k.imag
-    vals, vecs = np.linalg.eigh(np.vstack([np.hstack([x, y]), np.hstack([y, -x])]))
-    # the upper half of the spectrum holds every s_i; those under the cut
-    # form an ascending prefix and are the zero block of the Takagi form
-    keep = vals[n:] > TOL_KERNEL_REL * vals[-1]
-    s = np.where(keep, vals[n:], 0.0)
-
     diag = np.arange(n)
     i, j = np.nonzero(diag[:, None] < diag)  # pairs i < j, lexicographic
-    values = np.concatenate([2.0 * s, s[i] + s[j], np.abs(s[i] - s[j])])
+    real = not k.imag.any()
+    if real:
+        lam, o = np.linalg.eigh(k.real)
+        lam = np.where(np.abs(lam) > TOL_KERNEL_REL * np.abs(lam).max(), lam, 0.0)
+        values = np.abs(np.concatenate([2.0 * lam, lam[i] + lam[j], lam[i] - lam[j]]))
+    else:
+        q, s = _takagi_spectrum(k)
+        values = np.concatenate([2.0 * s, s[i] + s[j], np.abs(s[i] - s[j])])
     tau = TOL_KERNEL_REL * values.max()
     in_kernel = values <= tau
     dim = int(np.sum(in_kernel))
@@ -312,15 +409,14 @@ def nullifier_space(k):
         if below > 0 and above / below < KERNEL_GAP_MIN:
             borderline = True
 
-    q = vecs[:n, n:][:, keep] + 1j * vecs[n:, n:][:, keep]
-    if not keep.all():
-        # the orthonormal complement of the Takagi vectors is the zero block
-        q = np.hstack([np.linalg.qr(q, mode="complete")[0][:, q.shape[1]:], q])
-    # unit A = u E_ab + conj(u) E_ba, mapped back to M = Q A Q^H
-    a = np.concatenate([diag, i, i])[in_kernel]
-    b = np.concatenate([diag, j, j])[in_kernel]
-    u = np.repeat([0.5, np.sqrt(0.5), -1j * np.sqrt(0.5)], [n, len(i), len(i)])
-    chosen = _canonical_basis(_kernel_rows(q, a, b, u[in_kernel], i, j))
+    if real:
+        chosen = _real_canonical_rows(o, in_kernel, i, j)
+    else:
+        # unit A = u E_ab + conj(u) E_ba, mapped back to M = Q A Q^H
+        a = np.concatenate([diag, i, i])[in_kernel]
+        b = np.concatenate([diag, j, j])[in_kernel]
+        u = np.repeat([0.5, np.sqrt(0.5), -1j * np.sqrt(0.5)], [n, len(i), len(i)])
+        chosen = _canonical_basis(_kernel_rows(q, a, b, u[in_kernel], i, j))[0]
 
     generators = _from_coordinates(chosen, i, j)
     for start in range(0, dim, BLOCK):
@@ -393,7 +489,7 @@ def bipartite_nullifier(k0, d, d_right=None):
     m = np.zeros((n1 + n2, n1 + n2), dtype=complex)
     m[:n1, :n1] = top
     m[n1:, n1:] = bottom
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * m + 0.5 * m.conj().T
 
 
 def two_mode_invariant_class(alpha, beta, gamma, delta):
@@ -437,7 +533,7 @@ def two_mode_invariant_class(alpha, beta, gamma, delta):
     tau = TOL_KERNEL_REL * smax
     dim = int(np.sum(sing <= tau))
     kernel = vh[3 - dim:].conj()
-    return TwoModeClass(list(_canonical_basis(kernel)), dim)
+    return TwoModeClass(list(_canonical_basis(kernel)[0]), dim)
 
 
 def verify_symmetry(k, m, theta_grid):

@@ -103,10 +103,12 @@ def reference_canonical_basis(kernel):
     coordinates and accepted when the residual norm exceeds 1e-8; each
     accepted vector is snapped on its own (entries below 1e-13 of the largest
     set to zero, renormalized, the first entry within 1e-9 of the largest
-    magnitude made real positive).
+    magnitude made real positive).  Returns the accepted vectors and the
+    column index each was accepted at.
     """
     dim, size = kernel.shape
     chosen = np.zeros_like(kernel)
+    index = []
     coords = np.zeros((dim, dim), dtype=kernel.dtype)
     count = 0
     for idx in range(size):
@@ -132,8 +134,9 @@ def reference_canonical_basis(kernel):
             w = -w
         chosen[count] = w
         coords[count] = kernel.conj() @ w
+        index.append(idx)
         count += 1
-    return chosen[:count]
+    return chosen[:count], index
 
 
 def occupation_list(n_modes, cutoff):
@@ -272,6 +275,52 @@ def reference_display_expression(m, labels=None):
         else:
             pieces.append(f" {'-' if c < 0 else '+'} {body}")
     return "".join(pieces)
+
+
+# eigenvalue levels of a real K: repeated, opposite (+-) and zero
+_LEVELS = st.sampled_from([0.0, 0.3, -0.3, 0.6, -0.6, 0.9])
+
+
+@st.composite
+def real_adjacency(draw):
+    """A real symmetric K and its nullifier dimension, counted from its eigenvalues.
+
+    K is one of: O diag(lam) O^T with random orthogonal O and lam drawn from
+    repeated, opposite and zero levels (n = 1..6); t G for an involution G,
+    a signed permutation or Q diag(+-1) Q^T with dense Q (n = 1..8); or a
+    dual-rail wire of 3-5 spins.  The dimension is the number of pairs
+    a <= b with lam_a + lam_b = 0 plus the pairs a < b with lam_a = lam_b.
+    An involution or a wire has eigenvalues +-t only, so n (n - 1) / 2.
+    """
+    from gnl import states
+
+    kind = draw(st.sampled_from(["levels", "signed", "dense", "wire"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.tanh(draw(st.floats(0.2, 1.0)))
+    if kind == "wire":
+        k = states.dual_rail_wire(states.WireLayout(draw(st.integers(3, 5)), t))
+        n = k.shape[0]
+        return k, n * (n - 1) // 2
+    if kind == "signed":
+        n = draw(st.integers(1, 8))
+        perm = rng.permutation(n)
+        swaps = int(rng.integers(0, n // 2 + 1))
+        g = np.zeros((n, n))
+        for a, b in perm[: 2 * swaps].reshape(-1, 2):
+            g[a, b] = g[b, a] = 1.0
+        for m in perm[2 * swaps:]:
+            g[m, m] = rng.choice([-1.0, 1.0])
+        return t * g, n * (n - 1) // 2
+    if kind == "dense":
+        lam = t * rng.choice([-1.0, 1.0], draw(st.integers(1, 8)))
+    else:
+        lam = np.array(draw(st.lists(_LEVELS, min_size=1, max_size=6)))
+    n = len(lam)
+    o = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    k = (o * lam) @ o.T
+    a, b = np.triu_indices(n)
+    dim = np.sum(lam[a] + lam[b] == 0.0) + np.sum((lam[a] == lam[b]) & (a < b))
+    return 0.5 * (k + k.T), int(dim)
 
 
 # amplitude parts: signed zeros, the smallest subnormal, values one ulp apart

@@ -49,6 +49,18 @@ def test_z_and_k_round_trip(seed, n, norm):
     assert np.max(np.abs(graphs.z_to_k(graphs.k_to_z(k)) - k)) <= 1e-10
 
 
+def test_z_to_k_does_not_overflow_on_a_large_finite_z():
+    # 0.5 * (U + U^T) overflowed for U = 1e308 I: a RuntimeWarning
+    k = graphs.z_to_k(1e308j * np.eye(2))
+    assert np.max(np.abs(k + np.eye(2))) < 1e-15
+
+
+def test_symmetrize_does_not_overflow_on_a_large_finite_k():
+    # _symmetrize's 0.5 * (K + K^T) overflowed: inf entries and a RuntimeWarning
+    k = graphs.passive_transform(1e308 * SX, np.eye(2))
+    assert np.array_equal(k, 1e308 * SX)
+
+
 def test_z_to_k_rejects_bad_inputs():
     with pytest.raises(NonSymmetric):
         graphs.z_to_k(np.array([[1j, 0.2], [0.0, 1j]]))

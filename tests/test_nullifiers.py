@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from conftest import (
     random_hermitian,
     random_k,
     random_unitary,
+    real_adjacency,
     reference_canonical_basis,
     reference_nullifier_space,
 )
@@ -127,9 +129,10 @@ def _kernel(seed, size, dim, kind, is_complex):
 def test_blocked_canonical_basis_matches_the_column_loop(seed, size, share, kind, is_complex):
     dim = round(share * size)
     kernel = _kernel(seed, size, dim, kind, is_complex)
-    blocked = nullifiers._canonical_basis(kernel)
-    reference = reference_canonical_basis(kernel)
+    blocked, at = nullifiers._canonical_basis(kernel)
+    reference, reference_at = reference_canonical_basis(kernel)
     assert blocked.shape == reference.shape == (dim, size)
+    assert at.tolist() == reference_at
     assert blocked.dtype == kernel.dtype
     assert np.max(np.abs(blocked - reference), initial=0.0) <= 1e-10
     gram = blocked.conj() @ blocked.T
@@ -140,6 +143,47 @@ def test_oversized_kernels_fail_before_allocating():
     n = 80  # K = 0: every Hermitian M is a nullifier, dim = n^2
     with pytest.raises(KernelTooLarge, match=r"dimension 6400 .* about 1\.6\d\de\+09 bytes"):
         nullifiers.nullifier_space(np.zeros((n, n)))
+
+
+def test_oversized_complex_kernels_fail_before_allocating():
+    # K = 0.5i I: every Takagi value is 0.5, so dim = n (n - 1) / 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(KernelTooLarge, match=r"dimension 4950 .* about 1\.780e\+09 bytes"):
+            nullifiers.nullifier_space(0.5j * np.eye(100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**24
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=real_adjacency(), phi=st.floats(0.1, 3.0))
+def test_real_route_matches_the_complex_route(case, phi):
+    # M (e^{i phi} K) = e^{i phi} M K: the phase keeps the kernel and sends K
+    # down the complex Takagi route
+    k, _ = case
+    real = nullifiers.nullifier_space(k)
+    turned = nullifiers.nullifier_space(np.exp(1j * phi) * k)
+    assert (real.dimension, real.borderline) == (turned.dimension, turned.borderline)
+    gap = np.abs(np.array(real.generators) - np.array(turned.generators))
+    assert np.max(gap, initial=0.0) <= 1e-10
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=real_adjacency())
+def test_real_route_splits_into_s0_sz_sx_and_sy_generators(case):
+    # M = R + iS is a nullifier of a real K exactly when RK = -KR and SK = KS:
+    # each generator is real symmetric (R) or imaginary antisymmetric (iS),
+    # and there is one per eigenvalue pair that cancels (R) or repeats (S)
+    k, dim = case
+    basis = nullifiers.nullifier_space(k)
+    assert basis.dimension == dim
+    for g in basis.generators:
+        if g.imag.any():
+            assert not g.real.any() and np.array_equal(g, -g.T)
+        else:
+            assert np.array_equal(g, g.T)
 
 
 def test_nullifier_space_vacuum_is_everything():
@@ -351,6 +395,12 @@ def test_bipartite_degenerate_block_admits_a_full_d_matrix():
     k[3:, :3] = k0.T
     ok, res = nullifiers.is_nullifier(m, k)
     assert ok and res < 1e-12
+
+
+def test_bipartite_does_not_overflow_on_a_large_finite_d():
+    # 0.5 * (M + M^H) overflowed: inf+nanj entries and RuntimeWarnings
+    m = nullifiers.bipartite_nullifier(0.5 * np.eye(2), 1e308)
+    assert np.array_equal(m, np.diag([1e308, 1e308, -1e308, -1e308]))
 
 
 def test_bipartite_rejects_asymmetric_d_block():
