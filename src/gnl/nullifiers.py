@@ -382,6 +382,9 @@ def nullifier_space(k):
     i, j = np.nonzero(diag[:, None] < diag)  # pairs i < j, lexicographic
     real = not k.imag.any()
     if real:
+        # eigenvalues under the cut are the zero block, as on the complex
+        # route; the values are laid out like the coordinates: diagonal,
+        # then sigma_x-like (R half), then sigma_y-like (S half) pair units
         lam, o = np.linalg.eigh(k.real)
         lam = np.where(np.abs(lam) > TOL_KERNEL_REL * np.abs(lam).max(), lam, 0.0)
         values = np.abs(np.concatenate([2.0 * lam, lam[i] + lam[j], lam[i] - lam[j]]))

@@ -296,9 +296,10 @@ def real_adjacency(draw):
 
     kind = draw(st.sampled_from(["levels", "signed", "dense", "wire"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    t = np.tanh(draw(st.floats(0.2, 1.0)))
+    alpha = draw(st.floats(0.2, 1.0))
+    t = np.tanh(alpha)
     if kind == "wire":
-        k = states.dual_rail_wire(states.WireLayout(draw(st.integers(3, 5)), t))
+        k = states.dual_rail_wire(states.WireLayout(draw(st.integers(3, 5)), alpha))
         n = k.shape[0]
         return k, n * (n - 1) // 2
     if kind == "signed":

@@ -36,13 +36,17 @@ def test_summary_counts_wins_in_each_metric_direction():
 def test_a_gain_needs_nine_wins_in_ten_and_medians_beyond_the_parent_spread():
     runs = [r for i in range(10) for r in (_run(i, "parent", 100.0 + i % 2, 4.0),
                                             _run(i, "change", 103.0, 4.0))]
-    rows = bench_pairs.summarize(runs, {"ops_per_s": "higher", "op_p50_ms": "lower"})
-    assert rows["solve seed 5"]["ops_per_s"]["gain_shown"]
-    assert not rows["solve seed 5"]["op_p50_ms"]["gain_shown"]  # ten ties
+
+    def shown(name="ops_per_s"):
+        better = {"ops_per_s": "higher", "op_p50_ms": "lower"}
+        return bench_pairs.summarize(runs, better)["solve seed 5"][name]["gain_shown"]
+
+    assert shown()
+    assert not shown("op_p50_ms")  # ten ties
     runs[1] = _run(0, "change", 99.0, 4.0)  # one loss: 9 wins in 10 still holds
-    assert bench_pairs.summarize(runs, {"ops_per_s": "higher"})["solve seed 5"]["ops_per_s"]["gain_shown"]
+    assert shown()
     runs[3] = _run(1, "change", 99.0, 4.0)  # two losses
-    assert not bench_pairs.summarize(runs, {"ops_per_s": "higher"})["solve seed 5"]["ops_per_s"]["gain_shown"]
+    assert not shown()
 
 
 def test_a_run_without_a_result_line_is_left_out_of_its_pair():
@@ -50,4 +54,12 @@ def test_a_run_without_a_result_line_is_left_out_of_its_pair():
     broken["stdout"] = ["Traceback (most recent call last):"]
     rows = bench_pairs.summarize([_run(0, "parent", 100.0, 4.0), broken],
                                  {"ops_per_s": "higher"})
-    assert rows["solve seed 5"]["ops_per_s"]["pairs"] == 0
+    assert rows["solve seed 5"] == {}
+
+
+def test_traced_runs_are_summarized_apart():
+    traced = [dict(_run(0, side, 50.0, 9.0), trace=1) for side in ("parent", "change")]
+    rows = bench_pairs.summarize([_run(0, "parent", 100.0, 4.0), _run(0, "change", 110.0, 4.0)]
+                                 + traced, {"ops_per_s": "higher"})
+    assert rows["solve seed 5"]["ops_per_s"]["change_wins"] == 1
+    assert rows["solve seed 5 traced"]["ops_per_s"]["change_quartiles"] == [50.0] * 3

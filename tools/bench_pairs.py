@@ -2,12 +2,12 @@
 """Run the benchmark in alternating pairs on two checkouts; keep every stdout.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload solve \
-        --seed N --pairs 10 --seconds 30 --out BENCH_<label>.json
+        --seed N --pairs 10 --seconds 30 --trace 0 --out BENCH_<label>.json
 
-Pair i runs ``python3 bench/run.py --workload W --seed N --seconds S`` in
-each checkout, the parent first when i is even and the change first when i
+Pair i runs ``python3 bench/run.py --workload W --seed N --seconds S
+--trace T`` in each checkout, the parent first when i is even and the change first when i
 is odd, one run at a time; pairs already in the output file for the same
-workload and seed are counted first. Each checkout runs its own bench/ and
+workload, seed and trace setting are counted first. Each checkout runs its own bench/ and
 src/.
 
 The output file holds every run's stdout, line by line, as the harness
@@ -15,7 +15,9 @@ printed it (the metric lines, the ``{"raw": ...}`` and ``{"env": ...}``
 lines and the final JSON line), with the side, pair, order, seed and exit
 code. An existing file is extended, so one file can hold several workloads
 and seeds. Its ``summary`` is recomputed from all runs: for each workload,
-seed and end-to-end metric of BENCHMARK.json, each side's median and
+seed and trace setting, and each metric of BENCHMARK.json that both sides
+of a pair report (the end-to-end ones untraced, the per-layer ones
+traced), each side's median and
 quartiles, the number of pairs the change won and lost (ties count for
 neither) and whether that shows a gain: at least nine wins in ten pairs and
 medians further apart than the parent's quartiles.
@@ -31,11 +33,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_once(checkout, workload, seed, seconds):
+def run_once(checkout, workload, seed, seconds, trace):
     """(exit code, stdout lines) of one harness run in ``checkout``."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=False,
     )
     return proc.returncode, proc.stdout.splitlines()
@@ -51,27 +53,31 @@ def final_metrics(stdout):
 
 
 def quartiles(values):
-    if len(values) < 2:
-        return [values[0]] * 3 if values else []
+    """Lower quartile, median and upper quartile of a non-empty list."""
+    if len(values) == 1:
+        return values * 3
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
 def summarize(runs, better):
-    """Median, quartiles and pair wins per (workload, seed) and metric.
+    """Median, quartiles and pair wins per (workload, seed, trace) and metric.
 
-    better maps each end-to-end metric to "higher" or "lower".
+    better maps each metric to "higher" or "lower"; a metric that no pair
+    reports on both sides is left out.
     """
     summary = {}
     groups = {}
     for run in runs:
-        side = final_metrics(run["stdout"])
-        groups.setdefault((run["workload"], run["seed"]), {}).setdefault(
-            run["pair"], {})[run["side"]] = side
-    for (workload, seed), pairs in sorted(groups.items()):
+        key = (run["workload"], run["seed"], run.get("trace", 0))
+        groups.setdefault(key, {}).setdefault(run["pair"], {})[run["side"]] = (
+            final_metrics(run["stdout"]))
+    for (workload, seed, trace), pairs in sorted(groups.items()):
         rows = {}
         for name, direction in better.items():
             both = [p for p in pairs.values()
                     if name in p.get("parent", {}) and name in p.get("change", {})]
+            if not both:
+                continue
             parent = [p["parent"][name] for p in both]
             change = [p["change"][name] for p in both]
             sign = 1.0 if direction == "higher" else -1.0
@@ -86,10 +92,10 @@ def summarize(runs, better):
                 "change_losses": sum(d < 0 for d in diffs),
                 # the gain rule: won at least 9 pairs in 10, and the medians
                 # differ by more than the parent's interquartile distance
-                "gain_shown": bool(both) and wins >= 0.9 * len(both)
+                "gain_shown": wins >= 0.9 * len(both)
                 and sign * (cq[1] - pq[1]) > pq[2] - pq[0],
             }
-        summary[f"{workload} seed {seed}"] = rows
+        summary[f"{workload} seed {seed}" + (" traced" if trace else "")] = rows
     return summary
 
 
@@ -101,27 +107,30 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     record = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    # pairs already in the file for this workload and seed are kept
+    # pairs already in the file for this workload, seed and trace are kept
+    group = (args.workload, args.seed, args.trace)
     start = 1 + max((r["pair"] for r in record["runs"]
-                     if (r["workload"], r["seed"]) == (args.workload, args.seed)), default=-1)
+                     if (r["workload"], r["seed"], r.get("trace", 0)) == group), default=-1)
     for pair in range(start, start + args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for position, side in enumerate(order):
-            code, stdout = run_once(sides[side], args.workload, args.seed, args.seconds)
+            code, stdout = run_once(sides[side], args.workload, args.seed, args.seconds,
+                                    args.trace)
             record["runs"].append({
                 "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-                "pair": pair, "side": side, "position": position, "exit_code": code,
-                "stdout": stdout,
+                "trace": args.trace, "pair": pair, "side": side, "position": position,
+                "exit_code": code, "stdout": stdout,
             })
-            print(f"{args.workload} seed {args.seed} pair {pair} {side}: "
-                  f"{final_metrics(stdout).get('ops_per_s', 'no result')} ops/s", flush=True)
+            print(f"{args.workload} seed {args.seed} trace {args.trace} pair {pair} {side}: "
+                  f"exit {code}, {len(final_metrics(stdout))} metrics", flush=True)
             record["summary"] = summarize(record["runs"], better)
             args.out.write_text(json.dumps(record, indent=1) + "\n")
     for group, rows in record["summary"].items():
