@@ -319,8 +319,9 @@ def _real_canonical_rows(o, in_kernel, i, j):
     a, b = np.concatenate([np.arange(n), i]), np.concatenate([np.arange(n), j])
     sym_rows, sym_at = _canonical_basis(_real_kernel_rows(o, a[sym], b[sym], i, j, True))
     anti_rows, anti_at = _canonical_basis(_real_kernel_rows(o, i[anti], j[anti], i, j, False))
-    # each half's place among all coordinates: E_rr is r, and the sigma_x and
-    # sigma_y of pair p are n + 2p and n + 2p + 1
+    # each half's columns among all coordinates: E_rr is r, and the sigma_x
+    # and sigma_y of pair p are n + 2p and n + 2p + 1; a vector's row in the
+    # merged basis is the rank of the coordinate it was accepted at
     sym_cols = np.concatenate([np.arange(n), n + 2 * np.arange(pairs)])
     anti_cols = n + 1 + 2 * np.arange(pairs)
     place = np.argsort(np.argsort(np.concatenate([sym_cols[sym_at], anti_cols[anti_at]])))
