@@ -194,8 +194,9 @@ def _canonical_basis(kernel):
         cand = np.flatnonzero(np.add.reduce((block.conj() * block).real, axis=0) > 1e-16)
         for col, c in zip(cand, block.T[cand]):
             if taken:
-                c = c - ours.T @ (ours_h @ c)
-                c = c - ours.T @ (ours_h @ c)
+                ours = new[:taken]
+                for _ in range(2):
+                    c = c - ours.T @ (ours.conj() @ c)
             norm = math.sqrt(np.vdot(c, c).real)
             if norm > 1e-8:
                 new[taken] = c / norm
@@ -203,8 +204,6 @@ def _canonical_basis(kernel):
                 taken += 1
                 if taken == len(new):
                     break
-                ours = new[:taken]
-                ours_h = ours.conj()
         if taken:
             rows = _snap_rows(new[:taken] @ kernel)
             chosen[count:count + taken] = rows
