@@ -63,3 +63,25 @@ def test_traced_runs_are_summarized_apart():
                                  + traced, {"ops_per_s": "higher"})
     assert rows["solve seed 5"]["ops_per_s"]["change_wins"] == 1
     assert rows["solve seed 5 traced"]["ops_per_s"]["change_quartiles"] == [50.0] * 3
+
+
+def test_two_pairs_show_no_gain_however_large():
+    runs = [r for i in range(2) for r in (_run(i, "parent", 100.0 + i, 4.0),
+                                           _run(i, "change", 200.0, 4.0))]
+    row = bench_pairs.summarize(runs, {"ops_per_s": "higher"})["solve seed 5"]["ops_per_s"]
+    assert (row["pairs"], row["pairs_run"], row["change_wins"]) == (2, 2, 2)
+    assert not row["gain_shown"]
+
+
+def test_a_pair_with_a_failed_side_counts_against_the_gain():
+    runs = [r for i in range(10) for r in (_run(i, "parent", 100.0 + i % 2, 4.0),
+                                            _run(i, "change", 103.0, 4.0))]
+    runs[1] = _run(0, "change", 99.0, 4.0)  # 9 wins in 10 pairs
+    better = {"ops_per_s": "higher"}
+    assert bench_pairs.summarize(runs, better)["solve seed 5"]["ops_per_s"]["gain_shown"]
+    broken = _run(10, "change", 1.0, 1.0)
+    broken["stdout"] = ["Traceback (most recent call last):"]
+    runs += [_run(10, "parent", 100.0, 4.0), broken]  # 9 wins in 11 pairs
+    row = bench_pairs.summarize(runs, better)["solve seed 5"]["ops_per_s"]
+    assert (row["pairs"], row["pairs_run"], row["change_wins"]) == (10, 11, 9)
+    assert not row["gain_shown"]

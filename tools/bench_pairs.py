@@ -2,10 +2,11 @@
 """Run the benchmark in alternating pairs on two checkouts; keep every stdout.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload solve \
-        --seed N --pairs 10 --seconds 30 --trace 0 --out BENCH_<label>.json
+        --seed N --pairs 10 --trace 0 --out BENCH_<label>.json
 
 Pair i runs ``python3 bench/run.py --workload W --seed N --seconds S
---trace T`` in each checkout, the parent first when i is even and the change first when i
+--trace T`` in each checkout, with S the ``run_seconds`` of BENCHMARK.json,
+the parent first when i is even and the change first when i
 is odd, one run at a time; pairs already in the output file for the same
 workload, seed and trace setting are counted first. Each checkout runs its own bench/ and
 src/.
@@ -18,9 +19,11 @@ and seeds. Its ``summary`` is recomputed from all runs: for each workload,
 seed and trace setting, and each metric of BENCHMARK.json that both sides
 of a pair report (the end-to-end ones untraced, the per-layer ones
 traced), each side's median and
-quartiles, the number of pairs the change won and lost (ties count for
-neither) and whether that shows a gain: at least nine wins in ten pairs and
-medians further apart than the parent's quartiles.
+quartiles over the pairs where both sides report it, the number of those
+pairs the change won and lost (ties count for neither), the number of pairs
+run, and whether that shows a gain: at least ten pairs run, wins in at least
+nine tenths of them (a pair where a side printed no result is not a win),
+and medians further apart than the parent's quartiles.
 """
 
 import argparse
@@ -63,7 +66,8 @@ def summarize(runs, better):
     """Median, quartiles and pair wins per (workload, seed, trace) and metric.
 
     better maps each metric to "higher" or "lower"; a metric that no pair
-    reports on both sides is left out.
+    reports on both sides is left out.  Wins are counted against every pair
+    run in the group, with or without a result on both sides.
     """
     summary = {}
     groups = {}
@@ -88,11 +92,13 @@ def summarize(runs, better):
                 "parent_quartiles": pq,
                 "change_quartiles": cq,
                 "pairs": len(both),
+                "pairs_run": len(pairs),
                 "change_wins": wins,
                 "change_losses": sum(d < 0 for d in diffs),
-                # the gain rule: won at least 9 pairs in 10, and the medians
-                # differ by more than the parent's interquartile distance
-                "gain_shown": wins >= 0.9 * len(both)
+                # the gain rule: at least 10 pairs, won at least 9 in 10 of
+                # them, and the medians differ by more than the parent's
+                # interquartile distance
+                "gain_shown": len(pairs) >= 10 and wins >= 0.9 * len(pairs)
                 and sign * (cq[1] - pq[1]) > pq[2] - pq[0],
             }
         summary[f"{workload} seed {seed}" + (" traced" if trace else "")] = rows
@@ -106,12 +112,12 @@ def main(argv=None):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     record = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -122,10 +128,9 @@ def main(argv=None):
     for pair in range(start, start + args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for position, side in enumerate(order):
-            code, stdout = run_once(sides[side], args.workload, args.seed, args.seconds,
-                                    args.trace)
+            code, stdout = run_once(sides[side], args.workload, args.seed, seconds, args.trace)
             record["runs"].append({
-                "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+                "workload": args.workload, "seed": args.seed, "seconds": seconds,
                 "trace": args.trace, "pair": pair, "side": side, "position": position,
                 "exit_code": code, "stdout": stdout,
             })
@@ -137,7 +142,7 @@ def main(argv=None):
         for name, row in rows.items():
             print(f"{group:20s} {name:12s} parent {row['parent_quartiles']} "
                   f"change {row['change_quartiles']} "
-                  f"wins {row['change_wins']}/{row['pairs']} losses {row['change_losses']} "
+                  f"wins {row['change_wins']}/{row['pairs_run']} losses {row['change_losses']} "
                   f"gain shown {row['gain_shown']}")
     return 0
 
