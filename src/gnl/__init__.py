@@ -36,6 +36,7 @@ from .schwinger import (
     SchwingerExpression,
     SchwingerTerm,
     change_basis,
+    coordinate_expressions,
     display_expressions,
     embed_pauli,
     expression_from_json,
@@ -115,6 +116,7 @@ __all__ = [
     "unitary_path",
     "format_expression",
     "display_expressions",
+    "coordinate_expressions",
     "expression_to_json",
     "expression_from_json",
     "NullifierBasis",

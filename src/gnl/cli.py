@@ -118,9 +118,13 @@ def _table(record, columns, level):
 def _generator_table(generators, n):
     """``[graphs.matrix_to_json(m) for m in generators]`` as a table.
 
-    generators are (n, n) complex matrices, as a list or a stack.
+    generators are (n, n) complex matrices, as a list or a (d, n, n) stack.
+    A C-contiguous complex stack, as :func:`schwinger.from_coordinates`
+    returns it, is read in place, without a copy; its float view is the one
+    column of the table, each record's numbers the real and imaginary parts
+    of its entries in row-major order.
     """
-    stack = np.array(generators, dtype=complex).reshape(-1, n * n)
+    stack = np.asarray(generators, dtype=complex).reshape(-1, n * n)
     record = {"n": n, "entries": [[_NUMBER, _NUMBER]] * (n * n)}
     return functools.partial(_table, record, [stack.view(float)])
 
@@ -303,21 +307,26 @@ def cmd_state(args):
 def cmd_nullifiers(args):
     k, _, labels = _build_state(args)
     basis = nullifiers.nullifier_space(k)
+    # read off the coordinates; only the JSON stack needs the matrices.  It
+    # is built here, not read from basis.generators: that is a list, and
+    # np.asarray of a list copies every matrix into a second stack
+    expressions = schwinger.coordinate_expressions(basis.coordinates, labels)
     if args.format == "json":
         payload = {
             "state": args.state,
             "dimension": basis.dimension,
             "borderline": basis.borderline,
             "singular_values": basis.singular_values,
-            "generators": _generator_table(basis.generators, k.shape[0]),
-            "expressions": schwinger.display_expressions(basis.generators, labels),
+            "generators": _generator_table(
+                schwinger.from_coordinates(basis.coordinates), k.shape[0]
+            ),
+            "expressions": expressions,
         }
         _write(args, _json_dumps(payload))
         return 0
     lines = [TEXT_HEADER, f"state {args.state}", f"dimension {basis.dimension}"]
     if basis.borderline:
         lines.append("warning: borderline kernel spectrum, dimension uncertain")
-    expressions = schwinger.display_expressions(basis.generators, labels)
     lines += [f"g{idx}: {expr}" for idx, expr in enumerate(expressions)]
     tail = [s for s in basis.singular_values if s > basis.threshold][-3:]
     if tail:

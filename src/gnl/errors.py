@@ -112,3 +112,7 @@ class KernelTooLarge(GnlError):
 
 class BadSpec(GnlError):
     """A state name or a --gen spec that the command line does not define."""
+
+
+class PrecisionLimit(GnlError):
+    """Finite input so large a result would overflow or keep no significant digit."""

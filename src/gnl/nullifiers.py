@@ -26,6 +26,7 @@ Everything in this module is built on that antisymmetry criterion:
   W = exp(-i theta M) satisfies W K W^T = K.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,11 +37,12 @@ from .errors import (
     InvalidBlockShape,
     KernelTooLarge,
     NonCommutingD,
+    PrecisionLimit,
     SelfCheckFailed,
     ShapeMismatch,
 )
 from . import graphs
-from .schwinger import unitary_path
+from .schwinger import _pairs, from_coordinates, real_from_coordinates, unitary_path
 
 # residual threshold for the antisymmetry criterion (max entry)
 TOL_NULL = 1e-10
@@ -59,20 +61,37 @@ MAX_KERNEL_BYTES = 2**30
 class NullifierBasis:
     """Orthonormal basis of the quadratic nullifier space of one K.
 
-    generators are Hermitian matrices, orthonormal under the real inner
-    product Re tr(A B); dimension = len(generators); singular_values is the
-    full spectrum of the map M -> MK + (MK)^T (n^2 values, descending), in
-    closed form from the Takagi values s of K: 2 s_i, and s_i + s_j and
-    |s_i - s_j| for i < j.  threshold is the cut below which values counted
-    as kernel, useful for judging how clear the cut was; borderline is True
-    when the spectral gap around the threshold is thinner than a factor 10.
+    coordinates is a (dimension, n^2) float64 array with one row per basis
+    generator M, in the canonical coordinates of Hermitian matrices (see
+    :func:`schwinger.from_coordinates`): the n diagonal entries M_rr, then
+    for each mode pair r < s, in lexicographic order, the coefficients w_x
+    and w_y of the embedded sigma_x / sqrt(2) and sigma_y / sqrt(2), so that
+    M_rs = sqrt(1/2) (w_x - i w_y).  In Schwinger terms each pair carries
+    sqrt(2) (w_x S^x + w_y S^y).  The rows are orthonormal, which makes the
+    generators orthonormal under the real inner product Re tr(A B).
+
+    dimension is the number of rows; singular_values is the full spectrum
+    of the map M -> MK + (MK)^T (n^2 values, descending), in closed form
+    from the Takagi values s of K: 2 s_i, and s_i + s_j and |s_i - s_j| for
+    i < j.  threshold is the cut below which values counted as kernel,
+    useful for judging how clear the cut was; borderline is True when the
+    spectral gap around the threshold is thinner than a factor 10.
+
+    generators, the list of (n, n) complex Hermitian matrices of the rows,
+    is built from the coordinates on first access and kept;
+    :func:`nullifier_space` itself never builds it.
     """
 
-    generators: list
+    coordinates: np.ndarray
     dimension: int
     singular_values: list
     threshold: float = 0.0
     borderline: bool = False
+
+    @functools.cached_property
+    def generators(self):
+        """The generators as a list of (n, n) complex matrices, built once."""
+        return list(from_coordinates(self.coordinates))
 
 
 @dataclass
@@ -93,7 +112,8 @@ def is_nullifier(m, k):
 
     m is one (n, n) matrix or a (d, n, n) stack of them, tested together.
     A matrix passes when its residual is at most TOL_NULL; a NaN residual
-    fails.
+    fails.  When m and K are both float64 the test runs in real
+    arithmetic; otherwise both are taken as complex.
 
     Returns
     -------
@@ -105,8 +125,9 @@ def is_nullifier(m, k):
     ShapeMismatch
         K is not square 2-D, or m is not one matrix or a stack of K's shape.
     """
-    m = np.asarray(m, dtype=complex)
-    k = np.asarray(k, dtype=complex)
+    m, k = np.asarray(m), np.asarray(k)
+    if m.dtype != float or k.dtype != float:
+        m, k = m.astype(complex, copy=False), k.astype(complex, copy=False)
     square = k.ndim == 2 and k.shape[0] == k.shape[1]
     if not square or m.ndim not in (2, 3) or m.shape[-2:] != k.shape:
         raise ShapeMismatch(f"shapes {m.shape} and {k.shape} incompatible")
@@ -218,11 +239,12 @@ def _kernel_rows(q, a, b, u, r, s):
     """Canonical coordinates of the kernel units M = Q (u E_ab + conj(u) E_ba) Q^H.
 
     One row per unit (a, b, u) over the canonical orthonormal Hermitian basis
-    under Re tr(A B): the n diagonal units E_rr first, then for each pair
-    (r, s), r < s in lexicographic order, the normalized embedded sigma_x and
-    sigma_y.  Entry rs of M is u q_ra conj(q_sb) + conj(u) q_rb conj(q_sa),
-    so the diagonal is 2 Re(u q_ra conj(q_rb)) and each pair has coordinates
-    (Re z, -Im z) with z = sqrt(2) M_rs.  Rows are filled BLOCK at a time,
+    under Re tr(A B) (see :func:`schwinger.from_coordinates`): the n diagonal
+    units E_rr first, then for each pair (r, s), r < s in lexicographic
+    order, the normalized embedded sigma_x and sigma_y.  Entry rs of M is
+    u q_ra conj(q_sb) + conj(u) q_rb conj(q_sa), so the diagonal is
+    2 Re(u q_ra conj(q_rb)) and each pair has coordinates (Re z, -Im z)
+    with z = sqrt(2) M_rs.  Rows are filled BLOCK at a time,
     which bounds the complex temporaries.
     """
     n = q.shape[0]
@@ -265,22 +287,6 @@ def _real_kernel_rows(o, a, b, r, s, symmetric):
     return rows
 
 
-def _from_coordinates(w, r, s):
-    """Hermitian matrices from rows of canonical coordinates (see _kernel_rows).
-
-    Filled BLOCK rows at a time, which bounds the complex temporaries.
-    """
-    n = w.shape[1] - 2 * len(r)
-    m = np.zeros((len(w), n, n), dtype=complex)
-    m[:, np.arange(n), np.arange(n)] = w[:, :n]
-    for start in range(0, len(w), BLOCK):
-        part = slice(start, start + BLOCK)
-        z = np.sqrt(0.5) * (w[part, n::2] - 1j * w[part, n + 1::2])
-        m[part, r, s] = z
-        m[part, s, r] = z.conj()
-    return m
-
-
 def _takagi_spectrum(k):
     """Takagi vectors Q and values s of a complex symmetric K = Q diag(s) Q^T.
 
@@ -312,6 +318,9 @@ def _real_canonical_rows(o, in_kernel, i, j):
     disjoint coordinates, so every projector column lies in one of them and
     the greedy basis over all coordinates is the union of each half's own,
     in the order of the coordinates at which their vectors were accepted.
+
+    Returns the merged coordinate rows and the row numbers of each half
+    (the R half's, then the S half's).
     """
     n, pairs = o.shape[0], len(i)
     sym, anti = in_kernel[:n + pairs], in_kernel[n + pairs:]
@@ -324,10 +333,24 @@ def _real_canonical_rows(o, in_kernel, i, j):
     sym_cols = np.concatenate([np.arange(n), n + 2 * np.arange(pairs)])
     anti_cols = n + 1 + 2 * np.arange(pairs)
     place = np.argsort(np.argsort(np.concatenate([sym_cols[sym_at], anti_cols[anti_at]])))
+    sym_place, anti_place = place[:len(sym_at)], place[len(sym_at):]
     chosen = np.zeros((len(place), n * n))
-    chosen[place[:len(sym_at), None], sym_cols] = sym_rows
-    chosen[place[len(sym_at):, None], anti_cols] = anti_rows
-    return chosen
+    chosen[sym_place[:, None], sym_cols] = sym_rows
+    chosen[anti_place[:, None], anti_cols] = anti_rows
+    return chosen, (sym_place, anti_place)
+
+
+def _check_representable(top):
+    """Refuse a K whose largest Takagi value top would overflow the spectrum.
+
+    The spectrum holds 2 s_i and s_i + s_j, which a float represents only
+    while s_max is at most half the largest float.
+    """
+    if top > np.finfo(float).max / 2:
+        raise PrecisionLimit(
+            f"K has a Takagi value of {top:.3e}: twice it, a singular value of "
+            f"the nullifier map, exceeds the largest float {np.finfo(float).max:.3e}"
+        )
 
 
 def nullifier_space(k):
@@ -362,14 +385,21 @@ def nullifier_space(k):
     Either way the kernel is canonicalized by the blocked greedy
     Gram-Schmidt of :func:`_canonical_basis`, so output is reproducible
     byte-for-byte across runs and, up to rounding, the same on both routes.
-    Every generator is checked against the antisymmetry criterion, BLOCK
-    generators per :func:`is_nullifier` call, before it is returned.
+    The basis is returned as its canonical coordinate rows; the complex
+    generators are built only when a caller asks for them (see
+    :class:`NullifierBasis`).  Every generator is checked against the
+    antisymmetry criterion before it is returned, BLOCK generators per
+    :func:`is_nullifier` call: on the complex route as complex matrices,
+    on the real route as the real R or S of each half.
 
     Raises
     ------
     ShapeMismatch
         K is not square with at least one mode, or has a NaN or infinite
         entry.
+    PrecisionLimit
+        A Takagi value of K exceeds half the largest float, so the spectrum
+        would overflow.
     KernelTooLarge
         Before the kernel is built, if its working arrays would take more
         than MAX_KERNEL_BYTES.
@@ -379,24 +409,27 @@ def nullifier_space(k):
     k = graphs.finite_square(k, "K")
     n = k.shape[0]
     diag = np.arange(n)
-    i, j = np.nonzero(diag[:, None] < diag)  # pairs i < j, lexicographic
+    i, j = _pairs(n)  # pairs i < j, lexicographic, as in the coordinates
     real = not k.imag.any()
     if real:
         # eigenvalues under the cut are the zero block, as on the complex
         # route; the values are laid out like the coordinates: diagonal,
         # then sigma_x-like (R half), then sigma_y-like (S half) pair units
-        lam, o = np.linalg.eigh(k.real)
+        k = np.ascontiguousarray(k.real)
+        lam, o = np.linalg.eigh(k)
+        _check_representable(np.abs(lam).max())
         lam = np.where(np.abs(lam) > TOL_KERNEL_REL * np.abs(lam).max(), lam, 0.0)
         values = np.abs(np.concatenate([2.0 * lam, lam[i] + lam[j], lam[i] - lam[j]]))
     else:
         q, s = _takagi_spectrum(k)
+        _check_representable(s.max())
         values = np.concatenate([2.0 * s, s[i] + s[j], np.abs(s[i] - s[j])])
     tau = TOL_KERNEL_REL * values.max()
     in_kernel = values <= tau
     dim = int(np.sum(in_kernel))
 
     # kernel rows, canonical rows and their coordinates (float64), and the
-    # complex generators
+    # complex generators a caller may build from them
     need = dim * (32 * n * n + 8 * dim)
     if need > MAX_KERNEL_BYTES:
         raise KernelTooLarge(
@@ -413,23 +446,31 @@ def nullifier_space(k):
             borderline = True
 
     if real:
-        chosen = _real_canonical_rows(o, in_kernel, i, j)
+        chosen, halves = _real_canonical_rows(o, in_kernel, i, j)
+        # M = R + iS with R or S zero: each half is checked in real
+        # arithmetic, as R against RK = -KR and as S against SK = KS, whose
+        # residual |SK + (SK)^T| is that of M = iS
+        stacks = (
+            real_from_coordinates(chosen[rows[start:start + BLOCK]], symmetric)
+            for rows, symmetric in zip(halves, (True, False))
+            for start in range(0, len(rows), BLOCK)
+        )
     else:
         # unit A = u E_ab + conj(u) E_ba, mapped back to M = Q A Q^H
         a = np.concatenate([diag, i, i])[in_kernel]
         b = np.concatenate([diag, j, j])[in_kernel]
         u = np.repeat([0.5, np.sqrt(0.5), -1j * np.sqrt(0.5)], [n, len(i), len(i)])
         chosen = _canonical_basis(_kernel_rows(q, a, b, u[in_kernel], i, j))[0]
+        stacks = (from_coordinates(chosen[start:start + BLOCK]) for start in range(0, dim, BLOCK))
 
-    generators = _from_coordinates(chosen, i, j)
-    for start in range(0, dim, BLOCK):
-        ok, res = is_nullifier(generators[start:start + BLOCK], k)
+    for m in stacks:
+        ok, res = is_nullifier(m, k)
         if not np.all(ok):
             raise SelfCheckFailed(
                 f"kernel element failed the residual check: {np.max(res):.3e}"
             )
     singular_values = np.sort(values)[::-1].tolist()
-    return NullifierBasis(list(generators), dim, singular_values, float(tau), borderline)
+    return NullifierBasis(chosen, dim, singular_values, float(tau), borderline)
 
 
 def _as_block_diag(d, size, name):
@@ -550,8 +591,8 @@ def verify_symmetry(k, m, theta_grid):
     each W is the product :func:`schwinger.generator_to_unitary` computes,
     bit for bit.
 
-    The deviation is NaN when a W is, for example when theta M overflows;
-    a NaN fails every tolerance test of it.
+    The deviation is NaN when a W K W^T is, for example when it overflows
+    on a K near the float limit; a NaN fails every tolerance test of it.
 
     Raises
     ------
@@ -560,6 +601,8 @@ def verify_symmetry(k, m, theta_grid):
         shape, or an entry of K or of the grid is NaN or infinite.
     NonHermitian
         M has a NaN or infinite entry or is not Hermitian.
+    PrecisionLimit
+        max |theta| max|lambda| exceeds schwinger.PHASE_LIMIT.
     """
     k = graphs.finite_square(k, "K")
     if np.shape(m) != k.shape:

@@ -17,6 +17,7 @@ Schwinger terms <-> Hermitian matrices, unitary basis changes, and matrix
 exponentials of generators.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -24,12 +25,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graphs
-from .errors import EqualIndices, IndexOutOfRange, NonHermitian, ShapeMismatch
+from .errors import (
+    EqualIndices,
+    IndexOutOfRange,
+    NonHermitian,
+    PrecisionLimit,
+    ShapeMismatch,
+)
 
 AXES = ("0", "x", "y", "z")
 
 # Hermiticity tolerance (max entry)
 TOL_HERM = 1e-10
+# largest |theta lambda| for exp(-i theta lambda): past it the spacing of
+# floats near theta lambda is of order 2 pi, so the phase keeps no
+# significant digit
+PHASE_LIMIT = 2.0 * math.pi / np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -134,6 +145,18 @@ def _check_hermitian(m, what):
         raise NonHermitian(f"{what} is not Hermitian within tolerance")
 
 
+@functools.lru_cache(maxsize=128)
+def _pairs(n):
+    """Row and column indices (r, s) of the pairs r < s of n modes, lexicographic.
+
+    Read-only and cached: np.triu_indices alone costs more than the rest of
+    a small display or coordinate read.
+    """
+    r, s = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+    r.flags.writeable = s.flags.writeable = False
+    return r, s
+
+
 def _slots(n):
     """The (axis, pair) of every coefficient, in canonical order (see below)."""
     slots = []
@@ -150,15 +173,29 @@ def _slots(n):
     return slots
 
 
+def _diagonal_columns(diag):
+    """The S^0 and S^z coefficient columns of the diagonals diag (d, n), as a list.
+
+    The diagonal pairs (2k, 2k+1) as (d_r + d_s) S^0 + (d_r - d_s) S^z, and
+    for odd n the lone trailing entry d as d S^0 - d S^z on the last pair
+    (for n = 1 the bare d S^0_{0,0}).
+    """
+    d, n = diag.shape
+    even, odd = diag[:, 0:n - 1:2], diag[:, 1:n:2]
+    parts = [np.stack([even + odd, even - odd], axis=-1).reshape(d, -1)]
+    if n % 2 == 1:
+        last = diag[:, n - 1:]
+        parts.append(np.hstack([last, -last]) if n >= 2 else last)
+    return parts
+
+
 def _coefficient_table(ms):
     """Canonical Schwinger coefficients of a stack of Hermitian matrices.
 
-    ms has shape (d, n, n).  Returns the slot list ``[(axis, pair), ...]``
-    and a (d, len(slots)) float array; a zero coefficient means the term is
-    absent.  The slots are the diagonal pairs (2k, 2k+1) as
-    (d_r + d_s) S^0 + (d_r - d_s) S^z, for odd n the lone trailing entry d
-    as d S^0 - d S^z on the last pair (for n = 1 the bare d S^0_{0,0}), then
-    2 Re(M_rs) S^x - 2 Im(M_rs) S^y for each r < s in lexicographic order.
+    ms has shape (d, n, n).  Returns a (d, len(_slots(n))) float array; a
+    zero coefficient means the term is absent.  The columns are those of
+    :func:`_diagonal_columns`, then 2 Re(M_rs) S^x - 2 Im(M_rs) S^y for each
+    r < s in lexicographic order.
 
     Raises
     ------
@@ -168,17 +205,12 @@ def _coefficient_table(ms):
     if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
         raise ShapeMismatch(f"expected a stack of square matrices, got {ms.shape}")
     _check_hermitian(ms, "matrix")
-    d, n = ms.shape[0], ms.shape[1]
-    diag = np.diagonal(ms, axis1=1, axis2=2).real
-    even, odd = diag[:, 0:n - 1:2], diag[:, 1:n:2]
-    parts = [np.stack([even + odd, even - odd], axis=-1).reshape(d, -1)]
-    if n % 2 == 1:
-        last = diag[:, n - 1:]
-        parts.append(np.hstack([last, -last]) if n >= 2 else last)
-    r, s = np.triu_indices(n, 1)
-    upper = ms[:, r, s]
-    parts.append(np.stack([2.0 * upper.real, -2.0 * upper.imag], axis=-1).reshape(d, -1))
-    return _slots(n), np.hstack(parts)
+    r, s = _pairs(ms.shape[1])
+    pairs = ms[:, r, s]
+    return np.hstack(
+        _diagonal_columns(np.diagonal(ms, axis1=1, axis2=2).real)
+        + [np.stack([2.0 * pairs.real, -2.0 * pairs.imag], axis=-1).reshape(len(ms), -1)]
+    )
 
 
 def matrix_to_expression(m):
@@ -200,13 +232,14 @@ def matrix_to_expression(m):
     NonHermitian
     """
     m = graphs.finite_square(m, "matrix")
-    slots, table = _coefficient_table(m[None])
+    n = m.shape[0]
+    table = _coefficient_table(m[None])
     terms = [
         SchwingerTerm(axis, pair, c)
-        for (axis, pair), c in zip(slots, table[0].tolist())
+        for (axis, pair), c in zip(_slots(n), table[0].tolist())
         if c != 0.0
     ]
-    return SchwingerExpression(m.shape[0], terms)
+    return SchwingerExpression(n, terms)
 
 
 def combine_terms(expr):
@@ -283,9 +316,9 @@ def unitary_path(m):
     """The map theta -> exp(-i theta M), with M checked and diagonalized once.
 
     W = V exp(-i theta Lambda) V^H from the Hermitian eigendecomposition
-    M = V Lambda V^H, so W is unitary to rounding for any real theta.  This
-    is the one unitary formula; :func:`generator_to_unitary` is one point of
-    it.
+    M = V Lambda V^H, so W is unitary to rounding for any theta with
+    |theta| max|lambda| at most PHASE_LIMIT.  This is the one unitary
+    formula; :func:`generator_to_unitary` is one point of it.
 
     Raises
     ------
@@ -293,6 +326,9 @@ def unitary_path(m):
         M is not square 2-D.
     NonHermitian
         M has a NaN or infinite entry or is not Hermitian.
+    PrecisionLimit
+        From the returned map, before any arithmetic on theta, when
+        |theta| max|lambda| exceeds PHASE_LIMIT.
     """
     # the shape step lets a non-finite M through to _check_hermitian, which
     # reports it as NonHermitian
@@ -300,8 +336,16 @@ def unitary_path(m):
     _check_hermitian(m, "generator")
     vals, vecs = np.linalg.eigh(m)
     vecs_h = vecs.conj().T
+    radius = float(np.abs(vals).max(initial=0.0))
 
     def unitary(theta):
+        # Python floats: a product past the float range is inf, not a warning
+        if abs(float(theta)) * radius > PHASE_LIMIT:
+            raise PrecisionLimit(
+                f"theta {float(theta):.3e} times the largest |eigenvalue| "
+                f"{radius:.3e} of the generator exceeds {PHASE_LIMIT:.3e}, where "
+                f"the phase of exp(-i theta M) keeps no significant digit"
+            )
         return (vecs * np.exp(-1j * theta * vals)) @ vecs_h
 
     return unitary
@@ -317,6 +361,8 @@ def generator_to_unitary(m, theta):
     ShapeMismatch
         M is not square 2-D, or theta is NaN or infinite.
     NonHermitian
+    PrecisionLimit
+        |theta| max|lambda| exceeds PHASE_LIMIT.
     """
     return unitary_path(m)(graphs.finite(theta, "theta"))
 
@@ -439,9 +485,37 @@ def format_expression(expr, labels=None):
     )[0]
 
 
-# generators rendered per block of the (d, n, n) stack, which bounds the
-# temporary coefficient table on large kernels
+# matrices or coordinate rows read per block by the display and by
+# from_coordinates, which bounds their temporaries on large kernels
 DISPLAY_BLOCK = 64
+
+
+def _render(tables, labels):
+    """Pretty expressions of the rows of coefficient tables (see display_expressions).
+
+    tables yields (n, table) blocks, table (d, len(_slots(n))) as
+    :func:`_coefficient_table` returns it; the slots and their term bodies
+    are built once, at the first block.
+    """
+    out = []
+    bodies = None
+    for n, table in tables:
+        if bodies is None:
+            if labels is None:
+                labels = [str(i) for i in range(n)]
+            bodies = np.array(
+                [_term_body(axis, pair, labels) for axis, pair in _slots(n)], dtype=object
+            )
+        mags = np.abs(table)
+        scale = mags.max(axis=1, initial=0.0)
+        keep = (table != 0.0) & (mags >= 1e-12 * scale[:, None])
+        rows, cols = np.nonzero(keep)
+        out += _join_terms(
+            table[rows, cols] / scale[rows],
+            bodies[cols].tolist(),
+            np.cumsum(np.bincount(rows, minlength=len(table))),
+        )
+    return out
 
 
 def display_expressions(generators, labels=None):
@@ -454,7 +528,8 @@ def display_expressions(generators, labels=None):
     no terms renders as "0".  The matrices are read DISPLAY_BLOCK at a time
     into one coefficient table; each distinct magnitude of a block is
     spelled once (see :func:`_join_terms`) and each expression is one join
-    of sign, coefficient and term pieces.
+    of sign, coefficient and term pieces.  :func:`coordinate_expressions`
+    renders coordinate rows the same way.
 
     Parameters
     ----------
@@ -466,24 +541,92 @@ def display_expressions(generators, labels=None):
     ------
     ShapeMismatch, NonHermitian
     """
-    out = []
-    bodies = None
-    for start in range(0, len(generators), DISPLAY_BLOCK):
-        block = np.asarray(generators[start:start + DISPLAY_BLOCK], dtype=complex)
-        slots, table = _coefficient_table(block)
-        if bodies is None:
-            if labels is None:
-                labels = [str(i) for i in range(block.shape[-1])]
-            bodies = np.array(
-                [_term_body(axis, pair, labels) for axis, pair in slots], dtype=object
-            )
-        mags = np.abs(table)
-        scale = mags.max(axis=1, initial=0.0)
-        keep = (table != 0.0) & (mags >= 1e-12 * scale[:, None])
-        rows, cols = np.nonzero(keep)
-        out += _join_terms(
-            table[rows, cols] / scale[rows],
-            bodies[cols].tolist(),
-            np.cumsum(np.bincount(rows, minlength=len(table))),
-        )
-    return out
+    blocks = (
+        np.asarray(generators[start:start + DISPLAY_BLOCK], dtype=complex)
+        for start in range(0, len(generators), DISPLAY_BLOCK)
+    )
+    return _render(((block.shape[-1], _coefficient_table(block)) for block in blocks), labels)
+
+
+# ----------------------------------------------------------------------
+# canonical coordinates
+#
+# The nullifier solver writes each Hermitian n x n matrix M as n^2 real
+# coordinates over a basis orthonormal under Re tr(A B): the n diagonal units
+# E_rr first, then for each pair r < s, in lexicographic order, the embedded
+# sigma_x / sqrt(2) and sigma_y / sqrt(2).  So M_rr = w_r and, for the pair's
+# coordinates (w_x, w_y), M_rs = sqrt(1/2) (w_x - i w_y).  The functions
+# below are the only readers of that layout.
+
+
+def from_coordinates(w):
+    """The Hermitian matrices of rows of canonical coordinates.
+
+    w is a (d, n^2) float array; returns the (d, n, n) complex stack.  Pairs
+    are filled DISPLAY_BLOCK rows at a time, which bounds the complex
+    temporaries.
+    """
+    n = math.isqrt(w.shape[1])
+    r, s = _pairs(n)
+    m = np.zeros((len(w), n, n), dtype=complex)
+    m[:, np.arange(n), np.arange(n)] = w[:, :n]
+    for start in range(0, len(w), DISPLAY_BLOCK):
+        part = slice(start, start + DISPLAY_BLOCK)
+        z = np.sqrt(0.5) * (w[part, n::2] - 1j * w[part, n + 1::2])
+        m[part, r, s] = z
+        m[part, s, r] = z.conj()
+    return m
+
+
+def real_from_coordinates(w, symmetric):
+    """One real part of the matrices M = R + iS of rows of canonical coordinates.
+
+    With symmetric true, the real symmetric R, read from the diagonal and
+    sigma_x coordinates; otherwise the real antisymmetric S, read from the
+    sigma_y coordinates (S_rs = -sqrt(1/2) w_y for r < s).  w is a
+    (d, n^2) float array; returns a (d, n, n) float stack.
+    """
+    n = math.isqrt(w.shape[1])
+    r, s = _pairs(n)
+    m = np.zeros((len(w), n, n))
+    if symmetric:
+        m[:, np.arange(n), np.arange(n)] = w[:, :n]
+        z = np.sqrt(0.5) * w[:, n::2]
+        m[:, r, s] = z
+        m[:, s, r] = z
+    else:
+        z = np.sqrt(0.5) * w[:, n + 1::2]
+        m[:, r, s] = -z
+        m[:, s, r] = z
+    return m
+
+
+def _coordinate_table(w):
+    """:func:`_coefficient_table` of :func:`from_coordinates` (w), value for value.
+
+    Read straight off the coordinates: the diagonal pairs as in
+    :func:`_diagonal_columns`, and the S^x and S^y coefficients of each pair
+    as 2 (sqrt(1/2) w_x) and 2 (sqrt(1/2) w_y), bit for bit the 2 Re M_rs
+    and -2 Im M_rs of the matrix (the complex product that forms M_rs rounds
+    its nonzero parts as the real one does; a zero may differ in sign, and
+    the display drops zeros).  No matrix is built or checked.
+    """
+    n = math.isqrt(w.shape[1])
+    return np.hstack(_diagonal_columns(w[:, :n]) + [2.0 * (np.sqrt(0.5) * w[:, n:])])
+
+
+def coordinate_expressions(w, labels=None):
+    """:func:`display_expressions` of :func:`from_coordinates` (w), string for string.
+
+    The coefficients are read off the coordinates (:func:`_coordinate_table`),
+    DISPLAY_BLOCK rows at a time; no matrix is built.
+
+    Parameters
+    ----------
+    w : (d, n^2) float array of canonical coordinate rows
+    labels : list of str, optional
+        Per-mode labels, as in :func:`format_expression`.
+    """
+    n = math.isqrt(w.shape[1])
+    blocks = (w[start:start + DISPLAY_BLOCK] for start in range(0, len(w), DISPLAY_BLOCK))
+    return _render(((n, _coordinate_table(block)) for block in blocks), labels)

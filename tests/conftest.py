@@ -94,6 +94,24 @@ def reference_nullifier_space(k):
     return embedded.T @ embedded, sing
 
 
+def reference_from_coordinates(w):
+    """Hermitian matrices of canonical coordinate rows, as the solver first wrote them.
+
+    The diagonal units E_rr, then per pair r < s (lexicographic) the
+    coordinates (w_x, w_y) of sigma_x / sqrt(2) and sigma_y / sqrt(2): entry
+    rs is sqrt(0.5) (w_x - 1j w_y), entry sr its conjugate.  Kept verbatim,
+    so that bit patterns, signed zeros included, can be compared.
+    """
+    n = math.isqrt(w.shape[1])
+    r, s = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+    m = np.zeros((len(w), n, n), dtype=complex)
+    m[:, np.arange(n), np.arange(n)] = w[:, :n]
+    z = np.sqrt(0.5) * (w[:, n::2] - 1j * w[:, n + 1::2])
+    m[:, r, s] = z
+    m[:, s, r] = z.conj()
+    return m
+
+
 def reference_canonical_basis(kernel):
     """Greedy canonical basis of the row space of ``kernel``, one column at a time.
 

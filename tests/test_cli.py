@@ -187,14 +187,18 @@ def test_twomode_coefficients_near_the_float_limit(capsys):
 
 def test_check_fails_when_the_symmetry_grid_overflows(tmp_path, capsys):
     # exp(-i theta M) overflowed to NaN at the larger theta; max(0.0, nan) kept
-    # 0.0, so check passed with "symmetry dev 5.96e-17" and exit 0
+    # 0.0, so check passed with "symmetry dev 5.96e-17" and exit 0; later it
+    # failed with "symmetry dev nan" and numpy's overflow warnings on stderr
     expr = schwinger.SchwingerExpression(2, [schwinger.SchwingerTerm("z", (0, 1), 1e308)])
     path = tmp_path / "gen.json"
     path.write_text(json.dumps(schwinger.expression_to_json(expr)))
-    with pytest.warns(RuntimeWarning):
-        rc, out, _ = run(capsys, "check", "tms", "--gen", f"@{path}")
-    assert rc == 1
-    assert "symmetry dev nan" in out
+    rc, out, err = run(capsys, "check", "tms", "--gen", f"@{path}")
+    assert rc == 2 and out == ""
+    assert err == (
+        "error: theta 4.189e-01 times the largest |eigenvalue| 5.000e+307 of the "
+        "generator exceeds 2.830e+16, where the phase of exp(-i theta M) keeps no "
+        "significant digit\n"
+    )
 
 
 def test_hgraph_state_of_a_large_finite_g(tmp_path, capsys):

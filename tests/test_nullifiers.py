@@ -18,6 +18,7 @@ from conftest import (
     random_unitary,
     real_adjacency,
     reference_canonical_basis,
+    reference_from_coordinates,
     reference_nullifier_space,
 )
 from gnl import fock, graphs, nullifiers, schwinger, states
@@ -27,6 +28,7 @@ from gnl.errors import (
     KernelTooLarge,
     NonCommutingD,
     NonHermitian,
+    PrecisionLimit,
     ShapeMismatch,
 )
 
@@ -184,6 +186,157 @@ def test_real_route_splits_into_s0_sz_sx_and_sy_generators(case):
             assert not g.real.any() and np.array_equal(g, -g.T)
         else:
             assert np.array_equal(g, g.T)
+
+
+@st.composite
+def _adjacency(draw):
+    """A real K (see conftest.real_adjacency), its phase e^{i phi} K, or a complex
+    K = W diag(s) W^T with repeated and zero Takagi levels; dimension 0 included."""
+    kind = draw(st.sampled_from(["real", "turned", "takagi"]))
+    if kind == "takagi":
+        levels = draw(st.lists(st.sampled_from([0.0, 0.15, 0.4, 0.7]), min_size=1, max_size=6))
+        w = random_unitary(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), len(levels))
+        return (w * np.array(levels)) @ w.T
+    k, _ = draw(real_adjacency())
+    return k if kind == "real" else np.exp(1j * draw(st.floats(0.1, 3.0))) * k
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(k=_adjacency(), wire_labels=st.booleans())
+@example(k=np.diag([0.3, 0.6, -0.1]), wire_labels=False)  # dimension 0
+@example(k=np.zeros((3, 3)), wire_labels=True)  # everything, S^0_{r,r} pairs included
+@example(k=np.array([[0.4]]), wire_labels=False)  # one mode, dimension 0
+def test_coordinates_render_like_the_generators_they_build(k, wire_labels):
+    # the display read off the coordinates is the display of the matrices,
+    # and the matrices are those the solver built before, bit for bit
+    basis = nullifiers.nullifier_space(k)
+    n = k.shape[0]
+    assert basis.coordinates.shape == (basis.dimension, n * n)
+    assert basis.coordinates.dtype == np.float64
+    assert "generators" not in vars(basis)  # not built by the solver
+    labels = [f"{i // 2}{'ab'[i % 2]}" for i in range(n)] if wire_labels else None
+    expected = schwinger.display_expressions(basis.generators, labels)
+    assert schwinger.coordinate_expressions(basis.coordinates, labels) == expected
+    reference = reference_from_coordinates(basis.coordinates)
+    built = np.array(basis.generators, dtype=complex).reshape(reference.shape)
+    assert np.array_equal(built.view(np.int64), reference.view(np.int64))
+    assert basis.generators is basis.generators  # built once
+
+
+def test_the_text_path_never_builds_the_complex_stack(monkeypatch, capsys):
+    from gnl import cli
+
+    def refuse(w):
+        raise AssertionError("complex stack built")
+
+    monkeypatch.setattr(schwinger, "from_coordinates", refuse)
+    monkeypatch.setattr(nullifiers, "from_coordinates", refuse)
+    assert cli.main(["nullifiers", "wire", "--spins", "4", "--format", "text"]) == 0
+    assert "g27: " in capsys.readouterr().out
+    with pytest.raises(AssertionError, match="complex stack built"):
+        cli.main(["nullifiers", "wire", "--spins", "4", "--format", "json"])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=real_adjacency(), seed=st.integers(0, 2**32 - 1))
+def test_is_nullifier_keeps_real_operands_real(case, seed):
+    # a real stack and its complex cast: the same verdicts, residuals equal to
+    # rounding; the stack mixes the real parts of true nullifiers (R and S),
+    # random symmetric and antisymmetric matrices and tiny ones
+    k, _ = case
+    n = k.shape[0]
+    rng = np.random.default_rng(seed)
+    w = nullifiers.nullifier_space(k).coordinates
+    a = rng.standard_normal((6, n, n))
+    stack = np.concatenate([
+        schwinger.real_from_coordinates(w, True),
+        schwinger.real_from_coordinates(w, False),
+        a + a.swapaxes(1, 2),
+        a - a.swapaxes(1, 2),
+        1e-12 * a,
+    ])
+    ok, res = nullifiers.is_nullifier(stack, k)
+    ok_c, res_c = nullifiers.is_nullifier(stack.astype(complex), k.astype(complex))
+    assert res.dtype == np.float64 and ok.tolist() == ok_c.tolist()
+    assert np.allclose(res, res_c, rtol=1e-13, atol=1e-15)
+    assert ok[: 2 * len(w)].all()
+
+
+# a real K with both halves: eigenvalues 0.3 twice (one S^y-like pair) and
+# -0.3 (two cancelling pairs), in a dense frame where no coordinate unit is a
+# nullifier, so a perturbed coordinate always breaks the criterion
+_LEVELS_K = (lambda o: (o * [0.3, 0.3, -0.3, 0.6]) @ o.T)(
+    np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))[0]
+)
+_MUTATION = """
+import numpy as np
+from gnl import nullifiers
+from gnl.errors import SelfCheckFailed
+
+canonical = nullifiers._canonical_basis
+
+
+def perturb(k, call):
+    # add 1e-6 to coordinate 0 of row 0 of the rows of the given
+    # _canonical_basis call (real route: 1 is the R half, 2 the S half)
+    calls = []
+
+    def wrapped(kernel):
+        rows, at = canonical(kernel)
+        calls.append(1)
+        if len(calls) == call:
+            rows = rows.copy()
+            rows[0, 0] += 1e-6
+        return rows, at
+
+    nullifiers._canonical_basis = wrapped
+    try:
+        nullifiers.nullifier_space(k)
+    except SelfCheckFailed as exc:
+        return f"raised: {exc}"
+    finally:
+        nullifiers._canonical_basis = canonical
+    return "passed"
+"""
+_MUTATIONS = {"R half": (1.0, 1), "S half": (1.0, 2), "complex route": (np.exp(0.7j), 1)}
+
+
+@pytest.mark.parametrize("where", sorted(_MUTATIONS))
+def test_self_check_catches_a_perturbed_coordinate(where):
+    phase, call = _MUTATIONS[where]
+    space = {}
+    exec(_MUTATION, space)
+    assert nullifiers.nullifier_space(phase * _LEVELS_K).dimension == 3
+    assert space["perturb"](phase * _LEVELS_K, call).startswith(
+        "raised: kernel element failed the residual check"
+    )
+
+
+def test_self_check_catches_a_perturbed_coordinate_under_python_optimize():
+    script = _MUTATION + f"""
+import sys
+k = np.array({_LEVELS_K.tolist()!r})
+for phase, call in {list(_MUTATIONS.values())!r}:
+    print(perturb(phase * k, call).split(":")[0])
+print("optimize", sys.flags.optimize)
+"""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["raised"] * 3 + ["optimize 1"]
+
+
+@pytest.mark.parametrize("unit", [1.0, 1j])
+def test_nullifier_space_refuses_a_spectrum_past_the_float_range(unit):
+    # 2.0 * lam (real route) and 2.0 * s (complex route) overflowed: inf
+    # singular values after a RuntimeWarning
+    with pytest.raises(PrecisionLimit, match=r"Takagi value of 1\.000e\+308"):
+        nullifiers.nullifier_space(1e308 * unit * np.eye(2))
+    edge = nullifiers.nullifier_space(np.finfo(float).max / 2 * unit * np.eye(2))
+    assert edge.dimension == 1 and np.isfinite(edge.singular_values).all()
 
 
 def test_nullifier_space_vacuum_is_everything():
@@ -531,13 +684,31 @@ def test_verify_symmetry_shape_guard():
         nullifiers.verify_symmetry(np.zeros((2, 2)), np.eye(3), [0.1])
 
 
-def test_verify_symmetry_keeps_a_nan_deviation():
+def test_verify_symmetry_keeps_a_nan_deviation(monkeypatch):
     # max(0.0, nan) is 0.0: when exp(-i theta M) overflowed at one theta of the
-    # grid, the deviation of the others passed for the whole grid
-    m = 0.5e308 * SZ  # S^z with coefficient 1e308
-    with pytest.warns(RuntimeWarning):
-        dev = nullifiers.verify_symmetry(graphs.tms_k(0.5), m, [0.0, 2.0 * np.pi])
+    # grid, the deviation of the others passed for the whole grid.  Such a
+    # grid now fails on the phase limit, so the NaN W is planted here, inside
+    # the grid, where a max that keeps its first element would drop it
+    def path(m):
+        return lambda theta: np.full((2, 2), np.nan) if theta == 1.0 else np.eye(2)
+
+    monkeypatch.setattr(nullifiers, "unitary_path", path)
+    dev = nullifiers.verify_symmetry(graphs.tms_k(0.5), 0.5 * SZ, [0.0, 1.0, 2.0])
     assert np.isnan(dev)
+
+
+@pytest.mark.parametrize("coeff, thetas", [(1e308, [0.0, 2.0 * np.pi]), (1.0, [-1e17, 0.5])])
+def test_verify_symmetry_refuses_a_phase_without_significant_digits(coeff, thetas):
+    # exp(-i theta M) overflowed to NaN with numpy warnings for S^z at 1e308;
+    # at theta 1e17 the phase of S^z/2 kept no digit and was used as exact
+    m = 0.5 * coeff * SZ
+    message = r"theta -?[0-9.e+]+ times the largest \|eigenvalue\|"
+    with pytest.raises(PrecisionLimit, match=message):
+        nullifiers.verify_symmetry(graphs.tms_k(0.5), m, thetas)
+    with pytest.raises(PrecisionLimit):
+        schwinger.generator_to_unitary(m, max(thetas, key=abs))
+    edge = schwinger.PHASE_LIMIT / (0.5 * coeff)
+    assert nullifiers.verify_symmetry(graphs.tms_k(0.5), m, [edge]) < 1e-6
 
 
 def test_verify_symmetry_rejects_a_nan_generator():

@@ -1,0 +1,51 @@
+"""tools/output_contract.py: two checkouts run the benchmark commands alike."""
+
+import importlib.util
+import shutil
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "output_contract.py"
+_spec = importlib.util.spec_from_file_location("output_contract", TOOL)
+output_contract = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(output_contract)
+
+
+def test_differences_name_each_differing_part_with_its_first_line():
+    argvs = [["state", "tms"], ["nullifiers", "tms"], ["check", "tms", "--gen", "q"]]
+    parent = [[0, "a\nb\n", ""], [0, "x\n", ""], [2, "", "error: q\n"]]
+    change = [[0, "a\nb", ""], [0, "x\ny\n", ""], [1, "", "error: r\n"]]
+    assert output_contract.differences(argvs, parent, parent) == []
+    assert output_contract.differences(argvs, parent, change) == [
+        (argvs[0], "stdout", "a\nb\n", "a\nb"),
+        (argvs[1], "stdout", "", "y"),
+        (argvs[2], "exit code", 2, 1),
+        (argvs[2], "stderr", "error: q", "error: r"),
+    ]
+
+
+def test_a_checkout_matches_itself_and_a_doctored_copy_is_reported(tmp_path, capsys):
+    runs = [("small", 31)]
+    assert output_contract.compare(ROOT, ROOT, runs) == (192, 0)
+    assert capsys.readouterr().out.splitlines()[-1] == "all: 0 of 192 commands differ"
+
+    # the doctored copy spells the text header of every text report differently
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "gnl" / "cli.py"
+    cli.write_text(cli.read_text().replace('"gnl-report v1"', '"gnl-report v2"'))
+    total, differing = output_contract.compare(ROOT, tmp_path, runs)
+    out = capsys.readouterr().out.splitlines()
+    reported = [line for line in out if line.startswith("small seed 31: ") and "differs" in line]
+    assert reported and all(line.endswith(": stdout differs") for line in reported)
+    assert "  parent: 'gnl-report v1'" in out and "  change: 'gnl-report v2'" in out
+    assert (total, differing) == (192, len(reported))
+    assert out[-1] == f"all: {len(reported)} of 192 commands differ"
+
+
+def test_the_command_line_needs_both_checkouts(capsys):
+    with pytest.raises(SystemExit) as exc:
+        output_contract.main(["--parent", str(ROOT)])
+    assert exc.value.code == 2
+    assert "--parent and --change are required" in capsys.readouterr().err
