@@ -33,7 +33,10 @@ the ``nullifiers`` generator stack and the ``oracle`` amplitude records; one
 table writer, :func:`_table`, writes those from arrays to the same bytes.
 
 Exit codes: 0 all requested checks pass, 1 a check ran and failed,
-2 invalid input.
+2 invalid input.  Every check applies one relative tolerance,
+:func:`graphs.passes`: ``check`` exits 0 only when the criterion residual
+and the Fock residual are at most graphs.RTOL max|M| max|K| and the
+symmetry deviation at most graphs.RTOL max|K| (1 + 2 pi max|M|).
 """
 
 import argparse
@@ -47,11 +50,6 @@ from . import fock, graphs, nullifiers, schwinger, states
 from .errors import BadSpec, GnlError, IndexOutOfRange
 
 TEXT_HEADER = "gnl-report v1"
-
-# check thresholds past the algebraic criterion (nullifiers.TOL_NULL):
-# exponentiated symmetry and Fock oracle
-CHECK_TOL_SYM = 1e-9
-CHECK_TOL_FOCK = 1e-8
 
 # numbers per block of a table; bounds the writer's temporaries on large
 # nullifier spaces and oracle tables
@@ -344,45 +342,24 @@ def cmd_check(args):
     k, layout, _ = _build_state(args)
     m = schwinger.expression_to_matrix(_generator(args.state, layout, args.gen))
     ok, residual = nullifiers.is_nullifier(m, k)
-    if not ok:
-        if args.format == "json":
-            payload = {
-                "state": args.state,
-                "generator": args.gen,
-                "is_nullifier": False,
-                "residual": residual,
-            }
-            _write(args, _json_dumps(payload))
-        else:
-            _write(
-                args,
-                f"{TEXT_HEADER}\nNOT a nullifier; residual {_fmt_res(residual)}\n",
-            )
-        return 1
-    grid = np.linspace(0.0, 2.0 * np.pi, args.theta_points)
-    dev = nullifiers.verify_symmetry(k, m, grid)
-    fres = fock.nullifier_residual(m, k, args.cutoff)
-    passed = dev <= CHECK_TOL_SYM and fres <= CHECK_TOL_FOCK
-    if args.format == "json":
-        payload = {
-            "state": args.state,
-            "generator": args.gen,
-            "is_nullifier": True,
-            "residual": residual,
-            "symmetry_dev": dev,
-            "fock_residual": fres,
-            "pass": passed,
-        }
-        _write(args, _json_dumps(payload))
-    else:
-        _write(
-            args,
-            f"{TEXT_HEADER}\n"
-            f"NULLIFIER residual {_fmt_res(residual)}; "
-            f"symmetry dev {_fmt_res(dev)}; "
-            f"fock residual {_fmt_res(fres)}\n",
+    payload = {"state": args.state, "generator": args.gen, "is_nullifier": ok,
+               "residual": residual}
+    if ok:
+        grid = np.linspace(0.0, 2.0 * np.pi, args.theta_points)
+        dev = nullifiers.verify_symmetry(k, m, grid)
+        fres = fock.nullifier_residual(m, k, args.cutoff)
+        # exp(-i theta M) carries a phase rounding of about eps theta max|M|
+        kmax, mmax = float(np.abs(k).max()), float(np.abs(m).max())
+        ok = graphs.passes(dev, kmax, 1.0 + grid[-1] * mmax) and graphs.passes(fres, mmax, kmax)
+        payload |= {"symmetry_dev": dev, "fock_residual": fres, "pass": ok}
+        text = (
+            f"{TEXT_HEADER}\nNULLIFIER residual {_fmt_res(residual)}; "
+            f"symmetry dev {_fmt_res(dev)}; fock residual {_fmt_res(fres)}\n"
         )
-    return 0 if passed else 1
+    else:
+        text = f"{TEXT_HEADER}\nNOT a nullifier; residual {_fmt_res(residual)}\n"
+    _write(args, _json_dumps(payload) if args.format == "json" else text)
+    return 0 if ok else 1
 
 
 def cmd_twomode(args):

@@ -49,9 +49,6 @@ from .errors import (
     ShapeMismatch,
 )
 
-# relative (to the sector's largest amplitude) agreement required between
-# the recursion's different mode choices
-CONSISTENCY_TOL = 1e-10
 # amplitudes below this are dropped from JSON exports
 EXPORT_CUTOFF = 1e-14
 # the keys of one exported amplitude record
@@ -207,11 +204,10 @@ def _routes(d, occ, down, t):
     for i in range(n):
         dev = np.abs(d[i].take(down[i]) - c)
         spread = max(spread, float(np.max(dev, where=occ[i] > 0, initial=0.0)))
-    scale = float(np.abs(c).max())
-    if scale > 0.0 and spread > CONSISTENCY_TOL * scale:
+    if not graphs.passes(spread, c):
         raise InconsistentRecursion(
             f"recursion routes disagree by {spread:.3e} in sector {t} "
-            f"(scale {scale:.3e})"
+            f"(scale {np.abs(c).max():.3e})"
         )
     return c
 
@@ -242,6 +238,7 @@ def _checked_k(k, cutoff):
     k = graphs.finite_square(k, "K")
     if cutoff % 2 != 0 or cutoff < 2:
         raise OddCutoff("cutoff must be an even integer >= 2")
+    graphs.check_edge(k)
     return k
 
 
@@ -280,6 +277,8 @@ def state_from_k(k, cutoff):
         K is not square 2-D with at least one mode, or has a NaN or
         infinite entry.
     OddCutoff
+    NormAtOrAboveOne
+        If K fails :func:`graphs.check_edge`.
     FockTooLarge
         If the sector at the cutoff exceeds MAX_SECTOR_AMPLITUDES.
     InconsistentRecursion
@@ -338,7 +337,7 @@ def nullifier_residual(m, k, cutoff):
     ShapeMismatch
         K is not square 2-D with at least one mode, M is not of its shape,
         or an entry of either is NaN or infinite.
-    OddCutoff, FockTooLarge, InconsistentRecursion
+    OddCutoff, NormAtOrAboveOne, FockTooLarge, InconsistentRecursion
         As :func:`state_from_k`.
     """
     k = _checked_k(k, cutoff)

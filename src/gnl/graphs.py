@@ -14,11 +14,13 @@ K' = e^{-i Theta} K e^{-i Theta} for pure phase shifts.
 
 It also holds the input policy of the package, one gate per kind of
 operand: :func:`finite_square` for square matrices, :func:`unitary` for mode
-unitaries, :func:`finite` for every other number and :func:`check_alpha`
-for the squeezing parameter.
+unitaries, :func:`finite` for every other number, :func:`check_alpha` for
+the squeezing parameter and :func:`check_edge` for the norm of K; and its
+one tolerance rule, :func:`passes`, which every pass/fail check applies.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -33,8 +35,8 @@ from .errors import (
     SingularSolve,
 )
 
-# max-entry tolerance for symmetry of Z and K
-TOL_SYM = 1e-10
+# the one relative tolerance of every pass/fail check (see passes)
+RTOL = 1e-10
 # margin below the ||K|| = 1 edge; states at the edge are infinitely
 # squeezed and (I + K) becomes ill-conditioned in u_from_k
 TOL_EDGE = 1e-9
@@ -55,7 +57,8 @@ class ValidationReport:
         Smallest eigenvalue of the reconstructed U matrix, or nan when
         (I + K) is singular and U cannot be formed.
     is_valid : bool
-        True iff symmetric_defect <= TOL_SYM and spectral_norm < 1 - TOL_EDGE.
+        True iff symmetric_defect is at most RTOL max|K| (:func:`passes`)
+        and spectral_norm < 1 - TOL_EDGE.
     """
 
     def __init__(self, symmetric_defect, spectral_norm, min_eig_U, is_valid):
@@ -83,15 +86,40 @@ def _square_complex(m, name="matrix"):
     return m
 
 
+def passes(residual, *operands):
+    """The one pass/fail rule: residual <= RTOL times the operands' scale.
+
+    The scale is the product of the operands' largest absolute entries (1
+    with none).  One operand may be a (d, n, n) stack, whose d residuals are
+    then judged each against its own matrix (a bool array; else a bool).  A
+    NaN or infinite residual fails.  A scale past the float range is inf,
+    silently; RTOL is applied first, so the true bound is past it too.
+    """
+    bound, stack = RTOL, None
+    for x in operands:
+        # a Python float: a product past the float range is inf, silently
+        if isinstance(x, float):
+            bound *= float(abs(x))
+            continue
+        a = np.abs(x)
+        if a.ndim > 2:
+            stack = a.max(axis=(-2, -1), initial=0.0)
+        else:
+            bound *= float(a.max(initial=0.0))
+    if stack is None:
+        return bool(residual <= bound) and math.isfinite(residual)
+    with np.errstate(over="ignore"):
+        return np.isfinite(residual) & (residual <= bound * stack)
+
+
 def finite(x, name, dtype=float):
     """x as an array of dtype with every entry finite.
 
     The finiteness rule of every number a solver reads, applied once, before
     any arithmetic: here for vectors, coefficients and rectangular blocks,
-    through :func:`finite_square` for square matrices.  A tolerance test
-    cannot take its place, because ``nan > tol`` is False.  (A generator is
-    checked by ``schwinger._check_hermitian``, which reports a non-finite
-    one as NonHermitian.)
+    through :func:`finite_square` for square matrices, so that bad input is
+    named as such.  (``schwinger._check_hermitian`` reports a non-finite
+    generator as NonHermitian.)
 
     Raises
     ------
@@ -135,13 +163,13 @@ def unitary(w, n):
     ShapeMismatch
         W is not a finite (n, n) matrix.
     NonUnitary
-        If max |W W^H - I| > 1e-10.
+        If max |W W^H - I| exceeds RTOL: :func:`passes`, with I as the scale.
     """
     w = finite_square(w, "W")
     if w.shape != (n, n):
         raise ShapeMismatch(f"W shape {w.shape} does not match {n} modes")
-    if np.max(np.abs(w @ w.conj().T - np.eye(n))) > 1e-10:
-        raise NonUnitary("W is not unitary within 1e-10")
+    if not passes(np.max(np.abs(w @ w.conj().T - np.eye(n)))):
+        raise NonUnitary(f"W is not unitary within {RTOL:g}")
     return w
 
 
@@ -157,6 +185,14 @@ def check_alpha(alpha, name="alpha"):
         raise NonPositiveAlpha(f"{name} must be > 0")
     if not alpha < np.inf:
         raise NonPositiveAlpha(f"{name} must be finite")
+
+
+def check_edge(k):
+    """Raise NormAtOrAboveOne unless the finite K has spectral norm below 1 - TOL_EDGE."""
+    # the Frobenius norm bounds the spectral norm and needs no SVD
+    edge = 1.0 - TOL_EDGE
+    if np.vdot(k, k).real >= edge * edge and np.linalg.svd(k, compute_uv=False)[0] >= edge:
+        raise NormAtOrAboveOne("spectral norm of K is at or above the edge")
 
 
 def _symmetrize(k):
@@ -186,7 +222,7 @@ def z_to_k(z):
     NonSymmetric, NonPositiveU, SingularSolve
     """
     z = finite_square(z, "Z")
-    if np.max(np.abs(z - z.T)) > TOL_SYM:
+    if not passes(np.max(np.abs(z - z.T)), z):
         raise NonSymmetric("Z is not symmetric within tolerance")
     u = 0.5 * z.imag + 0.5 * z.imag.T
     if np.linalg.eigvalsh(u).min() <= 0:
@@ -210,11 +246,10 @@ def k_to_z(k):
         K is not square 2-D with at least one mode, or has a NaN or
         infinite entry.
     NormAtOrAboveOne
-        If the spectral norm of K is not strictly below 1 - TOL_EDGE.
+        If the spectral norm of K is not below 1 - TOL_EDGE (:func:`check_edge`).
     """
     k = finite_square(k, "K")
-    if np.linalg.norm(k, 2) >= 1.0 - TOL_EDGE:
-        raise NormAtOrAboveOne("spectral norm of K is at or above the edge")
+    check_edge(k)
     n = k.shape[0]
     eye = np.eye(n)
     try:
@@ -254,9 +289,10 @@ def validate(k):
     """Build a :class:`ValidationReport` for a candidate K.
 
     An invalid K is reported, not rejected; only input that is not a square
-    2-D matrix of at least one mode raises.  A K with a NaN or infinite
-    entry is invalid, and its symmetric defect, spectral norm and min_eig_U
-    are all NaN.
+    2-D matrix of at least one mode raises.  The symmetric defect is judged
+    against max|K| (:func:`passes`).  A K with a NaN or infinite entry is
+    invalid, and its symmetric defect, spectral norm and min_eig_U are all
+    NaN.
 
     Raises
     ------
@@ -273,7 +309,7 @@ def validate(k):
         min_eig = float("nan")
     defect = float(np.max(np.abs(k - k.T)))
     norm = float(np.linalg.norm(k, 2))
-    is_valid = defect <= TOL_SYM and norm < 1.0 - TOL_EDGE
+    is_valid = passes(defect, k) and norm < 1.0 - TOL_EDGE
     return ValidationReport(defect, norm, min_eig, is_valid)
 
 
@@ -313,7 +349,7 @@ def passive_transform(k, w):
         K or W is not square 2-D with at least one mode, their shapes
         differ, or an entry is NaN or infinite.
     NonUnitary
-        If max |W W^H - I| > 1e-10.
+        If max |W W^H - I| exceeds RTOL (see :func:`unitary`).
     """
     k = finite_square(k, "K")
     w = unitary(w, k.shape[0])
@@ -342,14 +378,12 @@ def hgraph_k(g, alpha):
         infinite entry.
     NonSymmetricG, NonPositiveAlpha
     """
-    g = finite_square(g, "G")
-    if np.max(np.abs(g.imag)) > TOL_SYM:
-        raise NonSymmetricG("G must be real")
     # G is halved before any sum and alpha * eigenvalue clipped where tanh is
     # exactly +-1 already, so no finite G or alpha overflows
-    half = 0.5 * g.real
-    if np.max(np.abs(half - half.T)) > 0.5 * TOL_SYM:
-        raise NonSymmetricG("G is not symmetric within tolerance")
+    half = 0.5 * finite_square(g, "G")
+    if not passes(np.max(np.abs(half - half.T.real)), half):
+        raise NonSymmetricG("G is not real symmetric within tolerance")
+    half = half.real
     check_alpha(alpha)
     vals, vecs = np.linalg.eigh(half + half.T)
     limit = 20.0 / float(alpha)

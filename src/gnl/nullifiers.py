@@ -44,10 +44,6 @@ from .errors import (
 from . import graphs
 from .schwinger import _pairs, from_coordinates, real_from_coordinates, unitary_path
 
-# residual threshold for the antisymmetry criterion (max entry)
-TOL_NULL = 1e-10
-# singular values below TOL_KERNEL_REL * sigma_max count as kernel
-TOL_KERNEL_REL = 1e-10
 # spectra with above/below ratio under this are flagged, not trusted
 KERNEL_GAP_MIN = 10.0
 # candidate columns per Gram-Schmidt block, kernel rows per assembly step and
@@ -110,10 +106,10 @@ class TwoModeClass:
 def is_nullifier(m, k):
     """Antisymmetry test: does adag M a annihilate the state of K?
 
-    m is one (n, n) matrix or a (d, n, n) stack of them, tested together.
-    A matrix passes when its residual is at most TOL_NULL; a NaN residual
-    fails.  When m and K are both float64 the test runs in real
-    arithmetic; otherwise both are taken as complex.
+    m is one (n, n) matrix or a (d, n, n) stack of them, tested together,
+    each against graphs.RTOL max|M| max|K| (:func:`graphs.passes`).  When m
+    and K are both float64 the test runs in real arithmetic; otherwise both
+    are taken as complex.
 
     Returns
     -------
@@ -134,8 +130,8 @@ def is_nullifier(m, k):
     mk = m @ k
     residual = np.abs(mk + mk.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
     if m.ndim == 2:
-        return bool(residual <= TOL_NULL), float(residual)
-    return residual <= TOL_NULL, residual
+        return graphs.passes(residual, m, k), float(residual)
+    return graphs.passes(residual, m, k), residual
 
 
 def _snap_rows(w, tol_zero=1e-13, tol_tie=1e-9):
@@ -292,7 +288,7 @@ def _takagi_spectrum(k):
 
     From one symmetric eigendecomposition of [[Re K, Im K], [Im K, -Re K]],
     whose eigenvalues are +-s_i: each eigenvector [x; y] of an eigenvalue
-    s > TOL_KERNEL_REL s_max gives the Takagi vector x + iy, and an
+    s > graphs.RTOL s_max gives the Takagi vector x + iy, and an
     orthonormal complement of those vectors spans the (numerical) kernel of
     K, where s is set to 0.
     """
@@ -301,7 +297,7 @@ def _takagi_spectrum(k):
     vals, vecs = np.linalg.eigh(np.vstack([np.hstack([x, y]), np.hstack([y, -x])]))
     # the upper half of the spectrum holds every s_i; those under the cut
     # form an ascending prefix and are the zero block of the Takagi form
-    keep = vals[n:] > TOL_KERNEL_REL * vals[-1]
+    keep = vals[n:] > graphs.RTOL * vals[-1]
     q = vecs[:n, n:][:, keep] + 1j * vecs[n:, n:][:, keep]
     if not keep.all():
         q = np.hstack([np.linalg.qr(q, mode="complete")[0][:, q.shape[1]:], q])
@@ -363,7 +359,7 @@ def nullifier_space(k):
     sigma_x-like and sigma_y-like units on a pair i < j have s_i + s_j and
     |s_i - s_j|.  These n^2 numbers are the full spectrum of the map, and
     its kernel is spanned by the units whose value is at most
-    TOL_KERNEL_REL times the largest.  There are two routes to it:
+    graphs.RTOL times the largest.  There are two routes to it:
 
     * Complex K: Q and s come from one symmetric eigendecomposition of a
       real 2n x 2n matrix (:func:`_takagi_spectrum`), and the kernel units
@@ -418,13 +414,13 @@ def nullifier_space(k):
         k = np.ascontiguousarray(k.real)
         lam, o = np.linalg.eigh(k)
         _check_representable(np.abs(lam).max())
-        lam = np.where(np.abs(lam) > TOL_KERNEL_REL * np.abs(lam).max(), lam, 0.0)
+        lam = np.where(np.abs(lam) > graphs.RTOL * np.abs(lam).max(), lam, 0.0)
         values = np.abs(np.concatenate([2.0 * lam, lam[i] + lam[j], lam[i] - lam[j]]))
     else:
         q, s = _takagi_spectrum(k)
         _check_representable(s.max())
         values = np.concatenate([2.0 * s, s[i] + s[j], np.abs(s[i] - s[j])])
-    tau = TOL_KERNEL_REL * values.max()
+    tau = graphs.RTOL * values.max()
     in_kernel = values <= tau
     dim = int(np.sum(in_kernel))
 
@@ -484,7 +480,7 @@ def _as_block_diag(d, size, name):
     if d.ndim == 2:
         if d.shape != (size, size):
             raise InvalidBlockShape(f"{name} must be {size}x{size}, got {d.shape}")
-        if np.max(np.abs(d - d.T)) > TOL_NULL:
+        if not graphs.passes(np.max(np.abs(d - d.T)), d):
             raise InvalidBlockShape(f"{name} must be real symmetric")
         return d
     raise InvalidBlockShape(f"{name} has too many dimensions: {d.ndim}")
@@ -526,7 +522,8 @@ def bipartite_nullifier(k0, d, d_right=None):
         d2 = _as_block_diag(d_right, n2, "D_right")
     sigma = np.zeros((n1, n2))
     sigma[: len(sing), : len(sing)] = np.diag(sing)
-    if np.max(np.abs(d1 @ sigma - sigma @ d2)) > TOL_NULL:
+    defect = np.max(np.abs(d1 @ sigma - sigma @ d2))
+    if not graphs.passes(defect, np.concatenate((d1, d2), axis=None), sing):
         raise NonCommutingD("D does not commute with the singular profile")
     top = u @ d1 @ u.conj().T
     bottom = -vh.T @ d2 @ vh.conj()
@@ -573,9 +570,7 @@ def two_mode_invariant_class(alpha, beta, gamma, delta):
         dtype=complex,
     )
     _, sing, vh = np.linalg.svd(system)
-    smax = sing[0]
-    tau = TOL_KERNEL_REL * smax
-    dim = int(np.sum(sing <= tau))
+    dim = int(np.sum(sing <= graphs.RTOL * sing[0]))
     kernel = vh[3 - dim:].conj()
     return TwoModeClass(list(_canonical_basis(kernel)[0]), dim)
 
@@ -583,8 +578,9 @@ def two_mode_invariant_class(alpha, beta, gamma, delta):
 def verify_symmetry(k, m, theta_grid):
     """Max deviation of exp(-i theta M) K exp(-i theta M)^T from K.
 
-    For a true nullifier the deviation stays at rounding level for every
-    theta; otherwise it grows linearly near theta = 0 with slope set by the
+    For a true nullifier the deviation stays at rounding level relative to
+    max|K| (1 + |theta| max|M|), the phase rounding of W, for every theta;
+    otherwise it grows linearly near theta = 0 with slope set by the
     antisymmetry residual.
 
     M is checked and diagonalized once (:func:`schwinger.unitary_path`);

@@ -35,8 +35,6 @@ from .errors import (
 
 AXES = ("0", "x", "y", "z")
 
-# Hermiticity tolerance (max entry)
-TOL_HERM = 1e-10
 # largest |theta lambda| for exp(-i theta lambda): past it the spacing of
 # floats near theta lambda is of order 2 pi, so the phase keeps no
 # significant digit
@@ -138,10 +136,10 @@ def expression_to_matrix(expr):
 
 
 def _check_hermitian(m, what):
-    # a NaN entry would pass the tolerance test below: nan > TOL_HERM is False
     if not np.isfinite(m).all():
         raise NonHermitian(f"{what} has a NaN or infinite entry")
-    if m.size and np.max(np.abs(m - m.conj().swapaxes(-1, -2))) > TOL_HERM:
+    defect = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    if not np.all(graphs.passes(defect, m)):
         raise NonHermitian(f"{what} is not Hermitian within tolerance")
 
 
@@ -304,7 +302,7 @@ def change_basis(m, w):
         M or W is not square 2-D with at least one mode, their shapes
         differ, or an entry is NaN or infinite.
     NonUnitary
-        If max |W W^H - I| > 1e-10 (see :func:`graphs.unitary`).
+        If max |W W^H - I| exceeds graphs.RTOL (see :func:`graphs.unitary`).
     """
     m = graphs.finite_square(m, "M")
     w = graphs.unitary(w, m.shape[0])

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
@@ -85,3 +86,34 @@ def test_a_pair_with_a_failed_side_counts_against_the_gain():
     row = bench_pairs.summarize(runs, better)["solve seed 5"]["ops_per_s"]
     assert (row["pairs"], row["pairs_run"], row["change_wins"]) == (10, 11, 9)
     assert not row["gain_shown"]
+
+
+_REPORTER = """
+import json, os
+settings = {key: os.environ.get(key) for key in ("MALLOC_MMAP_THRESHOLD_", "OPENBLAS_NUM_THREADS")}
+print(json.dumps({"settings": settings, "cpus": sorted(os.sched_getaffinity(0))}))
+print(json.dumps({"metrics": {"ops_per_s": {"value": 1.0}}}))
+"""
+
+
+def test_both_sides_run_with_the_same_settings_on_the_same_cpu(tmp_path, monkeypatch, capsys):
+    # each checkout's bench/run.py reports what its process was given
+    for side in ("parent", "change"):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text(_REPORTER)
+    monkeypatch.setenv("MALLOC_MMAP_THRESHOLD_", "1")  # the constant wins
+    ours = os.sched_getaffinity(0)
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--workload", "small",
+                             "--seed", "1", "--pairs", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert os.sched_getaffinity(0) == ours  # only the children were pinned
+    runs = json.loads(out.read_text())["runs"]
+    assert sorted(r["side"] for r in runs) == ["change", "parent"]
+    cpu = min(ours)
+    for r in runs:
+        assert json.loads(r["stdout"][0]) == {"settings": bench_pairs.CHILD_ENV, "cpus": [cpu]}
+        assert (r["env"], r["cpu"]) == (bench_pairs.CHILD_ENV, cpu)
+    assert bench_pairs.CHILD_ENV == {"MALLOC_MMAP_THRESHOLD_": "4194304",
+                                     "OPENBLAS_NUM_THREADS": "1"}

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fock_vectors
-from gnl import cli, fock, graphs, schwinger, states
+from gnl import cli, fock, graphs, nullifiers, schwinger, states
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -183,6 +183,47 @@ def test_twomode_coefficients_near_the_float_limit(capsys):
     rc, out, err = run(capsys, "twomode", "--coeffs", "1e308", "1e308", "0", "0")
     assert rc == 0 and err == ""
     assert "dimension 1" in out
+
+
+@pytest.mark.parametrize("gen, code", [("0", 1), ("y", 1), ("z", 0)])
+def test_check_judges_a_faint_squeezer_against_its_own_scale(gen, code, capsys):
+    # nullifiers finds S^z alone at alpha 1e-11, but S^0 and S^y passed check
+    # too: their residual 1e-11 was under the absolute 1e-10
+    rc, out, _ = run(capsys, "nullifiers", "tms", "--alpha", "1e-11")
+    assert "dimension 1\ng0: " in out and "S^z" in out
+    rc, out, _ = run(capsys, "check", "tms", "--alpha", "1e-11", "--gen", gen)
+    assert rc == code
+    assert out.startswith("gnl-report v1\nNOT a nullifier; residual 1.00e-11") == (code == 1)
+
+
+def test_check_passes_a_wire_nullifier_scaled_by_1e9(tmp_path, capsys):
+    # its residual 5.21e-09 failed the absolute 1e-10 (exit 1)
+    expr = states.wire_local_nullifiers(states.WireLayout(4, 0.5))[0]
+    obj = schwinger.expression_to_json(expr)
+    for term in obj["terms"]:
+        term["coeff"] *= 1e9
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps(obj))
+    rc, out, _ = run(capsys, "check", "wire", "--spins", "4", "--gen", f"@{path}")
+    assert rc == 0 and out.startswith("gnl-report v1\nNULLIFIER residual")
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4, 1e6, 1e9])
+def test_check_passes_scaled_nullifiers_of_a_dense_k(scale, tmp_path, capsys):
+    # W = exp(-i theta M) carries a phase rounding of about eps theta
+    # max|lambda|: against max|K| alone, the symmetry deviation of these
+    # generators (dense eigenvectors) failed from a scale of about 1e6 on
+    q = np.linalg.qr(np.random.default_rng(5).standard_normal((5, 5)))[0]
+    g = (q * np.array([1.0, -1.0, 1.0, -1.0, 1.0])) @ q.T
+    (tmp_path / "g.json").write_text(json.dumps(graphs.matrix_to_json(g)))
+    basis = nullifiers.nullifier_space(graphs.hgraph_k(g, 0.5))
+    assert basis.dimension == 10
+    for i, m in enumerate(basis.generators):
+        expr = schwinger.matrix_to_expression(scale * m)
+        (tmp_path / f"{i}.json").write_text(json.dumps(schwinger.expression_to_json(expr)))
+        rc, out, _ = run(capsys, "check", "hgraph", "--g", str(tmp_path / "g.json"),
+                         "--alpha", "0.5", "--cutoff", "4", "--gen", f"@{tmp_path / f'{i}.json'}")
+        assert rc == 0 and out.startswith("gnl-report v1\nNULLIFIER residual"), out
 
 
 def test_check_fails_when_the_symmetry_grid_overflows(tmp_path, capsys):
@@ -600,6 +641,13 @@ def test_infinite_alpha_exits_with_2(argv, capsys):
     rc, out, err = run(capsys, *argv, "--alpha", "inf")
     _assert_input_error(rc, out, err)
     assert "alpha must be finite" in err
+
+
+def test_an_oracle_at_the_edge_exits_with_2(capsys):
+    # tanh(40) is 1.0: oracle printed flat amplitudes of 5.77e-01 and exit 0
+    rc, out, err = run(capsys, "oracle", "tms", "--alpha", "40", "--cutoff", "4")
+    _assert_input_error(rc, out, err)
+    assert "spectral norm of K is at or above the edge" in err
 
 
 @pytest.mark.parametrize(

@@ -22,9 +22,12 @@ from gnl.errors import (
     BadPairing,
     FockTooLarge,
     InconsistentRecursion,
+    NormAtOrAboveOne,
     OddCutoff,
     ShapeMismatch,
 )
+
+SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_vacuum_state():
@@ -328,3 +331,35 @@ def test_the_oracle_rejects_a_non_finite_k(value):
         fock.state_from_k(k, 4)
     with pytest.raises(ShapeMismatch):
         fock.nullifier_residual(np.eye(2), k, 4)
+
+
+@pytest.mark.parametrize(
+    "k",
+    [graphs.tms_k(40.0), 1e200 * SX, (1.0 - 1e-10) * SX, np.eye(3)],
+    ids=["tms-alpha-40", "sx-1e200", "sx-inside-the-margin", "identity"],
+)
+def test_the_oracle_refuses_a_k_at_or_above_the_edge(k):
+    # tanh(40) is 1.0: every sector came out flat, 5.77e-01 at cutoff 4; at
+    # 1e200 the recursion overflowed into nine NaN amplitudes
+    with pytest.raises(NormAtOrAboveOne):
+        fock.state_from_k(k, 4)
+    with pytest.raises(NormAtOrAboveOne):
+        fock.nullifier_residual(np.eye(len(k)), k, 4)
+
+
+def test_the_oracle_takes_a_k_just_below_the_edge():
+    v = fock.state_from_k((1.0 - 2e-9) * SX, 4)
+    assert len(v.amplitudes) == 3 and np.isfinite(list(v.amplitudes.values())).all()
+
+
+def test_a_nan_route_fails_the_consistency_check():
+    # the check read "scale > 0 and spread > tol * scale", False for a NaN
+    # scale, so NaN amplitudes passed
+    ladder = fock._ladder(2, 2)
+    next(ladder)
+    odd, _ = next(ladder)
+    occ, down = next(ladder)
+    d = np.zeros((2, odd.shape[1] + 1), dtype=complex)
+    d[0, 0] = np.nan
+    with pytest.raises(InconsistentRecursion):
+        fock._routes(d, occ, down, 2)

@@ -118,6 +118,40 @@ def test_validate_flags_asymmetry():
     assert not rep.is_valid
 
 
+def test_validate_judges_the_defect_against_the_size_of_k():
+    # a defect of 1e-11 passed the absolute 1e-10 however small K was
+    faint = graphs.validate(np.array([[0.0, 1e-11], [0.0, 0.0]]))
+    assert faint.symmetric_defect == 1e-11 and not faint.is_valid
+    k = graphs.tms_k(0.5)
+    k[0, 1] += 1e-12
+    assert graphs.validate(k).is_valid
+
+
+def test_passes_is_relative_to_the_largest_entries_of_its_operands():
+    m, k = 3.0 * SX, np.array([[0.0, -2.0], [-2.0, 0.5]])
+    assert graphs.passes(6e-10, m, k) and not graphs.passes(6.1e-10, m, k)
+    assert graphs.passes(1e-10) and not graphs.passes(1.1e-10)  # no operand: scale 1
+    assert graphs.passes(0.0, np.zeros((2, 2)))
+    assert not graphs.passes(float("nan"), m, k)
+    assert not graphs.passes(0.0, m, np.full((2, 2), np.nan))
+
+
+def test_passes_judges_a_stack_per_matrix():
+    stack = np.array([SX, 1e-6 * SX, 1e6 * SX])
+    assert graphs.passes(np.full(3, 1e-11), stack).tolist() == [True, False, True]
+    verdicts = graphs.passes(np.array([1e-11, np.nan, 1e-7]), 2.0, stack)
+    assert verdicts.tolist() == [True, False, True]
+
+
+def test_passes_takes_a_scale_past_the_float_range_as_inf():
+    # warnings are errors here: an overflowing product must not warn
+    big = np.full((2, 2), 1e300 + 1e300j)
+    assert graphs.passes(1e308, big, big)
+    assert graphs.passes(np.array([1e308, np.nan]), np.array([big, big]), big).tolist() == [
+        True, False,
+    ]
+
+
 def test_validate_rejects_a_zero_mode_k():
     # an empty K died in numpy's ValueError ("zero-size array to reduction")
     with pytest.raises(ShapeMismatch):

@@ -68,15 +68,18 @@ def test_is_nullifier_scales_linearly_in_m():
 def test_is_nullifier_on_a_stack_matches_each_matrix():
     rng = np.random.default_rng(3)
     k = states.tms_pair(0.5)
+    generators = nullifiers.nullifier_space(k).generators
+    # each matrix against its own scale: a tiny non-nullifier fails and a
+    # huge nullifier passes
     stack = np.array(
-        nullifiers.nullifier_space(k).generators
+        generators
         + [random_hermitian(rng, 4) for _ in range(3)]
-        + [1e-11 * random_hermitian(rng, 4)]
+        + [1e-11 * random_hermitian(rng, 4), 1e9 * generators[0]]
     )
     ok, res = nullifiers.is_nullifier(stack, k)
     assert ok.shape == res.shape == (len(stack),)
     single = [nullifiers.is_nullifier(m, k) for m in stack]
-    assert ok.tolist() == [v for v, _ in single] == [True] * 6 + [False] * 3 + [True]
+    assert ok.tolist() == [v for v, _ in single] == [True] * 6 + [False] * 4 + [True]
     assert np.allclose(res, [r for _, r in single], rtol=1e-14, atol=0.0)
     ok, res = nullifiers.is_nullifier(np.zeros((0, 4, 4)), k)
     assert ok.shape == res.shape == (0,)
@@ -337,6 +340,45 @@ def test_nullifier_space_refuses_a_spectrum_past_the_float_range(unit):
         nullifiers.nullifier_space(1e308 * unit * np.eye(2))
     edge = nullifiers.nullifier_space(np.finfo(float).max / 2 * unit * np.eye(2))
     assert edge.dimension == 1 and np.isfinite(edge.singular_values).all()
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e4, 1e6, 1e8])
+@pytest.mark.parametrize(
+    "k, dim",
+    [
+        (states.dual_rail_wire(states.WireLayout(4, 0.5)), 28),
+        (states.bell_analogue("psi-", 0.5)[0], 6),
+    ],
+    ids=["wire-4", "bell-psi-"],
+)
+def test_nullifier_space_is_scale_free(k, dim, scale):
+    # at 1e6 the self-check's absolute 1e-10 raised SelfCheckFailed on the
+    # dimension the relative kernel cut had found
+    assert nullifiers.nullifier_space(scale * k).dimension == dim
+
+
+def test_is_nullifier_fails_a_residual_past_the_float_range():
+    # M K overflows to inf, and inf passed the scale max|M| max|K|, itself
+    # inf: the identity passed as a nullifier of sigma_x
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        ok, res = nullifiers.is_nullifier(1e200 * np.eye(2), 1e200 * SX)
+    assert not ok and res == np.inf
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(k=_adjacency(), seed=st.integers(0, 2**32 - 1), m_exp=st.floats(-12.0, 12.0),
+       k_exp=st.floats(-12.0, 0.0))
+def test_the_criterion_verdict_does_not_change_with_scale(k, seed, m_exp, k_exp):
+    # M K = -(M K)^T is homogeneous in M and in K, and so is its verdict:
+    # true nullifiers and random Hermitian matrices under M -> cM, K -> cK
+    n = k.shape[0]
+    rng = np.random.default_rng(seed)
+    generators = nullifiers.nullifier_space(k).generators
+    stack = np.array(generators + [random_hermitian(rng, n) for _ in range(3)])
+    ok, _ = nullifiers.is_nullifier(stack, k)
+    assert ok[: len(generators)].all()
+    assert nullifiers.is_nullifier(10.0**m_exp * stack, k)[0].tolist() == ok.tolist()
+    assert nullifiers.is_nullifier(stack, 10.0**k_exp * k)[0].tolist() == ok.tolist()
 
 
 def test_nullifier_space_vacuum_is_everything():

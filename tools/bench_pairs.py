@@ -11,11 +11,19 @@ is odd, one run at a time; pairs already in the output file for the same
 workload, seed and trace setting are counted first. Each checkout runs its own bench/ and
 src/.
 
+Both sides run alike: every run gets the environment settings of CHILD_ENV
+and is pinned to one CPU, the lowest of those this process may use, by
+``os.sched_setaffinity`` in the child before it starts the harness. glibc
+moves its mmap threshold with a process's allocation history unless
+MALLOC_MMAP_THRESHOLD_ fixes it, so an edit off a workload's code path could
+move that workload; and the CPUs of a shared VM can differ in speed by tens
+of percent. Both settings are constants and each run's record states them.
+
 The output file holds every run's stdout, line by line, as the harness
 printed it (the metric lines, the ``{"raw": ...}`` and ``{"env": ...}``
-lines and the final JSON line), with the side, pair, order, seed and exit
-code. An existing file is extended, so one file can hold several workloads
-and seeds. Its ``summary`` is recomputed from all runs: for each workload,
+lines and the final JSON line), with the side, pair, order, seed, exit
+code, environment settings and CPU. An existing file is extended, so one
+file can hold several workloads and seeds. Its ``summary`` is recomputed from all runs: for each workload,
 seed and trace setting, and each metric of BENCHMARK.json that both sides
 of a pair report (the end-to-end ones untraced, the per-layer ones
 traced), each side's median and
@@ -28,20 +36,25 @@ and medians further apart than the parent's quartiles.
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# the allocator setting that closed a 12-14 % gap between two processes of
+# equal per-command speed, and one BLAS thread
+CHILD_ENV = {"MALLOC_MMAP_THRESHOLD_": "4194304", "OPENBLAS_NUM_THREADS": "1"}
 
 
-def run_once(checkout, workload, seed, seconds, trace):
-    """(exit code, stdout lines) of one harness run in ``checkout``."""
+def run_once(checkout, workload, seed, seconds, trace, cpu):
+    """(exit code, stdout lines) of one harness run in ``checkout`` on CPU cpu."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=False,
+        env={**os.environ, **CHILD_ENV}, preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
     )
     return proc.returncode, proc.stdout.splitlines()
 
@@ -121,6 +134,7 @@ def main(argv=None):
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     record = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    cpu = min(os.sched_getaffinity(0))
     # pairs already in the file for this workload, seed and trace are kept
     group = (args.workload, args.seed, args.trace)
     start = 1 + max((r["pair"] for r in record["runs"]
@@ -128,11 +142,12 @@ def main(argv=None):
     for pair in range(start, start + args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for position, side in enumerate(order):
-            code, stdout = run_once(sides[side], args.workload, args.seed, seconds, args.trace)
+            code, stdout = run_once(sides[side], args.workload, args.seed, seconds,
+                                    args.trace, cpu)
             record["runs"].append({
                 "workload": args.workload, "seed": args.seed, "seconds": seconds,
                 "trace": args.trace, "pair": pair, "side": side, "position": position,
-                "exit_code": code, "stdout": stdout,
+                "exit_code": code, "env": CHILD_ENV, "cpu": cpu, "stdout": stdout,
             })
             print(f"{args.workload} seed {args.seed} trace {args.trace} pair {pair} {side}: "
                   f"exit {code}, {len(final_metrics(stdout))} metrics", flush=True)
