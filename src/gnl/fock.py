@@ -28,6 +28,12 @@ scheme of The Walrus (Gupt, Izaac & Quesada, JOSS 4, 1705 (2019)).  The
 tables are built sector by sector from the previous one, so ranks are exact
 positions and no occupation is ever encoded as one integer.
 
+The tables depend only on the mode count, the photon number and the
+occupation dtype, so a process builds them once per (modes, sector, dtype)
+and every call shares them: they are read-only, and one cache holds them
+within SECTOR_CACHE_BYTES.  A sector past that budget is built from the one
+before it on each call and dropped after, as every sector was before.
+
 Quadratic operators adag M a conserve photon number, so applying them to a
 truncated state is exact sector by sector (lower, multiply by M, raise):
 residual norms computed here have no truncation artifact and confirm (or
@@ -56,6 +62,12 @@ AMP_KEYS = ("occ", "re", "im")
 # the largest photon-number sector the oracle builds, C(cutoff + n - 1, n - 1)
 # amplitudes; a sector of 10^6 amplitudes over 16 modes needs about 100 MB
 MAX_SECTOR_AMPLITUDES = 10**6
+# bytes of sector tables a process keeps between calls (see _ladder); the
+# verify workload holds about 2.2e6, a 6-spin wire at cutoff 8 about 7.6e6
+SECTOR_CACHE_BYTES = 2**24
+
+# (modes, sector, occupation dtype) -> the read-only tables of _ladder
+_sectors = {}
 
 
 @dataclass
@@ -99,11 +111,12 @@ def _sector_size(total, modes):
 
 
 def _ladder(n, top):
-    """Yield the tables (occ, down) of the sectors t = 0, 1, ..., top in turn.
+    """Yield the tables (occ, down, occupied) of the sectors t = 0, 1, ..., top.
 
     occ is the (n, N_t) table of the occupations of sector t in
     lexicographic order; down[j, r] is the row in sector t - 1 of
-    occ[:, r] - e_j, or -1 where occ[j, r] == 0.
+    occ[:, r] - e_j, or -1 where occ[j, r] == 0; occupied[r] counts the
+    occupied modes of occ[:, r].
 
     Sector t is built from sector t - 1 alone.  Ordered by the first
     occupied mode j, from n - 1 down to 0, its block j is mu = nu + e_j over
@@ -111,6 +124,11 @@ def _ladder(n, top):
     first C(t - 1 + n - j - 1, n - j - 1) rows of sector t - 1.  For i > j,
     mu - e_i = (nu - e_i) + e_j lies in block j of sector t - 1, at the row
     of nu - e_i in sector t - 2 past the start of that block.
+
+    The tables depend only on (n, t) and the occupation dtype, so they are
+    read-only and shared: a process builds each sector once and keeps it in
+    _sectors while the kept tables stay within SECTOR_CACHE_BYTES; a sector
+    that does not fit is built again on every call.
 
     Raises
     ------
@@ -126,12 +144,34 @@ def _ladder(n, top):
             f"{largest * (16 + 5 * n):.3e} bytes of amplitudes and ladder "
             f"tables; the oracle's limit is {MAX_SECTOR_AMPLITUDES:.0e} per sector"
         )
-    occ = np.zeros((n, 1), dtype=np.min_scalar_type(top))
-    down = np.full((n, 1), -1, dtype=np.int32)
-    yield occ, down
-    for t in range(1, top + 1):
-        occ, down = _next_sector(occ, down, t)
-        yield occ, down
+    dtype = np.min_scalar_type(top)
+    for t in range(top + 1):
+        key = (n, t, dtype)
+        tables = _sectors.get(key)
+        if tables is None:
+            if t == 0:
+                vacuum = np.zeros((n, 1), dtype=dtype)
+                tables = _sealed(vacuum, np.full((n, 1), -1, dtype=np.int32))
+            else:
+                tables = _sealed(*_next_sector(occ, down, t))
+            if _cached_bytes() + sum(a.nbytes for a in tables) <= SECTOR_CACHE_BYTES:
+                _sectors[key] = tables
+        occ, down, _ = tables
+        yield tables
+
+
+def _sealed(occ, down):
+    """The read-only tables (occ, down, occupied) of one sector."""
+    occupied = np.count_nonzero(occ, axis=0).astype(np.min_scalar_type(occ.shape[0]))
+    tables = occ, down, occupied
+    for a in tables:
+        a.flags.writeable = False
+    return tables
+
+
+def _cached_bytes():
+    """Bytes of the sector tables held in _sectors."""
+    return sum(a.nbytes for tables in _sectors.values() for a in tables)
 
 
 def _next_sector(occ, down, t):
@@ -167,11 +207,11 @@ def _lower(c, occ, down, roots):
     """a_j c for every mode j, c over sector t -> (n, N_{t-1} + 1) over sector t - 1.
 
     Every row of sector t - 1 is reached through mode 0, so the largest
-    entry of down is N_{t-1} - 1; unoccupied modes write sqrt(0) c = 0 into
-    the last column.
+    entry of down[0] is N_{t-1} - 1; unoccupied modes write sqrt(0) c = 0
+    into the last column.
     """
     n = occ.shape[0]
-    out = np.zeros((n, int(down.max(initial=-1)) + 2), dtype=complex)
+    out = np.zeros((n, int(down[0].max()) + 2), dtype=complex)
     for j in range(n):
         out[j, down[j]] = roots.take(occ[j]) * c
     return out
@@ -186,24 +226,21 @@ def _apply(m, c, occ, down, roots):
     return out
 
 
-def _routes(d, occ, down, t):
+def _routes(d, down, occupied, t):
     """Sector-t amplitudes, the mean of the routes c(mu) = d[i, mu - e_i].
 
     d[i, nu] is (a_i c_t)(nu) / sqrt(nu_i + 1), from the nullifier relation.
     Routes through unoccupied modes read the zero column of d and are left
     out of the mean and of the spread.
     """
-    n = occ.shape[0]
-    total = np.zeros(occ.shape[1], dtype=complex)
-    count = np.zeros(occ.shape[1], dtype=np.int32)
-    for i in range(n):
+    total = np.zeros(down.shape[1], dtype=complex)
+    for i in range(down.shape[0]):
         total += d[i].take(down[i])
-        count += occ[i] > 0
-    c = total / count
+    c = total / occupied
     spread = 0.0
-    for i in range(n):
+    for i in range(down.shape[0]):
         dev = np.abs(d[i].take(down[i]) - c)
-        spread = max(spread, float(np.max(dev, where=occ[i] > 0, initial=0.0)))
+        spread = max(spread, float(np.max(dev, where=down[i] >= 0, initial=0.0)))
     if not graphs.passes(spread, c):
         raise InconsistentRecursion(
             f"recursion routes disagree by {spread:.3e} in sector {t} "
@@ -220,16 +257,16 @@ def _even_sectors(k, cutoff):
     """
     roots = np.sqrt(np.arange(cutoff + 1))
     ladder = _ladder(k.shape[0], cutoff)
-    occ, down = next(ladder)
+    occ, down, _ = next(ladder)
     c = np.ones(1, dtype=complex)
     yield occ, down, c
     for t in range(2, cutoff + 1, 2):
-        occ, down = next(ladder)
+        occ, down, _ = next(ladder)
         # a_i c_t = sum_j K_ij adag_j c_{t-2} on sector t - 1
         d = k @ _raise(c, occ, down, roots)
         d[:, :-1] /= roots[occ + 1]
-        occ, down = next(ladder)
-        c = _routes(d, occ, down, t)
+        occ, down, occupied = next(ladder)
+        c = _routes(d, down, occupied, t)
         del d  # not held while the caller works on sector t
         yield occ, down, c
 
@@ -314,7 +351,7 @@ def apply_quadratic(m, v):
     top = max(by_total, default=0)
     roots = np.sqrt(np.arange(top + 1))
     out = {}
-    for t, (occ, down) in enumerate(_ladder(v.n_modes, top)):
+    for t, (occ, down, _) in enumerate(_ladder(v.n_modes, top)):
         if t not in by_total:
             continue
         row = {o: r for r, o in enumerate(map(tuple, occ.T.tolist()))}

@@ -1,5 +1,6 @@
 """Truncated-Fock oracle: the recursion, operator application, spin view."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -220,10 +221,11 @@ def test_criterion_agrees_with_the_fock_residual(seed, levels):
         assert fock.nullifier_residual(m, k, 6) >= (1.0 - 1e-9) * floor
 
 
-def test_nullifier_residual_streams_its_sectors():
+def test_nullifier_residual_streams_its_sectors(monkeypatch):
     layout = states.WireLayout(6, 0.5)
     k = states.dual_rail_wire(layout)
     m = schwinger.expression_to_matrix(states.wire_local_nullifiers(layout)[0])
+    monkeypatch.setattr(fock, "_sectors", {})  # a cold call builds every sector
     tracemalloc.start()
     try:
         res = fock.nullifier_residual(m, k, 6)
@@ -232,6 +234,10 @@ def test_nullifier_residual_streams_its_sectors():
         tracemalloc.stop()
     assert res < 1e-12
     assert peak <= 4e6, f"peak {peak / 1e6:.2f} MB"
+    # kept: the 12 x N_t uint8 occupations, int32 rows and a uint8 count of
+    # each sector t <= 6, 18564 columns in all
+    columns = sum(math.comb(t + 11, 11) for t in range(7))
+    assert fock._cached_bytes() == columns * (12 * 5 + 1)
 
 
 def test_wire_local_residuals_at_small_cutoff():
@@ -357,9 +363,87 @@ def test_a_nan_route_fails_the_consistency_check():
     # scale, so NaN amplitudes passed
     ladder = fock._ladder(2, 2)
     next(ladder)
-    odd, _ = next(ladder)
-    occ, down = next(ladder)
+    odd, _, _ = next(ladder)
+    _, down, occupied = next(ladder)
     d = np.zeros((2, odd.shape[1] + 1), dtype=complex)
     d[0, 0] = np.nan
     with pytest.raises(InconsistentRecursion):
-        fock._routes(d, occ, down, 2)
+        fock._routes(d, down, occupied, 2)
+
+
+# ----------------------------------------------------------------------
+# the sector tables and their cache
+
+
+def brute_force_sector(n, t):
+    """(occ, down, occupied) of sector t over n modes, by enumeration."""
+    rows = [o for o in itertools.product(range(t + 1), repeat=n) if sum(o) == t]
+    below = {o: r for r, o in enumerate(
+        o for o in itertools.product(range(t), repeat=n) if sum(o) == t - 1)}
+    down = [[below.get(o[:j] + (o[j] - 1,) + o[j + 1:], -1) for o in rows]
+            for j in range(n)]
+    occupied = [sum(x > 0 for x in o) for o in rows]
+    return np.array(rows).reshape(len(rows), n).T, np.array(down), np.array(occupied)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_every_sector_matches_the_brute_force_reference(n, monkeypatch):
+    monkeypatch.setattr(fock, "_sectors", {})
+    cold = list(fock._ladder(n, 6))
+    warm = list(fock._ladder(n, 6))
+    for t, tables in enumerate(cold):
+        for got, want in zip(tables, brute_force_sector(n, t)):
+            assert got.shape == want.shape and (got == want).all(), (n, t)
+        # the second ladder is served the same arrays
+        assert all(a is b for a, b in zip(tables, warm[t]))
+    assert len(fock._sectors) == 7
+
+
+def test_sector_tables_are_read_only(monkeypatch):
+    monkeypatch.setattr(fock, "_sectors", {})
+    for tables in (list(fock._ladder(3, 4))[4], list(fock._ladder(3, 4))[4]):
+        for a in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+
+
+def _bits(v):
+    return list(v.amplitudes), np.array(list(v.amplitudes.values())).tobytes()
+
+
+def test_oracle_results_do_not_depend_on_the_cache(monkeypatch):
+    rng = np.random.default_rng(109)
+    k = random_k(rng, 4, norm=0.6)
+    m = random_hermitian(rng, 4)
+
+    def results():
+        v = fock.state_from_k(k, 8)
+        return _bits(v), _bits(fock.apply_quadratic(m, v)), fock.nullifier_residual(m, k, 8)
+
+    monkeypatch.setattr(fock, "_sectors", {})
+    cold = results()
+    warm = results()
+    monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 0)
+    monkeypatch.setattr(fock, "_sectors", {})
+    uncached = results()
+    assert fock._sectors == {}
+    assert cold == warm == uncached
+
+
+def test_the_cache_keeps_within_its_budget(monkeypatch):
+    # sectors 0..8 of 5 modes take 1287 columns of 5 * 5 + 1 bytes, 33462
+    # bytes; a budget of 8000 keeps sectors 0..5 (252 columns, 6552 bytes)
+    # and builds the rest on every call
+    monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 8000)
+    monkeypatch.setattr(fock, "_sectors", {})
+    k = random_k(np.random.default_rng(113), 5, norm=0.5)
+    v = fock.state_from_k(k, 8)
+    assert fock._cached_bytes() == 6552
+    assert {key[:2] for key in fock._sectors} == {(5, t) for t in range(6)}
+    for t, tables in enumerate(fock._ladder(5, 8)):
+        for got, want in zip(tables, brute_force_sector(5, t)):
+            assert (got == want).all(), t
+    assert fock._cached_bytes() == 6552
+    assert _bits(fock.state_from_k(k, 8)) == _bits(v)
+    for occ, c in hafnian_amplitudes(k, 8).items():
+        assert abs(v.amplitude(occ) - c) <= 1e-12, occ
