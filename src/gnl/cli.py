@@ -25,7 +25,10 @@ before the subcommand.  Its keys are the dests of optional flags
 flags right after the subcommand, so argparse converts and checks them and
 an explicit flag wins.  A key that is no optional flag of any subcommand, or
 a value that is not a string or a number, is invalid input; a key that only
-another subcommand takes is skipped.
+another subcommand takes is skipped.  The BLAS thread count is no knob
+either: the Fock oracle's norms are numpy sums, not ``np.vdot``, whose
+OpenBLAS result on a long vector moved in the last digit with the thread
+count.
 
 ``--format json`` output is exactly ``json.dumps(payload, indent=2)`` plus a
 newline.  The stdlib writes every value but the two large tables of numbers,

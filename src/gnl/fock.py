@@ -271,6 +271,11 @@ def _even_sectors(k, cutoff):
         yield occ, down, c
 
 
+def _norm2(c):
+    """sum |c|^2 by numpy's pairwise sum, whose bits no BLAS thread count moves."""
+    return float(np.add.reduce(c.real * c.real + c.imag * c.imag))
+
+
 def _checked_k(k, cutoff):
     k = graphs.finite_square(k, "K")
     if cutoff % 2 != 0 or cutoff < 2:
@@ -324,7 +329,7 @@ def state_from_k(k, cutoff):
     """
     k = _checked_k(k, cutoff)
     sectors = [(occ, c) for occ, _, c in _even_sectors(k, cutoff)]
-    nrm = math.sqrt(sum(float(np.vdot(c, c).real) for _, c in sectors))
+    nrm = math.sqrt(sum(_norm2(c) for _, c in sectors))
     amps = {}
     for occ, c in sectors:
         amps.update(_sparse(occ, c / nrm))
@@ -382,9 +387,9 @@ def nullifier_residual(m, k, cutoff):
     roots = np.sqrt(np.arange(cutoff + 1))
     res2 = norm2 = 0.0
     for occ, down, c in _even_sectors(k, cutoff):
-        norm2 += float(np.vdot(c, c).real)
+        norm2 += _norm2(c)
         r = _apply(m, c, occ, down, roots)
-        res2 += float(np.vdot(r, r).real)
+        res2 += _norm2(r)
     return math.sqrt(res2 / norm2)
 
 

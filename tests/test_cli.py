@@ -572,6 +572,30 @@ print(rc, time.perf_counter() - start, repr(err.getvalue()))
     assert "error: 200 modes" in err and "bytes" in err
 
 
+def _allowed_cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+@pytest.mark.skipif(_allowed_cpus() < 2, reason="needs 2 CPUs to run a second BLAS thread")
+def test_check_json_is_the_same_on_one_and_two_blas_threads():
+    # the Fock norms were np.vdot, which OpenBLAS splits over threads on long
+    # vectors: this fock_residual (a 12376-amplitude sector) read
+    # 9.349328637509743e-17 on one thread and ...744e-17 on two
+    argv = ["check", "wire", "--spins", "6", "--alpha", "0.7", "--gen", "local:0",
+            "--cutoff", "6", "--format", "json"]
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-m", "gnl.cli", *argv], capture_output=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert b'"fock_residual"' in outs[0]
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize(
     "name, variant",
     [("tms-pair", "phi+")] + [(f"bell:{v}", v) for v in ("phi+", "phi-", "psi+", "psi-")],
