@@ -399,6 +399,14 @@ def test_every_sector_matches_the_brute_force_reference(n, monkeypatch):
     assert len(fock._sectors) == 7
 
 
+def test_a_ladder_past_255_photons_gets_its_own_tables(monkeypatch):
+    # uint8 tables of a small cutoff must not seed a ladder that needs uint16
+    monkeypatch.setattr(fock, "_sectors", {})
+    list(fock._ladder(2, 4))
+    occ = list(fock._ladder(2, 300))[300][0]
+    assert occ.dtype == np.uint16 and occ[:, -1].tolist() == [300, 0]
+
+
 def test_sector_tables_are_read_only(monkeypatch):
     monkeypatch.setattr(fock, "_sectors", {})
     for tables in (list(fock._ladder(3, 4))[4], list(fock._ladder(3, 4))[4]):
