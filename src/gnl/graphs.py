@@ -195,13 +195,13 @@ def check_edge(k):
     largest absolute row sum (2 tanh alpha for a wire).
     """
     edge = 1.0 - TOL_EDGE
-    if np.vdot(k, k).real < edge * edge:
+    frobenius2 = np.vdot(k, k).real
+    if frobenius2 < edge * edge:
         return
-    with np.errstate(over="ignore"):  # an infinite bound settles nothing
+    if frobenius2 < np.inf:  # so no entry, sum or float product here overflows
         a = np.abs(k)
-        bound = a.sum(axis=0).max() * a.sum(axis=1).max()
-    if bound < edge * edge:
-        return
+        if float(a.sum(axis=0).max()) * float(a.sum(axis=1).max()) < edge * edge:
+            return
     if np.linalg.svd(k, compute_uv=False)[0] >= edge:
         raise NormAtOrAboveOne("spectral norm of K is at or above the edge")
 
