@@ -42,6 +42,7 @@ refute) nullifier claims to machine precision.
 
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,8 +67,10 @@ MAX_SECTOR_AMPLITUDES = 10**6
 # verify workload holds about 2.2e6, a 6-spin wire at cutoff 8 about 7.6e6
 SECTOR_CACHE_BYTES = 2**24
 
-# (modes, sector, occupation dtype) -> the read-only tables of _ladder
+# (modes, sector, occupation dtype) -> the read-only tables of _ladder; the
+# lock makes its budget test and insertion one step
 _sectors = {}
+_sectors_lock = threading.Lock()
 
 
 @dataclass
@@ -154,8 +157,9 @@ def _ladder(n, top):
                 tables = _sealed(vacuum, np.full((n, 1), -1, dtype=np.int32))
             else:
                 tables = _sealed(*_next_sector(occ, down, t))
-            if _cached_bytes() + sum(a.nbytes for a in tables) <= SECTOR_CACHE_BYTES:
-                _sectors[key] = tables
+            with _sectors_lock:
+                if _cached_bytes() + sum(a.nbytes for a in tables) <= SECTOR_CACHE_BYTES:
+                    _sectors[key] = tables
         occ, down, _ = tables
         yield tables
 

@@ -3,6 +3,8 @@
 import itertools
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -455,3 +457,38 @@ def test_the_cache_keeps_within_its_budget(monkeypatch):
     assert _bits(fock.state_from_k(k, 8)) == _bits(v)
     for occ, c in hafnian_amplitudes(k, 8).items():
         assert abs(v.amplitude(occ) - c) <= 1e-12, occ
+
+
+def test_threads_keep_the_cache_within_its_budget(monkeypatch):
+    # the budget test and the insertion are one step: threads that fill the
+    # cache together, switching every microsecond, never pass the budget
+    monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 20000)
+    expected = {n: [brute_force_sector(n, t) for t in range(7)] for n in (3, 4, 5, 6)}
+    errors, over = [], []
+
+    def work(n):
+        try:
+            for t, tables in enumerate(fock._ladder(n, 6)):
+                for got, want in zip(tables, expected[n][t]):
+                    assert (got == want).all(), (n, t)
+            with fock._sectors_lock:
+                kept = fock._cached_bytes()
+            if kept > fock.SECTOR_CACHE_BYTES:
+                over.append(kept)
+        except Exception as exc:  # noqa: BLE001 - reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            monkeypatch.setattr(fock, "_sectors", {})
+            threads = [threading.Thread(target=work, args=(n,)) for n in (3, 4, 5, 6) * 2]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == [] and over == []
