@@ -128,10 +128,8 @@ def _ladder(n, top):
     mu - e_i = (nu - e_i) + e_j lies in block j of sector t - 1, at the row
     of nu - e_i in sector t - 2 past the start of that block.
 
-    The tables depend only on (n, t) and the occupation dtype, so they are
-    read-only and shared: a process builds each sector once and keeps it in
-    _sectors while the kept tables stay within SECTOR_CACHE_BYTES; a sector
-    that does not fit is built again on every call.
+    A sector is read from _sectors, or built from the one before and kept
+    there if the kept tables stay within SECTOR_CACHE_BYTES.
 
     Raises
     ------
