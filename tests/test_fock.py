@@ -460,8 +460,11 @@ def test_the_cache_keeps_within_its_budget(monkeypatch):
 
 
 def test_threads_keep_the_cache_within_its_budget(monkeypatch):
-    # the budget test and the insertion are one step: threads that fill the
-    # cache together, switching every microsecond, never pass the budget
+    # threads that fill the cache together, switching every microsecond:
+    # without the lock around the budget test and the insertion, one thread
+    # summed the cache's bytes while another inserted (RuntimeError:
+    # dictionary changed size during iteration), and two could pass the
+    # budget together
     monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 20000)
     expected = {n: [brute_force_sector(n, t) for t in range(7)] for n in (3, 4, 5, 6)}
     errors, over = [], []
@@ -475,7 +478,7 @@ def test_threads_keep_the_cache_within_its_budget(monkeypatch):
                 kept = fock._cached_bytes()
             if kept > fock.SECTOR_CACHE_BYTES:
                 over.append(kept)
-        except Exception as exc:  # noqa: BLE001 - reported by the main thread
+        except Exception as exc:  # a thread's failure is reported by the test
             errors.append(exc)
 
     interval = sys.getswitchinterval()
