@@ -31,8 +31,10 @@ positions and no occupation is ever encoded as one integer.
 The tables depend only on the mode count, the photon number and the
 occupation dtype, so a process builds them once per (modes, sector, dtype)
 and every call shares them: they are read-only, and one cache holds them
-within SECTOR_CACHE_BYTES.  A sector past that budget is built from the one
-before it on each call and dropped after, as every sector was before.
+within SECTOR_CACHE_BYTES.  A sector that does not fit makes room by
+dropping the tables of other (modes, dtype) ladders; one that does not fit
+even then is built from the one before it on each call and dropped after,
+as every sector was before.
 
 Quadratic operators adag M a conserve photon number, so applying them to a
 truncated state is exact sector by sector (lower, multiply by M, raise):
@@ -129,7 +131,7 @@ def _ladder(n, top):
     of nu - e_i in sector t - 2 past the start of that block.
 
     A sector is read from _sectors, or built from the one before and kept
-    there if the kept tables stay within SECTOR_CACHE_BYTES.
+    there if it fits within SECTOR_CACHE_BYTES (see _keep).
 
     Raises
     ------
@@ -156,8 +158,7 @@ def _ladder(n, top):
             else:
                 tables = _sealed(*_next_sector(occ, down, t))
             with _sectors_lock:
-                if _cached_bytes() + sum(a.nbytes for a in tables) <= SECTOR_CACHE_BYTES:
-                    _sectors[key] = tables
+                _keep(key, tables)
         occ, down, _ = tables
         yield tables
 
@@ -174,6 +175,25 @@ def _sealed(occ, down):
 def _cached_bytes():
     """Bytes of the sector tables held in _sectors."""
     return sum(a.nbytes for tables in _sectors.values() for a in tables)
+
+
+def _keep(key, tables):
+    """Put one sector's tables in _sectors if they fit in SECTOR_CACHE_BYTES.
+
+    Where they fit only without the tables of other ladders (another mode
+    count or dtype), those are dropped first, so the ladder in use is the
+    one kept.  The caller holds _sectors_lock.
+    """
+    size = sum(a.nbytes for a in tables)
+    held = _cached_bytes()
+    if held + size > SECTOR_CACHE_BYTES:
+        others = [o for o in _sectors if o[::2] != key[::2]]  # (modes, dtype)
+        held -= sum(a.nbytes for o in others for a in _sectors[o])
+        if held + size > SECTOR_CACHE_BYTES:
+            return
+        for o in others:
+            del _sectors[o]
+    _sectors[key] = tables
 
 
 def _next_sector(occ, down, t):

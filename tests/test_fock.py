@@ -459,6 +459,26 @@ def test_the_cache_keeps_within_its_budget(monkeypatch):
         assert abs(v.amplitude(occ) - c) <= 1e-12, occ
 
 
+def test_a_new_ladder_drops_other_ladders_to_fit(monkeypatch):
+    # 5 modes keep sectors 0..5 (6552 bytes of a budget of 8000); 3 modes,
+    # 16 bytes a column, fit beside them up to sector 6, and sector 7 drops
+    # the 5-mode tables, so the ladder in use is the one kept
+    monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 8000)
+    monkeypatch.setattr(fock, "_sectors", {})
+    list(fock._ladder(5, 5))
+    assert fock._cached_bytes() == 6552
+    for t, tables in enumerate(fock._ladder(3, 8)):
+        for got, want in zip(tables, brute_force_sector(3, t)):
+            assert (got == want).all(), t
+    three = {(3, t) for t in range(9)}
+    assert {key[:2] for key in fock._sectors} == three
+    assert fock._cached_bytes() == 2640
+    # a sector past the budget on its own (40 modes, sector 1: 8040 bytes)
+    # is built and dropped, and drops no other ladder
+    assert list(fock._ladder(40, 1))[1][0].shape == (40, 40)
+    assert {key[:2] for key in fock._sectors} == three | {(40, 0)}
+
+
 def test_threads_keep_the_cache_within_its_budget(monkeypatch):
     # threads that fill the cache together, switching every microsecond:
     # without the lock around the budget test and the insertion, one thread
