@@ -36,7 +36,8 @@ the ``nullifiers`` generator stack and the ``oracle`` amplitude records; one
 table writer, :func:`_table`, writes those from arrays to the same bytes.
 
 Exit codes: 0 all requested checks pass, 1 a check ran and failed,
-2 invalid input.  Every check applies one relative tolerance,
+2 invalid input, which includes a ``check`` generator that is zero (it
+would pass every check vacuously).  Every check applies one relative tolerance,
 :func:`graphs.passes`: ``check`` exits 0 only when the criterion residual
 and the Fock residual are at most graphs.RTOL max|M| max|K| and the
 symmetry deviation at most graphs.RTOL max|K| (1 + 2 pi max|M|).
@@ -50,7 +51,7 @@ import sys
 import numpy as np
 
 from . import fock, graphs, nullifiers, schwinger, states
-from .errors import BadSpec, GnlError, IndexOutOfRange
+from .errors import AllZeroCoefficients, BadSpec, GnlError, IndexOutOfRange
 
 TEXT_HEADER = "gnl-report v1"
 
@@ -345,6 +346,8 @@ def cmd_check(args):
     k, layout, _ = _build_state(args)
     m = schwinger.expression_to_matrix(_generator(args.state, layout, args.gen))
     ok, residual = nullifiers.is_nullifier(m, k)
+    if not m.any():
+        raise AllZeroCoefficients("the generator is zero, which nullifies every state")
     payload = {"state": args.state, "generator": args.gen, "is_nullifier": ok,
                "residual": residual}
     if ok:

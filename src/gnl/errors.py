@@ -63,7 +63,7 @@ class InvalidBlockShape(GnlError):
 
 
 class AllZeroCoefficients(GnlError):
-    """All four generator coefficients vanish."""
+    """A generator is zero: all its coefficients vanish, so it nullifies every state."""
 
 
 class UnknownVariant(GnlError):

@@ -45,6 +45,7 @@ refute) nullifier claims to machine precision.
 import json
 import math
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +74,9 @@ SECTOR_CACHE_BYTES = 2**24
 # lock makes its budget test and insertion one step
 _sectors = {}
 _sectors_lock = threading.Lock()
+# _sectors and the bytes it holds per (modes, dtype) ladder, kept by _keep;
+# a dict put in the place of _sectors is counted afresh
+_counted = (_sectors, Counter())
 
 
 @dataclass
@@ -115,6 +119,29 @@ def _sector_size(total, modes):
     return math.comb(total + modes - 1, modes - 1)
 
 
+def _roots(n, top):
+    """sqrt(0), sqrt(1), ..., sqrt(top), for a ladder of n modes up to sector top.
+
+    Every entry point calls this before it allocates anything that grows
+    with the cutoff, so the size gate comes first.
+
+    Raises
+    ------
+    FockTooLarge
+        Before any allocation, if sector `top` would exceed
+        MAX_SECTOR_AMPLITUDES.
+    """
+    largest = _sector_size(top, n)
+    if largest > MAX_SECTOR_AMPLITUDES:
+        raise FockTooLarge(
+            f"{n} modes at cutoff {top}: the largest Fock sector holds "
+            f"C({top + n - 1}, {n - 1}) = {largest:.3e} amplitudes, about "
+            f"{largest * (16 + 5 * n):.3e} bytes of amplitudes and ladder "
+            f"tables; the oracle's limit is {MAX_SECTOR_AMPLITUDES:.0e} per sector"
+        )
+    return np.sqrt(np.arange(top + 1))
+
+
 def _ladder(n, top):
     """Yield the tables (occ, down, occupied) of the sectors t = 0, 1, ..., top.
 
@@ -131,22 +158,9 @@ def _ladder(n, top):
     of nu - e_i in sector t - 2 past the start of that block.
 
     A sector is read from _sectors, or built from the one before and kept
-    there if it fits within SECTOR_CACHE_BYTES (see _keep).
-
-    Raises
-    ------
-    FockTooLarge
-        Before any allocation, if sector `top` would exceed
-        MAX_SECTOR_AMPLITUDES.
+    there if it fits within SECTOR_CACHE_BYTES (see _keep).  The caller
+    has passed the size gate of :func:`_roots` for (n, top).
     """
-    largest = _sector_size(top, n)
-    if largest > MAX_SECTOR_AMPLITUDES:
-        raise FockTooLarge(
-            f"{n} modes at cutoff {top}: the largest Fock sector holds "
-            f"C({top + n - 1}, {n - 1}) = {largest:.3e} amplitudes, about "
-            f"{largest * (16 + 5 * n):.3e} bytes of amplitudes and ladder "
-            f"tables; the oracle's limit is {MAX_SECTOR_AMPLITUDES:.0e} per sector"
-        )
     dtype = np.min_scalar_type(top)
     for t in range(top + 1):
         key = (n, t, dtype)
@@ -182,18 +196,25 @@ def _keep(key, tables):
 
     Where they fit only without the tables of other ladders (another mode
     count or dtype), those are dropped first, so the ladder in use is the
-    one kept.  The caller holds _sectors_lock.
+    one kept.  The bytes held are read from _counted, not summed over the
+    cache, so a ladder of T sectors costs O(T), not O(T^2).  The caller
+    holds _sectors_lock.
     """
+    global _counted
+    if _counted[0] is not _sectors:
+        _counted = (_sectors, Counter())
+        for o, kept in _sectors.items():
+            _counted[1][o[::2]] += sum(a.nbytes for a in kept)
+    held, ladder = _counted[1], key[::2]  # bytes per (modes, dtype)
     size = sum(a.nbytes for a in tables)
-    held = _cached_bytes()
-    if held + size > SECTOR_CACHE_BYTES:
-        others = [o for o in _sectors if o[::2] != key[::2]]  # (modes, dtype)
-        held -= sum(a.nbytes for o in others for a in _sectors[o])
-        if held + size > SECTOR_CACHE_BYTES:
+    if held.total() + size > SECTOR_CACHE_BYTES:
+        if held[ladder] + size > SECTOR_CACHE_BYTES:
             return
-        for o in others:
+        for o in [o for o in _sectors if o[::2] != ladder]:
             del _sectors[o]
+        _counted = (_sectors, Counter({ladder: held[ladder]}))
     _sectors[key] = tables
+    _counted[1][ladder] += size
 
 
 def _next_sector(occ, down, t):
@@ -271,13 +292,14 @@ def _routes(d, down, occupied, t):
     return c
 
 
-def _even_sectors(k, cutoff):
+def _even_sectors(k, roots):
     """Yield (occ, down, c) for the sectors 0, 2, ..., cutoff in turn.
 
-    c holds the unnormalized amplitudes of the sector (c(vacuum) = 1); only
-    the previous even sector and the odd one between are kept.
+    roots is :func:`_roots` of K's modes and the cutoff.  c holds the
+    unnormalized amplitudes of the sector (c(vacuum) = 1); only the previous
+    even sector and the odd one between are kept.
     """
-    roots = np.sqrt(np.arange(cutoff + 1))
+    cutoff = len(roots) - 1
     ladder = _ladder(k.shape[0], cutoff)
     occ, down, _ = next(ladder)
     c = np.ones(1, dtype=complex)
@@ -350,7 +372,7 @@ def state_from_k(k, cutoff):
         otherwise invalid K (or a bug).
     """
     k = _checked_k(k, cutoff)
-    sectors = [(occ, c) for occ, _, c in _even_sectors(k, cutoff)]
+    sectors = [(occ, c) for occ, _, c in _even_sectors(k, _roots(k.shape[0], cutoff))]
     nrm = math.sqrt(sum(_norm2(c) for _, c in sectors))
     amps = {}
     for occ, c in sectors:
@@ -370,13 +392,16 @@ def apply_quadratic(m, v):
     ShapeMismatch
         M is not (n, n) for the n modes of v, or has a NaN or infinite
         entry.
+    FockTooLarge
+        If the sector of v's largest photon number exceeds
+        MAX_SECTOR_AMPLITUDES.
     """
     m = _checked_m(m, v.n_modes)
     by_total = {}
     for occ, amp in v.amplitudes.items():
         by_total.setdefault(sum(occ), []).append((tuple(occ), amp))
     top = max(by_total, default=0)
-    roots = np.sqrt(np.arange(top + 1))
+    roots = _roots(v.n_modes, top)
     out = {}
     for t, (occ, down, _) in enumerate(_ladder(v.n_modes, top)):
         if t not in by_total:
@@ -406,9 +431,9 @@ def nullifier_residual(m, k, cutoff):
     """
     k = _checked_k(k, cutoff)
     m = _checked_m(m, k.shape[0])
-    roots = np.sqrt(np.arange(cutoff + 1))
+    roots = _roots(k.shape[0], cutoff)
     res2 = norm2 = 0.0
-    for occ, down, c in _even_sectors(k, cutoff):
+    for occ, down, c in _even_sectors(k, roots):
         norm2 += _norm2(c)
         r = _apply(m, c, occ, down, roots)
         res2 += _norm2(r)

@@ -41,8 +41,7 @@ from .errors import (
     SelfCheckFailed,
     ShapeMismatch,
 )
-from . import graphs
-from .schwinger import _pairs, from_coordinates, real_from_coordinates, unitary_path
+from . import graphs, schwinger
 
 # spectra with above/below ratio under this are flagged, not trusted
 KERNEL_GAP_MIN = 10.0
@@ -87,7 +86,7 @@ class NullifierBasis:
     @functools.cached_property
     def generators(self):
         """The generators as a list of (n, n) complex matrices, built once."""
-        return list(from_coordinates(self.coordinates))
+        return list(schwinger.from_coordinates(self.coordinates))
 
 
 @dataclass
@@ -405,7 +404,7 @@ def nullifier_space(k):
     k = graphs.finite_square(k, "K")
     n = k.shape[0]
     diag = np.arange(n)
-    i, j = _pairs(n)  # pairs i < j, lexicographic, as in the coordinates
+    i, j = schwinger._pairs(n)  # pairs i < j, lexicographic, as in the coordinates
     real = not k.imag.any()
     if real:
         # eigenvalues under the cut are the zero block, as on the complex
@@ -447,7 +446,7 @@ def nullifier_space(k):
         # arithmetic, as R against RK = -KR and as S against SK = KS, whose
         # residual |SK + (SK)^T| is that of M = iS
         stacks = (
-            real_from_coordinates(chosen[rows[start:start + BLOCK]], symmetric)
+            schwinger.real_from_coordinates(chosen[rows[start:start + BLOCK]], symmetric)
             for rows, symmetric in zip(halves, (True, False))
             for start in range(0, len(rows), BLOCK)
         )
@@ -457,7 +456,8 @@ def nullifier_space(k):
         b = np.concatenate([diag, j, j])[in_kernel]
         u = np.repeat([0.5, np.sqrt(0.5), -1j * np.sqrt(0.5)], [n, len(i), len(i)])
         chosen = _canonical_basis(_kernel_rows(q, a, b, u[in_kernel], i, j))[0]
-        stacks = (from_coordinates(chosen[start:start + BLOCK]) for start in range(0, dim, BLOCK))
+        stacks = (schwinger.from_coordinates(chosen[start:start + BLOCK])
+                  for start in range(0, dim, BLOCK))
 
     for m in stacks:
         ok, res = is_nullifier(m, k)
@@ -604,7 +604,7 @@ def verify_symmetry(k, m, theta_grid):
     if np.shape(m) != k.shape:
         raise ShapeMismatch(f"shapes {np.shape(m)} and {k.shape} incompatible")
     thetas = np.atleast_1d(graphs.finite(theta_grid, "theta grid")).tolist()
-    unitary = unitary_path(m)
+    unitary = schwinger.unitary_path(m)
     devs = [np.max(np.abs(w @ k @ w.T - k)) for w in map(unitary, thetas)]
     # np.max, not max: max(0.0, nan) is 0.0
     return float(np.max(devs, initial=0.0))

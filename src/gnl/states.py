@@ -13,8 +13,10 @@ Index conventions, fixed project-wide:
   (rail b).  The wire is built in the "distributed" basis where it splits
   into disjoint squeezed edges between mode (i)- and mode (i+1)+ around the
   ring, then rotated to the physical rails by one balanced mixer per spin.
-  Physical edge weights are exactly +-tanh(alpha)/2, negative iff the
-  left spin contributes rail b.
+  Physical edge weights are +-tanh(alpha)/2, negative iff the left spin
+  contributes rail b.  They share one magnitude, but it is rounded through
+  the 1/sqrt(2) mixer products: at alpha = 0.5 it is 0.2310585786300048,
+  two ulps from tanh(0.5)/2 = 0.23105857863000487.
 """
 
 from dataclasses import dataclass
@@ -137,6 +139,11 @@ def bell_analogue(variant, alpha):
       crossed: (0,3) and (1,2)),
     * psi-: psi+ followed by a 180-degree z-rotation of spin B (crossed
       edges pick up phases +-i).
+
+    Only phi+ is exactly real.  The pi rotations leave rounding in phi-
+    and psi+ (imaginary parts up to about 6e-17, and in psi+ entries of
+    about 3e-17 on the uncrossed edges (0,1) and (2,3)), so those K take
+    the complex route of :func:`nullifiers.nullifier_space`.
 
     Returns
     -------
@@ -267,9 +274,10 @@ def dual_rail_wire(layout):
     """Physical adjacency matrix of the periodic dual-rail wire.
 
     Built by rotating the distributed-basis matrix with the per-spin
-    balanced mixers; every nonzero entry is exactly +-tanh(alpha)/2 and
-    joins rails of neighbouring spins, with the sign set by the left spin's
-    rail (b gives the minus).
+    balanced mixers; every nonzero entry is +-tanh(alpha)/2, up to the
+    rounding of the mixer products (see the module docstring), and joins
+    rails of neighbouring spins, with the sign set by the left spin's rail
+    (b gives the minus).  The matrix is real.
 
     Raises
     ------

@@ -172,6 +172,28 @@ def test_twomode_all_zero_is_an_input_error(capsys):
     assert err.startswith("error:")
 
 
+_ZERO_GENERATORS = {
+    "no terms": ("tms", []),
+    "cancelling terms": ("tms-pair", [
+        {"axis": "x", "pair": [0, 2], "coeff": 1.0},
+        {"axis": "x", "pair": [0, 2], "coeff": -1.0},
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", list(_ZERO_GENERATORS))
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_refuses_a_zero_generator(case, fmt, tmp_path, capsys):
+    # M = 0 nullifies every state, so all three checks passed vacuously and
+    # check exited 0 ("pass": true)
+    state, terms = _ZERO_GENERATORS[case]
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps({"n": 2 if state == "tms" else 4, "terms": terms}))
+    rc, out, err = run(capsys, "check", state, "--gen", f"@{path}", "--format", fmt)
+    _assert_input_error(rc, out, err)
+    assert "generator is zero" in err
+
+
 @pytest.mark.parametrize("coeffs", [["nan", "1", "0", "0"], ["0", "inf", "0", "0"], ["0", "0", "1", "1e400"]])
 def test_non_finite_twomode_coefficients_exit_with_2(coeffs, capsys):
     # a NaN died in numpy's LinAlgError: a traceback and exit 1

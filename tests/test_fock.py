@@ -515,3 +515,86 @@ def test_threads_keep_the_cache_within_its_budget(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert errors == [] and over == []
+
+
+class _CountingDict(dict):
+    """A dict that counts the entries read from it."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def __iter__(self):
+        for key in super().__iter__():
+            self.reads += 1
+            yield key
+
+    def values(self):
+        for value in super().values():
+            self.reads += 1
+            yield value
+
+    def items(self):
+        for item in super().items():
+            self.reads += 1
+            yield item
+
+
+def test_a_ladder_reads_the_cache_a_bounded_number_of_times_per_sector(monkeypatch):
+    # each insert summed the bytes of every cached sector: a one-mode ladder
+    # at cutoff 6000 spent 23 of its 26 s there, O(T^2) in its T sectors
+    sectors = _CountingDict()
+    monkeypatch.setattr(fock, "_sectors", sectors)
+    top = 2000
+    list(fock._ladder(1, top))
+    assert len(sectors) == top + 1
+    assert sectors.reads <= 2 * (top + 1), sectors.reads
+    assert fock._counted[1].total() == fock._cached_bytes()
+
+
+def test_the_kept_byte_count_follows_inserts_and_evictions(monkeypatch):
+    monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 8000)
+    monkeypatch.setattr(fock, "_sectors", {})
+
+    def kept():
+        return fock._counted[1].total()
+
+    list(fock._ladder(5, 5))
+    assert kept() == fock._cached_bytes() == 6552
+    list(fock._ladder(3, 8))  # drops the 5-mode tables
+    assert kept() == fock._cached_bytes() == 2640
+    list(fock._ladder(40, 1))  # keeps sector 0 (201 bytes), not sector 1 (8040)
+    assert kept() == fock._cached_bytes() == 2640 + 201
+    # a dict put in the place of the cache is counted afresh
+    monkeypatch.setattr(fock, "_sectors", dict(fock._sectors))
+    list(fock._ladder(2, 4))
+    assert kept() == fock._cached_bytes() == 2640 + 201 + 15 * 11
+
+
+@pytest.mark.parametrize("entry", ["state_from_k", "apply_quadratic", "nullifier_residual"])
+def test_the_size_gate_comes_before_any_cutoff_sized_allocation(entry):
+    # sqrt(0..cutoff) was built before the gate ran: 160 MB at cutoff 10^7
+    # (240 MB in nullifier_residual), and 16 GB at 10^9 would be asked for
+    cutoff = 10**7
+    k = graphs.tms_k(0.5)
+    calls = {
+        "state_from_k": lambda: fock.state_from_k(k, cutoff),
+        "apply_quadratic": lambda: fock.apply_quadratic(
+            SX, fock.FockVector(2, cutoff, {(cutoff, 0): 1.0 + 0.0j})
+        ),
+        "nullifier_residual": lambda: fock.nullifier_residual(SX, k, cutoff),
+    }
+    tracemalloc.start()
+    try:
+        with pytest.raises(FockTooLarge):
+            calls[entry]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, f"peak {peak / 1e6:.1f} MB"

@@ -233,7 +233,6 @@ def test_the_text_path_never_builds_the_complex_stack(monkeypatch, capsys):
         raise AssertionError("complex stack built")
 
     monkeypatch.setattr(schwinger, "from_coordinates", refuse)
-    monkeypatch.setattr(nullifiers, "from_coordinates", refuse)
     assert cli.main(["nullifiers", "wire", "--spins", "4", "--format", "text"]) == 0
     assert "g27: " in capsys.readouterr().out
     with pytest.raises(AssertionError, match="complex stack built"):
@@ -734,7 +733,7 @@ def test_verify_symmetry_keeps_a_nan_deviation(monkeypatch):
     def path(m):
         return lambda theta: np.full((2, 2), np.nan) if theta == 1.0 else np.eye(2)
 
-    monkeypatch.setattr(nullifiers, "unitary_path", path)
+    monkeypatch.setattr(schwinger, "unitary_path", path)
     dev = nullifiers.verify_symmetry(graphs.tms_k(0.5), 0.5 * SZ, [0.0, 1.0, 2.0])
     assert np.isnan(dev)
 
