@@ -132,9 +132,13 @@ def _generator_table(generators, n):
 
 
 def _fock_payload(v):
-    """:func:`fock.fock_to_json` of v with its amplitudes as a table."""
+    """The JSON export of a Fock vector, its amplitudes as a table.
+
+    ``{"n":, "cutoff":, "amps": [{"occ":, "re":, "im":}]}``, one record per
+    row of :func:`fock.export_table`.
+    """
     occ, amps = fock.export_table(v)
-    record = dict(zip(fock.AMP_KEYS, ([_NUMBER] * v.n_modes, _NUMBER, _NUMBER)))
+    record = {"occ": [_NUMBER] * v.n_modes, "re": _NUMBER, "im": _NUMBER}
     return {
         "n": int(v.n_modes),
         "cutoff": int(v.cutoff),
@@ -398,19 +402,16 @@ def cmd_oracle(args):
     if args.format == "json":
         _write(args, _json_dumps(_fock_payload(v)))
         return 0
-    occ, amps = fock.export_table(v)
+    kept = fock.kept_sectors(v)
     lines = [
         TEXT_HEADER,
         f"state {args.state}",
         f"modes {v.n_modes} cutoff {v.cutoff}",
-        f"kept amplitudes {len(amps)}",
+        f"kept amplitudes {sum(len(amps) for _, amps in kept)}",
     ]
-    # rows come sorted by sector; the largest |amp| of each
-    totals = occ.sum(axis=1)
-    starts = np.flatnonzero(np.diff(totals, prepend=-1))
-    peaks = np.maximum.reduceat(np.hypot(amps.real, amps.imag), starts)
-    for tot, peak in zip(totals[starts].tolist(), peaks.tolist()):
-        lines.append(f"sector {tot}: max |amp| {_fmt_res(peak)}")
+    for occ, amps in kept:
+        peak = np.hypot(amps.real, amps.imag).max()
+        lines.append(f"sector {int(occ[0].sum())}: max |amp| {_fmt_res(peak)}")
     _write(args, "\n".join(lines) + "\n")
     return 0
 

@@ -94,10 +94,6 @@ class OddCutoff(GnlError):
     """Fock cutoff must be even (photons come in pairs)."""
 
 
-class BadPairing(GnlError):
-    """Spin pairing must partition the modes into disjoint ordered pairs."""
-
-
 class SelfCheckFailed(GnlError):
     """A derived result failed the package's own verification (a solver defect)."""
 

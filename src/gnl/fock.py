@@ -31,10 +31,16 @@ positions and no occupation is ever encoded as one integer.
 The tables depend only on the mode count, the photon number and the
 occupation dtype, so a process builds them once per (modes, sector, dtype)
 and every call shares them: they are read-only, and one cache holds them
-within SECTOR_CACHE_BYTES.  A sector that does not fit makes room by
+within SECTOR_CACHE_BYTES, each sector charged its arrays' bytes and the
+ENTRY_BYTES of its Python objects.  A sector that does not fit makes room by
 dropping the tables of other (modes, dtype) ladders; one that does not fit
-even then is built from the one before it on each call and dropped after,
-as every sector was before.
+even then is built from the one before it on each call and dropped after.
+Before any of it, the ladder up to the cutoff must hold at most
+MAX_FOCK_AMPLITUDES amplitudes in all.
+
+A FockVector is these sector vectors as they come: one (occupation table,
+amplitudes) pair per populated sector, in ladder order, which is also the
+order of every export.
 
 Quadratic operators adag M a conserve photon number, so applying them to a
 truncated state is exact sector by sector (lower, multiply by M, raise):
@@ -42,33 +48,30 @@ residual norms computed here have no truncation artifact and confirm (or
 refute) nullifier claims to machine precision.
 """
 
-import json
 import math
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from . import graphs
-from .errors import (
-    BadPairing,
-    FockTooLarge,
-    InconsistentRecursion,
-    OddCutoff,
-    ShapeMismatch,
-)
+from .errors import FockTooLarge, InconsistentRecursion, OddCutoff, ShapeMismatch
 
 # amplitudes below this are dropped from JSON exports
 EXPORT_CUTOFF = 1e-14
-# the keys of one exported amplitude record
-AMP_KEYS = ("occ", "re", "im")
-# the largest photon-number sector the oracle builds, C(cutoff + n - 1, n - 1)
-# amplitudes; a sector of 10^6 amplitudes over 16 modes needs about 100 MB
-MAX_SECTOR_AMPLITUDES = 10**6
+# the largest ladder the oracle builds: C(cutoff + n, n) amplitudes over the
+# sectors 0..cutoff, which also bounds their count, cutoff + 1; 16 modes at
+# cutoff 8 hold 7.4e5 amplitudes and need about 70 MB
+MAX_FOCK_AMPLITUDES = 10**6
 # bytes of sector tables a process keeps between calls (see _ladder); the
 # verify workload holds about 2.2e6, a 6-spin wire at cutoff 8 about 7.6e6
 SECTOR_CACHE_BYTES = 2**24
+# the bytes of Python objects one cached sector holds beside its arrays' data:
+# three array headers, the tables' tuple, its key and its dict slot; a 1-mode
+# ladder of 200,001 sectors held 580 bytes a sector by tracemalloc
+ENTRY_BYTES = 600
 
 # (modes, sector, occupation dtype) -> the read-only tables of _ladder; the
 # lock makes its budget test and insertion one step
@@ -79,39 +82,43 @@ _sectors_lock = threading.Lock()
 _counted = (_sectors, Counter())
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FockVector:
-    """Sparse state vector over occupation-number tuples.
+    """A state vector over the photon-number sectors of n_modes modes.
 
-    amplitudes maps occupation tuples (length n_modes, total <= cutoff) to
-    complex amplitudes; absent keys are zero.
+    sectors holds one (occ, c) pair per populated sector, in increasing
+    photon number: occ is the read-only (n_modes, N_t) occupation table of
+    the sector, in ladder order (see _ladder), and c the complex amplitudes
+    of its columns.  Sectors left out are zero.
     """
 
     n_modes: int
     cutoff: int
-    amplitudes: dict = field(default_factory=dict)
+    sectors: tuple = ()
+
+    @property
+    def amplitudes(self):
+        """A read-only {occupation tuple: complex} of the exact nonzeros.
+
+        Built on each access, sector by sector in ladder order.
+        """
+        amps = {}
+        for occ, c in self.sectors:
+            nz = np.flatnonzero(c)
+            amps.update(zip(map(tuple, occ[:, nz].T.tolist()), c[nz].tolist()))
+        return MappingProxyType(amps)
 
     def norm(self):
-        return float(np.sqrt(sum(abs(c) ** 2 for c in self.amplitudes.values())))
+        return math.sqrt(sum(_norm2(c) for _, c in self.sectors))
 
     def amplitude(self, occ):
-        return self.amplitudes.get(tuple(occ), 0.0 + 0.0j)
-
-
-@dataclass
-class SpinBasisView:
-    """The same amplitudes keyed by Schwinger spin labels.
-
-    Each mode pair (r, s) of the pairing becomes one spin with
-    s = (n_r + n_s)/2 and m = (n_r - n_s)/2; keys are tuples of (s, m)
-    pairs, one per spin, holding half-integer floats.
-    """
-
-    pairing: object
-    amplitudes: dict
-
-    def amplitude(self, spins):
-        return self.amplitudes.get(tuple(spins), 0.0 + 0.0j)
+        """The amplitude of one occupation, 0 outside the populated sectors."""
+        column = np.asarray(occ).reshape(-1, 1)
+        for table, c in self.sectors:
+            hit = np.flatnonzero((table == column).all(axis=0))
+            if hit.size:
+                return complex(c[hit[0]])
+        return 0.0 + 0.0j
 
 
 def _sector_size(total, modes):
@@ -128,16 +135,16 @@ def _roots(n, top):
     Raises
     ------
     FockTooLarge
-        Before any allocation, if sector `top` would exceed
-        MAX_SECTOR_AMPLITUDES.
+        Before any allocation, if the sectors 0..top would hold more than
+        MAX_FOCK_AMPLITUDES amplitudes.
     """
-    largest = _sector_size(top, n)
-    if largest > MAX_SECTOR_AMPLITUDES:
+    total = math.comb(top + n, n)
+    if total > MAX_FOCK_AMPLITUDES:
         raise FockTooLarge(
-            f"{n} modes at cutoff {top}: the largest Fock sector holds "
-            f"C({top + n - 1}, {n - 1}) = {largest:.3e} amplitudes, about "
-            f"{largest * (16 + 5 * n):.3e} bytes of amplitudes and ladder "
-            f"tables; the oracle's limit is {MAX_SECTOR_AMPLITUDES:.0e} per sector"
+            f"{n} modes at cutoff {top}: the Fock sectors up to the cutoff hold "
+            f"C({top + n}, {n}) = {total:.3e} amplitudes, about "
+            f"{total * (16 + 5 * n):.3e} bytes of amplitudes and ladder "
+            f"tables; the oracle's limit is {MAX_FOCK_AMPLITUDES:.0e}"
         )
     return np.sqrt(np.arange(top + 1))
 
@@ -186,14 +193,20 @@ def _sealed(occ, down):
     return tables
 
 
+def _charge(tables):
+    """The bytes one cached sector holds: its arrays' data and ENTRY_BYTES."""
+    return ENTRY_BYTES + sum(a.nbytes for a in tables)
+
+
 def _cached_bytes():
-    """Bytes of the sector tables held in _sectors."""
-    return sum(a.nbytes for tables in _sectors.values() for a in tables)
+    """Bytes of the sector tables held in _sectors, as _keep charges them."""
+    return sum(map(_charge, _sectors.values()))
 
 
 def _keep(key, tables):
     """Put one sector's tables in _sectors if they fit in SECTOR_CACHE_BYTES.
 
+    Each sector is charged its arrays' bytes and ENTRY_BYTES (see _charge).
     Where they fit only without the tables of other ladders (another mode
     count or dtype), those are dropped first, so the ladder in use is the
     one kept.  The bytes held are read from _counted, not summed over the
@@ -204,9 +217,9 @@ def _keep(key, tables):
     if _counted[0] is not _sectors:
         _counted = (_sectors, Counter())
         for o, kept in _sectors.items():
-            _counted[1][o[::2]] += sum(a.nbytes for a in kept)
+            _counted[1][o[::2]] += _charge(kept)
     held, ladder = _counted[1], key[::2]  # bytes per (modes, dtype)
-    size = sum(a.nbytes for a in tables)
+    size = _charge(tables)
     if held.total() + size > SECTOR_CACHE_BYTES:
         if held[ladder] + size > SECTOR_CACHE_BYTES:
             return
@@ -336,12 +349,6 @@ def _checked_m(m, n):
     return m
 
 
-def _sparse(occ, c):
-    """The nonzero entries of one sector as (occupation tuple, complex) pairs."""
-    nz = np.flatnonzero(c)
-    return zip(map(tuple, occ[:, nz].T.tolist()), c[nz].tolist())
-
-
 def state_from_k(k, cutoff):
     """Fock amplitudes of the Gaussian state of K, up to a photon cutoff.
 
@@ -354,8 +361,8 @@ def state_from_k(k, cutoff):
     Returns
     -------
     FockVector
-        Normalized; only even sectors are populated, and amplitudes that
-        are exactly zero are left out.
+        Normalized; the even sectors 0, 2, ..., cutoff are populated, each
+        over the cached occupation table of its sector.
 
     Raises
     ------
@@ -366,7 +373,7 @@ def state_from_k(k, cutoff):
     NormAtOrAboveOne
         If K fails :func:`graphs.check_edge`.
     FockTooLarge
-        If the sector at the cutoff exceeds MAX_SECTOR_AMPLITUDES.
+        If the sectors up to the cutoff exceed MAX_FOCK_AMPLITUDES.
     InconsistentRecursion
         If two recursion routes disagree, which signals a non-symmetric or
         otherwise invalid K (or a bug).
@@ -374,18 +381,15 @@ def state_from_k(k, cutoff):
     k = _checked_k(k, cutoff)
     sectors = [(occ, c) for occ, _, c in _even_sectors(k, _roots(k.shape[0], cutoff))]
     nrm = math.sqrt(sum(_norm2(c) for _, c in sectors))
-    amps = {}
-    for occ, c in sectors:
-        amps.update(_sparse(occ, c / nrm))
-    return FockVector(k.shape[0], cutoff, amps)
+    return FockVector(k.shape[0], cutoff, tuple((occ, c / nrm) for occ, c in sectors))
 
 
 def apply_quadratic(m, v):
     """Apply the photon-conserving operator adag M a to a Fock vector.
 
     Exact within each photon-number sector (these operators never leave a
-    sector, so the truncation does not leak).  Entries that come out
-    exactly zero are left out.
+    sector, so the truncation does not leak): the result populates the
+    sectors v populates.
 
     Raises
     ------
@@ -393,24 +397,18 @@ def apply_quadratic(m, v):
         M is not (n, n) for the n modes of v, or has a NaN or infinite
         entry.
     FockTooLarge
-        If the sector of v's largest photon number exceeds
-        MAX_SECTOR_AMPLITUDES.
+        If the sectors up to v's largest photon number exceed
+        MAX_FOCK_AMPLITUDES.
     """
     m = _checked_m(m, v.n_modes)
-    by_total = {}
-    for occ, amp in v.amplitudes.items():
-        by_total.setdefault(sum(occ), []).append((tuple(occ), amp))
+    by_total = {int(occ[:, 0].sum()): c for occ, c in v.sectors}
     top = max(by_total, default=0)
     roots = _roots(v.n_modes, top)
-    out = {}
-    for t, (occ, down, _) in enumerate(_ladder(v.n_modes, top)):
-        if t not in by_total:
-            continue
-        row = {o: r for r, o in enumerate(map(tuple, occ.T.tolist()))}
-        c = np.zeros(occ.shape[1], dtype=complex)
-        for o, amp in by_total[t]:
-            c[row[o]] = amp
-        out.update(_sparse(occ, _apply(m, c, occ, down, roots)))
+    out = tuple(
+        (occ, _apply(m, by_total[t], occ, down, roots))
+        for t, (occ, down, _) in enumerate(_ladder(v.n_modes, top))
+        if t in by_total
+    )
     return FockVector(v.n_modes, v.cutoff, out)
 
 
@@ -440,105 +438,35 @@ def nullifier_residual(m, k, cutoff):
     return math.sqrt(res2 / norm2)
 
 
-def spin_basis_view(v, pairing):
-    """Relabel a Fock vector in the Schwinger spin basis of a mode pairing.
-
-    Pure relabeling: amplitudes are untouched, each occupation (n_r, n_s)
-    of a pair becomes the spin label (s, m) = ((n_r + n_s)/2, (n_r - n_s)/2).
-
-    Raises
-    ------
-    BadPairing
-        If the pairing does not cover exactly the modes of v.
-    """
-    if pairing.n_modes != v.n_modes:
-        raise BadPairing(
-            f"pairing covers {pairing.n_modes} modes, vector has {v.n_modes}"
-        )
-    relabeled = {}
-    for occ, amp in v.amplitudes.items():
-        key = tuple(
-            ((occ[r] + occ[s]) / 2.0, (occ[r] - occ[s]) / 2.0)
-            for r, s in pairing.pairs
-        )
-        relabeled[key] = relabeled.get(key, 0.0 + 0.0j) + amp
-    return SpinBasisView(pairing, relabeled)
-
-
 # ----------------------------------------------------------------------
 # serialization
 
 
+def kept_sectors(v):
+    """The amplitudes a JSON export keeps, one (occ, amps) pair per sector.
+
+    occ is the (count, n) table of the kept occupations of one populated
+    sector, one row each in ladder order, and amps their complex
+    amplitudes.  Kept are the amplitudes of magnitude >= EXPORT_CUTOFF, the
+    magnitude taken as ``abs`` takes it (``np.hypot`` of the parts), so NaN
+    is dropped and an infinite part is kept.  A sector with nothing kept
+    is left out.
+    """
+    out = []
+    for occ, c in v.sectors:
+        keep = np.hypot(c.real, c.imag) >= EXPORT_CUTOFF
+        if keep.any():
+            out.append((occ.T[keep], c[keep]))
+    return out
+
+
 def export_table(v):
-    """The amplitudes a JSON export keeps, as arrays in export order.
+    """The rows of :func:`kept_sectors`, as one (count, n) int64 table and amps.
 
-    Returns (occ, amps): occ is the (count, n) int64 table of the kept
-    occupations, one row each, and amps their complex amplitudes.  Kept are
-    the amplitudes of magnitude >= EXPORT_CUTOFF, the magnitude taken as
-    ``abs`` takes it (``np.hypot`` of the parts), so NaN is dropped and an
-    infinite part is kept.  Rows are sorted by total photon number and then
-    by occupation, ``np.lexsort`` over (total, occ_0, ..., occ_{n-1}); this
-    is the one ordering rule of every export.
+    The ladder's order, by total photon number and then by occupation with
+    mode 0 most significant, is the order of ``np.lexsort`` over (total,
+    occ_0, ..., occ_{n-1}); this is the one ordering rule of every export.
     """
-    n = v.n_modes
-    occ = np.array(list(v.amplitudes), dtype=np.int64).reshape(len(v.amplitudes), n)
-    amps = np.fromiter(v.amplitudes.values(), dtype=complex, count=len(v.amplitudes))
-    keep = np.hypot(amps.real, amps.imag) >= EXPORT_CUTOFF
-    occ, amps = occ[keep], amps[keep]
-    order = np.lexsort((*occ.T[::-1], occ.sum(axis=1)))
-    return occ[order], amps[order]
-
-
-def fock_to_json(v):
-    """FockVector -> {"n":, "cutoff":, "amps": [{"occ":, "re":, "im":}]}.
-
-    The records are the rows of :func:`export_table`: amplitudes below
-    EXPORT_CUTOFF in magnitude are omitted, and the rest are sorted by
-    (total photons, occupation), so output is deterministic.
-    """
-    occ, amps = export_table(v)
-    rows = zip(occ.tolist(), amps.real.tolist(), amps.imag.tolist())
-    return {
-        "n": int(v.n_modes),
-        "cutoff": int(v.cutoff),
-        "amps": [dict(zip(AMP_KEYS, row)) for row in rows],
-    }
-
-
-def fock_from_json(obj):
-    """Inverse of :func:`fock_to_json`; accepts a dict or JSON string.
-
-    Amplitudes may be NaN or infinite; a later record of an occupation
-    replaces an earlier one.
-
-    Raises
-    ------
-    ShapeMismatch
-        The text is not JSON, or the value is not an object with integers
-        n >= 1 and cutoff >= 0 and a list of amps records, each with an occ
-        of n integers >= 0 summing to at most cutoff and numeric re and im.
-    """
-    try:
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        n, cutoff = obj["n"], obj["cutoff"]
-        rows = [(row["occ"], complex(row["re"], row["im"])) for row in obj["amps"]]
-    except (LookupError, TypeError, ValueError) as exc:
-        raise ShapeMismatch(
-            f"Fock JSON needs n, cutoff and amps records with occ, re and im: {exc}"
-        ) from None
-    if type(n) is not int or type(cutoff) is not int or n < 1 or cutoff < 0:
-        raise ShapeMismatch(
-            f"Fock JSON needs integers n >= 1 and cutoff >= 0, got {n!r} and {cutoff!r}"
-        )
-    for occ, _ in rows:
-        if (
-            type(occ) is not list
-            or len(occ) != n
-            or any(type(x) is not int or x < 0 for x in occ)
-            or sum(occ) > cutoff
-        ):
-            raise ShapeMismatch(
-                f"occupation {occ!r} is not {n} integers >= 0 with total <= {cutoff}"
-            )
-    return FockVector(n, cutoff, {tuple(occ): c for occ, c in rows})
+    kept = kept_sectors(v)
+    occ = np.concatenate([np.empty((0, v.n_modes), np.int64)] + [o for o, _ in kept])
+    return occ, np.concatenate([np.empty(0, complex)] + [a for _, a in kept])

@@ -265,31 +265,6 @@ def add_expressions(a, b, ca=1.0, cb=1.0):
     return combine_terms(SchwingerExpression(a.n, terms))
 
 
-def su2_structure_check(r, s, n):
-    """Max defect of the u(2) structure relations for the embedding at (r, s).
-
-    Checks [sigma_k/2, sigma_l/2] = i eps_klm sigma_m/2 on the embedded x, y,
-    z matrices, and that the embedded sigma_0 commutes with all three.
-    Returns the largest absolute entry of any violated relation (0 for a
-    correct embedding).
-    """
-    sig = {a: embed_pauli(a, r, s, n) for a in AXES}
-    eps = {("x", "y"): "z", ("y", "z"): "x", ("z", "x"): "y"}
-    defect = 0.0
-
-    def comm(a, b):
-        return a @ b - b @ a
-
-    for (k, l), target in eps.items():
-        d = comm(0.5 * sig[k], 0.5 * sig[l]) - 0.5j * sig[target]
-        defect = max(defect, float(np.max(np.abs(d))))
-        d = comm(0.5 * sig[l], 0.5 * sig[k]) + 0.5j * sig[target]
-        defect = max(defect, float(np.max(np.abs(d))))
-    for a in ("x", "y", "z"):
-        defect = max(defect, float(np.max(np.abs(comm(sig["0"], sig[a])))))
-    return defect
-
-
 def change_basis(m, w):
     """Rewrite the quadratic form adag M a in the new modes b = W a.
 

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import graphs, schwinger
 from .errors import (
-    BadPairing,
     OddSpinCount,
     IndexOutOfRange,
     SpanTooLong,
@@ -48,30 +47,6 @@ _BELL_SIGNS = {
     "psi+": {"x": -1.0, "y": -1.0, "z": +1.0},
     "psi-": {"x": +1.0, "y": +1.0, "z": +1.0},
 }
-
-
-@dataclass(frozen=True)
-class SpinPairing:
-    """Partition of the modes into ordered pairs, each read as one spin."""
-
-    pairs: tuple
-
-    def __post_init__(self):
-        flat = [i for p in self.pairs for i in p]
-        n = 2 * len(self.pairs)
-        if sorted(flat) != list(range(n)):
-            raise BadPairing(
-                f"pairs {self.pairs} do not partition modes 0..{n - 1}"
-            )
-
-    @property
-    def n_modes(self):
-        return 2 * len(self.pairs)
-
-
-def tms_pair_pairing():
-    """The spin-A/spin-B pairing of the 4-mode TMS pair."""
-    return SpinPairing((SPIN_A, SPIN_B))
 
 
 def tms_pair(alpha, alpha_second=None):
@@ -108,24 +83,6 @@ def tms_pair_nullifiers():
     that both spins carry the same total photon number.
     """
     return [bell_nullifier("phi+", axis) for axis in "xyz0"]
-
-
-# what the first three tms_pair_nullifiers() expressions do to the pair
-_SYMMETRY_NOTES = (
-    "counter-rotating x mixers on spins A and B",
-    "co-rotating y mixers on spins A and B",
-    "opposite phase differentials on spins A and B",
-)
-
-
-def four_mode_symmetries(alpha):
-    """Symmetry generators of the TMS pair, with short descriptions.
-
-    Each expression M passes the nullifier test against tms_pair(alpha), so
-    exp(-i theta adag M a) leaves the state invariant for every theta.
-    """
-    graphs.check_alpha(alpha)
-    return list(zip(tms_pair_nullifiers()[:3], _SYMMETRY_NOTES))
 
 
 def bell_analogue(variant, alpha):
@@ -402,28 +359,6 @@ def wire_y_symmetry(layout):
     return SchwingerExpression(
         n, [SchwingerTerm("y", pair, c) for pair, c in coeffs]
     )
-
-
-def wire_overlap_forms(layout):
-    """Two renderings of the same wire symmetry on spins 0 and 1.
-
-    Returns (z_form, local_form): the first writes the generator with S^z
-    operators on crossed rail pairs minus the two rail mixers, the second is
-    the local nullifier N_0.  Their matrices agree exactly, which is the
-    quickest way to see the overlapping spin structure of the wire.
-    """
-    n = layout.n_modes
-    z_form = SchwingerExpression(
-        n,
-        [
-            SchwingerTerm("z", (0, 2), 1.0),
-            SchwingerTerm("z", (1, 3), 1.0),
-            SchwingerTerm("x", (0, 1), -1.0),
-            SchwingerTerm("x", (2, 3), -1.0),
-        ],
-    )
-    local_form = wire_local_nullifiers(layout)[0]
-    return z_form, local_form
 
 
 def six_mode_symmetry_decomposition(layout, theta):

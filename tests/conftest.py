@@ -247,6 +247,23 @@ def linear_nullifier_residual(k, v):
     return worst
 
 
+def wire_z_form(layout):
+    """The wire's local nullifier N_0, written another way.
+
+    S^z on the crossed rail pairs (0, 2) and (1, 3) minus the rail mixers of
+    spins 0 and 1; its matrix is that of N_0, which shows how the wire's
+    spins overlap.
+    """
+    from gnl.schwinger import SchwingerExpression, SchwingerTerm
+
+    return SchwingerExpression(layout.n_modes, [
+        SchwingerTerm("z", (0, 2), 1.0),
+        SchwingerTerm("z", (1, 3), 1.0),
+        SchwingerTerm("x", (0, 1), -1.0),
+        SchwingerTerm("x", (2, 3), -1.0),
+    ])
+
+
 def reference_display_expression(m, labels=None):
     """Pretty Schwinger expression of one Hermitian matrix, term by term.
 
@@ -342,6 +359,62 @@ def real_adjacency(draw):
     return 0.5 * (k + k.T), int(dim)
 
 
+def fock_vector(n, cutoff, amps):
+    """A FockVector holding {occupation tuple: amplitude}, scattered into sectors.
+
+    Each occupation's row is looked up in the occupation table of its
+    sector, read from fock._ladder after the size gate of fock._roots; a
+    sector holds the zeros of the rows not given, and sectors with no
+    occupation given are left out.
+    """
+    from gnl import fock
+
+    top = max(map(sum, amps), default=0)
+    fock._roots(n, top)
+    sectors = []
+    for t, (occ, _, _) in enumerate(fock._ladder(n, top)):
+        given = {o: a for o, a in amps.items() if sum(o) == t}
+        if given:
+            row = {o: r for r, o in enumerate(map(tuple, occ.T.tolist()))}
+            c = np.zeros(occ.shape[1], dtype=complex)
+            for o, a in given.items():
+                c[row[tuple(o)]] = a
+            sectors.append((occ, c))
+    return fock.FockVector(n, cutoff, tuple(sectors))
+
+
+def reference_export_table(v):
+    """The export of a FockVector through its amplitude mapping, sorted apart.
+
+    The kept amplitudes (magnitude >= fock.EXPORT_CUTOFF as np.hypot takes
+    it), as an int64 occupation table and complex amplitudes, sorted by
+    ``np.lexsort`` over (total, occ_0, ..., occ_{n-1}).
+    """
+    from gnl import fock
+
+    amplitudes = v.amplitudes
+    occ = np.array(list(amplitudes), dtype=np.int64).reshape(len(amplitudes), v.n_modes)
+    amps = np.fromiter(amplitudes.values(), dtype=complex, count=len(amplitudes))
+    keep = np.hypot(amps.real, amps.imag) >= fock.EXPORT_CUTOFF
+    occ, amps = occ[keep], amps[keep]
+    order = np.lexsort((*occ.T[::-1], occ.sum(axis=1)))
+    return occ[order], amps[order]
+
+
+def fock_to_json(v):
+    """FockVector -> {"n":, "cutoff":, "amps": [{"occ":, "re":, "im":}]} by the stdlib.
+
+    One record per row of :func:`reference_export_table`.
+    """
+    occ, amps = reference_export_table(v)
+    rows = zip(occ.tolist(), amps.real.tolist(), amps.imag.tolist())
+    return {
+        "n": int(v.n_modes),
+        "cutoff": int(v.cutoff),
+        "amps": [dict(zip(("occ", "re", "im"), row)) for row in rows],
+    }
+
+
 # amplitude parts: signed zeros, the smallest subnormal, values one ulp apart
 # (also across EXPORT_CUTOFF), a repr with an exponent, NaN and Infinity
 _PARTS = st.sampled_from(
@@ -352,27 +425,25 @@ _PARTS = st.sampled_from(
 
 @st.composite
 def fock_vectors(draw):
-    """FockVectors whose amplitudes are not stored in export order.
+    """FockVectors of hard amplitude values, or of an operator on a state.
 
-    Either fock.fock_from_json of shuffled records (n = 1..4, occupations up
-    to 0, 3, 12 or 300, possibly none kept) or apply_quadratic of a random
-    Hermitian M on the state of a random K, whose sectors come out in ladder
-    order.
+    Either :func:`fock_vector` of records drawn in random order (n = 1..4,
+    up to 0, 3 or 12 photons a mode, or up to 300 where n <= 2, so that the
+    ladder stays within the oracle's size gate; possibly none kept) or
+    apply_quadratic of a random Hermitian M on the state of a random K.
     """
     from gnl import fock
 
     n = draw(st.integers(1, 4))
     if draw(st.booleans()):
-        top = draw(st.sampled_from([0, 3, 12, 300]))
+        top = draw(st.sampled_from([0, 3, 12, 300] if n <= 2 else [0, 3, 12]))
         occs = draw(st.lists(
             st.lists(st.integers(0, top), min_size=n, max_size=n), max_size=25, unique_by=tuple
         ))
         parts = draw(st.lists(st.tuples(_PARTS, _PARTS), min_size=len(occs), max_size=len(occs)))
-        records = [{"occ": o, "re": re, "im": im} for o, (re, im) in zip(occs, parts)]
+        records = draw(st.permutations([(tuple(o), complex(*p)) for o, p in zip(occs, parts)]))
         cutoff = max(map(sum, occs), default=0) + draw(st.integers(0, 2))
-        return fock.fock_from_json(
-            {"n": n, "cutoff": cutoff, "amps": draw(st.permutations(records))}
-        )
+        return fock_vector(n, cutoff, dict(records))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = min(n, 3)
     v = fock.state_from_k(random_k(rng, n), draw(st.sampled_from([2, 4, 6])))

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from conftest import brute_force_dim, random_hermitian, random_k, random_z
+from conftest import brute_force_dim, random_hermitian, random_k, random_z, wire_z_form
 from gnl import cli, fock, graphs, nullifiers, schwinger, states
 
 
@@ -264,7 +264,7 @@ def test_09_six_mode_decomposition_and_overlap_forms():
         assert ok and res <= 1e-10
         product = factors[3] @ factors[2] @ factors[1] @ factors[0]
         assert np.max(np.abs(product - schwinger.generator_to_unitary(m, theta))) <= 1e-9
-    z_form, local_form = states.wire_overlap_forms(layout)
+    z_form, local_form = wire_z_form(layout), states.wire_local_nullifiers(layout)[0]
     assert np.max(np.abs(_matrix(z_form) - _matrix(local_form))) <= 1e-12
     print("criterion 09 pass: factor products match, overlap forms coincide")
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fock_vectors
-from gnl import cli, fock, graphs, nullifiers, schwinger, states
+from conftest import fock_to_json, fock_vector, fock_vectors
+from gnl import cli, graphs, nullifiers, schwinger, states
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -304,8 +305,25 @@ def test_oracle_refuses_an_oversized_fock_space_at_once(capsys):
     start = time.monotonic()
     rc, out, err = run(capsys, "oracle", "wire", "--spins", "20", "--cutoff", "20")
     assert rc == 2 and out == ""
-    assert "2.795e+15 amplitudes" in err and "bytes" in err
+    assert "4.192e+15 amplitudes" in err and "bytes" in err
     assert time.monotonic() - start < 5.0
+
+
+def test_oracle_refuses_a_long_one_mode_ladder_before_allocating(tmp_path, capsys):
+    # the gate bounded only the largest sector, one amplitude for one mode:
+    # this asked for about 16 GB and 10^9 sectors
+    path = tmp_path / "g1.json"
+    path.write_text(json.dumps(graphs.matrix_to_json(np.array([[1.0]]))))
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, "oracle", "hgraph", "--g", str(path),
+                           "--cutoff", "1000000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_input_error(rc, out, err)
+    assert "C(1000000001, 1) = 1.000e+09 amplitudes" in err
+    assert peak < 1e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_export_writes_a_dot_file(tmp_path, capsys):
@@ -436,11 +454,11 @@ _ONE_ULP = np.nextafter(0.1, 1.0)
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(v=fock_vectors(), block=_BLOCKS)
-@example(v=fock.FockVector(1, 600, {(300,): complex(0.1, -0.0), (256,): complex(_ONE_ULP, 0.0)}), block=1)
-@example(v=fock.FockVector(2, 4, {(1, 1): complex(float("nan"), float("inf")), (0, 2): 1.0}), block=8)
-@example(v=fock.FockVector(3, 4, {(0, 0, 2): 1e-15 + 0j}), block=cli.BLOCK)
+@example(v=fock_vector(1, 600, {(300,): complex(0.1, -0.0), (256,): complex(_ONE_ULP, 0.0)}), block=1)
+@example(v=fock_vector(2, 4, {(1, 1): complex(float("nan"), float("inf")), (0, 2): 1.0}), block=8)
+@example(v=fock_vector(3, 4, {(0, 0, 2): 1e-15 + 0j}), block=cli.BLOCK)
 def test_oracle_writer_matches_the_stdlib_payload(v, block):
-    new, old = cli._fock_payload(v), fock.fock_to_json(v)
+    new, old = cli._fock_payload(v), fock_to_json(v)
     with mock.patch.object(cli, "BLOCK", block):
         assert cli._json_dumps(new) == json.dumps(old, indent=2) + "\n"
 

@@ -1,5 +1,6 @@
-"""Truncated-Fock oracle: the recursion, operator application, spin view."""
+"""Truncated-Fock oracle: the recursion, operator application, the export."""
 
+import collections
 import itertools
 import json
 import math
@@ -13,16 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    fock_vector,
     fock_vectors,
     hafnian_amplitudes,
     linear_nullifier_residual,
     random_hermitian,
     random_k,
     random_unitary,
+    reference_export_table,
 )
-from gnl import fock, graphs, nullifiers, schwinger, states
+from gnl import cli, fock, graphs, nullifiers, schwinger, states
 from gnl.errors import (
-    BadPairing,
     FockTooLarge,
     InconsistentRecursion,
     NormAtOrAboveOne,
@@ -138,37 +140,50 @@ def test_forty_mode_product_state_has_exact_ranks(cutoff):
                 nxt[2 * p + 1] += 1
                 expected[tuple(nxt)] = c * t
     c0 = 1.0 / math.sqrt(sum(c * c for c in expected.values()))
-    assert set(v.amplitudes) == set(expected)
+    amplitudes = v.amplitudes
+    assert set(amplitudes) == set(expected)
     for occ, c in expected.items():
-        assert abs(v.amplitudes[occ] - c0 * c) <= 1e-14
+        assert abs(amplitudes[occ] - c0 * c) <= 1e-14
 
 
 def test_oversized_fock_spaces_fail_before_allocating():
     k = np.zeros((40, 40))
-    estimate = r"C\(59, 39\) = 2\.795e\+15 amplitudes, about .* bytes"
+    estimate = r"C\(60, 40\) = 4\.192e\+15 amplitudes, about .* bytes"
     with pytest.raises(FockTooLarge, match=estimate):
         fock.state_from_k(k, 20)
     with pytest.raises(FockTooLarge):
         fock.nullifier_residual(np.eye(40), k, 20)
-    v = fock.FockVector(40, 20, {(20,) + (0,) * 39: 1.0 + 0.0j})
-    with pytest.raises(FockTooLarge):
-        fock.apply_quadratic(np.eye(40), v)
-    # a 6-spin wire (12 modes) at cutoff 8 stays within the limit
+    # a 6-spin wire (12 modes) at cutoff 8 and 16 modes at cutoff 8 stay
+    # within the limit
     v = fock.state_from_k(np.zeros((12, 12)), 8)
     assert v.amplitudes == {(0,) * 12: 1.0 + 0.0j}
+    assert fock._roots(16, 8).shape == (9,)
+
+
+def test_a_long_one_mode_ladder_fails_before_allocating():
+    # the gate bounded only the largest sector, one amplitude for one mode,
+    # so a 1-mode K passed at any cutoff: 160 MB at cutoff 10^7
+    tracemalloc.start()
+    try:
+        with pytest.raises(FockTooLarge, match=r"C\(10000001, 1\) = 1\.000e\+07"):
+            fock.state_from_k(np.array([[0.5]]), 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_apply_quadratic_single_ladder_steps():
-    v = fock.FockVector(2, 4, {(1, 0): 1.0 + 0.0j})
+    v = fock_vector(2, 4, {(1, 0): 1.0 + 0.0j})
     out = fock.apply_quadratic(np.eye(2), v)
     assert out.amplitudes == {(1, 0): 1.0 + 0.0j}
-    v = fock.FockVector(2, 4, {(0, 1): 1.0 + 0.0j})
+    v = fock_vector(2, 4, {(0, 1): 1.0 + 0.0j})
     out = fock.apply_quadratic(0.5 * np.array([[0.0, 1.0], [1.0, 0.0]]), v)
     assert out.amplitudes == {(1, 0): 0.5 + 0.0j}
 
 
 def test_apply_quadratic_sqrt_weights():
-    v = fock.FockVector(2, 6, {(0, 2): 1.0 + 0.0j})
+    v = fock_vector(2, 6, {(0, 2): 1.0 + 0.0j})
     hop = np.zeros((2, 2))
     hop[0, 1] = 1.0
     out = fock.apply_quadratic(hop, v)
@@ -237,9 +252,9 @@ def test_nullifier_residual_streams_its_sectors(monkeypatch):
     assert res < 1e-12
     assert peak <= 4e6, f"peak {peak / 1e6:.2f} MB"
     # kept: the 12 x N_t uint8 occupations, int32 rows and a uint8 count of
-    # each sector t <= 6, 18564 columns in all
+    # each sector t <= 6, 18564 columns in all, and 600 bytes a sector
     columns = sum(math.comb(t + 11, 11) for t in range(7))
-    assert fock._cached_bytes() == columns * (12 * 5 + 1)
+    assert fock._cached_bytes() == columns * (12 * 5 + 1) + 7 * 600
 
 
 def test_wire_local_residuals_at_small_cutoff():
@@ -250,18 +265,16 @@ def test_wire_local_residuals_at_small_cutoff():
         assert fock.nullifier_residual(m, k, 6) < 1e-9
 
 
-def test_spin_basis_view_relabels_occupations():
-    pairing = states.SpinPairing(((0, 1),))
-    v = fock.FockVector(2, 4, {(2, 0): 1.0 + 0.0j})
-    view = fock.spin_basis_view(v, pairing)
-    assert view.amplitude(((1.0, 1.0),)) == 1.0 + 0.0j
-
-
 def test_spin_view_of_the_tms_pair_is_flat_per_sector():
+    # each spin (r, s) of the pair reads (n_r + n_s)/2, (n_r - n_s)/2
     v = fock.state_from_k(states.tms_pair(0.5), 8)
-    view = fock.spin_basis_view(v, states.tms_pair_pairing())
+    view = {}
+    for occ, amp in v.amplitudes.items():
+        key = tuple(((occ[r] + occ[s]) / 2.0, (occ[r] - occ[s]) / 2.0)
+                    for r, s in (states.SPIN_A, states.SPIN_B))
+        view[key] = view.get(key, 0.0 + 0.0j) + amp
     by_s = {}
-    for key, amp in view.amplitudes.items():
+    for key, amp in view.items():
         (sa, ma), (sb, mb) = key
         assert sa == sb and ma == mb
         by_s.setdefault(sa, []).append(amp)
@@ -272,25 +285,19 @@ def test_spin_view_of_the_tms_pair_is_flat_per_sector():
     assert abs(by_s[1.0][0] / by_s[0.5][0] - t) < 1e-10
 
 
-def test_spin_view_rejects_a_mismatched_pairing():
-    v = fock.FockVector(4, 4, {(0, 0, 0, 0): 1.0 + 0.0j})
-    with pytest.raises(BadPairing):
-        fock.spin_basis_view(v, states.SpinPairing(((0, 1),)))
-
-
 def test_fock_json_round_trip_drops_dust_and_sorts():
-    v = fock.state_from_k(graphs.tms_k(0.5), 6)
-    v.amplitudes[(3, 1)] = 1e-16 + 0.0j
-    blob = fock.fock_to_json(v)
+    amps = dict(fock.state_from_k(graphs.tms_k(0.5), 6).amplitudes)
+    amps[(3, 1)] = 1e-16 + 0.0j
+    v = fock_vector(2, 6, amps)
+    blob = json.loads(cli._json_dumps(cli._fock_payload(v)))
     assert all(
         abs(complex(row["re"], row["im"])) >= 1e-14 for row in blob["amps"]
     )
     occs = [tuple(row["occ"]) for row in blob["amps"]]
     assert occs == sorted(occs, key=lambda o: (sum(o), o))
-    back = fock.fock_from_json(json.dumps(blob))
-    assert back.n_modes == 2 and back.cutoff == 6
+    assert blob["n"] == 2 and blob["cutoff"] == 6
     for row in blob["amps"]:
-        assert back.amplitude(row["occ"]) == complex(row["re"], row["im"])
+        assert v.amplitude(row["occ"]) == complex(row["re"], row["im"])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -306,29 +313,43 @@ def test_export_table_sorts_the_kept_amplitudes(v):
 
 
 @pytest.mark.parametrize(
-    "obj",
-    [
-        {"n": 2, "cutoff": 4, "amps": [{"occ": [1, 1, 1], "re": 1.0, "im": 0.0}]},
-        {"n": 2, "cutoff": 4, "amps": [{"occ": [3, 3], "re": 1.0, "im": 0.0}]},
-        {"n": 2, "cutoff": 4, "amps": [{"occ": [1], "re": 1.0, "im": 0.0}]},
-        {"n": 2, "cutoff": 4, "amps": [{"occ": [-1, 1], "re": 1.0, "im": 0.0}]},
-        {"n": 2, "cutoff": 4, "amps": [{"occ": [1.5, 0], "re": 1.0, "im": 0.0}]},
-        {"n": 2, "cutoff": 4, "amps": [{"occ": "11", "re": 1.0, "im": 0.0}]},
-        {"n": 2, "cutoff": 4, "amps": [{"occ": [1, 1], "re": "1", "im": 0.0}]},
-        {"n": 2, "cutoff": 4, "amps": [{"occ": [1, 1], "re": 1.0}]},
-        {"n": 2, "cutoff": 4, "amps": [[1, 1]]},
-        {"n": 2, "cutoff": 4},
-        {"n": 2.0, "cutoff": 4, "amps": []},
-        {"n": 0, "cutoff": 4, "amps": []},
-        {"n": 2, "cutoff": -2, "amps": []},
-        [],
-        "not json",
-        '{"n": 2, "cutoff": 4, "amps": [',
-    ],
+    "n, top", [(n, 12) for n in range(1, 6)] + [(n, 8) for n in range(6, 9)] + [(1, 600)]
 )
-def test_fock_from_json_rejects_malformed_input(obj):
-    with pytest.raises(ShapeMismatch):
-        fock.fock_from_json(obj)
+def test_the_ladder_order_is_the_export_order(n, top):
+    # export_table concatenates the sectors with no sort: np.lexsort over
+    # (total, occ_0, ..., occ_{n-1}) must leave the ladder's rows in place
+    occ = np.concatenate([tables[0] for tables in fock._ladder(n, top)], axis=1)
+    order = np.lexsort((*occ[::-1], occ.sum(axis=0)))
+    assert (order == np.arange(occ.shape[1])).all()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    cutoff=st.sampled_from([2, 4, 6, 8]),
+    real=st.booleans(),
+)
+def test_the_export_matches_the_sorted_dict_export(seed, n, cutoff, real):
+    rng = np.random.default_rng(seed)
+    k = random_k(rng, n, norm=0.7)
+    if real:
+        k = k.real * (0.7 / np.linalg.norm(k.real, 2))
+    v = fock.state_from_k(k, cutoff)
+    occ, amps = fock.export_table(v)
+    ref_occ, ref_amps = reference_export_table(v)
+    assert occ.dtype == ref_occ.dtype and occ.shape == ref_occ.shape
+    assert (occ == ref_occ).all()
+    assert amps.tobytes() == ref_amps.tobytes()
+
+
+def test_a_state_holds_the_cached_tables_of_its_sectors(monkeypatch):
+    monkeypatch.setattr(fock, "_sectors", {})
+    v = fock.state_from_k(graphs.tms_k(0.5), 6)
+    assert [occ.shape[1] for occ, _ in v.sectors] == [1, 3, 5, 7]
+    for t, (occ, c) in zip(range(0, 7, 2), v.sectors):
+        assert occ is fock._sectors[(2, t, np.dtype(np.uint8))][0]
+        assert not occ.flags.writeable and c.dtype == complex
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -441,42 +462,57 @@ def test_oracle_results_do_not_depend_on_the_cache(monkeypatch):
 
 
 def test_the_cache_keeps_within_its_budget(monkeypatch):
-    # sectors 0..8 of 5 modes take 1287 columns of 5 * 5 + 1 bytes, 33462
-    # bytes; a budget of 8000 keeps sectors 0..5 (252 columns, 6552 bytes)
-    # and builds the rest on every call
-    monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 8000)
+    # sectors 0..8 of 5 modes take 1287 columns of 5 * 5 + 1 bytes and 600
+    # bytes a sector, 38862 bytes; a budget of 16000 keeps sectors 0..5 (252
+    # columns and 6 sectors, 10152 bytes) and builds the rest on every call
+    monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 16000)
     monkeypatch.setattr(fock, "_sectors", {})
     k = random_k(np.random.default_rng(113), 5, norm=0.5)
     v = fock.state_from_k(k, 8)
-    assert fock._cached_bytes() == 6552
+    assert fock._cached_bytes() == 10152
     assert {key[:2] for key in fock._sectors} == {(5, t) for t in range(6)}
     for t, tables in enumerate(fock._ladder(5, 8)):
         for got, want in zip(tables, brute_force_sector(5, t)):
             assert (got == want).all(), t
-    assert fock._cached_bytes() == 6552
+    assert fock._cached_bytes() == 10152
     assert _bits(fock.state_from_k(k, 8)) == _bits(v)
     for occ, c in hafnian_amplitudes(k, 8).items():
         assert abs(v.amplitude(occ) - c) <= 1e-12, occ
 
 
 def test_a_new_ladder_drops_other_ladders_to_fit(monkeypatch):
-    # 5 modes keep sectors 0..5 (6552 bytes of a budget of 8000); 3 modes,
-    # 16 bytes a column, fit beside them up to sector 6, and sector 7 drops
-    # the 5-mode tables, so the ladder in use is the one kept
-    monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 8000)
+    # 5 modes keep sectors 0..5 (10152 bytes of a budget of 16000); 3 modes,
+    # 16 bytes a column and 600 a sector, fit beside them up to sector 6, and
+    # sector 7 drops the 5-mode tables, so the ladder in use is the one kept
+    monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 16000)
     monkeypatch.setattr(fock, "_sectors", {})
     list(fock._ladder(5, 5))
-    assert fock._cached_bytes() == 6552
+    assert fock._cached_bytes() == 10152
     for t, tables in enumerate(fock._ladder(3, 8)):
         for got, want in zip(tables, brute_force_sector(3, t)):
             assert (got == want).all(), t
     three = {(3, t) for t in range(9)}
     assert {key[:2] for key in fock._sectors} == three
-    assert fock._cached_bytes() == 2640
-    # a sector past the budget on its own (40 modes, sector 1: 8040 bytes)
+    assert fock._cached_bytes() == 8040
+    # a sector past the budget on its own (56 modes, sector 1: 16336 bytes)
     # is built and dropped, and drops no other ladder
-    assert list(fock._ladder(40, 1))[1][0].shape == (40, 40)
-    assert {key[:2] for key in fock._sectors} == three | {(40, 0)}
+    assert list(fock._ladder(56, 1))[1][0].shape == (56, 56)
+    assert {key[:2] for key in fock._sectors} == three | {(56, 0)}
+
+
+def test_a_long_one_mode_ladder_holds_no_more_than_the_budget(monkeypatch):
+    # the budget counted only the arrays' bytes: a 1-mode ladder's 4,001
+    # sectors counted as 28 kB and held 2.3 MB, over a budget of 1 MiB
+    monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 2**20)
+    monkeypatch.setattr(fock, "_sectors", {})
+    tracemalloc.start()
+    try:
+        collections.deque(fock._ladder(1, 4000), maxlen=0)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0 < fock._cached_bytes() <= fock.SECTOR_CACHE_BYTES
+    assert held <= fock.SECTOR_CACHE_BYTES, f"held {held / 1e6:.1f} MB"
 
 
 def test_threads_keep_the_cache_within_its_budget(monkeypatch):
@@ -559,37 +595,40 @@ def test_a_ladder_reads_the_cache_a_bounded_number_of_times_per_sector(monkeypat
 
 
 def test_the_kept_byte_count_follows_inserts_and_evictions(monkeypatch):
-    monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 8000)
+    monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 16000)
     monkeypatch.setattr(fock, "_sectors", {})
 
     def kept():
         return fock._counted[1].total()
 
     list(fock._ladder(5, 5))
-    assert kept() == fock._cached_bytes() == 6552
+    assert kept() == fock._cached_bytes() == 10152
     list(fock._ladder(3, 8))  # drops the 5-mode tables
-    assert kept() == fock._cached_bytes() == 2640
-    list(fock._ladder(40, 1))  # keeps sector 0 (201 bytes), not sector 1 (8040)
-    assert kept() == fock._cached_bytes() == 2640 + 201
+    assert kept() == fock._cached_bytes() == 8040
+    list(fock._ladder(56, 1))  # keeps sector 0 (881 bytes), not sector 1 (16336)
+    assert kept() == fock._cached_bytes() == 8040 + 881
     # a dict put in the place of the cache is counted afresh
     monkeypatch.setattr(fock, "_sectors", dict(fock._sectors))
     list(fock._ladder(2, 4))
-    assert kept() == fock._cached_bytes() == 2640 + 201 + 15 * 11
+    assert kept() == fock._cached_bytes() == 8040 + 881 + 15 * 11 + 5 * 600
 
 
 @pytest.mark.parametrize("entry", ["state_from_k", "apply_quadratic", "nullifier_residual"])
-def test_the_size_gate_comes_before_any_cutoff_sized_allocation(entry):
+def test_the_size_gate_comes_before_any_cutoff_sized_allocation(entry, monkeypatch):
     # sqrt(0..cutoff) was built before the gate ran: 160 MB at cutoff 10^7
     # (240 MB in nullifier_residual), and 16 GB at 10^9 would be asked for
     cutoff = 10**7
     k = graphs.tms_k(0.5)
+    # no vector past the limit can be held in sector arrays: apply_quadratic
+    # meets a limit lowered below the 15 amplitudes of sectors 0..4
+    v = fock.state_from_k(k, 4)
     calls = {
         "state_from_k": lambda: fock.state_from_k(k, cutoff),
-        "apply_quadratic": lambda: fock.apply_quadratic(
-            SX, fock.FockVector(2, cutoff, {(cutoff, 0): 1.0 + 0.0j})
-        ),
+        "apply_quadratic": lambda: fock.apply_quadratic(SX, v),
         "nullifier_residual": lambda: fock.nullifier_residual(SX, k, cutoff),
     }
+    if entry == "apply_quadratic":
+        monkeypatch.setattr(fock, "MAX_FOCK_AMPLITUDES", 14)
     tracemalloc.start()
     try:
         with pytest.raises(FockTooLarge):

@@ -161,7 +161,19 @@ def test_add_expressions_is_linear():
 
 @pytest.mark.parametrize("r,s,n", [(0, 1, 2), (1, 3, 4), (0, 4, 6)])
 def test_su2_structure_relations_hold(r, s, n):
-    assert schwinger.su2_structure_check(r, s, n) < 1e-15
+    # [sigma_k/2, sigma_l/2] = i eps_klm sigma_m/2 for the embedded x, y, z,
+    # both ways round, and the embedded sigma_0 commutes with all three
+    sig = {a: schwinger.embed_pauli(a, r, s, n) for a in schwinger.AXES}
+
+    def comm(a, b):
+        return a @ b - b @ a
+
+    defects = []
+    for k, l, m in (("x", "y", "z"), ("y", "z", "x"), ("z", "x", "y")):
+        defects.append(comm(0.5 * sig[k], 0.5 * sig[l]) - 0.5j * sig[m])
+        defects.append(comm(0.5 * sig[l], 0.5 * sig[k]) + 0.5j * sig[m])
+    defects += [comm(sig["0"], sig[a]) for a in "xyz"]
+    assert max(float(np.max(np.abs(d))) for d in defects) < 1e-15
 
 
 def test_su2_relations_would_catch_a_dent():

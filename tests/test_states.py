@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from conftest import wire_z_form
 from gnl import fock, graphs, nullifiers, schwinger, states
 from gnl.errors import (
-    BadPairing,
     IndexOutOfRange,
     NonPositiveAlpha,
     OddSpinCount,
@@ -18,14 +18,6 @@ from gnl.errors import (
 
 def _matrix(expr):
     return schwinger.expression_to_matrix(expr)
-
-
-def test_spin_pairing_validation():
-    p = states.tms_pair_pairing()
-    assert p.pairs == (states.SPIN_A, states.SPIN_B)
-    assert p.n_modes == 4
-    with pytest.raises(BadPairing):
-        states.SpinPairing(((0, 1), (1, 2)))
 
 
 def test_tms_pair_edges():
@@ -65,13 +57,14 @@ def test_tms_pair_detuning_breaks_the_mixing_axes_only():
 
 
 def test_four_mode_symmetries_pass_and_detune():
+    # S^x_A - S^x_B, S^y_A + S^y_B and S^z_A - S^z_B: counter-rotating x
+    # mixers, co-rotating y mixers and opposite phase differentials on the
+    # spins A and B of the pair
     k = states.tms_pair(0.5)
     detuned = states.tms_pair(0.5, alpha_second=0.6)
-    entries = states.four_mode_symmetries(0.5)
-    assert len(entries) == 3
+    exprs = states.tms_pair_nullifiers()[:3]
     grid = np.linspace(0.0, 2.0 * np.pi, 16)
-    for expr, text in entries:
-        assert isinstance(text, str) and text
+    for expr in exprs:
         m = _matrix(expr)
         ok, _ = nullifiers.is_nullifier(m, k)
         assert ok
@@ -318,7 +311,7 @@ def test_wire_y_symmetry_holds_for_every_size():
 
 def test_wire_overlap_forms_are_the_same_operator():
     layout = states.WireLayout(3, 0.5)
-    z_form, local_form = states.wire_overlap_forms(layout)
+    z_form, local_form = wire_z_form(layout), states.wire_local_nullifiers(layout)[0]
     assert np.max(np.abs(_matrix(z_form) - _matrix(local_form))) == 0.0
     assert {t.axis for t in z_form.terms} == {"z", "x"}
 
