@@ -135,7 +135,8 @@ def _fock_payload(v):
     """The JSON export of a Fock vector, its amplitudes as a table.
 
     ``{"n":, "cutoff":, "amps": [{"occ":, "re":, "im":}]}``, one record per
-    row of :func:`fock.export_table`.
+    row of :func:`fock.export_table`, whose complex amplitudes write a real
+    one, from the float64 recursion of a real K, as (re, 0.0).
     """
     occ, amps = fock.export_table(v)
     record = {"occ": [_NUMBER] * v.n_modes, "re": _NUMBER, "im": _NUMBER}

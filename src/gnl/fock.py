@@ -11,7 +11,11 @@ cutoff; odd sectors vanish identically.  Different choices of i (routes)
 must agree, which is checked and doubles as a consistency check of K itself.
 
 Sector/ladder form.  The amplitudes of photon-number sector t are one dense
-complex vector over the occupations of that sector in lexicographic order.
+vector over the occupations of that sector in lexicographic order.  Its
+dtype follows K: a K with no imaginary part runs the whole recursion, the
+operator and the residual in float64, any other K in complex128 (a complex
+M makes the operator's output complex on either).  It is one path, generic
+in the dtype.
 A ladder table gives, for each mode j and each occupation mu of sector t,
 the row in sector t - 1 of mu - e_j (-1 where mu_j = 0), so a_j and adag_j
 are a scatter and a gather of one vector.  Every vector that is gathered
@@ -88,8 +92,9 @@ class FockVector:
 
     sectors holds one (occ, c) pair per populated sector, in increasing
     photon number: occ is the read-only (n_modes, N_t) occupation table of
-    the sector, in ladder order (see _ladder), and c the complex amplitudes
-    of its columns.  Sectors left out are zero.
+    the sector, in ladder order (see _ladder), and c the amplitudes of its
+    columns: float64 for the state of a real K, complex128 for a complex
+    one.  Sectors left out are zero.
     """
 
     n_modes: int
@@ -98,9 +103,10 @@ class FockVector:
 
     @property
     def amplitudes(self):
-        """A read-only {occupation tuple: complex} of the exact nonzeros.
+        """A read-only {occupation tuple: amplitude} of the exact nonzeros.
 
-        Built on each access, sector by sector in ladder order.
+        Built on each access, sector by sector in ladder order; the values
+        are Python floats for float64 sectors and complex otherwise.
         """
         amps = {}
         for occ, c in self.sectors:
@@ -253,7 +259,7 @@ def _next_sector(occ, down, t):
 def _raise(c, occ, down, roots):
     """adag_j c for every mode j, c over sector t - 1 -> (n, N_t + 1) over sector t."""
     c = np.append(c, 0.0)
-    out = np.zeros((occ.shape[0], occ.shape[1] + 1), dtype=complex)
+    out = np.zeros((occ.shape[0], occ.shape[1] + 1), dtype=c.dtype)
     for j in range(occ.shape[0]):
         np.multiply(roots.take(occ[j]), c.take(down[j]), out=out[j, :-1])
     return out
@@ -267,7 +273,7 @@ def _lower(c, occ, down, roots):
     into the last column.
     """
     n = occ.shape[0]
-    out = np.zeros((n, int(down[0].max()) + 2), dtype=complex)
+    out = np.zeros((n, int(down[0].max()) + 2), dtype=c.dtype)
     for j in range(n):
         out[j, down[j]] = roots.take(occ[j]) * c
     return out
@@ -276,7 +282,7 @@ def _lower(c, occ, down, roots):
 def _apply(m, c, occ, down, roots):
     """adag M a on one sector: lower, multiply by M, raise (sum over modes)."""
     p = m @ _lower(c, occ, down, roots)
-    out = np.zeros(occ.shape[1], dtype=complex)
+    out = np.zeros(occ.shape[1], dtype=p.dtype)
     for i in range(occ.shape[0]):
         out += roots.take(occ[i]) * p[i].take(down[i])
     return out
@@ -285,24 +291,37 @@ def _apply(m, c, occ, down, roots):
 def _routes(d, down, occupied, t):
     """Sector-t amplitudes, the mean of the routes c(mu) = d[i, mu - e_i].
 
-    d[i, nu] is (a_i c_t)(nu) / sqrt(nu_i + 1), from the nullifier relation.
-    Routes through unoccupied modes read the zero column of d and are left
-    out of the mean and of the spread.
+    d is :func:`_odd_sector`'s.  Routes through unoccupied modes read the
+    zero column of d and are left out of the mean and of the spread.  Each
+    route is gathered once, into one (n, N_t) array that then holds the
+    deviations in place; d is dropped once gathered, so that the two are
+    held together only while the gather runs.
     """
-    total = np.zeros(down.shape[1], dtype=complex)
+    routes = np.empty(down.shape, dtype=d.dtype)
     for i in range(down.shape[0]):
-        total += d[i].take(down[i])
-    c = total / occupied
-    spread = 0.0
-    for i in range(down.shape[0]):
-        dev = np.abs(d[i].take(down[i]) - c)
-        spread = max(spread, float(np.max(dev, where=down[i] >= 0, initial=0.0)))
+        d[i].take(down[i], out=routes[i])
+    del d
+    c = routes.sum(axis=0)
+    c /= occupied
+    dev = np.abs(np.subtract(routes, c, out=routes), out=routes).real
+    spread = float(np.max(dev, where=down >= 0, initial=0.0))
     if not graphs.passes(spread, c):
         raise InconsistentRecursion(
             f"recursion routes disagree by {spread:.3e} in sector {t} "
             f"(scale {np.abs(c).max():.3e})"
         )
     return c
+
+
+def _odd_sector(k, c, occ, down, roots):
+    """d over the odd sector t - 1 from c_{t-2}, with (occ, down) its tables.
+
+    d[i, nu] = (a_i c_t)(nu) / sqrt(nu_i + 1) = sum_j K_ij (adag_j c_{t-2})(nu)
+    / sqrt(nu_i + 1), from the nullifier relation, with a zero last column.
+    """
+    d = k @ _raise(c, occ, down, roots)
+    d[:, :-1] /= roots[occ + 1]
+    return d
 
 
 def _even_sectors(k, roots):
@@ -315,16 +334,13 @@ def _even_sectors(k, roots):
     cutoff = len(roots) - 1
     ladder = _ladder(k.shape[0], cutoff)
     occ, down, _ = next(ladder)
-    c = np.ones(1, dtype=complex)
+    c = np.ones(1, dtype=k.dtype)
     yield occ, down, c
     for t in range(2, cutoff + 1, 2):
-        occ, down, _ = next(ladder)
-        # a_i c_t = sum_j K_ij adag_j c_{t-2} on sector t - 1
-        d = k @ _raise(c, occ, down, roots)
-        d[:, :-1] /= roots[occ + 1]
+        odd_occ, odd_down, _ = next(ladder)
         occ, down, occupied = next(ladder)
-        c = _routes(d, down, occupied, t)
-        del d  # not held while the caller works on sector t
+        # d is passed on, not held here, so _routes can drop it
+        c = _routes(_odd_sector(k, c, odd_occ, odd_down, roots), down, occupied, t)
         yield occ, down, c
 
 
@@ -333,12 +349,21 @@ def _norm2(c):
     return float(np.add.reduce(c.real * c.real + c.imag * c.imag))
 
 
+def _narrowed(a):
+    """a, or its real part where no entry has an imaginary part.
+
+    The dtype of the recursion's arithmetic: float64 for a real K (and M),
+    complex128 otherwise, by the test nullifiers.nullifier_space makes.
+    """
+    return a if a.imag.any() else np.ascontiguousarray(a.real)
+
+
 def _checked_k(k, cutoff):
     k = graphs.finite_square(k, "K")
     if cutoff % 2 != 0 or cutoff < 2:
         raise OddCutoff("cutoff must be an even integer >= 2")
     graphs.check_edge(k)
-    return k
+    return _narrowed(k)
 
 
 def _checked_m(m, n):
@@ -346,7 +371,7 @@ def _checked_m(m, n):
     m = graphs.finite_square(m, "M")
     if m.shape != (n, n):
         raise ShapeMismatch(f"M shape {m.shape} does not match {n} modes")
-    return m
+    return _narrowed(m)
 
 
 def state_from_k(k, cutoff):
@@ -446,11 +471,11 @@ def kept_sectors(v):
     """The amplitudes a JSON export keeps, one (occ, amps) pair per sector.
 
     occ is the (count, n) table of the kept occupations of one populated
-    sector, one row each in ladder order, and amps their complex
-    amplitudes.  Kept are the amplitudes of magnitude >= EXPORT_CUTOFF, the
-    magnitude taken as ``abs`` takes it (``np.hypot`` of the parts), so NaN
-    is dropped and an infinite part is kept.  A sector with nothing kept
-    is left out.
+    sector, one row each in ladder order, and amps their amplitudes, in
+    the vector's dtype.  Kept are the amplitudes of magnitude >=
+    EXPORT_CUTOFF, the magnitude taken as ``abs`` takes it (``np.hypot`` of
+    the parts), so NaN is dropped and an infinite part is kept.  A sector
+    with nothing kept is left out.
     """
     out = []
     for occ, c in v.sectors:
@@ -466,6 +491,8 @@ def export_table(v):
     The ladder's order, by total photon number and then by occupation with
     mode 0 most significant, is the order of ``np.lexsort`` over (total,
     occ_0, ..., occ_{n-1}); this is the one ordering rule of every export.
+    amps is complex128 whatever the vector's dtype: a real amplitude gets
+    the imaginary part 0.0, as the oracle's JSON writes it.
     """
     kept = kept_sectors(v)
     occ = np.concatenate([np.empty((0, v.n_modes), np.int64)] + [o for o, _ in kept])

@@ -50,6 +50,9 @@ KERNEL_GAP_MIN = 10.0
 BLOCK = 64
 # nullifier_space refuses a kernel whose working arrays would exceed this
 MAX_KERNEL_BYTES = 2**30
+# matrix entries of one (T, n, n) stack of verify_symmetry: a grid of more
+# than SWEEP_ENTRIES / n^2 angles is swept in blocks of that many
+SWEEP_ENTRIES = 2**18
 
 
 @dataclass
@@ -585,7 +588,11 @@ def verify_symmetry(k, m, theta_grid):
 
     M is checked and diagonalized once (:func:`schwinger.unitary_path`);
     each W is the product :func:`schwinger.generator_to_unitary` computes,
-    bit for bit.
+    bit for bit.  The grid's W form one (T, n, n) stack, and W K W^T - K is
+    one batched product over it, whose slices are the products of the
+    per-theta loop bit for bit; a grid of more than SWEEP_ENTRIES / n^2
+    angles is swept in blocks of that many.  The angles are taken in grid
+    order, so PrecisionLimit names the first one past the limit.
 
     The deviation is NaN when a W K W^T is, for example when it overflows
     on a K near the float limit; a NaN fails every tolerance test of it.
@@ -605,6 +612,10 @@ def verify_symmetry(k, m, theta_grid):
         raise ShapeMismatch(f"shapes {np.shape(m)} and {k.shape} incompatible")
     thetas = np.atleast_1d(graphs.finite(theta_grid, "theta grid")).tolist()
     unitary = schwinger.unitary_path(m)
-    devs = [np.max(np.abs(w @ k @ w.T - k)) for w in map(unitary, thetas)]
+    step = max(1, SWEEP_ENTRIES // k.size)
+    devs = []
+    for at in range(0, len(thetas), step):
+        ws = np.reshape([unitary(theta) for theta in thetas[at:at + step]], (-1, *k.shape))
+        devs.append(np.max(np.abs(ws @ k @ ws.swapaxes(1, 2) - k)))
     # np.max, not max: max(0.0, nan) is 0.0
     return float(np.max(devs, initial=0.0))

@@ -344,12 +344,44 @@ def test_the_export_matches_the_sorted_dict_export(seed, n, cutoff, real):
 
 
 def test_a_state_holds_the_cached_tables_of_its_sectors(monkeypatch):
+    # the amplitudes' dtype follows K: float64 for a real K, complex128 else
     monkeypatch.setattr(fock, "_sectors", {})
-    v = fock.state_from_k(graphs.tms_k(0.5), 6)
-    assert [occ.shape[1] for occ, _ in v.sectors] == [1, 3, 5, 7]
-    for t, (occ, c) in zip(range(0, 7, 2), v.sectors):
-        assert occ is fock._sectors[(2, t, np.dtype(np.uint8))][0]
-        assert not occ.flags.writeable and c.dtype == complex
+    for phase, dtype in [(1.0, np.float64), (1j, np.complex128)]:
+        v = fock.state_from_k(phase * graphs.tms_k(0.5), 6)
+        assert [occ.shape[1] for occ, _ in v.sectors] == [1, 3, 5, 7]
+        for t, (occ, c) in zip(range(0, 7, 2), v.sectors):
+            assert occ is fock._sectors[(2, t, np.dtype(np.uint8))][0]
+            assert not occ.flags.writeable and c.dtype == dtype
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    cutoff=st.sampled_from([2, 4, 6, 8]),
+    phi=st.floats(0.05, 1.5),
+    real_m=st.booleans(),
+)
+def test_the_real_and_complex_routes_agree(seed, n, cutoff, phi, real_m):
+    # e^{2i phi} K is the state of K rotated by e^{i phi N}: sector t picks up
+    # e^{i phi t}, and adag M a, which keeps N, has the same residual on both
+    rng = np.random.default_rng(seed)
+    k = random_k(rng, n).real
+    k *= 0.7 / np.linalg.norm(k, 2)
+    m = random_hermitian(rng, n)
+    if real_m:
+        m = m.real
+    real = fock.state_from_k(k, cutoff)
+    rotated = fock.state_from_k(np.exp(2j * phi) * k, cutoff)
+    scale = max(np.abs(c).max() for _, c in real.sectors)
+    for (occ, c), (occ_c, c_c) in zip(real.sectors, rotated.sectors, strict=True):
+        assert occ is occ_c
+        assert c.dtype == np.float64 and c_c.dtype == np.complex128
+        t = int(occ[:, 0].sum())
+        assert np.abs(c_c - np.exp(1j * phi * t) * c).max() <= 1e-14 * scale, t
+    res = fock.nullifier_residual(m, k, cutoff)
+    res_c = fock.nullifier_residual(m, np.exp(2j * phi) * k, cutoff)
+    assert graphs.passes(abs(res - res_c), m, k)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])

@@ -1,6 +1,7 @@
 """Nullifier engine: the algebraic criterion, kernel solver, constructors."""
 
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -718,6 +719,63 @@ def test_verify_symmetry_diagonalizes_once_and_matches_the_unitary_loop(seed, mo
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
     assert nullifiers.verify_symmetry(k, m, grid) == expected
     assert len(calls) == 1
+
+
+@st.composite
+def _grids(draw, middle):
+    """2-32 angles in random order, one of them 0.0 and one negative."""
+    grid = draw(st.lists(middle, max_size=30))
+    grid.insert(draw(st.integers(0, len(grid))), 0.0)
+    grid.insert(draw(st.integers(0, len(grid))), -draw(st.floats(1e-6, 10.0)))
+    return grid
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    real_k=st.booleans(),
+    grid=_grids(st.floats(-10.0, 10.0)),
+    entries=st.sampled_from([nullifiers.SWEEP_ENTRIES, 1, 50]),
+)
+def test_the_batched_sweep_equals_the_unitary_loop(seed, n, real_k, grid, entries):
+    # one (T, n, n) product, or blocks of them, against the per-theta loop
+    rng = np.random.default_rng(seed)
+    k = random_k(rng, n)
+    if real_k:
+        k = k.real * (0.7 / max(np.linalg.norm(k.real, 2), 1e-300))
+    m = random_hermitian(rng, n)
+    expected = 0.0
+    for theta in grid:
+        w = schwinger.generator_to_unitary(m, theta)
+        expected = max(expected, float(np.max(np.abs(w @ k @ w.T - k))))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nullifiers, "SWEEP_ENTRIES", entries)
+        assert nullifiers.verify_symmetry(k, m, grid) == expected
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    grid=_grids(st.floats(-10.0, 10.0) | st.floats(3e16, 1e300) | st.floats(-1e300, -3e16)),
+    entries=st.sampled_from([nullifiers.SWEEP_ENTRIES, 1]),
+)
+def test_the_batched_sweep_names_the_first_angle_past_the_phase_limit(seed, n, grid, entries):
+    # M has spectral radius 1, so an angle past PHASE_LIMIT (2.8e16) has no
+    # significant phase digit; exp of it would overflow or warn, which fails
+    # the suite, so the refusal comes before any arithmetic on it
+    rng = np.random.default_rng(seed)
+    m = random_hermitian(rng, n)
+    m /= np.abs(np.linalg.eigvalsh(m)).max()
+    bad = [theta for theta in grid if abs(theta) > schwinger.PHASE_LIMIT]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nullifiers, "SWEEP_ENTRIES", entries)
+        if not bad:
+            assert nullifiers.verify_symmetry(random_k(rng, n), m, grid) >= 0.0
+            return
+        with pytest.raises(PrecisionLimit, match="^" + re.escape(f"theta {bad[0]:.3e} times")):
+            nullifiers.verify_symmetry(random_k(rng, n), m, grid)
 
 
 def test_verify_symmetry_shape_guard():

@@ -40,6 +40,8 @@ def test_a_checkout_matches_itself_and_a_doctored_copy_is_reported(tmp_path, cap
     reported = [line for line in out if line.startswith("small seed 31: ") and "differs" in line]
     assert reported and all(line.endswith(": stdout differs") for line in reported)
     assert "  parent: 'gnl-report v1'" in out and "  change: 'gnl-report v2'" in out
+    assert out.count("  structural: non-numeric text") == len(reported)
+    assert f"small seed 31: {len(reported)} of 192 commands differ ({len(reported)} structural)" in out
     assert (total, differing) == (192, len(reported))
     assert out[-1] == f"all: {len(reported)} of 192 commands differ"
 
@@ -49,3 +51,33 @@ def test_the_command_line_needs_both_checkouts(capsys):
         output_contract.main(["--parent", str(ROOT)])
     assert exc.value.code == 2
     assert "--parent and --change are required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new, kind",
+    [
+        ([0, "x\n", ""], [1, "x\n", ""], "structural: exit code"),
+        ([2, "", "error: q\n"], [2, "", "error: r\n"], "structural: stderr"),
+        ([0, '{"a": 1.0}', ""], [0, '{"b": 1.0}', ""], "structural: keys"),
+        ([0, '{"pass": true}', ""], [0, '{"pass": false}', ""], "structural: verdicts"),
+        ([0, '{"occ": [1, 2]}', ""], [0, '{"occ": [1, 3]}', ""], "structural: counts"),
+        ([0, '{"amps": [1.0]}', ""], [0, '{"amps": [1.0, 0.5]}', ""], "structural: counts"),
+        ([0, '{"s": "tms"}', ""], [0, '{"s": "wire"}', ""], "structural: non-numeric text"),
+        ([0, '{"r": 1}', ""], [0, '{"r": 1.0}', ""], "structural: value types"),
+        ([0, "kept amplitudes 12\n", ""], [0, "kept amplitudes 13\n", ""], "structural: counts"),
+        ([0, "gnl-report v1\nres 1e-16\n", ""], [0, "gnl-report v2\nres 1e-16\n", ""],
+         "structural: non-numeric text"),
+        ([0, '{"n": 2, "re": [0.5, -0.25], "pass": true}', ""],
+         [0, '{"n": 2, "re": [0.5, -0.2500001], "pass": true}', ""],
+         "numbers only: largest change 1.00e-07, 2.00e-07 of the payload's max |value| 5.00e-01"),
+        ([0, "g0: 0.5 S^z\nfock residual 7.43e-17\n", ""],
+         [0, "g0: 0.5 S^z\nfock residual 6.39e-17\n", ""],
+         "numbers only: largest change 1.04e-17, 2.08e-17 of the payload's max |value| 5.00e-01"),
+        ([0, '{"dev": 0.0}', ""], [0, '{"dev": -0.0}', ""],
+         "numbers only: largest change 0.00e+00, 0.00e+00 of the payload's max |value| 0.00e+00"),
+        ([0, '{"dev": 1.0}', ""], [0, '{"dev": NaN}', ""],
+         "numbers only: largest change inf, inf of the payload's max |value| 1.00e+00"),
+    ],
+)
+def test_each_difference_is_structural_or_numbers_only(old, new, kind):
+    assert output_contract.classify(old, new) == kind

@@ -13,15 +13,18 @@ another in list order and on one BLAS thread, as bench/run.py does, and
 keeps the exit code, stdout and stderr of each.
 
 Prints, per workload and seed, each command whose exit code, stdout or
-stderr differ, with the first line that differs, and a count; exits 1 if
-any command differs and 0 otherwise. Nothing under bench/ is written.
+stderr differ, with the first line that differs and the kind of the
+difference (see ``classify``), and a count; exits 1 if any command differs
+and 0 otherwise. Nothing under bench/ is written.
 """
 
 import argparse
 import contextlib
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -88,6 +91,85 @@ def differences(argvs, parent, change):
     return found
 
 
+# a number in report text: not part of a word such as "v1" or "g0"
+NUMBER = re.compile(r"(?<![\w.])([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|-?inf)(?![\w.])")
+
+
+def _json_change(a, b, floats):
+    """The kind of structural change from JSON value a to b, or None.
+
+    Appends each pair of floats (a's, b's) to floats.  Key lists,
+    lengths, booleans (verdicts), integers (counts and occupations) and
+    strings must be equal.
+    """
+    if isinstance(a, dict) and isinstance(b, dict):
+        if list(a) != list(b):
+            return "keys"
+        return next(filter(None, (_json_change(a[key], b[key], floats) for key in a)), None)
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return "counts"
+        return next(filter(None, (_json_change(x, y, floats) for x, y in zip(a, b))), None)
+    if type(a) is not type(b):
+        return "value types"
+    if isinstance(a, float):
+        floats.append((a, b))
+        return None
+    if a == b:
+        return None
+    return {bool: "verdicts", int: "counts"}.get(type(a), "non-numeric text")
+
+
+def _text_change(a, b, floats):
+    """The kind of structural change from report text a to b, or None.
+
+    The text between numbers must be equal, and so must every integer;
+    each pair of other numbers is appended to floats.
+    """
+    a, b = NUMBER.split(a), NUMBER.split(b)
+    if len(a) != len(b) or a[::2] != b[::2]:
+        return "non-numeric text"
+    for x, y in zip(a[1::2], b[1::2]):
+        if x.lstrip("+-").isdigit() and y.lstrip("+-").isdigit():
+            if x != y:
+                return "counts"
+        else:
+            floats.append((float(x), float(y)))
+    return None
+
+
+def classify(old, new):
+    """The kind of the difference between two outputs [exit code, stdout, stderr].
+
+    "structural: ..." when the exit code, stderr, the keys, verdicts or
+    counts of a JSON payload, or the text between the numbers of a report
+    changed; else "numbers only", with the largest change of a number and
+    that change relative to the largest finite |value| among the parent's
+    non-integer numbers.  A number that turns NaN or infinite is an
+    infinite change.
+    """
+    if old[0] != new[0]:
+        return "structural: exit code"
+    if old[2] != new[2]:
+        return "structural: stderr"
+    floats = []
+    try:
+        payloads = json.loads(old[1]), json.loads(new[1])
+    except ValueError:
+        kind = _text_change(old[1], new[1], floats)
+    else:
+        kind = _json_change(*payloads, floats)
+    if kind:
+        return f"structural: {kind}"
+    changes = [abs(x - y) if math.isfinite(x - y) else math.inf
+               for x, y in floats if repr(x) != repr(y)]
+    largest = max(changes, default=0.0)
+    scale = max((abs(x) for x, _ in floats if math.isfinite(x)), default=0.0)
+    relative = largest / scale if scale else (math.inf if largest else 0.0)
+    return (f"numbers only: largest change {largest:.2e}, {relative:.2e} of the "
+            f"payload's max |value| {scale:.2e}")
+
+
 def compare(parent, change, runs):
     """Print the differing commands of each (workload, seed) in runs; return
     the number of commands run and the number that differ."""
@@ -104,13 +186,19 @@ def compare(parent, change, runs):
             commands.write_text(json.dumps(argvs))
             old_out = run_checkout(parent, commands, work / "parent.json")
             new_out = run_checkout(change, commands, work / "change.json")
-            found = differences(argvs, old_out, new_out)
-            for cmd, part, old, new in found:
-                print(f"{workload} seed {seed}: {' '.join(cmd)}: {part} differs\n"
-                      f"  parent: {old!r}\n  change: {new!r}")
-            commands_differing = len({id(cmd) for cmd, *_ in found})
+            structural = commands_differing = 0
+            for argv, old, new in zip(argvs, old_out, new_out):
+                if old == new:
+                    continue
+                for cmd, part, a, b in differences([argv], [old], [new]):
+                    print(f"{workload} seed {seed}: {' '.join(cmd)}: {part} differs\n"
+                          f"  parent: {a!r}\n  change: {b!r}")
+                kind = classify(old, new)
+                print(f"  {kind}")
+                commands_differing += 1
+                structural += kind.startswith("structural")
             print(f"{workload} seed {seed}: {commands_differing} of {len(argvs)} "
-                  f"commands differ", flush=True)
+                  f"commands differ ({structural} structural)", flush=True)
             total += len(argvs)
             differing += commands_differing
     print(f"all: {differing} of {total} commands differ")
