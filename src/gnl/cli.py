@@ -238,9 +238,7 @@ STATES = {
             "global-x": lambda layout: states.wire_global_x(layout),
             "global-z": lambda layout: states.wire_global_z(layout),
             "chain": lambda layout, i, j: states.wire_chain_nullifier(layout, i, j),
-            "six-mode": lambda layout: states.six_mode_symmetry_decomposition(
-                layout, 0.0
-            )[0],
+            "six-mode": lambda layout: states.six_mode_symmetry(layout),
             "y-local": lambda layout: states.wire_y_symmetry(layout),
         },
     ),

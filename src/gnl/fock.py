@@ -33,13 +33,15 @@ tables are built sector by sector from the previous one, so ranks are exact
 positions and no occupation is ever encoded as one integer.
 
 The tables depend only on the mode count, the photon number and the
-occupation dtype, so a process builds them once per (modes, sector, dtype)
-and every call shares them: they are read-only, and one cache holds them
-within SECTOR_CACHE_BYTES, each sector charged its arrays' bytes and the
-ENTRY_BYTES of its Python objects.  A sector that does not fit makes room by
-dropping the tables of other (modes, dtype) ladders; one that does not fit
-even then is built from the one before it on each call and dropped after.
-Before any of it, the ladder up to the cutoff must hold at most
+occupation dtype, so a process builds them once and every call shares them:
+they are read-only, and one cache holds, per (modes, dtype) ladder, the
+tables of its sectors 0..T-1 and the bytes they take, within
+SECTOR_CACHE_BYTES, each sector charged its arrays' bytes and the
+ENTRY_BYTES of its Python objects.  A sector is appended only where it
+extends that prefix.  One that does not fit makes room by dropping the
+other ladders; one that does not fit even then is built from the one before
+it on each call and dropped after, and so is every sector past it, which is
+no smaller.  Before any of it, the ladder up to the cutoff must hold at most
 MAX_FOCK_AMPLITUDES amplitudes in all.
 
 A FockVector is these sector vectors as they come: one (occupation table,
@@ -54,7 +56,6 @@ refute) nullifier claims to machine precision.
 
 import math
 import threading
-from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -77,13 +78,11 @@ SECTOR_CACHE_BYTES = 2**24
 # ladder of 200,001 sectors held 580 bytes a sector by tracemalloc
 ENTRY_BYTES = 600
 
-# (modes, sector, occupation dtype) -> the read-only tables of _ladder; the
-# lock makes its budget test and insertion one step
-_sectors = {}
-_sectors_lock = threading.Lock()
-# _sectors and the bytes it holds per (modes, dtype) ladder, kept by _keep;
-# a dict put in the place of _sectors is counted afresh
-_counted = (_sectors, Counter())
+# (modes, occupation dtype) -> (bytes held, [the read-only tables of _ladder
+# for the sectors 0, 1, ..., T - 1]); the lock makes _keep's budget test and
+# insertion one step
+_ladders = {}
+_ladders_lock = threading.Lock()
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,22 +169,24 @@ def _ladder(n, top):
     mu - e_i = (nu - e_i) + e_j lies in block j of sector t - 1, at the row
     of nu - e_i in sector t - 2 past the start of that block.
 
-    A sector is read from _sectors, or built from the one before and kept
-    there if it fits within SECTOR_CACHE_BYTES (see _keep).  The caller
-    has passed the size gate of :func:`_roots` for (n, top).
+    The cached sectors are read from _ladders once, and each sector past
+    them is built from the one before and kept there if it fits within
+    SECTOR_CACHE_BYTES (see _keep).  The caller has passed the size gate
+    of :func:`_roots` for (n, top).
     """
-    dtype = np.min_scalar_type(top)
+    ladder = (n, np.min_scalar_type(top))
+    _, cached = _ladders.get(ladder, (0, ()))
     for t in range(top + 1):
-        key = (n, t, dtype)
-        tables = _sectors.get(key)
-        if tables is None:
+        if t < len(cached):
+            tables = cached[t]
+        else:
             if t == 0:
-                vacuum = np.zeros((n, 1), dtype=dtype)
+                vacuum = np.zeros((n, 1), dtype=ladder[1])
                 tables = _sealed(vacuum, np.full((n, 1), -1, dtype=np.int32))
             else:
                 tables = _sealed(*_next_sector(occ, down, t))
-            with _sectors_lock:
-                _keep(key, tables)
+            with _ladders_lock:
+                _keep(ladder, t, tables)
         occ, down, _ = tables
         yield tables
 
@@ -205,35 +206,28 @@ def _charge(tables):
 
 
 def _cached_bytes():
-    """Bytes of the sector tables held in _sectors, as _keep charges them."""
-    return sum(map(_charge, _sectors.values()))
+    """Bytes of the sector tables held in _ladders, as _keep charges them."""
+    return sum(held for held, _ in _ladders.values())
 
 
-def _keep(key, tables):
-    """Put one sector's tables in _sectors if they fit in SECTOR_CACHE_BYTES.
+def _keep(ladder, t, tables):
+    """Append sector t's tables to its ladder in _ladders if they fit.
 
-    Each sector is charged its arrays' bytes and ENTRY_BYTES (see _charge).
-    Where they fit only without the tables of other ladders (another mode
-    count or dtype), those are dropped first, so the ladder in use is the
-    one kept.  The bytes held are read from _counted, not summed over the
-    cache, so a ladder of T sectors costs O(T), not O(T^2).  The caller
-    holds _sectors_lock.
+    They are kept only where the ladder holds sectors 0..t - 1, and only
+    within SECTOR_CACHE_BYTES, each sector charged its arrays' bytes and
+    ENTRY_BYTES (see _charge).  Where they fit only without the other
+    ladders (another mode count or dtype), those are dropped first, so the
+    ladder in use is the one kept.  The caller holds _ladders_lock.
     """
-    global _counted
-    if _counted[0] is not _sectors:
-        _counted = (_sectors, Counter())
-        for o, kept in _sectors.items():
-            _counted[1][o[::2]] += _charge(kept)
-    held, ladder = _counted[1], key[::2]  # bytes per (modes, dtype)
+    held, kept = _ladders.get(ladder, (0, []))
     size = _charge(tables)
-    if held.total() + size > SECTOR_CACHE_BYTES:
-        if held[ladder] + size > SECTOR_CACHE_BYTES:
-            return
-        for o in [o for o in _sectors if o[::2] != ladder]:
-            del _sectors[o]
-        _counted = (_sectors, Counter({ladder: held[ladder]}))
-    _sectors[key] = tables
-    _counted[1][ladder] += size
+    if len(kept) != t or held + size > SECTOR_CACHE_BYTES:
+        return
+    if _cached_bytes() + size > SECTOR_CACHE_BYTES:
+        for other in [o for o in _ladders if o != ladder]:
+            del _ladders[other]
+    kept.append(tables)
+    _ladders[ladder] = (held + size, kept)
 
 
 def _next_sector(occ, down, t):

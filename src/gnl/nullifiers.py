@@ -586,13 +586,13 @@ def verify_symmetry(k, m, theta_grid):
     otherwise it grows linearly near theta = 0 with slope set by the
     antisymmetry residual.
 
-    M is checked and diagonalized once (:func:`schwinger.unitary_path`);
-    each W is the product :func:`schwinger.generator_to_unitary` computes,
-    bit for bit.  The grid's W form one (T, n, n) stack, and W K W^T - K is
-    one batched product over it, whose slices are the products of the
-    per-theta loop bit for bit; a grid of more than SWEEP_ENTRIES / n^2
-    angles is swept in blocks of that many.  The angles are taken in grid
-    order, so PrecisionLimit names the first one past the limit.
+    The grid's W form one (T, n, n) stack (:func:`schwinger.unitaries`, which
+    checks and diagonalizes M once), and W K W^T - K is one batched product
+    over it, whose slices are the products of the per-theta loop of
+    :func:`schwinger.generator_to_unitary` bit for bit; a grid of more than
+    SWEEP_ENTRIES / n^2 angles is swept in blocks of that many, one stack
+    each.  The blocks are taken in grid order, so PrecisionLimit names the
+    first angle past the limit.
 
     The deviation is NaN when a W K W^T is, for example when it overflows
     on a K near the float limit; a NaN fails every tolerance test of it.
@@ -610,12 +610,12 @@ def verify_symmetry(k, m, theta_grid):
     k = graphs.finite_square(k, "K")
     if np.shape(m) != k.shape:
         raise ShapeMismatch(f"shapes {np.shape(m)} and {k.shape} incompatible")
-    thetas = np.atleast_1d(graphs.finite(theta_grid, "theta grid")).tolist()
-    unitary = schwinger.unitary_path(m)
+    thetas = graphs.finite(theta_grid, "theta grid").reshape(-1)
     step = max(1, SWEEP_ENTRIES // k.size)
     devs = []
-    for at in range(0, len(thetas), step):
-        ws = np.reshape([unitary(theta) for theta in thetas[at:at + step]], (-1, *k.shape))
-        devs.append(np.max(np.abs(ws @ k @ ws.swapaxes(1, 2) - k)))
+    # an empty grid still checks M, in one empty block
+    for at in range(0, max(len(thetas), 1), step):
+        ws = schwinger.unitaries(m, thetas[at:at + step])
+        devs.append(np.max(np.abs(ws @ k @ ws.swapaxes(1, 2) - k), initial=0.0))
     # np.max, not max: max(0.0, nan) is 0.0
     return float(np.max(devs, initial=0.0))

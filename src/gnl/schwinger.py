@@ -285,49 +285,50 @@ def change_basis(m, w):
     return 0.5 * (out + out.conj().T)
 
 
-def unitary_path(m):
-    """The map theta -> exp(-i theta M), with M checked and diagonalized once.
+def unitaries(m, thetas):
+    """The (T, n, n) stack of the mode unitaries exp(-i theta M), theta in thetas.
 
     W = V exp(-i theta Lambda) V^H from the Hermitian eigendecomposition
-    M = V Lambda V^H, so W is unitary to rounding for any theta with
-    |theta| max|lambda| at most PHASE_LIMIT.  This is the one unitary
-    formula; :func:`generator_to_unitary` is one point of it.
+    M = V Lambda V^H, taken once per call, so W is unitary to rounding for
+    any theta with |theta| max|lambda| at most PHASE_LIMIT.  This is the one
+    unitary formula; :func:`generator_to_unitary` is one angle of it.  Each
+    slice equals, bit for bit, the stack of that angle alone.
 
     Raises
     ------
     ShapeMismatch
-        M is not square 2-D.
+        M is not square 2-D, or an angle is NaN or infinite.
     NonHermitian
         M has a NaN or infinite entry or is not Hermitian.
     PrecisionLimit
-        From the returned map, before any arithmetic on theta, when
-        |theta| max|lambda| exceeds PHASE_LIMIT.
+        Before any arithmetic on the angles, when |theta| max|lambda|
+        exceeds PHASE_LIMIT; it names the first such theta in thetas.
     """
     # the shape step lets a non-finite M through to _check_hermitian, which
     # reports it as NonHermitian
     m = graphs._square_complex(m, "generator")
     _check_hermitian(m, "generator")
+    thetas = graphs.finite(thetas, "theta").reshape(-1)
     vals, vecs = np.linalg.eigh(m)
-    vecs_h = vecs.conj().T
     radius = float(np.abs(vals).max(initial=0.0))
-
-    def unitary(theta):
-        # Python floats: a product past the float range is inf, not a warning
-        if abs(float(theta)) * radius > PHASE_LIMIT:
-            raise PrecisionLimit(
-                f"theta {float(theta):.3e} times the largest |eigenvalue| "
-                f"{radius:.3e} of the generator exceeds {PHASE_LIMIT:.3e}, where "
-                f"the phase of exp(-i theta M) keeps no significant digit"
-            )
-        return (vecs * np.exp(-1j * theta * vals)) @ vecs_h
-
-    return unitary
+    # a product past the float range is inf, which is over the limit
+    with np.errstate(over="ignore"):
+        over = np.abs(thetas) * radius > PHASE_LIMIT
+    if over.any():
+        theta = float(thetas[over.argmax()])
+        raise PrecisionLimit(
+            f"theta {theta:.3e} times the largest |eigenvalue| "
+            f"{radius:.3e} of the generator exceeds {PHASE_LIMIT:.3e}, where "
+            f"the phase of exp(-i theta M) keeps no significant digit"
+        )
+    phases = np.exp(-1j * thetas[:, None] * vals)
+    return (vecs * phases[:, None, :]) @ vecs.conj().T
 
 
 def generator_to_unitary(m, theta):
     """Mode unitary W = exp(-i theta M) generated by the Hamiltonian adag M a.
 
-    See :func:`unitary_path`.
+    See :func:`unitaries`.
 
     Raises
     ------
@@ -337,7 +338,7 @@ def generator_to_unitary(m, theta):
     PrecisionLimit
         |theta| max|lambda| exceeds PHASE_LIMIT.
     """
-    return unitary_path(m)(graphs.finite(theta, "theta"))
+    return unitaries(m, [theta])[0]
 
 
 # ----------------------------------------------------------------------

@@ -310,8 +310,8 @@ def wire_chain_nullifier(layout, i_from, i_to):
     """Sum of consecutive local nullifiers N_{i_from} + ... + N_{i_to}.
 
     The S^0 terms telescope: interior spins keep -2 S^x only, the boundary
-    spins keep +-S^0 - S^x.  i_to may exceed n-1 or sit below i_from to wrap
-    around the ring; the full ring reproduces -2 * wire_global_x.
+    spins keep +-S^0 - S^x.  i_to >= 0 may exceed n-1 or sit below i_from to
+    wrap around the ring; the full ring reproduces -2 * wire_global_x.
 
     Raises
     ------
@@ -320,6 +320,8 @@ def wire_chain_nullifier(layout, i_from, i_to):
     n = layout.n_spins
     if not 0 <= i_from < n:
         raise IndexOutOfRange(f"i_from {i_from} outside 0..{n - 1}")
+    if i_to < 0:
+        raise IndexOutOfRange(f"i_to {i_to} is negative")
     if i_to < i_from:
         i_to += n
     length = i_to - i_from + 1
@@ -361,15 +363,36 @@ def wire_y_symmetry(layout):
     )
 
 
-def six_mode_symmetry_decomposition(layout, theta):
-    """A six-mode wire symmetry and its beamsplitter factorization.
-
-    The generator acts on spins 0, 1, 2 (flat modes 0..5):
+def six_mode_symmetry(layout):
+    """A six-mode wire symmetry, on spins 0, 1, 2 (flat modes 0..5):
 
         M = -2 S^z_{2,3} + S^x_{0,5} + S^x_{0,4} - S^x_{1,5} - S^x_{1,4}
 
-    and nullifies every periodic wire with at least 3 spins.  Its
-    exponential exp(-i theta adag M a) splits into two commuting
+    It nullifies every periodic wire with at least 3 spins; see
+    :func:`six_mode_symmetry_decomposition` for its factorization.
+
+    Raises
+    ------
+    WireTooSmall
+    """
+    if layout.n_spins < 3:
+        raise WireTooSmall("needs at least 3 spins")
+    return SchwingerExpression(
+        layout.n_modes,
+        [
+            SchwingerTerm("z", (2, 3), -2.0),
+            SchwingerTerm("x", (0, 5), +1.0),
+            SchwingerTerm("x", (0, 4), +1.0),
+            SchwingerTerm("x", (1, 5), -1.0),
+            SchwingerTerm("x", (1, 4), -1.0),
+        ],
+    )
+
+
+def six_mode_symmetry_decomposition(layout, theta):
+    """:func:`six_mode_symmetry` and its beamsplitter factorization.
+
+    The exponential exp(-i theta adag M a) splits into two commuting
     interferometers: the z part is a pure phase differential on spin 1's
     rails, and the x part is a single two-mode mixer between modes 1 and 4
     conjugated by balanced mixers on (0,1) and (4,5).
@@ -385,19 +408,8 @@ def six_mode_symmetry_decomposition(layout, theta):
     ------
     WireTooSmall
     """
-    if layout.n_spins < 3:
-        raise WireTooSmall("needs at least 3 spins")
+    expr = six_mode_symmetry(layout)
     n = layout.n_modes
-    expr = SchwingerExpression(
-        n,
-        [
-            SchwingerTerm("z", (2, 3), -2.0),
-            SchwingerTerm("x", (0, 5), +1.0),
-            SchwingerTerm("x", (0, 4), +1.0),
-            SchwingerTerm("x", (1, 5), -1.0),
-            SchwingerTerm("x", (1, 4), -1.0),
-        ],
-    )
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     f = np.eye(n, dtype=complex)
     f[np.ix_([0, 1], [0, 1])] = h

@@ -130,6 +130,24 @@ def test_check_wire_generators(capsys):
     assert rc == 0
 
 
+def test_check_rejects_a_negative_chain_end(capsys):
+    # chain:0:-5 exited 0 after checking N_0 alone
+    rc, out, err = run(capsys, "check", "wire", "--spins", "4", "--gen", "chain:0:-5")
+    _assert_input_error(rc, out, err)
+    assert "i_to -5" in err
+
+
+def test_check_six_mode_builds_only_the_sweep_s_unitaries(capsys, monkeypatch):
+    # the generator came from the decomposition, whose two unitaries at
+    # theta 0 were built and thrown away
+    calls = []
+    unitaries = schwinger.unitaries
+    monkeypatch.setattr(schwinger, "unitaries", lambda m, t: calls.append(len(t)) or unitaries(m, t))
+    args = ("check", "wire", "--spins", "6", "--gen", "six-mode", "--cutoff", "4")
+    rc, _, _ = run(capsys, *args)
+    assert rc == 0 and calls == [16]
+
+
 def test_check_rejects_a_theta_grid_below_two_points(capsys):
     base = ("check", "wire", "--spins", "4", "--gen", "local:0", "--format", "json")
     for points in ("0", "1"):

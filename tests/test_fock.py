@@ -242,7 +242,7 @@ def test_nullifier_residual_streams_its_sectors(monkeypatch):
     layout = states.WireLayout(6, 0.5)
     k = states.dual_rail_wire(layout)
     m = schwinger.expression_to_matrix(states.wire_local_nullifiers(layout)[0])
-    monkeypatch.setattr(fock, "_sectors", {})  # a cold call builds every sector
+    monkeypatch.setattr(fock, "_ladders", {})  # a cold call builds every sector
     tracemalloc.start()
     try:
         res = fock.nullifier_residual(m, k, 6)
@@ -345,12 +345,12 @@ def test_the_export_matches_the_sorted_dict_export(seed, n, cutoff, real):
 
 def test_a_state_holds_the_cached_tables_of_its_sectors(monkeypatch):
     # the amplitudes' dtype follows K: float64 for a real K, complex128 else
-    monkeypatch.setattr(fock, "_sectors", {})
+    monkeypatch.setattr(fock, "_ladders", {})
     for phase, dtype in [(1.0, np.float64), (1j, np.complex128)]:
         v = fock.state_from_k(phase * graphs.tms_k(0.5), 6)
         assert [occ.shape[1] for occ, _ in v.sectors] == [1, 3, 5, 7]
         for t, (occ, c) in zip(range(0, 7, 2), v.sectors):
-            assert occ is fock._sectors[(2, t, np.dtype(np.uint8))][0]
+            assert occ is fock._ladders[(2, np.dtype(np.uint8))][1][t][0]
             assert not occ.flags.writeable and c.dtype == dtype
 
 
@@ -443,7 +443,7 @@ def brute_force_sector(n, t):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_every_sector_matches_the_brute_force_reference(n, monkeypatch):
-    monkeypatch.setattr(fock, "_sectors", {})
+    monkeypatch.setattr(fock, "_ladders", {})
     cold = list(fock._ladder(n, 6))
     warm = list(fock._ladder(n, 6))
     for t, tables in enumerate(cold):
@@ -451,23 +451,28 @@ def test_every_sector_matches_the_brute_force_reference(n, monkeypatch):
             assert got.shape == want.shape and (got == want).all(), (n, t)
         # the second ladder is served the same arrays
         assert all(a is b for a, b in zip(tables, warm[t]))
-    assert len(fock._sectors) == 7
+    assert [len(kept) for _, kept in fock._ladders.values()] == [7]
 
 
 def test_a_ladder_past_255_photons_gets_its_own_tables(monkeypatch):
     # uint8 tables of a small cutoff must not seed a ladder that needs uint16
-    monkeypatch.setattr(fock, "_sectors", {})
+    monkeypatch.setattr(fock, "_ladders", {})
     list(fock._ladder(2, 4))
     occ = list(fock._ladder(2, 300))[300][0]
     assert occ.dtype == np.uint16 and occ[:, -1].tolist() == [300, 0]
 
 
 def test_sector_tables_are_read_only(monkeypatch):
-    monkeypatch.setattr(fock, "_sectors", {})
+    monkeypatch.setattr(fock, "_ladders", {})
     for tables in (list(fock._ladder(3, 4))[4], list(fock._ladder(3, 4))[4]):
         for a in tables:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1
+
+
+def _cached_sectors():
+    """The (modes, sector) pairs whose tables the cache holds."""
+    return {(n, t) for (n, _), (_, kept) in fock._ladders.items() for t in range(len(kept))}
 
 
 def _bits(v):
@@ -483,13 +488,13 @@ def test_oracle_results_do_not_depend_on_the_cache(monkeypatch):
         v = fock.state_from_k(k, 8)
         return _bits(v), _bits(fock.apply_quadratic(m, v)), fock.nullifier_residual(m, k, 8)
 
-    monkeypatch.setattr(fock, "_sectors", {})
+    monkeypatch.setattr(fock, "_ladders", {})
     cold = results()
     warm = results()
     monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 0)
-    monkeypatch.setattr(fock, "_sectors", {})
+    monkeypatch.setattr(fock, "_ladders", {})
     uncached = results()
-    assert fock._sectors == {}
+    assert fock._ladders == {}
     assert cold == warm == uncached
 
 
@@ -498,11 +503,11 @@ def test_the_cache_keeps_within_its_budget(monkeypatch):
     # bytes a sector, 38862 bytes; a budget of 16000 keeps sectors 0..5 (252
     # columns and 6 sectors, 10152 bytes) and builds the rest on every call
     monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 16000)
-    monkeypatch.setattr(fock, "_sectors", {})
+    monkeypatch.setattr(fock, "_ladders", {})
     k = random_k(np.random.default_rng(113), 5, norm=0.5)
     v = fock.state_from_k(k, 8)
     assert fock._cached_bytes() == 10152
-    assert {key[:2] for key in fock._sectors} == {(5, t) for t in range(6)}
+    assert _cached_sectors() == {(5, t) for t in range(6)}
     for t, tables in enumerate(fock._ladder(5, 8)):
         for got, want in zip(tables, brute_force_sector(5, t)):
             assert (got == want).all(), t
@@ -517,26 +522,26 @@ def test_a_new_ladder_drops_other_ladders_to_fit(monkeypatch):
     # 16 bytes a column and 600 a sector, fit beside them up to sector 6, and
     # sector 7 drops the 5-mode tables, so the ladder in use is the one kept
     monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 16000)
-    monkeypatch.setattr(fock, "_sectors", {})
+    monkeypatch.setattr(fock, "_ladders", {})
     list(fock._ladder(5, 5))
     assert fock._cached_bytes() == 10152
     for t, tables in enumerate(fock._ladder(3, 8)):
         for got, want in zip(tables, brute_force_sector(3, t)):
             assert (got == want).all(), t
     three = {(3, t) for t in range(9)}
-    assert {key[:2] for key in fock._sectors} == three
+    assert _cached_sectors() == three
     assert fock._cached_bytes() == 8040
     # a sector past the budget on its own (56 modes, sector 1: 16336 bytes)
     # is built and dropped, and drops no other ladder
     assert list(fock._ladder(56, 1))[1][0].shape == (56, 56)
-    assert {key[:2] for key in fock._sectors} == three | {(56, 0)}
+    assert _cached_sectors() == three | {(56, 0)}
 
 
 def test_a_long_one_mode_ladder_holds_no_more_than_the_budget(monkeypatch):
     # the budget counted only the arrays' bytes: a 1-mode ladder's 4,001
     # sectors counted as 28 kB and held 2.3 MB, over a budget of 1 MiB
     monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 2**20)
-    monkeypatch.setattr(fock, "_sectors", {})
+    monkeypatch.setattr(fock, "_ladders", {})
     tracemalloc.start()
     try:
         collections.deque(fock._ladder(1, 4000), maxlen=0)
@@ -562,7 +567,7 @@ def test_threads_keep_the_cache_within_its_budget(monkeypatch):
             for t, tables in enumerate(fock._ladder(n, 6)):
                 for got, want in zip(tables, expected[n][t]):
                     assert (got == want).all(), (n, t)
-            with fock._sectors_lock:
+            with fock._ladders_lock:
                 kept = fock._cached_bytes()
             if kept > fock.SECTOR_CACHE_BYTES:
                 over.append(kept)
@@ -573,7 +578,7 @@ def test_threads_keep_the_cache_within_its_budget(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(30):
-            monkeypatch.setattr(fock, "_sectors", {})
+            monkeypatch.setattr(fock, "_ladders", {})
             threads = [threading.Thread(target=work, args=(n,)) for n in (3, 4, 5, 6) * 2]
             for thread in threads:
                 thread.start()
@@ -617,21 +622,23 @@ class _CountingDict(dict):
 def test_a_ladder_reads_the_cache_a_bounded_number_of_times_per_sector(monkeypatch):
     # each insert summed the bytes of every cached sector: a one-mode ladder
     # at cutoff 6000 spent 23 of its 26 s there, O(T^2) in its T sectors
-    sectors = _CountingDict()
-    monkeypatch.setattr(fock, "_sectors", sectors)
+    ladders = _CountingDict()
+    monkeypatch.setattr(fock, "_ladders", ladders)
     top = 2000
     list(fock._ladder(1, top))
-    assert len(sectors) == top + 1
-    assert sectors.reads <= 2 * (top + 1), sectors.reads
-    assert fock._counted[1].total() == fock._cached_bytes()
+    reads = ladders.reads
+    [(held, kept)] = ladders.values()
+    assert len(kept) == top + 1
+    assert reads <= 2 * (top + 1), reads
+    assert held == sum(map(fock._charge, kept)) == fock._cached_bytes()
 
 
 def test_the_kept_byte_count_follows_inserts_and_evictions(monkeypatch):
     monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 16000)
-    monkeypatch.setattr(fock, "_sectors", {})
+    monkeypatch.setattr(fock, "_ladders", {})
 
     def kept():
-        return fock._counted[1].total()
+        return sum(fock._charge(t) for _, ladder in fock._ladders.values() for t in ladder)
 
     list(fock._ladder(5, 5))
     assert kept() == fock._cached_bytes() == 10152
@@ -639,10 +646,51 @@ def test_the_kept_byte_count_follows_inserts_and_evictions(monkeypatch):
     assert kept() == fock._cached_bytes() == 8040
     list(fock._ladder(56, 1))  # keeps sector 0 (881 bytes), not sector 1 (16336)
     assert kept() == fock._cached_bytes() == 8040 + 881
-    # a dict put in the place of the cache is counted afresh
-    monkeypatch.setattr(fock, "_sectors", dict(fock._sectors))
     list(fock._ladder(2, 4))
     assert kept() == fock._cached_bytes() == 8040 + 881 + 15 * 11 + 5 * 600
+
+
+def _assert_cached_prefixes():
+    """Each cached ladder holds the true tables of its sectors 0..T-1."""
+    for (n, _), (held, kept) in fock._ladders.items():
+        for t, tables in enumerate(kept):
+            for got, want in zip(tables, brute_force_sector(n, t)):
+                assert got.shape == want.shape and (got == want).all(), (n, t)
+        assert held == sum(map(fock._charge, kept)), n
+
+
+def test_a_ladder_caches_only_a_prefix_of_its_sectors(monkeypatch):
+    # a sector is kept only where its ladder holds every sector before it:
+    # not after that ladder was dropped mid-walk, nor past a sector that
+    # did not fit
+    monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 16000)
+    monkeypatch.setattr(fock, "_ladders", {})
+    five = fock._ladder(5, 8)
+    for _ in range(3):
+        next(five)
+    assert _cached_sectors() == {(5, t) for t in range(3)}
+    # 4 modes up to sector 8 take 15795 bytes: they drop the 5-mode tables,
+    # and the rest of the 5-mode walk keeps none of its sectors 3..8
+    list(fock._ladder(4, 8))
+    collections.deque(five, maxlen=0)
+    assert _cached_sectors() == {(4, t) for t in range(9)}
+    _assert_cached_prefixes()
+    # a 3-mode sector 3 over a budget lowered to 0 is not kept, and neither
+    # is any sector past it once the budget is back
+    three = fock._ladder(3, 8)
+    for _ in range(3):
+        next(three)
+    monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 0)
+    next(three)
+    monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 16000)
+    collections.deque(three, maxlen=0)
+    assert {key for key in _cached_sectors() if key[0] == 3} == {(3, t) for t in range(3)}
+    _assert_cached_prefixes()
+    # a fresh walk extends the prefix where it stopped
+    list(fock._ladder(3, 8))
+    assert _cached_sectors() == {(3, t) for t in range(9)}
+    _assert_cached_prefixes()
+    assert fock._cached_bytes() == 8040
 
 
 @pytest.mark.parametrize("entry", ["state_from_k", "apply_quadratic", "nullifier_residual"])

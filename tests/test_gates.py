@@ -36,7 +36,8 @@ _CASES = {
     "passive_transform W": lambda v: graphs.passive_transform(K, _spoil(np.eye(2), v)),
     "hgraph_k G": lambda v: graphs.hgraph_k(_spoil(SX, v), 0.5),
     "hgraph_k alpha": lambda v: graphs.hgraph_k(SX, v),
-    "unitary_path M": lambda v: schwinger.unitary_path(_spoil(M, v)),
+    "unitaries M": lambda v: schwinger.unitaries(_spoil(M, v), [0.1]),
+    "unitaries angles": lambda v: schwinger.unitaries(M, [0.1, v]),
     "generator_to_unitary theta": lambda v: schwinger.generator_to_unitary(M, v),
     "matrix_to_expression M": lambda v: schwinger.matrix_to_expression(_spoil(M, v)),
     "display_expressions M": lambda v: schwinger.display_expressions([_spoil(M, v)]),

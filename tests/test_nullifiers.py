@@ -788,10 +788,10 @@ def test_verify_symmetry_keeps_a_nan_deviation(monkeypatch):
     # grid, the deviation of the others passed for the whole grid.  Such a
     # grid now fails on the phase limit, so the NaN W is planted here, inside
     # the grid, where a max that keeps its first element would drop it
-    def path(m):
-        return lambda theta: np.full((2, 2), np.nan) if theta == 1.0 else np.eye(2)
+    def unitaries(m, thetas):
+        return np.array([np.full((2, 2), np.nan) if t == 1.0 else np.eye(2) for t in thetas])
 
-    monkeypatch.setattr(schwinger, "unitary_path", path)
+    monkeypatch.setattr(schwinger, "unitaries", unitaries)
     dev = nullifiers.verify_symmetry(graphs.tms_k(0.5), 0.5 * SZ, [0.0, 1.0, 2.0])
     assert np.isnan(dev)
 
@@ -811,9 +811,11 @@ def test_verify_symmetry_refuses_a_phase_without_significant_digits(coeff, theta
 
 
 def test_verify_symmetry_rejects_a_nan_generator():
-    # it returned a deviation of nan, which no tolerance test rejects
-    with pytest.raises(NonHermitian):
-        nullifiers.verify_symmetry(graphs.tms_k(0.5), np.full((2, 2), np.nan), [0.1])
+    # it returned a deviation of nan, which no tolerance test rejects; an
+    # empty grid must not pass it as 0.0
+    for grid in ([0.1], []):
+        with pytest.raises(NonHermitian):
+            nullifiers.verify_symmetry(graphs.tms_k(0.5), np.full((2, 2), np.nan), grid)
 
 
 def test_residual_lower_bounds_the_fock_residual():

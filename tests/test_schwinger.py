@@ -14,6 +14,7 @@ from gnl.errors import (
     IndexOutOfRange,
     NonHermitian,
     NonUnitary,
+    PrecisionLimit,
     ShapeMismatch,
 )
 from gnl.schwinger import SchwingerExpression, SchwingerTerm
@@ -254,10 +255,39 @@ def test_generator_to_unitary_rejects_non_hermitian():
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
-def test_unitary_path_rejects_a_non_finite_generator(value):
+def test_unitaries_rejects_a_non_finite_generator(value):
     # nan > TOL_HERM is False, so a NaN generator gave a NaN unitary
     with pytest.raises(NonHermitian):
-        schwinger.unitary_path(np.full((2, 2), value))
+        schwinger.unitaries(np.full((2, 2), value), [0.3])
+    with pytest.raises(NonHermitian):
+        schwinger.unitaries(np.full((2, 2), value), [])
+
+
+def test_unitaries_is_the_stack_of_single_angles():
+    # one eigendecomposition for the whole grid, each slice bit for bit the
+    # unitary of its angle alone
+    rng = np.random.default_rng(53)
+    for n, real in [(1, True), (3, False), (6, True), (7, False)]:
+        m = random_hermitian(rng, n)
+        if real:
+            m = m.real
+        thetas = np.concatenate([np.linspace(0.0, 2.0 * np.pi, 16), rng.uniform(-9, 9, 4)])
+        ws = schwinger.unitaries(m, thetas)
+        assert ws.shape == (len(thetas), n, n)
+        for theta, w in zip(thetas, ws):
+            assert w.tobytes() == schwinger.unitaries(m, [theta])[0].tobytes()
+            assert w.tobytes() == schwinger.generator_to_unitary(m, theta).tobytes()
+    assert schwinger.unitaries(np.eye(2), []).shape == (0, 2, 2)
+
+
+def test_unitaries_names_the_first_angle_past_the_phase_limit():
+    # |theta| max|lambda| past the float range is over the limit, with no
+    # overflow warning
+    m = 2.0 * schwinger.embed_pauli("z", 0, 1, 2)
+    with pytest.raises(PrecisionLimit, match=r"^theta 1\.700e\+308 times"):
+        schwinger.unitaries(m, [0.5, 1.7e308, -1e17, 0.1])
+    with pytest.raises(PrecisionLimit, match=r"^theta -1\.000e\+17 times"):
+        schwinger.unitaries(m, [0.5, -1e17, 1.7e308, 0.1])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

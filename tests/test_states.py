@@ -297,6 +297,13 @@ def test_wire_chain_span_edge_cases():
         states.wire_chain_nullifier(layout, 7, 2)
 
 
+@pytest.mark.parametrize("i_from, i_to", [(0, -5), (2, -1), (3, -4)])
+def test_a_negative_chain_end_is_out_of_range(i_from, i_to):
+    # i_to += n left a zero-length span, and the chain was N_{i_from} alone
+    with pytest.raises(IndexOutOfRange, match=f"i_to {i_to} "):
+        states.wire_chain_nullifier(states.WireLayout(4, 0.5), i_from, i_to)
+
+
 def test_wire_y_symmetry_holds_for_every_size():
     for n in (3, 4, 5, 7):
         layout = states.WireLayout(n, 0.5)
@@ -343,3 +350,14 @@ def test_six_mode_decomposition_at_theta_zero():
     assert np.max(np.abs(factors[0] @ factors[2] - np.eye(6))) < 1e-12
     with pytest.raises(WireTooSmall):
         states.six_mode_symmetry_decomposition(states.WireLayout(2, 0.5), 0.1)
+
+
+def test_the_six_mode_symmetry_is_the_decomposition_s_expression():
+    for spins in (3, 4, 6):
+        layout = states.WireLayout(spins, 0.5)
+        expr = states.six_mode_symmetry(layout)
+        assert expr == states.six_mode_symmetry_decomposition(layout, 0.4)[0]
+        ok, res = nullifiers.is_nullifier(_matrix(expr), states.dual_rail_wire(layout))
+        assert ok and res <= 1e-10
+    with pytest.raises(WireTooSmall):
+        states.six_mode_symmetry(states.WireLayout(2, 0.5))
