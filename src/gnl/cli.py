@@ -37,10 +37,12 @@ table writer, :func:`_table`, writes those from arrays to the same bytes.
 
 Exit codes: 0 all requested checks pass, 1 a check ran and failed,
 2 invalid input, which includes a ``check`` generator that is zero (it
-would pass every check vacuously).  Every check applies one relative tolerance,
-:func:`graphs.passes`: ``check`` exits 0 only when the criterion residual
-and the Fock residual are at most graphs.RTOL max|M| max|K| and the
-symmetry deviation at most graphs.RTOL max|K| (1 + 2 pi max|M|).
+would pass every check vacuously) and an array too large to allocate (the
+error line is numpy's, with the size it asked for).  Every check applies
+one relative tolerance, :func:`graphs.passes`: ``check`` exits 0 only when
+the criterion residual and the Fock residual are at most
+graphs.RTOL max|M| max|K| and the symmetry deviation at most
+graphs.RTOL max|K| (1 + 2 pi max|M|).
 """
 
 import argparse
@@ -546,7 +548,7 @@ def main(argv=None):
             argv = _with_config(argv, rest, config.config)
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (GnlError, OSError, json.JSONDecodeError) as exc:
+    except (GnlError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

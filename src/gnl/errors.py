@@ -82,10 +82,6 @@ class SpanTooLong(GnlError):
     """Chain span exceeds the ring length."""
 
 
-class WireTooSmall(GnlError):
-    """Wire is too short for the requested six-mode construction."""
-
-
 class InconsistentRecursion(GnlError):
     """Fock recursion gave conflicting amplitudes for the same occupation."""
 

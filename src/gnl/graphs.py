@@ -341,7 +341,9 @@ def passive_transform(k, w):
     """Transform K under the passive mode map b = W a: K' = W K W^T.
 
     The spectral norm and symmetry of K are preserved.  With diagonal
-    W = e^{-i Theta} this reproduces :func:`phase_shift` exactly.
+    W = e^{-i Theta} this agrees with :func:`phase_shift` to rounding, not
+    bit for bit: the matrix products round differently from phase_shift's
+    entrywise ones, so the last bits of most entries may differ.
 
     Raises
     ------

@@ -37,6 +37,7 @@ from .errors import (
     InvalidBlockShape,
     KernelTooLarge,
     NonCommutingD,
+    NonSymmetric,
     PrecisionLimit,
     SelfCheckFailed,
     ShapeMismatch,
@@ -395,6 +396,8 @@ def nullifier_space(k):
     ShapeMismatch
         K is not square with at least one mode, or has a NaN or infinite
         entry.
+    NonSymmetric
+        max|K - K^T| exceeds graphs.RTOL max|K| (:func:`graphs.passes`).
     PrecisionLimit
         A Takagi value of K exceeds half the largest float, so the spectrum
         would overflow.
@@ -405,6 +408,8 @@ def nullifier_space(k):
         A derived generator fails the criterion (a solver defect).
     """
     k = graphs.finite_square(k, "K")
+    if not graphs.passes(np.abs(k - k.T).max(), k):
+        raise NonSymmetric("K is not symmetric within tolerance")
     n = k.shape[0]
     diag = np.arange(n)
     i, j = schwinger._pairs(n)  # pairs i < j, lexicographic, as in the coordinates

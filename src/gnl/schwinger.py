@@ -68,14 +68,19 @@ class SchwingerTerm:
             raise ShapeMismatch(f"coefficient must be finite, got {self.coeff!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchwingerExpression:
-    """Real linear combination of Schwinger terms on n qumodes."""
+    """Real linear combination of Schwinger terms on n qumodes.
+
+    Frozen, with the terms kept as a tuple, so that an expression stays as
+    its range check found it: every reader relies on that check.
+    """
 
     n: int
-    terms: list
+    terms: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(self.terms))
         for t in self.terms:
             if t.pair[1] >= self.n:
                 raise IndexOutOfRange(
@@ -86,8 +91,11 @@ class SchwingerExpression:
 def embed_pauli(axis, r, s, n):
     """Pauli matrix sigma_axis embedded at modes (r, s) of an n-mode system.
 
-    The quadratic operator adag (sigma_axis^{(r,s)} / 2) a is the Schwinger
-    S^axis_{r,s} operator.
+    Twice the matrix of the one term S^axis_{r,s} (see
+    :func:`expression_to_matrix`): the quadratic operator
+    adag (sigma_axis^{(r,s)} / 2) a is the Schwinger S^axis_{r,s} operator.
+    The axis, the order and the range of the pair are the term's and the
+    expression's rules (:class:`SchwingerTerm`, :class:`SchwingerExpression`).
 
     Parameters
     ----------
@@ -97,41 +105,47 @@ def embed_pauli(axis, r, s, n):
         Mode indices, 0 <= r < s < n.
     n : int
         Total number of modes.
+
+    Raises
+    ------
+    EqualIndices
+        r == s: the singleton S^0_{r,r} is a number operator, no Pauli matrix.
+    ShapeMismatch
+        Unknown axis.
+    IndexOutOfRange
+        A negative index, r > s, or s >= n.
     """
-    if axis not in AXES:
-        raise ShapeMismatch(f"unknown axis {axis!r}")
-    if not (0 <= r < n and 0 <= s < n):
-        raise IndexOutOfRange(f"pair ({r}, {s}) outside 0..{n - 1}")
     if r == s:
         raise EqualIndices("embedding needs two distinct modes")
-    if r > s:
-        r, s = s, r
-    m = np.zeros((n, n), dtype=complex)
-    if axis == "0":
-        m[r, r] = 1.0
-        m[s, s] = 1.0
-    elif axis == "x":
-        m[r, s] = 1.0
-        m[s, r] = 1.0
-    elif axis == "y":
-        m[r, s] = -1j
-        m[s, r] = 1j
-    else:
-        m[r, r] = 1.0
-        m[s, s] = -1.0
-    return m
+    return 2.0 * expression_to_matrix(
+        SchwingerExpression(n, [SchwingerTerm(axis, (r, s), 1.0)])
+    )
 
 
 def expression_to_matrix(expr):
-    """Assemble the Hermitian matrix M with adag M a = sum of the terms."""
+    """Assemble the Hermitian matrix M with adag M a = sum of the terms.
+
+    Each term c S^axis_{r,s} adds the entries of (c/2) sigma_axis at rows
+    and columns (r, s) straight into M, and a singleton S^0_{r,r} adds c at
+    (r, r); no matrix is built per term.  The sums are those of adding the
+    terms' embedded matrices one by one, bit for bit, signed zeros included.
+    """
     m = np.zeros((expr.n, expr.n), dtype=complex)
+    re, im = m.real, m.imag
     for t in expr.terms:
-        r, s = t.pair
+        (r, s), h = t.pair, 0.5 * t.coeff
         if r == s:
             # singleton S^0_{r,r} is the number operator n_r
-            m[r, r] += t.coeff
+            re[r, r] += t.coeff
+        elif t.axis == "x":
+            re[r, s] += h
+            re[s, r] += h
+        elif t.axis == "y":
+            im[r, s] -= h
+            im[s, r] += h
         else:
-            m += 0.5 * t.coeff * embed_pauli(t.axis, r, s, expr.n)
+            re[r, r] += h
+            re[s, s] += h if t.axis == "0" else -h
     return m
 
 

@@ -30,7 +30,6 @@ from .errors import (
     SpanTooLong,
     TooFewSpins,
     UnknownVariant,
-    WireTooSmall,
 )
 from .schwinger import SchwingerExpression, SchwingerTerm
 
@@ -111,30 +110,20 @@ def bell_analogue(variant, alpha):
     Raises
     ------
     UnknownVariant
+        From :func:`bell_nullifier`, before alpha is read.
+    NonPositiveAlpha
     """
-    if variant not in BELL_VARIANTS:
-        raise UnknownVariant(
-            f"variant {variant!r} not in {', '.join(BELL_VARIANTS)}"
-        )
-    graphs.check_alpha(alpha)
+    expressions = [bell_nullifier(variant, axis) for axis in "xyz0"]
     k = tms_pair(alpha)
     if variant != "phi+":
         k = graphs.phase_shift(k, [0.0, 0.0, np.pi, 0.0])
     if variant in ("psi+", "psi-"):
-        gen_y_a = schwinger.expression_to_matrix(
-            SchwingerExpression(4, [SchwingerTerm("y", SPIN_A, 1.0)])
-        )
-        k = graphs.passive_transform(
-            k, schwinger.generator_to_unitary(gen_y_a, np.pi)
-        )
+        gen_y_a = 0.5 * schwinger.embed_pauli("y", *SPIN_A, 4)
+        k = graphs.passive_transform(k, schwinger.generator_to_unitary(gen_y_a, np.pi))
     if variant == "psi-":
-        gen_z_b = schwinger.expression_to_matrix(
-            SchwingerExpression(4, [SchwingerTerm("z", SPIN_B, 1.0)])
-        )
-        k = graphs.passive_transform(
-            k, schwinger.generator_to_unitary(gen_z_b, np.pi)
-        )
-    return k, [bell_nullifier(variant, axis) for axis in "xyz0"]
+        gen_z_b = 0.5 * schwinger.embed_pauli("z", *SPIN_B, 4)
+        k = graphs.passive_transform(k, schwinger.generator_to_unitary(gen_z_b, np.pi))
+    return k, expressions
 
 
 def bell_nullifier(variant, axis):
@@ -147,12 +136,16 @@ def bell_nullifier(variant, axis):
     Raises
     ------
     UnknownVariant
+        The one check of the variant name; :func:`bell_analogue` relies on it.
+    ShapeMismatch
+        Unknown axis (from :class:`schwinger.SchwingerTerm`).
     """
     if variant not in BELL_VARIANTS:
         raise UnknownVariant(
             f"variant {variant!r} not in {', '.join(BELL_VARIANTS)}"
         )
-    return _pair_expression(axis, -1.0 if axis == "0" else _BELL_SIGNS[variant][axis])
+    # axis "0" and an unknown axis take -1; SchwingerTerm refuses the latter
+    return _pair_expression(axis, _BELL_SIGNS[variant].get(axis, -1.0))
 
 
 # ----------------------------------------------------------------------
@@ -164,15 +157,23 @@ class WireLayout:
     """Periodic dual-rail wire geometry: n_spins spins, two rails each.
 
     Spin i lives on flat modes 2i (rail a) and 2i+1 (rail b); the squeezing
-    parameter alpha is shared by every edge.
+    parameter alpha is shared by every edge.  The ring needs at least 3
+    spins: with fewer, both neighbours of a spin coincide.  This is the one
+    spin-count check of every wire construction below.
+
+    Raises
+    ------
+    TooFewSpins
+        n_spins < 3, checked before alpha.
+    NonPositiveAlpha
     """
 
     n_spins: int
     alpha: float
 
     def __post_init__(self):
-        if self.n_spins < 2:
-            raise TooFewSpins("a wire needs at least 2 spins")
+        if self.n_spins < 3:
+            raise TooFewSpins("a periodic wire needs at least 3 spins")
         graphs.check_alpha(self.alpha)
 
     @property
@@ -235,15 +236,7 @@ def dual_rail_wire(layout):
     rounding of the mixer products (see the module docstring), and joins
     rails of neighbouring spins, with the sign set by the left spin's rail
     (b gives the minus).  The matrix is real.
-
-    Raises
-    ------
-    TooFewSpins
-        For fewer than 3 spins the ring degenerates (both neighbours of a
-        spin coincide).
     """
-    if layout.n_spins < 3:
-        raise TooFewSpins("a periodic wire needs at least 3 spins")
     w = wire_mixer(layout)
     return graphs.passive_transform(wire_distributed_k(layout), w)
 
@@ -340,13 +333,7 @@ def wire_y_symmetry(layout):
     Unit-weight S^y terms on the rail pairs across the (0,1) and (1,2)
     boundaries, with one sign pattern per boundary; nullifies the wire for
     every ring length >= 3.
-
-    Raises
-    ------
-    WireTooSmall
     """
-    if layout.n_spins < 3:
-        raise WireTooSmall("needs at least 3 spins")
     n = layout.n_modes
     coeffs = [
         ((0, 2), +1.0),
@@ -370,13 +357,7 @@ def six_mode_symmetry(layout):
 
     It nullifies every periodic wire with at least 3 spins; see
     :func:`six_mode_symmetry_decomposition` for its factorization.
-
-    Raises
-    ------
-    WireTooSmall
     """
-    if layout.n_spins < 3:
-        raise WireTooSmall("needs at least 3 spins")
     return SchwingerExpression(
         layout.n_modes,
         [
@@ -403,10 +384,6 @@ def six_mode_symmetry_decomposition(layout, theta):
         factors = [F, X(theta), F^{-1}, Z(theta)] as mode unitaries; the
         product of the first three equals exp(-i theta M_x) and the full
         product equals exp(-i theta M).
-
-    Raises
-    ------
-    WireTooSmall
     """
     expr = six_mode_symmetry(layout)
     n = layout.n_modes

@@ -112,6 +112,34 @@ def reference_from_coordinates(w):
     return m
 
 
+def reference_expression_matrix(expr):
+    """The Hermitian matrix of a Schwinger expression, one embedded term at a time.
+
+    Each term c S^axis_{r,s} adds 0.5 c sigma_axis, with the Pauli matrix
+    written out at rows and columns (r, s) of an n x n array; a singleton
+    S^0_{r,r} adds c at (r, r).  Kept verbatim, so that bit patterns, signed
+    zeros included, can be compared.
+    """
+    n = expr.n
+    m = np.zeros((n, n), dtype=complex)
+    for t in expr.terms:
+        r, s = t.pair
+        if r == s:
+            m[r, r] += t.coeff
+            continue
+        sigma = np.zeros((n, n), dtype=complex)
+        if t.axis == "0":
+            sigma[r, r] = sigma[s, s] = 1.0
+        elif t.axis == "x":
+            sigma[r, s] = sigma[s, r] = 1.0
+        elif t.axis == "y":
+            sigma[r, s], sigma[s, r] = -1j, 1j
+        else:
+            sigma[r, r], sigma[s, s] = 1.0, -1.0
+        m += 0.5 * t.coeff * sigma
+    return m
+
+
 def reference_canonical_basis(kernel):
     """Greedy canonical basis of the row space of ``kernel``, one column at a time.
 

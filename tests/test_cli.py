@@ -630,6 +630,32 @@ print(rc, time.perf_counter() - start, repr(err.getvalue()))
     assert "error: 200 modes" in err and "bytes" in err
 
 
+@pytest.mark.parametrize("spins", ["-3", "1", "2"])
+@pytest.mark.parametrize("command", [["state"], ["check", "--gen", "local:0"]])
+def test_a_wire_below_three_spins_is_invalid_input(capsys, command, spins):
+    # two spins reached dual_rail_wire's check, whose message WireLayout now
+    # gives for every count below three
+    argv = [command[0], "wire", "--spins", spins, *command[1:]]
+    assert run(capsys, *argv) == (2, "", "error: a periodic wire needs at least 3 spins\n")
+
+
+@pytest.mark.parametrize("command", [["state"], ["check", "--gen", "local:0"]])
+def test_an_allocation_failure_is_invalid_input(capsys, monkeypatch, command):
+    # numpy's MemoryError for --spins 100000 ended in a traceback and exit 1;
+    # the builder raises it here, so nothing is allocated
+    message = (
+        "Unable to allocate 74.5 GiB for an array with shape (100000, 100000) "
+        "and data type float64"
+    )
+
+    def too_large(layout):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(states, "wire_mixer", too_large)
+    argv = [command[0], "wire", "--spins", "100000", *command[1:]]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def _allowed_cpus():
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 

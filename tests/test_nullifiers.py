@@ -28,6 +28,7 @@ from gnl.errors import (
     InvalidBlockShape,
     KernelTooLarge,
     NonCommutingD,
+    NonSymmetric,
     NonHermitian,
     PrecisionLimit,
     ShapeMismatch,
@@ -698,6 +699,22 @@ def test_nullifier_space_rejects_a_non_finite_k(value):
     # a NaN entry was reported as a solver defect (SelfCheckFailed)
     with pytest.raises(ShapeMismatch):
         nullifiers.nullifier_space(np.array([[0.0, value], [value, 0.0]]))
+
+
+@pytest.mark.parametrize("k", [[[0, 0.5], [0.1, 0]], [[0.1, 0.3j], [0.2j, 0]]])
+def test_nullifier_space_refuses_a_non_symmetric_k(k):
+    # the first raised SelfCheckFailed, which reads as a solver defect, and
+    # the second returned a space of dimension 0 with no error
+    with pytest.raises(NonSymmetric, match="K is not symmetric"):
+        nullifiers.nullifier_space(k)
+
+
+def test_nullifier_space_takes_a_k_symmetric_to_rounding():
+    k = graphs.tms_k(0.5)
+    k[0, 1] += 1e-12  # within graphs.RTOL max|K|
+    assert nullifiers.nullifier_space(k).dimension == nullifiers.nullifier_space(
+        graphs.tms_k(0.5)
+    ).dimension
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -1,5 +1,6 @@
 """Schwinger-operator layer: embeddings, conversions, basis changes, exponentials."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_hermitian, random_unitary, reference_display_expression
+from conftest import (
+    random_hermitian,
+    random_unitary,
+    reference_display_expression,
+    reference_expression_matrix,
+)
 from gnl import schwinger, states
 from gnl.errors import (
     EqualIndices,
@@ -62,6 +68,59 @@ def test_embed_pauli_index_errors():
         schwinger.embed_pauli("x", 0, 5, 3)
     with pytest.raises(EqualIndices):
         schwinger.embed_pauli("x", 1, 1, 3)
+    with pytest.raises(EqualIndices):
+        schwinger.embed_pauli("0", 1, 1, 3)
+    with pytest.raises(ShapeMismatch):
+        schwinger.embed_pauli("w", 0, 1, 3)
+
+
+def test_an_expression_keeps_the_terms_its_range_check_saw():
+    # expression_to_matrix reads the pairs unchecked; a term appended to the
+    # list after the check reached numpy as a bare IndexError
+    term = SchwingerTerm("x", (0, 1), 1.0)
+    expr = SchwingerExpression(2, [term])
+    assert expr.terms == (term,)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        expr.terms = [SchwingerTerm("x", (0, 5), 1.0)]
+
+
+@pytest.mark.parametrize("axis", schwinger.AXES)
+def test_embed_pauli_refuses_a_reversed_pair(axis):
+    # the pair was swapped silently: embed_pauli("z", 2, 1, 3) returned
+    # sigma_z on (1, 2), the opposite operator to the one asked for
+    with pytest.raises(IndexOutOfRange, match="pair must be ordered"):
+        schwinger.embed_pauli(axis, 2, 1, 3)
+
+
+# coefficients: signed zeros, subnormals and a range of ordinary values
+_COEFFS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300]) | st.floats(-1e6, 1e6)
+
+
+@st.composite
+def _expressions(draw):
+    """Expressions of up to 8 terms on 1-6 modes, singleton S^0 terms included."""
+    n = draw(st.integers(1, 6))
+    terms = []
+    for _ in range(draw(st.integers(0, 8))):
+        if n == 1 or draw(st.integers(0, 4)) == 0:
+            r = draw(st.integers(0, n - 1))
+            axis, pair = "0", (r, r)
+        else:
+            axis = draw(st.sampled_from(schwinger.AXES))
+            pair = tuple(sorted(draw(st.lists(
+                st.integers(0, n - 1), min_size=2, max_size=2, unique=True
+            ))))
+        terms.append(SchwingerTerm(axis, pair, draw(_COEFFS)))
+    return SchwingerExpression(n, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_expressions())
+def test_expression_to_matrix_is_the_sum_of_the_embedded_terms(expr):
+    # entries are added in place, with no matrix per term; the sums are the
+    # per-term embeddings' bit for bit, signed zeros included
+    got = schwinger.expression_to_matrix(expr)
+    assert got.tobytes() == reference_expression_matrix(expr).tobytes()
 
 
 def test_expression_to_matrix_single_z():

@@ -9,10 +9,10 @@ from gnl.errors import (
     IndexOutOfRange,
     NonPositiveAlpha,
     OddSpinCount,
+    ShapeMismatch,
     SpanTooLong,
     TooFewSpins,
     UnknownVariant,
-    WireTooSmall,
 )
 
 
@@ -146,6 +146,19 @@ def test_bell_unknown_variant():
             states.bell_analogue("phi+", alpha)
 
 
+def test_the_variant_is_checked_once_and_before_alpha():
+    with pytest.raises(UnknownVariant, match="variant 'omega' not in"):
+        states.bell_analogue("omega", 0.0)
+    with pytest.raises(UnknownVariant, match="variant 'omega' not in"):
+        states.bell_nullifier("omega", "x")
+
+
+def test_bell_nullifier_refuses_an_unknown_axis():
+    # the sign table raised a bare KeyError; the term's axis rule applies
+    with pytest.raises(ShapeMismatch, match="unknown axis 'w'"):
+        states.bell_nullifier("phi+", "w")
+
+
 def test_wire_layout_indexing_and_labels():
     layout = states.WireLayout(3, 0.5)
     assert layout.n_modes == 6
@@ -162,6 +175,17 @@ def test_wire_layout_indexing_and_labels():
     for alpha in (0.0, np.inf):
         with pytest.raises(NonPositiveAlpha):
             states.WireLayout(3, alpha)
+
+
+@pytest.mark.parametrize("spins", [-3, 0, 1, 2])
+def test_a_wire_layout_needs_three_spins(spins):
+    # two spins were accepted, and every wire construction then checked the
+    # count again; the ring is degenerate below three spins
+    with pytest.raises(TooFewSpins, match="^a periodic wire needs at least 3 spins$"):
+        states.WireLayout(spins, 0.5)
+    # the spin count is checked before alpha
+    with pytest.raises(TooFewSpins):
+        states.WireLayout(spins, 0.0)
 
 
 def test_wire_distributed_edges():
@@ -312,7 +336,7 @@ def test_wire_y_symmetry_holds_for_every_size():
         assert len(expr.terms) == 8
         ok, res = nullifiers.is_nullifier(_matrix(expr), states.dual_rail_wire(layout))
         assert ok and res <= 1e-10
-    with pytest.raises(WireTooSmall):
+    with pytest.raises(TooFewSpins):
         states.wire_y_symmetry(states.WireLayout(2, 0.5))
 
 
@@ -348,7 +372,7 @@ def test_six_mode_decomposition_at_theta_zero():
         assert np.max(np.abs(f - np.eye(6))) < 1e-14
     # the beam-splitter factors are theta-independent and square to one
     assert np.max(np.abs(factors[0] @ factors[2] - np.eye(6))) < 1e-12
-    with pytest.raises(WireTooSmall):
+    with pytest.raises(TooFewSpins):
         states.six_mode_symmetry_decomposition(states.WireLayout(2, 0.5), 0.1)
 
 
@@ -359,5 +383,5 @@ def test_the_six_mode_symmetry_is_the_decomposition_s_expression():
         assert expr == states.six_mode_symmetry_decomposition(layout, 0.4)[0]
         ok, res = nullifiers.is_nullifier(_matrix(expr), states.dual_rail_wire(layout))
         assert ok and res <= 1e-10
-    with pytest.raises(WireTooSmall):
+    with pytest.raises(TooFewSpins):
         states.six_mode_symmetry(states.WireLayout(2, 0.5))
