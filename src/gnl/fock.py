@@ -16,14 +16,22 @@ dtype follows K: a K with no imaginary part runs the whole recursion, the
 operator and the residual in float64, any other K in complex128 (a complex
 M makes the operator's output complex on either).  It is one path, generic
 in the dtype.
-A ladder table gives, for each mode j and each occupation mu of sector t,
-the row in sector t - 1 of mu - e_j (-1 where mu_j = 0), so a_j and adag_j
-are a scatter and a gather of one vector.  Every vector that is gathered
-from carries one extra zero entry at the end, which the -1 rows read.  One
-recursion step works through the odd sector t - 1:
+Every step between two sectors is one gather through a whole table, with
+no scatter and no loop over the modes.  Two index tables per sector serve
+it (see _ladder): `flat` maps each mode j and occupation mu of sector t to
+mu - e_j in n rows over sector t - 1 read flat, which makes adag_j for all
+j, or all the routes below, one gather; `up` maps each occupation nu of
+sector t - 1 to nu + e_j in sector t, which makes a_j for all j one gather.
+Every array gathered from carries one zero entry past its last column,
+which the entries with mu_j = 0 read.  The sqrt weights are applied on the
+smaller sector, before the raise or after the lowering: sqrt(mu_j) c(mu -
+e_j) is sqrt(nu_j + 1) c(nu) at nu = mu - e_j.  The gathers of the top
+sector run in column blocks, and every step writes into the work arrays
+its call made once (see _Scratch).  One recursion step works through the
+odd sector t - 1:
 
-    D = K (adag c_{t-2})                    an (n, N_{t-1}) array
-    route i:  c_t(mu) = D[i, mu - e_i] / sqrt(mu_i)
+    D = K (adag c_{t-2}) / sqrt(nu_i + 1)       an (n, N_{t-1}) array
+    route i:  c_t(mu) = D[i, mu - e_i]
 
 and each route is compared with their mean.  This is the dense per-sector
 Fock recursion of Miatto & Quesada, "Fast optimization of parametrized
@@ -67,15 +75,16 @@ from .errors import FockTooLarge, InconsistentRecursion, OddCutoff, ShapeMismatc
 # amplitudes below this are dropped from JSON exports
 EXPORT_CUTOFF = 1e-14
 # the largest ladder the oracle builds: C(cutoff + n, n) amplitudes over the
-# sectors 0..cutoff, which also bounds their count, cutoff + 1; 16 modes at
-# cutoff 8 hold 7.4e5 amplitudes and need about 70 MB
+# sectors 0..cutoff, which also bounds their count, cutoff + 1, and keeps
+# every int32 index of the tables below 2^31; 16 modes at cutoff 8 hold
+# 7.4e5 amplitudes and need about 120 MB with their tables (see _check_size)
 MAX_FOCK_AMPLITUDES = 10**6
 # bytes of sector tables a process keeps between calls (see _ladder); the
-# verify workload holds about 2.2e6, a 6-spin wire at cutoff 8 about 7.6e6
+# verify workload holds about 2.9e6, a 6-spin wire at cutoff 8 about 1.0e7
 SECTOR_CACHE_BYTES = 2**24
 # the bytes of Python objects one cached sector holds beside its arrays' data:
-# three array headers, the tables' tuple, its key and its dict slot; a 1-mode
-# ladder of 200,001 sectors held 580 bytes a sector by tracemalloc
+# four array headers, the tables' tuple and its list slot; a 1-mode ladder of
+# 200,001 sectors held 597 bytes a sector by tracemalloc, 21 of them data
 ENTRY_BYTES = 600
 
 # (modes, occupation dtype) -> (bytes held, [the read-only tables of _ladder
@@ -131,11 +140,13 @@ def _sector_size(total, modes):
     return math.comb(total + modes - 1, modes - 1)
 
 
-def _roots(n, top):
-    """sqrt(0), sqrt(1), ..., sqrt(top), for a ladder of n modes up to sector top.
+def _check_size(n, top):
+    """Refuse a ladder of n modes up to sector top past MAX_FOCK_AMPLITUDES.
 
     Every entry point calls this before it allocates anything that grows
-    with the cutoff, so the size gate comes first.
+    with the cutoff, so the size gate comes first.  The error's estimate
+    takes 17 + 9 n bytes an amplitude: a complex amplitude, its column of
+    occ and of flat, about one of up, and its count of occupied modes.
 
     Raises
     ------
@@ -148,31 +159,44 @@ def _roots(n, top):
         raise FockTooLarge(
             f"{n} modes at cutoff {top}: the Fock sectors up to the cutoff hold "
             f"C({top + n}, {n}) = {total:.3e} amplitudes, about "
-            f"{total * (16 + 5 * n):.3e} bytes of amplitudes and ladder "
+            f"{total * (17 + 9 * n):.3e} bytes of amplitudes and ladder "
             f"tables; the oracle's limit is {MAX_FOCK_AMPLITUDES:.0e}"
         )
-    return np.sqrt(np.arange(top + 1))
 
 
 def _ladder(n, top):
-    """Yield the tables (occ, down, occupied) of the sectors t = 0, 1, ..., top.
+    """Yield the tables (occ, flat, up, occupied) of the sectors t = 0, 1, ..., top.
 
     occ is the (n, N_t) table of the occupations of sector t in
-    lexicographic order; down[j, r] is the row in sector t - 1 of
-    occ[:, r] - e_j, or -1 where occ[j, r] == 0; occupied[r] counts the
-    occupied modes of occ[:, r].
+    lexicographic order, one column each, and occupied[r] counts the
+    occupied modes of occ[:, r]; the rank of an occupation in its sector is
+    its row there.  The two int32 index tables serve arrays that carry a
+    zero entry past their end: a vector over sector t, (N_t + 1,), and an
+    (n, N_{t-1} + 1) array of one vector over sector t - 1 per mode, read
+    flat.
+
+    - flat[j, r] indexes entry (j, row of occ[:, r] - e_j) of the latter,
+      or entry (j, N_{t-1}), a zero, where occ[j, r] == 0; its last column,
+      r = N_t, reads the zeros too.  A gather through flat is adag_j for
+      every mode j at once, or every route of the recursion, and ends in a
+      zero column itself.
+    - up[j, s] is the row in sector t of nu + e_j for the occupation nu of
+      row s of sector t - 1, and its last column is N_t; a gather of a
+      sector-t vector through up is a_j for every mode j at once.
 
     Sector t is built from sector t - 1 alone.  Ordered by the first
     occupied mode j, from n - 1 down to 0, its block j is mu = nu + e_j over
     the nu of sector t - 1 whose modes before j are empty, which are the
     first C(t - 1 + n - j - 1, n - j - 1) rows of sector t - 1.  For i > j,
     mu - e_i = (nu - e_i) + e_j lies in block j of sector t - 1, at the row
-    of nu - e_i in sector t - 2 past the start of that block.
+    of nu - e_i in sector t - 2 past the start of that block; likewise a
+    nu of block j of sector t - 1 raised in a mode i > j lies in block j of
+    sector t, at the row of (nu - e_j) + e_i in sector t - 1 past its start.
 
     The cached sectors are read from _ladders once, and each sector past
     them is built from the one before and kept there if it fits within
     SECTOR_CACHE_BYTES (see _keep).  The caller has passed the size gate
-    of :func:`_roots` for (n, top).
+    of :func:`_check_size` for (n, top).
     """
     ladder = (n, np.min_scalar_type(top))
     _, cached = _ladders.get(ladder, (0, ()))
@@ -180,21 +204,16 @@ def _ladder(n, top):
         if t < len(cached):
             tables = cached[t]
         else:
-            if t == 0:
-                vacuum = np.zeros((n, 1), dtype=ladder[1])
-                tables = _sealed(vacuum, np.full((n, 1), -1, dtype=np.int32))
-            else:
-                tables = _sealed(*_next_sector(occ, down, t))
+            tables = _sealed(*(_vacuum(n, ladder[1]) if t == 0 else _next_sector(*tables[:3], t)))
             with _ladders_lock:
                 _keep(ladder, t, tables)
-        occ, down, _ = tables
         yield tables
 
 
-def _sealed(occ, down):
-    """The read-only tables (occ, down, occupied) of one sector."""
+def _sealed(occ, flat, up):
+    """The read-only tables (occ, flat, up, occupied) of one sector."""
     occupied = np.count_nonzero(occ, axis=0).astype(np.min_scalar_type(occ.shape[0]))
-    tables = occ, down, occupied
+    tables = occ, flat, up, occupied
     for a in tables:
         a.flags.writeable = False
     return tables
@@ -230,76 +249,147 @@ def _keep(ladder, t, tables):
     _ladders[ladder] = (held + size, kept)
 
 
-def _next_sector(occ, down, t):
-    """The tables of sector t from those of sector t - 1 (see _ladder)."""
-    n = occ.shape[0]
-    new_occ = np.empty((n, _sector_size(t, n)), dtype=occ.dtype)
-    new_down = np.full(new_occ.shape, -1, dtype=np.int32)
+def _vacuum(n, dtype):
+    """(occ, flat, up) of sector 0: every index reads a zero entry."""
+    modes = np.arange(n, dtype=np.int32)[:, None]
+    return np.zeros((n, 1), dtype=dtype), np.repeat(modes, 2, axis=1), np.ones((n, 1), np.int32)
+
+
+def _next_sector(occ, flat, up, t):
+    """(occ, flat, up) of sector t from those of sector t - 1 (see _ladder).
+
+    Each table is written in place, block by block, from a slice of the
+    table before it; only the masks of the unoccupied modes are temporary.
+    """
+    n, rows = occ.shape
+    size_t = _sector_size(t, n)
+    # the row widths of the arrays gathered from over sectors t - 1 and t - 2
+    width, old_width = rows + 1, up.shape[1]
+    modes = np.arange(n)[:, None]
+    zeros = modes * width + rows  # entry (j, N_{t-1}): the zero of row j
+    new_occ = np.empty((n, size_t), dtype=occ.dtype)
+    new_flat = np.empty((n, size_t + 1), dtype=np.int32)
+    new_up = np.empty((n, width), dtype=np.int32)
+    new_flat[:] = zeros
+    new_up[:, -1] = size_t
     at = 0
     for j in range(n - 1, -1, -1):
         size = _sector_size(t - 1, n - j)
         block = slice(at, at + size)
         new_occ[:, block] = occ[:, :size]
         new_occ[j, block] += 1
-        new_down[j, block] = np.arange(size)
+        new_flat[j, block] = np.arange(j * width, j * width + size)
+        new_up[j, :size] = np.arange(at, at + size)
         if j < n - 1:
-            prev = down[j + 1:, :size]
+            later = modes[j + 1:]
             start = _sector_size(t - 1, n - j - 1)
-            new_down[j + 1:, block] = np.where(prev < 0, -1, prev + start)
+            out = new_flat[j + 1:, block]
+            np.add(flat[j + 1:, :size], later * (width - old_width) + start, out=out)
+            np.copyto(out, zeros[j + 1:], where=occ[j + 1:, :size] == 0)
+            if t > 1:
+                lower = _sector_size(t - 2, n - j)
+                np.add(up[j + 1:, :lower], at, out=new_up[j + 1:, start:start + lower])
         at += size
-    return new_occ, new_down
+    return new_occ, new_flat, new_up
 
 
-def _raise(c, occ, down, roots):
-    """adag_j c for every mode j, c over sector t - 1 -> (n, N_t + 1) over sector t."""
-    c = np.append(c, 0.0)
-    out = np.zeros((occ.shape[0], occ.shape[1] + 1), dtype=c.dtype)
-    for j in range(occ.shape[0]):
-        np.multiply(roots.take(occ[j]), c.take(down[j]), out=out[j, :-1])
-    return out
+class _Scratch:
+    """The work arrays of one walk up to sector top, reused by every step.
 
-
-def _lower(c, occ, down, roots):
-    """a_j c for every mode j, c over sector t -> (n, N_{t-1} + 1) over sector t - 1.
-
-    Every row of sector t - 1 is reached through mode 0, so the largest
-    entry of down[0] is N_{t-1} - 1; unoccupied modes write sqrt(0) c = 0
-    into the last column.
+    Each holds n (N_{top-1} + 1) entries, the size of the largest table
+    gathered whole (an up table of sector top); the tables of sector top
+    are gathered in blocks of as many columns, step.  index is intp: numpy
+    gathers with it about three times as fast as with the int32 of the
+    tables, so each table is cast into it first.  w holds the weights of
+    the sector below the step's, and pair(dtype) two arrays of a dtype,
+    made on first use.  A step writes into leading parts of them, so a
+    call touches their pages once, not once a step; where the allocator
+    hands freed memory back to the system, fresh arrays each step cost a
+    page fault per 4 kB.
     """
-    n = occ.shape[0]
-    out = np.zeros((n, int(down[0].max()) + 2), dtype=c.dtype)
-    for j in range(n):
-        out[j, down[j]] = roots.take(occ[j]) * c
+
+    def __init__(self, n, top):
+        size = n * (_sector_size(top - 1, n) + 1 if top else 1)
+        self.index = np.empty(size, dtype=np.intp)
+        self.w = np.empty(size)
+        self.step = size // n
+        self._pairs = {}
+
+    def pair(self, dtype):
+        """The two work arrays of dtype."""
+        if dtype not in self._pairs:
+            self._pairs[dtype] = (np.empty_like(self.w, dtype), np.empty_like(self.w, dtype))
+        return self._pairs[dtype]
+
+    def blocks(self, columns):
+        """Slices over range(columns), step columns each."""
+        return (slice(at, min(at + self.step, columns)) for at in range(0, columns, self.step))
+
+    def gather(self, src, table, out):
+        """src read flat at the entries of table, written into out (see _shaped)."""
+        index = _shaped(self.index, table.shape)
+        np.copyto(index, table)
+        # clip: no bounds pass and no copy of the output; every index is in range
+        return src.take(index, out=_shaped(out, table.shape), mode="clip")
+
+
+def _shaped(a, shape):
+    """The leading entries of the flat array a, as an array of that shape."""
+    return a[:shape[0] * shape[1]].reshape(shape)
+
+
+def _weights(occ, out):
+    """sqrt(nu_j + 1) over the occupations nu of a sector, (n, N + 1), last column 1.
+
+    adag_j takes c(nu) to sqrt(nu_j + 1) c(nu) at nu + e_j, and a_j takes
+    c(nu + e_j) to the same weight at nu: every weight of a ladder step is
+    applied on its smaller sector.  The last column multiplies or divides
+    only the zero columns of the arrays it meets.  Written into out.
+    """
+    w = _shaped(out, (len(occ), occ.shape[1] + 1))
+    w[:, -1] = 1.0
+    np.add(occ, 1.0, out=w[:, :-1])
+    return np.sqrt(w, out=w)
+
+
+def _apply(m, c, flat, up, w, scratch):
+    """adag M a on one sector: lower, multiply by M, raise (sum over modes).
+
+    c is the sector's vector followed by a zero entry and w the
+    :func:`_weights` of the sector below.  The raise is gathered in column
+    blocks (see _Scratch); the sum over the modes adds them in mode order.
+    """
+    lowered = scratch.gather(c, up, scratch.pair(c.dtype)[1])
+    lowered *= w
+    p, block = scratch.pair(np.result_type(m, c))
+    p = np.matmul(m, lowered, out=_shaped(p, lowered.shape))
+    p *= w
+    out = np.empty(flat.shape[1] - 1, dtype=p.dtype)
+    for cols in scratch.blocks(len(out)):
+        np.add.reduce(scratch.gather(p, flat[:, cols], block), axis=0, initial=0, out=out[cols])
     return out
 
 
-def _apply(m, c, occ, down, roots):
-    """adag M a on one sector: lower, multiply by M, raise (sum over modes)."""
-    p = m @ _lower(c, occ, down, roots)
-    out = np.zeros(occ.shape[1], dtype=p.dtype)
-    for i in range(occ.shape[0]):
-        out += roots.take(occ[i]) * p[i].take(down[i])
-    return out
-
-
-def _routes(d, down, occupied, t):
+def _routes(d, flat, occ, occupied, t, scratch):
     """Sector-t amplitudes, the mean of the routes c(mu) = d[i, mu - e_i].
 
     d is :func:`_odd_sector`'s.  Routes through unoccupied modes read the
-    zero column of d and are left out of the mean and of the spread.  Each
-    route is gathered once, into one (n, N_t) array that then holds the
-    deviations in place; d is dropped once gathered, so that the two are
-    held together only while the gather runs.
+    zero column of d and are left out of the mean and of the spread.  The
+    routes are gathered in column blocks (see _Scratch), each block holding
+    its deviations in place.  The result carries a zero entry at the end.
     """
-    routes = np.empty(down.shape, dtype=d.dtype)
-    for i in range(down.shape[0]):
-        d[i].take(down[i], out=routes[i])
-    del d
-    c = routes.sum(axis=0)
-    c /= occupied
-    dev = np.abs(np.subtract(routes, c, out=routes), out=routes).real
-    spread = float(np.max(dev, where=down >= 0, initial=0.0))
-    if not graphs.passes(spread, c):
+    c = np.zeros(flat.shape[1], dtype=d.dtype)
+    routes_out = scratch.pair(d.dtype)[1]
+    spread = 0.0
+    for cols in scratch.blocks(len(c) - 1):
+        routes = scratch.gather(d, flat[:, cols], routes_out)
+        part = np.add.reduce(routes, axis=0, out=c[cols])
+        part /= occupied[cols]
+        dev = np.abs(np.subtract(routes, part, out=routes), out=routes).real
+        # routes through unoccupied modes read 0: their deviation |c| is
+        # zeroed; np.maximum, not max, keeps a NaN, which fails
+        spread = np.maximum(spread, np.multiply(dev, occ[:, cols] > 0, out=dev).max())
+    if not graphs.passes(float(spread), c):
         raise InconsistentRecursion(
             f"recursion routes disagree by {spread:.3e} in sector {t} "
             f"(scale {np.abs(c).max():.3e})"
@@ -307,40 +397,57 @@ def _routes(d, down, occupied, t):
     return c
 
 
-def _odd_sector(k, c, occ, down, roots):
-    """d over the odd sector t - 1 from c_{t-2}, with (occ, down) its tables.
+def _odd_sector(k, c, below, occ, flat, scratch):
+    """(d, w) over the odd sector t - 1 from c_{t-2}; d has a zero last column.
 
     d[i, nu] = (a_i c_t)(nu) / sqrt(nu_i + 1) = sum_j K_ij (adag_j c_{t-2})(nu)
-    / sqrt(nu_i + 1), from the nullifier relation, with a zero last column.
+    / sqrt(nu_i + 1), from the nullifier relation, and w is the
+    :func:`_weights` of sector t - 1.  below is the occupation table of
+    sector t - 2, and occ and flat are those of sector t - 1.  d is written
+    into the first array of scratch.pair, w into scratch.w after the
+    weights of sector t - 2.
     """
-    d = k @ _raise(c, occ, down, roots)
-    d[:, :-1] /= roots[occ + 1]
-    return d
+    x, y = scratch.pair(c.dtype)
+    lower = _weights(below, scratch.w)
+    src = np.multiply(lower, c, out=_shaped(x, lower.shape))
+    w = _weights(occ, scratch.w)
+    d = np.matmul(k, scratch.gather(src, flat, y), out=_shaped(x, w.shape))
+    d /= w
+    return d, w
 
 
-def _even_sectors(k, roots):
-    """Yield (occ, down, c) for the sectors 0, 2, ..., cutoff in turn.
+def _even_sectors(k, cutoff, scratch):
+    """Yield (tables, w, c) for the sectors 0, 2, ..., cutoff in turn.
 
-    roots is :func:`_roots` of K's modes and the cutoff.  c holds the
-    unnormalized amplitudes of the sector (c(vacuum) = 1); only the previous
-    even sector and the odd one between are kept.
+    tables are :func:`_ladder`'s, w the :func:`_weights` of the sector
+    below (one column of 1s for sector 0), and c the unnormalized amplitudes
+    of the sector (c(vacuum) = 1) followed by a zero entry.  scratch is the
+    walk's :class:`_Scratch`.  One step goes through the odd sector t - 1:
+
+        d = K (adag c_{t-2}) / sqrt(nu_i + 1)        (n, N_{t-1} + 1)
+        route i:  c_t(mu) = d[i, mu - e_i]
+
+    and only the previous even sector and the odd one between are kept.
     """
-    cutoff = len(roots) - 1
     ladder = _ladder(k.shape[0], cutoff)
-    occ, down, _ = next(ladder)
-    c = np.ones(1, dtype=k.dtype)
-    yield occ, down, c
+    tables = next(ladder)
+    c = np.array([1.0, 0.0], dtype=k.dtype)
+    yield tables, np.ones((k.shape[0], 1)), c
     for t in range(2, cutoff + 1, 2):
-        odd_occ, odd_down, _ = next(ladder)
-        occ, down, occupied = next(ladder)
-        # d is passed on, not held here, so _routes can drop it
-        c = _routes(_odd_sector(k, c, odd_occ, odd_down, roots), down, occupied, t)
-        yield occ, down, c
+        below = tables[0]
+        odd_occ, odd_flat, _, _ = next(ladder)
+        tables = occ, flat, _, occupied = next(ladder)
+        d, w = _odd_sector(k, c, below, odd_occ, odd_flat, scratch)
+        c = _routes(d, flat, occ, occupied, t, scratch)
+        yield tables, w, c
 
 
 def _norm2(c):
     """sum |c|^2 by numpy's pairwise sum, whose bits no BLAS thread count moves."""
-    return float(np.add.reduce(c.real * c.real + c.imag * c.imag))
+    sq = c.real * c.real
+    if c.dtype.kind == "c":
+        sq += c.imag * c.imag
+    return float(np.add.reduce(sq))
 
 
 def _narrowed(a):
@@ -356,6 +463,7 @@ def _checked_k(k, cutoff):
     k = graphs.finite_square(k, "K")
     if cutoff % 2 != 0 or cutoff < 2:
         raise OddCutoff("cutoff must be an even integer >= 2")
+    graphs.check_symmetric(k)
     graphs.check_edge(k)
     return _narrowed(k)
 
@@ -389,16 +497,20 @@ def state_from_k(k, cutoff):
         K is not square 2-D with at least one mode, or has a NaN or
         infinite entry.
     OddCutoff
+    NonSymmetric
+        If K fails :func:`graphs.check_symmetric`.
     NormAtOrAboveOne
         If K fails :func:`graphs.check_edge`.
     FockTooLarge
         If the sectors up to the cutoff exceed MAX_FOCK_AMPLITUDES.
     InconsistentRecursion
-        If two recursion routes disagree, which signals a non-symmetric or
-        otherwise invalid K (or a bug).
+        If two recursion routes disagree, which signals an invalid K that
+        passed the gates (or a bug).
     """
     k = _checked_k(k, cutoff)
-    sectors = [(occ, c) for occ, _, c in _even_sectors(k, _roots(k.shape[0], cutoff))]
+    _check_size(k.shape[0], cutoff)
+    scratch = _Scratch(k.shape[0], cutoff)
+    sectors = [(tables[0], c[:-1]) for tables, _, c in _even_sectors(k, cutoff, scratch)]
     nrm = math.sqrt(sum(_norm2(c) for _, c in sectors))
     return FockVector(k.shape[0], cutoff, tuple((occ, c / nrm) for occ, c in sectors))
 
@@ -422,13 +534,15 @@ def apply_quadratic(m, v):
     m = _checked_m(m, v.n_modes)
     by_total = {int(occ[:, 0].sum()): c for occ, c in v.sectors}
     top = max(by_total, default=0)
-    roots = _roots(v.n_modes, top)
-    out = tuple(
-        (occ, _apply(m, by_total[t], occ, down, roots))
-        for t, (occ, down, _) in enumerate(_ladder(v.n_modes, top))
-        if t in by_total
-    )
-    return FockVector(v.n_modes, v.cutoff, out)
+    _check_size(v.n_modes, top)
+    out, below, scratch = [], np.empty((v.n_modes, 0)), _Scratch(v.n_modes, top)
+    for t, (occ, flat, up, _) in enumerate(_ladder(v.n_modes, top)):
+        if t in by_total:
+            c = np.append(by_total[t], 0)
+            w = _weights(below, scratch.w)
+            out.append((occ, _apply(m, c, flat, up, w, scratch)))
+        below = occ
+    return FockVector(v.n_modes, v.cutoff, tuple(out))
 
 
 def nullifier_residual(m, k, cutoff):
@@ -443,17 +557,17 @@ def nullifier_residual(m, k, cutoff):
     ShapeMismatch
         K is not square 2-D with at least one mode, M is not of its shape,
         or an entry of either is NaN or infinite.
-    OddCutoff, NormAtOrAboveOne, FockTooLarge, InconsistentRecursion
+    OddCutoff, NonSymmetric, NormAtOrAboveOne, FockTooLarge, InconsistentRecursion
         As :func:`state_from_k`.
     """
     k = _checked_k(k, cutoff)
     m = _checked_m(m, k.shape[0])
-    roots = _roots(k.shape[0], cutoff)
+    _check_size(k.shape[0], cutoff)
     res2 = norm2 = 0.0
-    for occ, down, c in _even_sectors(k, roots):
-        norm2 += _norm2(c)
-        r = _apply(m, c, occ, down, roots)
-        res2 += _norm2(r)
+    scratch = _Scratch(k.shape[0], cutoff)
+    for (_, flat, up, _), w, c in _even_sectors(k, cutoff, scratch):
+        norm2 += _norm2(c[:-1])
+        res2 += _norm2(_apply(m, c, flat, up, w, scratch))
     return math.sqrt(res2 / norm2)
 
 

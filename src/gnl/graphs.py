@@ -15,7 +15,8 @@ K' = e^{-i Theta} K e^{-i Theta} for pure phase shifts.
 It also holds the input policy of the package, one gate per kind of
 operand: :func:`finite_square` for square matrices, :func:`unitary` for mode
 unitaries, :func:`finite` for every other number, :func:`check_alpha` for
-the squeezing parameter and :func:`check_edge` for the norm of K; and its
+the squeezing parameter, :func:`check_symmetric` for the symmetry of K and Z
+and :func:`check_edge` for the norm of K; and its
 one tolerance rule, :func:`passes`, which every pass/fail check applies.
 """
 
@@ -187,6 +188,18 @@ def check_alpha(alpha, name="alpha"):
         raise NonPositiveAlpha(f"{name} must be finite")
 
 
+def check_symmetric(m, name="K"):
+    """The one symmetry gate of K and Z: max|m - m^T| within :func:`passes` of m.
+
+    Raises
+    ------
+    NonSymmetric
+        max|m - m^T| exceeds RTOL max|m|.
+    """
+    if not passes(np.max(np.abs(m - m.T)), m):
+        raise NonSymmetric(f"{name} is not symmetric within tolerance")
+
+
 def check_edge(k):
     """Raise NormAtOrAboveOne unless the finite K has spectral norm below 1 - TOL_EDGE."""
     # the Frobenius norm bounds the spectral norm and needs no SVD
@@ -222,8 +235,7 @@ def z_to_k(z):
     NonSymmetric, NonPositiveU, SingularSolve
     """
     z = finite_square(z, "Z")
-    if not passes(np.max(np.abs(z - z.T)), z):
-        raise NonSymmetric("Z is not symmetric within tolerance")
+    check_symmetric(z, "Z")
     u = 0.5 * z.imag + 0.5 * z.imag.T
     if np.linalg.eigvalsh(u).min() <= 0:
         raise NonPositiveU("Im(Z) is not positive definite")

@@ -37,7 +37,6 @@ from .errors import (
     InvalidBlockShape,
     KernelTooLarge,
     NonCommutingD,
-    NonSymmetric,
     PrecisionLimit,
     SelfCheckFailed,
     ShapeMismatch,
@@ -397,7 +396,7 @@ def nullifier_space(k):
         K is not square with at least one mode, or has a NaN or infinite
         entry.
     NonSymmetric
-        max|K - K^T| exceeds graphs.RTOL max|K| (:func:`graphs.passes`).
+        max|K - K^T| exceeds graphs.RTOL max|K| (:func:`graphs.check_symmetric`).
     PrecisionLimit
         A Takagi value of K exceeds half the largest float, so the spectrum
         would overflow.
@@ -408,8 +407,7 @@ def nullifier_space(k):
         A derived generator fails the criterion (a solver defect).
     """
     k = graphs.finite_square(k, "K")
-    if not graphs.passes(np.abs(k - k.T).max(), k):
-        raise NonSymmetric("K is not symmetric within tolerance")
+    graphs.check_symmetric(k)
     n = k.shape[0]
     diag = np.arange(n)
     i, j = schwinger._pairs(n)  # pairs i < j, lexicographic, as in the coordinates
@@ -607,12 +605,15 @@ def verify_symmetry(k, m, theta_grid):
     ShapeMismatch
         K is not square 2-D with at least one mode, M does not have its
         shape, or an entry of K or of the grid is NaN or infinite.
+    NonSymmetric
+        max|K - K^T| exceeds graphs.RTOL max|K| (:func:`graphs.check_symmetric`).
     NonHermitian
         M has a NaN or infinite entry or is not Hermitian.
     PrecisionLimit
         max |theta| max|lambda| exceeds schwinger.PHASE_LIMIT.
     """
     k = graphs.finite_square(k, "K")
+    graphs.check_symmetric(k)
     if np.shape(m) != k.shape:
         raise ShapeMismatch(f"shapes {np.shape(m)} and {k.shape} incompatible")
     thetas = graphs.finite(theta_grid, "theta grid").reshape(-1)

@@ -275,6 +275,30 @@ def linear_nullifier_residual(k, v):
     return worst
 
 
+def quadratic_reference(m, k, cutoff):
+    """adag M a applied to the normalized state of K, on the dense truncated space (n <= 4).
+
+    The state is :func:`hafnian_amplitudes`' over :func:`occupation_list`,
+    and the operator sum_ij M_ij adag_i a_j is applied as dense
+    matrix-vector products of the ladder matrices of
+    :func:`destroy_matrix`.  adag M a keeps the photon number, so the
+    truncation is exact.  Returns the occupation list and the vector.
+    """
+    m = np.asarray(m, dtype=complex)
+    n = m.shape[0]
+    assert n <= 4, "the dense reference is for small n only"
+    occs = occupation_list(n, cutoff)
+    amps = hafnian_amplitudes(k, cutoff)
+    psi = np.array([amps.get(occ, 0.0) for occ in occs], dtype=complex)
+    lowering = [destroy_matrix(i, occs) for i in range(n)]
+    out = np.zeros(len(occs), dtype=complex)
+    for j in range(n):
+        lowered = lowering[j] @ psi
+        for i in range(n):
+            out += m[i, j] * (lowering[i].conj().T @ lowered)
+    return occs, out
+
+
 def wire_z_form(layout):
     """The wire's local nullifier N_0, written another way.
 
@@ -391,16 +415,16 @@ def fock_vector(n, cutoff, amps):
     """A FockVector holding {occupation tuple: amplitude}, scattered into sectors.
 
     Each occupation's row is looked up in the occupation table of its
-    sector, read from fock._ladder after the size gate of fock._roots; a
+    sector, read from fock._ladder after the size gate of fock._check_size; a
     sector holds the zeros of the rows not given, and sectors with no
     occupation given are left out.
     """
     from gnl import fock
 
     top = max(map(sum, amps), default=0)
-    fock._roots(n, top)
+    fock._check_size(n, top)
     sectors = []
-    for t, (occ, _, _) in enumerate(fock._ladder(n, top)):
+    for t, (occ, *_) in enumerate(fock._ladder(n, top)):
         given = {o: a for o, a in amps.items() if sum(o) == t}
         if given:
             row = {o: r for r, o in enumerate(map(tuple, occ.T.tolist()))}

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fock_to_json, fock_vector, fock_vectors
-from gnl import cli, graphs, nullifiers, schwinger, states
+from gnl import cli, fock, graphs, nullifiers, schwinger, states
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -128,6 +128,30 @@ def test_check_wire_generators(capsys):
     assert rc == 0
     rc, _, _ = run(capsys, "check", "wire", "--spins", "4", "--gen", "chain:0:2", "--cutoff", "4")
     assert rc == 0
+
+
+@pytest.mark.parametrize("which", ["symmetry", "fock"])
+@pytest.mark.parametrize("factor, verdict", [(1.0 - 1e-6, True), (1.0 + 1e-6, False)])
+def test_check_verdict_follows_each_bound(capsys, monkeypatch, which, factor, verdict):
+    # the sweep passes a deviation of RTOL max|K| (1 + theta_max max|M|), the
+    # phase rounding of W, and the oracle a residual of RTOL max|M| max|K|;
+    # each is set just under or just over its bound, with the other at 0
+    def bound(k, m, theta=0.0):
+        return graphs.RTOL * np.abs(k).max() * (1.0 + theta * np.abs(m).max())
+
+    def symmetry(k, m, grid):
+        return factor * bound(k, m, grid[-1]) if which == "symmetry" else 0.0
+
+    def residual(m, k, cutoff):
+        return factor * bound(k, m) * np.abs(m).max() if which == "fock" else 0.0
+
+    monkeypatch.setattr(nullifiers, "verify_symmetry", symmetry)
+    monkeypatch.setattr(fock, "nullifier_residual", residual)
+    for args in (("tms", "--gen", "z"), ("wire", "--spins", "3", "--gen", "local:1")):
+        rc, out, _ = run(capsys, "check", *args, "--cutoff", "4", "--format", "json")
+        payload = json.loads(out)
+        assert payload["is_nullifier"] is True
+        assert payload["pass"] is verdict and rc == (0 if verdict else 1), args
 
 
 def test_check_rejects_a_negative_chain_end(capsys):

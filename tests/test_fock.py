@@ -14,10 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    dense_vector,
     fock_vector,
     fock_vectors,
     hafnian_amplitudes,
     linear_nullifier_residual,
+    quadratic_reference,
     random_hermitian,
     random_k,
     random_unitary,
@@ -27,6 +29,7 @@ from gnl import cli, fock, graphs, nullifiers, schwinger, states
 from gnl.errors import (
     FockTooLarge,
     InconsistentRecursion,
+    NonSymmetric,
     NormAtOrAboveOne,
     OddCutoff,
     ShapeMismatch,
@@ -84,7 +87,7 @@ def test_state_from_k_input_guards():
         fock.state_from_k(np.zeros((2, 3)), 4)
     with pytest.raises(ShapeMismatch):
         fock.state_from_k(np.zeros((0, 0)), 4)
-    with pytest.raises(InconsistentRecursion):
+    with pytest.raises(NonSymmetric, match="K is not symmetric"):
         fock.state_from_k(np.array([[0.0, 0.5], [0.2, 0.0]]), 4)
 
 
@@ -115,13 +118,31 @@ def test_amplitudes_match_the_hafnian_reference(seed, n, cutoff, norm):
     skew=st.floats(1e-6, 0.1),
 )
 def test_a_single_asymmetric_entry_is_caught(seed, n, cutoff, skew):
-    # every route is compared, so one K_ij != K_ji anywhere fails sector 2
+    # the symmetry gate of nullifier_space: routes that disagree would read
+    # as a recursion defect
     rng = np.random.default_rng(seed)
     k = random_k(rng, n, norm=0.5)
     i, j = rng.choice(n, 2, replace=False)
     k[i, j] += skew
-    with pytest.raises(InconsistentRecursion):
+    with pytest.raises(NonSymmetric):
         fock.state_from_k(k, cutoff)
+    with pytest.raises(NonSymmetric):
+        fock.nullifier_residual(np.eye(n), k, cutoff)
+
+
+def test_an_asymmetric_k_is_refused_by_every_check():
+    # the oracle raised InconsistentRecursion for it, and the symmetry sweep
+    # passed it with a deviation of 1.4e-17
+    k = np.array([[0.0, 0.5], [0.1, 0.0]])
+    m = 0.5 * np.diag([1.0, -1.0])
+    for check in (
+        lambda: fock.state_from_k(k, 4),
+        lambda: fock.nullifier_residual(m, k, 4),
+        lambda: nullifiers.verify_symmetry(k, m, np.linspace(0.0, 1.0, 5)),
+        lambda: nullifiers.nullifier_space(k),
+    ):
+        with pytest.raises(NonSymmetric, match="K is not symmetric within tolerance"):
+            check()
 
 
 @pytest.mark.parametrize("cutoff", [2, 4])
@@ -157,7 +178,7 @@ def test_oversized_fock_spaces_fail_before_allocating():
     # within the limit
     v = fock.state_from_k(np.zeros((12, 12)), 8)
     assert v.amplitudes == {(0,) * 12: 1.0 + 0.0j}
-    assert fock._roots(16, 8).shape == (9,)
+    fock._check_size(16, 8)
 
 
 def test_a_long_one_mode_ladder_fails_before_allocating():
@@ -238,6 +259,30 @@ def test_criterion_agrees_with_the_fock_residual(seed, levels):
         assert fock.nullifier_residual(m, k, 6) >= (1.0 - 1e-9) * floor
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    cutoff=st.sampled_from([2, 4, 6, 8]),
+    real=st.booleans(),
+    exponent=st.floats(-6.0, 0.0),
+)
+def test_a_failing_residual_matches_the_dense_reference(seed, n, cutoff, real, exponent):
+    # a scaled random Hermitian M is no nullifier: its residual, from 1e-6
+    # up, and the vector adag M a psi are pinned, every sector included
+    rng = np.random.default_rng(seed)
+    k = random_k(rng, n, norm=0.6)
+    if real:
+        k = k.real * (0.6 / np.linalg.norm(k.real, 2))
+    m = 10.0**exponent * random_hermitian(rng, n)
+    occs, ref = quadratic_reference(m, k, cutoff)
+    norm = np.linalg.norm(ref)
+    assert norm > 0.0
+    assert abs(fock.nullifier_residual(m, k, cutoff) - norm) <= 1e-12 * norm
+    out = dense_vector(fock.apply_quadratic(m, fock.state_from_k(k, cutoff)), occs)
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_nullifier_residual_streams_its_sectors(monkeypatch):
     layout = states.WireLayout(6, 0.5)
     k = states.dual_rail_wire(layout)
@@ -251,10 +296,13 @@ def test_nullifier_residual_streams_its_sectors(monkeypatch):
         tracemalloc.stop()
     assert res < 1e-12
     assert peak <= 4e6, f"peak {peak / 1e6:.2f} MB"
-    # kept: the 12 x N_t uint8 occupations, int32 rows and a uint8 count of
-    # each sector t <= 6, 18564 columns in all, and 600 bytes a sector
+    # kept, for each sector t <= 6: the 12 x N_t uint8 occupations and
+    # int32 flat table, a uint8 count of each column, the flat table's zero
+    # column and the 12 x (N_{t-1} + 1) int32 up table; 18564 columns in
+    # all, 6188 of them in the sectors t - 1, and 600 bytes a sector
     columns = sum(math.comb(t + 11, 11) for t in range(7))
-    assert fock._cached_bytes() == columns * (12 * 5 + 1) + 7 * 600
+    below = sum(math.comb(t + 10, 11) for t in range(7))
+    assert fock._cached_bytes() == columns * (12 * 5 + 1) + 48 * (7 + below + 7) + 7 * 600
 
 
 def test_wire_local_residuals_at_small_cutoff():
@@ -418,12 +466,28 @@ def test_a_nan_route_fails_the_consistency_check():
     # scale, so NaN amplitudes passed
     ladder = fock._ladder(2, 2)
     next(ladder)
-    odd, _, _ = next(ladder)
-    _, down, occupied = next(ladder)
+    odd = next(ladder)[0]
+    occ, flat, _, occupied = next(ladder)
     d = np.zeros((2, odd.shape[1] + 1), dtype=complex)
     d[0, 0] = np.nan
     with pytest.raises(InconsistentRecursion):
-        fock._routes(d, down, occupied, 2)
+        fock._routes(d, flat, occ, occupied, 2, fock._Scratch(2, 2))
+
+
+def test_finite_routes_that_disagree_fail_the_consistency_check():
+    # (1, 1) is reached from (0, 1) through mode 0 and from (1, 0) through
+    # mode 1: routes of 1 and 2 have the mean 1.5 and a spread of 0.5
+    ladder = fock._ladder(2, 2)
+    next(ladder)
+    odd = next(ladder)[0]
+    occ, flat, _, occupied = next(ladder)
+    assert odd.T.tolist() == [[0, 1], [1, 0]]
+    d = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
+    with pytest.raises(InconsistentRecursion, match=r"disagree by 5\.000e-01 in sector 2"):
+        fock._routes(d, flat, occ, occupied, 2, fock._Scratch(2, 2))
+    d[1] = d[0]
+    c = fock._routes(d, flat, occ, occupied, 2, fock._Scratch(2, 2))
+    assert c.tolist() == [1.0, 1.0, 1.0, 0.0]
 
 
 # ----------------------------------------------------------------------
@@ -431,14 +495,25 @@ def test_a_nan_route_fails_the_consistency_check():
 
 
 def brute_force_sector(n, t):
-    """(occ, down, occupied) of sector t over n modes, by enumeration."""
+    """(occ, flat, up, occupied) of sector t over n modes, by enumeration.
+
+    flat[j, r] is j (N_{t-1} + 1) plus the row of occ[:, r] - e_j in sector
+    t - 1, or plus N_{t-1} where there is none, and its last column reads
+    N_{t-1} too; up[j, s] is the row of nu_s + e_j in sector t for the
+    occupation nu_s of row s of sector t - 1, and its last column is N_t.
+    """
     rows = [o for o in itertools.product(range(t + 1), repeat=n) if sum(o) == t]
-    below = {o: r for r, o in enumerate(
-        o for o in itertools.product(range(t), repeat=n) if sum(o) == t - 1)}
-    down = [[below.get(o[:j] + (o[j] - 1,) + o[j + 1:], -1) for o in rows]
-            for j in range(n)]
+    lower = [o for o in itertools.product(range(t), repeat=n) if sum(o) == t - 1]
+    below = {o: r for r, o in enumerate(lower)}
+    here = {o: r for r, o in enumerate(rows)}
+    width = len(lower) + 1
+    flat = [[j * width + below.get(o[:j] + (o[j] - 1,) + o[j + 1:], len(lower))
+             for o in rows] + [j * width + len(lower)] for j in range(n)]
+    up = [[here[o[:j] + (o[j] + 1,) + o[j + 1:]] for o in lower] + [len(rows)]
+          for j in range(n)]
     occupied = [sum(x > 0 for x in o) for o in rows]
-    return np.array(rows).reshape(len(rows), n).T, np.array(down), np.array(occupied)
+    return (np.array(rows).reshape(len(rows), n).T, np.array(flat), np.array(up),
+            np.array(occupied))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -447,8 +522,14 @@ def test_every_sector_matches_the_brute_force_reference(n, monkeypatch):
     cold = list(fock._ladder(n, 6))
     warm = list(fock._ladder(n, 6))
     for t, tables in enumerate(cold):
-        for got, want in zip(tables, brute_force_sector(n, t)):
+        for got, want in zip(tables, brute_force_sector(n, t), strict=True):
             assert got.shape == want.shape and (got == want).all(), (n, t)
+            assert not got.flags.writeable
+        # up inverts flat on every occupied entry: a_j then adag_j returns
+        occ, flat, up, _ = tables
+        j, r = np.nonzero(occ)
+        width = up.shape[1]
+        assert (up[j, flat[j, r] - j * width] == r).all(), (n, t)
         # the second ladder is served the same arrays
         assert all(a is b for a, b in zip(tables, warm[t]))
     assert [len(kept) for _, kept in fock._ladders.values()] == [7]
@@ -499,42 +580,42 @@ def test_oracle_results_do_not_depend_on_the_cache(monkeypatch):
 
 
 def test_the_cache_keeps_within_its_budget(monkeypatch):
-    # sectors 0..8 of 5 modes take 1287 columns of 5 * 5 + 1 bytes and 600
-    # bytes a sector, 38862 bytes; a budget of 16000 keeps sectors 0..5 (252
-    # columns and 6 sectors, 10152 bytes) and builds the rest on every call
-    monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 16000)
+    # sectors 0..8 of 5 modes take 55062 bytes (see _charge); a budget of
+    # 20000 keeps sectors 0..5 (12912 bytes; with sector 6, 21532) and
+    # builds the rest on every call
+    monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 20000)
     monkeypatch.setattr(fock, "_ladders", {})
     k = random_k(np.random.default_rng(113), 5, norm=0.5)
     v = fock.state_from_k(k, 8)
-    assert fock._cached_bytes() == 10152
+    assert fock._cached_bytes() == 12912
     assert _cached_sectors() == {(5, t) for t in range(6)}
     for t, tables in enumerate(fock._ladder(5, 8)):
         for got, want in zip(tables, brute_force_sector(5, t)):
             assert (got == want).all(), t
-    assert fock._cached_bytes() == 10152
+    assert fock._cached_bytes() == 12912
     assert _bits(fock.state_from_k(k, 8)) == _bits(v)
     for occ, c in hafnian_amplitudes(k, 8).items():
         assert abs(v.amplitude(occ) - c) <= 1e-12, occ
 
 
 def test_a_new_ladder_drops_other_ladders_to_fit(monkeypatch):
-    # 5 modes keep sectors 0..5 (10152 bytes of a budget of 16000); 3 modes,
-    # 16 bytes a column and 600 a sector, fit beside them up to sector 6, and
-    # sector 7 drops the 5-mode tables, so the ladder in use is the one kept
-    monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 16000)
+    # 5 modes keep sectors 0..5 (12912 bytes of a budget of 20000); 3 modes
+    # fit beside them up to sector 6 (6384 bytes), and sector 7 (1536 more)
+    # drops the 5-mode tables, so the ladder in use is the one kept
+    monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 20000)
     monkeypatch.setattr(fock, "_ladders", {})
     list(fock._ladder(5, 5))
-    assert fock._cached_bytes() == 10152
+    assert fock._cached_bytes() == 12912
     for t, tables in enumerate(fock._ladder(3, 8)):
         for got, want in zip(tables, brute_force_sector(3, t)):
             assert (got == want).all(), t
     three = {(3, t) for t in range(9)}
     assert _cached_sectors() == three
-    assert fock._cached_bytes() == 8040
-    # a sector past the budget on its own (56 modes, sector 1: 16336 bytes)
+    assert fock._cached_bytes() == 9696
+    # a sector past the budget on its own (64 modes, sector 1: 21912 bytes)
     # is built and dropped, and drops no other ladder
-    assert list(fock._ladder(56, 1))[1][0].shape == (56, 56)
-    assert _cached_sectors() == three | {(56, 0)}
+    assert list(fock._ladder(64, 1))[1][0].shape == (64, 64)
+    assert _cached_sectors() == three | {(64, 0)}
 
 
 def test_a_long_one_mode_ladder_holds_no_more_than_the_budget(monkeypatch):
@@ -634,20 +715,22 @@ def test_a_ladder_reads_the_cache_a_bounded_number_of_times_per_sector(monkeypat
 
 
 def test_the_kept_byte_count_follows_inserts_and_evictions(monkeypatch):
-    monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 16000)
+    monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 20000)
     monkeypatch.setattr(fock, "_ladders", {})
 
     def kept():
         return sum(fock._charge(t) for _, ladder in fock._ladders.values() for t in ladder)
 
     list(fock._ladder(5, 5))
-    assert kept() == fock._cached_bytes() == 10152
+    assert kept() == fock._cached_bytes() == 12912
     list(fock._ladder(3, 8))  # drops the 5-mode tables
-    assert kept() == fock._cached_bytes() == 8040
-    list(fock._ladder(56, 1))  # keeps sector 0 (881 bytes), not sector 1 (16336)
-    assert kept() == fock._cached_bytes() == 8040 + 881
+    assert kept() == fock._cached_bytes() == 9696
+    list(fock._ladder(64, 1))  # keeps sector 0 (1433 bytes), not sector 1 (21912)
+    assert kept() == fock._cached_bytes() == 9696 + 1433
+    # 2 modes, sectors 0..4: 15 columns of 2 + 2 * 4 + 1 bytes, the 5 zero
+    # columns and 15 up columns of 2 * 4 bytes, and 600 bytes a sector
     list(fock._ladder(2, 4))
-    assert kept() == fock._cached_bytes() == 8040 + 881 + 15 * 11 + 5 * 600
+    assert kept() == fock._cached_bytes() == 9696 + 1433 + 15 * 11 + 5 * 8 + 15 * 8 + 5 * 600
 
 
 def _assert_cached_prefixes():
@@ -663,13 +746,13 @@ def test_a_ladder_caches_only_a_prefix_of_its_sectors(monkeypatch):
     # a sector is kept only where its ladder holds every sector before it:
     # not after that ladder was dropped mid-walk, nor past a sector that
     # did not fit
-    monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 16000)
+    monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 22000)
     monkeypatch.setattr(fock, "_ladders", {})
     five = fock._ladder(5, 8)
     for _ in range(3):
         next(five)
     assert _cached_sectors() == {(5, t) for t in range(3)}
-    # 4 modes up to sector 8 take 15795 bytes: they drop the 5-mode tables,
+    # 4 modes up to sector 8 take 21363 bytes: they drop the 5-mode tables,
     # and the rest of the 5-mode walk keeps none of its sectors 3..8
     list(fock._ladder(4, 8))
     collections.deque(five, maxlen=0)
@@ -682,7 +765,7 @@ def test_a_ladder_caches_only_a_prefix_of_its_sectors(monkeypatch):
         next(three)
     monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 0)
     next(three)
-    monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 16000)
+    monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 22000)
     collections.deque(three, maxlen=0)
     assert {key for key in _cached_sectors() if key[0] == 3} == {(3, t) for t in range(3)}
     _assert_cached_prefixes()
@@ -690,7 +773,7 @@ def test_a_ladder_caches_only_a_prefix_of_its_sectors(monkeypatch):
     list(fock._ladder(3, 8))
     assert _cached_sectors() == {(3, t) for t in range(9)}
     _assert_cached_prefixes()
-    assert fock._cached_bytes() == 8040
+    assert fock._cached_bytes() == 9696
 
 
 @pytest.mark.parametrize("entry", ["state_from_k", "apply_quadratic", "nullifier_residual"])
