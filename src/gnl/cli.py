@@ -25,10 +25,11 @@ before the subcommand.  Its keys are the dests of optional flags
 flags right after the subcommand, so argparse converts and checks them and
 an explicit flag wins.  A key that is no optional flag of any subcommand, or
 a value that is not a string or a number, is invalid input; a key that only
-another subcommand takes is skipped.  The BLAS thread count is no knob
-either: the Fock oracle's norms are numpy sums, not ``np.vdot``, whose
-OpenBLAS result on a long vector moved in the last digit with the thread
-count.
+another subcommand takes is skipped.  ``--config`` is parsed only when
+present, that is when a token is ``--config`` or starts with
+``--config=``.  The BLAS thread count is no knob either: the Fock oracle's
+norms are numpy sums, not ``np.vdot``, whose OpenBLAS result on a long
+vector moved in the last digit with the thread count.
 
 ``--format json`` output is exactly ``json.dumps(payload, indent=2)`` plus a
 newline.  The stdlib writes every value but the two large tables of numbers,
@@ -189,7 +190,7 @@ def _axis_generators(expression):
 def _spin_pair(variant, build=None):
     """Table entry of a Bell-like spin pair, generators from bell_nullifier."""
     return (
-        build or (lambda a: (states.bell_analogue(variant, a.alpha)[0], None)),
+        build or (lambda a: (states.bell_k(variant, a.alpha), None)),
         _axis_generators(lambda axis: states.bell_nullifier(variant, axis)),
     )
 
@@ -286,14 +287,14 @@ def _write(args, text):
 
 
 def _state_text_lines(name, k, labels):
-    rep = graphs.validate(k)
+    defect, norm = graphs.defect_and_norm(k)
     labels = labels or [str(i) for i in range(k.shape[0])]
     return [
         TEXT_HEADER,
         f"state {name}",
         f"modes {k.shape[0]}",
-        f"spectral norm {rep.spectral_norm:.12g}",
-        f"symmetric defect {_fmt_res(rep.symmetric_defect)}",
+        f"spectral norm {norm:.12g}",
+        f"symmetric defect {_fmt_res(defect)}",
     ] + [
         f"edge {labels[i]} {labels[j]} {graphs.format_weight(v)}"
         for i, j, v in graphs.edges(k)
@@ -543,9 +544,11 @@ def _with_config(argv, rest, path):
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        config, rest = _config_parser().parse_known_args(argv)
-        if config.config is not None:
-            argv = _with_config(argv, rest, config.config)
+        # allow_abbrev=False: no other token can reach --config
+        if any(t == "--config" or t.startswith("--config=") for t in argv):
+            config, rest = _config_parser().parse_known_args(argv)
+            if config.config is not None:
+                argv = _with_config(argv, rest, config.config)
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (GnlError, OSError, json.JSONDecodeError, MemoryError) as exc:

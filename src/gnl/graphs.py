@@ -319,10 +319,25 @@ def validate(k):
         min_eig = float(np.linalg.eigvalsh(u_from_k(k)).min())
     except SingularSolve:
         min_eig = float("nan")
-    defect = float(np.max(np.abs(k - k.T)))
-    norm = float(np.linalg.norm(k, 2))
+    defect, norm = defect_and_norm(k)
     is_valid = passes(defect, k) and norm < 1.0 - TOL_EDGE
     return ValidationReport(defect, norm, min_eig, is_valid)
+
+
+def defect_and_norm(k):
+    """max|K - K^T| and the spectral norm of K, as :func:`validate` reports them.
+
+    The two numbers of the report that need no solve, and the two that
+    ``gnl state --format text`` prints.
+
+    Raises
+    ------
+    ShapeMismatch
+        K is not square 2-D with at least one mode, or has a NaN or
+        infinite entry (:func:`finite_square`).
+    """
+    k = finite_square(k, "K")
+    return float(np.max(np.abs(k - k.T))), float(np.linalg.norm(k, 2))
 
 
 def phase_shift(k, thetas):

@@ -8,7 +8,10 @@ resource) with its local, chain, and global nullifiers.
 Index conventions, fixed project-wide:
 
 * TMS pair on 4 modes: squeezed edges (0,1) and (2,3); Schwinger spin A is
-  the mode pair (0, 2), spin B is (1, 3).
+  the mode pair (0, 2), spin B is (1, 3).  The two pi rotations that make
+  the psi variants from it are built once per process, read-only, through
+  the exponential, so every Bell K is bit for bit what rotations built on
+  each call give.
 * Wire with n spins: spin i occupies flat modes 2i (rail a) and 2i+1
   (rail b).  The wire is built in the "distributed" basis where it splits
   into disjoint squeezed edges between mode (i)- and mode (i+1)+ around the
@@ -19,6 +22,7 @@ Index conventions, fixed project-wide:
   two ulps from tanh(0.5)/2 = 0.23105857863000487.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +91,28 @@ def tms_pair_nullifiers():
 def bell_analogue(variant, alpha):
     """A Bell-like spin pair and its expected nullifier expressions.
 
+    K is :func:`bell_k`, whose two pi rotations are built once per process;
+    it is bit for bit what rotations built on each call give.
+
+    Returns
+    -------
+    (K, expressions)
+        The 4x4 adjacency matrix and the four nullifier expressions [x, y,
+        z, photon-number difference] with the variant's sign pattern
+        (:func:`bell_nullifier`).
+
+    Raises
+    ------
+    UnknownVariant
+        Before alpha is read.
+    NonPositiveAlpha
+    """
+    return bell_k(variant, alpha), [bell_nullifier(variant, axis) for axis in "xyz0"]
+
+
+def bell_k(variant, alpha):
+    """The adjacency matrix of a Bell-like spin pair.
+
     Starting from the equal-alpha TMS pair (the phi+ analogue), the other
     three variants are produced by passive one-spin rotations:
 
@@ -96,34 +122,53 @@ def bell_analogue(variant, alpha):
     * psi-: psi+ followed by a 180-degree z-rotation of spin B (crossed
       edges pick up phases +-i).
 
-    Only phi+ is exactly real.  The pi rotations leave rounding in phi-
-    and psi+ (imaginary parts up to about 6e-17, and in psi+ entries of
-    about 3e-17 on the uncrossed edges (0,1) and (2,3)), so those K take
-    the complex route of :func:`nullifiers.nullifier_space`.
-
-    Returns
-    -------
-    (K, expressions)
-        The 4x4 adjacency matrix and the four nullifier expressions
-        [x, y, z, photon-number difference] with the variant's sign pattern.
+    The two rotations are built once per process (:func:`_bell_rotations`),
+    through the exponential, so K is bit for bit what rotations built on
+    each call give.  Only phi+ is exactly real.  The pi rotations leave
+    rounding in phi- and psi+ (imaginary parts up to about 6e-17, and in
+    psi+ entries of about 3e-17 on the uncrossed edges (0,1) and (2,3)), so
+    those K take the complex route of :func:`nullifiers.nullifier_space`.
 
     Raises
     ------
     UnknownVariant
-        From :func:`bell_nullifier`, before alpha is read.
+        Before alpha is read.
     NonPositiveAlpha
     """
-    expressions = [bell_nullifier(variant, axis) for axis in "xyz0"]
+    _check_variant(variant)
     k = tms_pair(alpha)
     if variant != "phi+":
         k = graphs.phase_shift(k, [0.0, 0.0, np.pi, 0.0])
     if variant in ("psi+", "psi-"):
-        gen_y_a = 0.5 * schwinger.embed_pauli("y", *SPIN_A, 4)
-        k = graphs.passive_transform(k, schwinger.generator_to_unitary(gen_y_a, np.pi))
-    if variant == "psi-":
-        gen_z_b = 0.5 * schwinger.embed_pauli("z", *SPIN_B, 4)
-        k = graphs.passive_transform(k, schwinger.generator_to_unitary(gen_z_b, np.pi))
-    return k, expressions
+        rotate_y_a, rotate_z_b = _bell_rotations()
+        k = graphs.passive_transform(k, rotate_y_a)
+        if variant == "psi-":
+            k = graphs.passive_transform(k, rotate_z_b)
+    return k
+
+
+@functools.cache
+def _bell_rotations():
+    """exp(-i pi S^y_A) and exp(-i pi S^z_B), read-only, built once per process.
+
+    Built through the exponential, not in closed form: the rounding they
+    leave in K is what sends phi- and psi+ down the complex route.
+    """
+    rotations = []
+    for axis, spin in (("y", SPIN_A), ("z", SPIN_B)):
+        gen = 0.5 * schwinger.embed_pauli(axis, *spin, 4)
+        rotation = schwinger.generator_to_unitary(gen, np.pi)
+        rotation.flags.writeable = False
+        rotations.append(rotation)
+    return tuple(rotations)
+
+
+def _check_variant(variant):
+    """The one check of a Bell variant name, shared by bell_k and bell_nullifier."""
+    if variant not in BELL_VARIANTS:
+        raise UnknownVariant(
+            f"variant {variant!r} not in {', '.join(BELL_VARIANTS)}"
+        )
 
 
 def bell_nullifier(variant, axis):
@@ -136,14 +181,11 @@ def bell_nullifier(variant, axis):
     Raises
     ------
     UnknownVariant
-        The one check of the variant name; :func:`bell_analogue` relies on it.
+        The variant is not one of :data:`BELL_VARIANTS`.
     ShapeMismatch
         Unknown axis (from :class:`schwinger.SchwingerTerm`).
     """
-    if variant not in BELL_VARIANTS:
-        raise UnknownVariant(
-            f"variant {variant!r} not in {', '.join(BELL_VARIANTS)}"
-        )
+    _check_variant(variant)
     # axis "0" and an unknown axis take -1; SchwingerTerm refuses the latter
     return _pair_expression(axis, _BELL_SIGNS[variant].get(axis, -1.0))
 

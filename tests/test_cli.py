@@ -50,6 +50,56 @@ def test_state_text_report(capsys):
     assert any(line.startswith("edge 0 1 0.462117") for line in lines)
 
 
+# state --format text as it printed when the report came from graphs.validate
+_STATE_TEXT = {
+    "tms": (
+        ["state", "tms"],
+        "gnl-report v1\nstate tms\nmodes 2\nspectral norm 0.46211715726\n"
+        "symmetric defect 0.00e+00\nedge 0 1 0.462117\n",
+    ),
+    "bell:psi-": (
+        ["state", "bell:psi-"],
+        "gnl-report v1\nstate bell:psi-\nmodes 4\nspectral norm 0.46211715726\n"
+        "symmetric defect 0.00e+00\nedge 0 3 -2.82965e-17+0.462117i\n"
+        "edge 1 2 2.82965e-17-0.462117i\n",
+    ),
+    "hgraph": (
+        ["state", "hgraph", "--g", "{g}", "--alpha", "0.4"],
+        "gnl-report v1\nstate hgraph\nmodes 4\nspectral norm 0.637021776683\n"
+        "symmetric defect 0.00e+00\nedge 0 0 0.000625066\nedge 0 1 0.351284\n"
+        "edge 0 2 -0.00706722\nedge 0 3 0.162463\nedge 1 1 -0.00422644\n"
+        "edge 1 2 0.336692\nedge 1 3 -0.00443142\nedge 2 2 0.0994168\n"
+        "edge 2 3 0.349871\nedge 3 3 -0.00464652\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_STATE_TEXT))
+def test_state_text_bytes_are_pinned(name, tmp_path, capsys, monkeypatch):
+    g = np.array([[0, 1, 0, 0.5], [1, 0, 1, 0], [0, 1, 0.3, 1], [0.5, 0, 1, 0]])
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graphs.matrix_to_json(g)))
+    argv, text = _STATE_TEXT[name]
+
+    def no_solve(k):
+        raise AssertionError("the text report prints no min_eig_U")
+
+    monkeypatch.setattr(graphs, "u_from_k", no_solve)
+    rc, out, err = run(capsys, *[a.format(g=path) for a in argv], "--format", "text")
+    assert (rc, out, err) == (0, text, "")
+
+
+def test_a_bell_state_builds_no_nullifier_expression(capsys, monkeypatch):
+    calls = []
+    nullifier = states.bell_nullifier
+    monkeypatch.setattr(states, "bell_nullifier", lambda *a: calls.append(a) or nullifier(*a))
+    rc, out, err = run(capsys, "state", "bell:psi-", "--format", "json")
+    assert rc == 0 and err == "" and json.loads(out)["n"] == 4
+    assert calls == []
+    rc, _, _ = run(capsys, "check", "bell:psi-", "--gen", "x", "--cutoff", "2")
+    assert rc == 0 and calls == [("psi-", "x")]
+
+
 def test_state_wire_json_entry_values(capsys):
     rc, out, _ = run(capsys, "state", "wire", "--spins", "4")
     assert rc == 0
@@ -415,6 +465,45 @@ def test_config_without_a_path_is_a_usage_error(capsys):
         cli.main(["state", "tms", "--config"])
     assert exc.value.code == 2
     assert "--config: expected one argument" in capsys.readouterr().err
+
+
+_CONFIG_TEXT = (
+    "gnl-report v1\nstate tms\nmodes 2\nspectral norm 0.716297870199\n"
+    "symmetric defect 0.00e+00\nedge 0 1 0.716298\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, parsed, outcome",
+    [
+        (["state", "tms", "--format", "text"], False,
+         (0, _STATE_TEXT["tms"][1], "")),
+        (["--config", "{cfg}", "state", "tms"], True, (0, _CONFIG_TEXT, "")),
+        (["--config={cfg}", "state", "tms"], True, (0, _CONFIG_TEXT, "")),
+        # the subcommand takes no --config: argparse refuses it
+        (["state", "tms", "--config", "{cfg}"], True,
+         (("exit", 2), "",
+          "usage: gnl [-h] [--config CONFIG]\n"
+          "           {state,nullifiers,check,twomode,oracle,export} ...\n"
+          "gnl: error: unrecognized arguments: --config {cfg}\n")),
+    ],
+)
+def test_config_is_parsed_only_when_given(argv, parsed, outcome, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 0.9, "format": "text"}))
+    calls = []
+    parser = cli._config_parser()
+    parse = parser.parse_known_args
+    monkeypatch.setattr(parser, "parse_known_args", lambda a: calls.append(a) or parse(a))
+    try:
+        rc = cli.main([a.format(cfg=cfg) for a in argv])
+    except SystemExit as exc:
+        rc = ("exit", exc.code)
+    captured = capsys.readouterr()
+    code, out, err = outcome
+    assert (rc, captured.out, captured.err) == (code, out, err.replace("{cfg}", str(cfg)))
+    assert len(calls) == parsed
 
 
 _FLOATS = st.floats() | st.sampled_from(

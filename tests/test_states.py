@@ -153,6 +153,46 @@ def test_the_variant_is_checked_once_and_before_alpha():
         states.bell_nullifier("omega", "x")
 
 
+def _fresh_bell_k(variant, alpha):
+    # each rotation built afresh, as every call built it before they were cached
+    k = states.tms_pair(alpha)
+    if variant != "phi+":
+        k = graphs.phase_shift(k, [0.0, 0.0, np.pi, 0.0])
+    for axis, spin, variants in (("y", states.SPIN_A, ("psi+", "psi-")),
+                                 ("z", states.SPIN_B, ("psi-",))):
+        if variant in variants:
+            gen = 0.5 * schwinger.embed_pauli(axis, *spin, 4)
+            k = graphs.passive_transform(k, schwinger.generator_to_unitary(gen, np.pi))
+    return k
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 2.0])
+@pytest.mark.parametrize("variant", states.BELL_VARIANTS)
+def test_bell_k_is_the_k_of_freshly_built_rotations(variant, alpha):
+    fresh = _fresh_bell_k(variant, alpha)
+    for k in (states.bell_k(variant, alpha), states.bell_analogue(variant, alpha)[0]):
+        assert np.array_equal(k.real, fresh.real) and np.array_equal(k.imag, fresh.imag)
+        assert k.tobytes() == fresh.tobytes()  # signed zeros too
+    # the rounding of the pi rotations, which sends these down the complex route
+    assert fresh.imag.any() == (variant != "phi+")
+
+
+def test_the_cached_bell_rotations_are_read_only():
+    rotations = states._bell_rotations()
+    assert states._bell_rotations() is rotations
+    for rotation in rotations:
+        assert not rotation.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rotation[0, 0] = 0.0
+
+
+def test_bell_k_checks_the_variant_before_alpha():
+    with pytest.raises(UnknownVariant, match="variant 'nope' not in"):
+        states.bell_k("nope", -1.0)
+    with pytest.raises(NonPositiveAlpha):
+        states.bell_k("psi-", -1.0)
+
+
 def test_bell_nullifier_refuses_an_unknown_axis():
     # the sign table raised a bare KeyError; the term's axis rule applies
     with pytest.raises(ShapeMismatch, match="unknown axis 'w'"):

@@ -18,6 +18,12 @@ moves its mmap threshold with a process's allocation history unless
 MALLOC_MMAP_THRESHOLD_ fixes it, so an edit off a workload's code path could
 move that workload; and the CPUs of a shared VM can differ in speed by tens
 of percent. Both settings are constants and each run's record states them.
+Setting MALLOC_MMAP_THRESHOLD_ also fixes glibc's trim threshold at its
+128 kB default, so each run returns the top of its heap to the system and
+takes page faults when it grows again. The command of BENCHMARK.json runs
+with the default allocator, whose thresholds move, so a gain or loss that
+comes from allocation can read differently there; check such a claim with
+plain ``bench/run.py`` runs too.
 
 The output file holds every run's stdout, line by line, as the harness
 printed it (the metric lines, the ``{"raw": ...}`` and ``{"env": ...}``
