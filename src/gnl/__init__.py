@@ -4,7 +4,7 @@ The package is organized around the complex adjacency matrix K of a
 Gaussian pure state:
 
 * :mod:`gnl.graphs` converts between K and the Z = V + iU potential,
-  validates both, applies passive mode transformations and holds the input
+  checks both, applies passive mode transformations and holds the input
   gates every solver checks its operands with;
 * :mod:`gnl.schwinger` handles quadratic photon-conserving operators
   adag M a as Hermitian matrices and symbolic Schwinger expressions;

@@ -7,7 +7,7 @@ norm strictly below 1.  K is the edge-weight matrix of the state's graph:
 the state is the zero eigenvector of every linear nullifier a_i - sum_j
 K_ij adag_j.
 
-This module converts between the two pictures, validates them, and applies
+This module converts between the two pictures, checks them, and applies
 passive (photon-number-conserving) mode transformations.  Under b = W a the
 adjacency matrix transforms as K' = W K W^T, which reduces to
 K' = e^{-i Theta} K e^{-i Theta} for pure phase shifts.
@@ -43,41 +43,6 @@ RTOL = 1e-10
 TOL_EDGE = 1e-9
 # edges below this magnitude are dropped from DOT exports
 DOT_EDGE_CUTOFF = 1e-9
-
-
-class ValidationReport:
-    """Diagnostics for a candidate adjacency matrix.
-
-    Attributes
-    ----------
-    symmetric_defect : float
-        max |K - K^T| over entries.
-    spectral_norm : float
-        Largest singular value of K.
-    min_eig_U : float
-        Smallest eigenvalue of the reconstructed U matrix, or nan when
-        (I + K) is singular and U cannot be formed.
-    is_valid : bool
-        True iff symmetric_defect is at most RTOL max|K| (:func:`passes`)
-        and spectral_norm < 1 - TOL_EDGE.
-    """
-
-    def __init__(self, symmetric_defect, spectral_norm, min_eig_U, is_valid):
-        self.symmetric_defect = float(symmetric_defect)
-        self.spectral_norm = float(spectral_norm)
-        self.min_eig_U = float(min_eig_U)
-        self.is_valid = bool(is_valid)
-
-    def __repr__(self):
-        return (
-            "ValidationReport(symmetric_defect={:.3e}, spectral_norm={:.12g}, "
-            "min_eig_U={:.6g}, is_valid={})".format(
-                self.symmetric_defect,
-                self.spectral_norm,
-                self.min_eig_U,
-                self.is_valid,
-            )
-        )
 
 
 def _square_complex(m, name="matrix"):
@@ -137,9 +102,7 @@ def finite_square(m, name="K"):
     """m as a square 2-D complex array of at least one mode, all entries finite.
 
     The gate of every square matrix a solver reads: K, Z, G, the M of the
-    Fock oracle, :func:`schwinger.matrix_to_expression` and
-    :func:`schwinger.change_basis`, a mode unitary W (see :func:`unitary`)
-    and matrix files.
+    Fock oracle, a mode unitary W (see :func:`unitary`) and matrix files.
 
     Raises
     ------
@@ -156,8 +119,7 @@ def finite_square(m, name="K"):
 def unitary(w, n):
     """w as an n-mode unitary: :func:`finite_square`, shape (n, n), W W^H = I.
 
-    The one unitarity gate, for the mode maps of :func:`passive_transform`
-    and :func:`schwinger.change_basis`.
+    The one unitarity gate, for the mode maps of :func:`passive_transform`.
 
     Raises
     ------
@@ -297,38 +259,12 @@ def u_from_k(k):
     return u.real.copy()
 
 
-def validate(k):
-    """Build a :class:`ValidationReport` for a candidate K.
-
-    An invalid K is reported, not rejected; only input that is not a square
-    2-D matrix of at least one mode raises.  The symmetric defect is judged
-    against max|K| (:func:`passes`).  A K with a NaN or infinite entry is
-    invalid, and its symmetric defect, spectral norm and min_eig_U are all
-    NaN.
-
-    Raises
-    ------
-    ShapeMismatch
-        K is not square 2-D with at least one mode (from :func:`u_from_k`).
-    """
-    k = _square_complex(k, "K")
-    if not np.isfinite(k).all():
-        nan = float("nan")
-        return ValidationReport(nan, nan, nan, False)
-    try:
-        min_eig = float(np.linalg.eigvalsh(u_from_k(k)).min())
-    except SingularSolve:
-        min_eig = float("nan")
-    defect, norm = defect_and_norm(k)
-    is_valid = passes(defect, k) and norm < 1.0 - TOL_EDGE
-    return ValidationReport(defect, norm, min_eig, is_valid)
-
-
 def defect_and_norm(k):
-    """max|K - K^T| and the spectral norm of K, as :func:`validate` reports them.
+    """max|K - K^T| and the spectral norm of K.
 
-    The two numbers of the report that need no solve, and the two that
-    ``gnl state --format text`` prints.
+    The two numbers ``gnl state --format text`` prints; neither needs a
+    solve.  The verdicts on symmetry and on the norm edge are
+    :func:`check_symmetric` and :func:`check_edge`.
 
     Raises
     ------

@@ -13,7 +13,8 @@ corresponding Pauli matrix embedded at rows/columns (r, s); x, y, z close the
 su(2) algebra and S^0 commutes with all of them.  Real linear combinations of
 these operators are exactly the operators adag M a with M Hermitian, and
 that matrix picture is what this module manipulates: symbolic expressions of
-Schwinger terms <-> Hermitian matrices, unitary basis changes, and matrix
+Schwinger terms -> Hermitian matrices, the canonical coordinates of the
+nullifier solver -> matrices and their printed Schwinger form, and matrix
 exponentials of generators.
 """
 
@@ -73,13 +74,22 @@ class SchwingerExpression:
     """Real linear combination of Schwinger terms on n qumodes.
 
     Frozen, with the terms kept as a tuple, so that an expression stays as
-    its range check found it: every reader relies on that check.
+    its checks found it: every reader relies on them.
+
+    Raises
+    ------
+    ShapeMismatch
+        n < 1.
+    IndexOutOfRange
+        A pair reaches past mode n - 1.
     """
 
     n: int
     terms: tuple
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ShapeMismatch(f"an expression needs at least one mode, got n = {self.n}")
         object.__setattr__(self, "terms", tuple(self.terms))
         for t in self.terms:
             if t.pair[1] >= self.n:
@@ -162,96 +172,11 @@ def _pairs(n):
     """Row and column indices (r, s) of the pairs r < s of n modes, lexicographic.
 
     Read-only and cached: np.triu_indices alone costs more than the rest of
-    a small display or coordinate read.
+    a small coordinate read.
     """
     r, s = np.nonzero(np.arange(n)[:, None] < np.arange(n))
     r.flags.writeable = s.flags.writeable = False
     return r, s
-
-
-def _slots(n):
-    """The (axis, pair) of every coefficient, in canonical order (see below)."""
-    slots = []
-    for k in range(n // 2):
-        slots += [("0", (2 * k, 2 * k + 1)), ("z", (2 * k, 2 * k + 1))]
-    if n % 2 == 1 and n >= 2:
-        slots += [("0", (n - 2, n - 1)), ("z", (n - 2, n - 1))]
-    if n == 1:
-        # no partner mode: keep the bare number operator
-        slots.append(("0", (0, 0)))
-    for r in range(n):
-        for s in range(r + 1, n):
-            slots += [("x", (r, s)), ("y", (r, s))]
-    return slots
-
-
-def _diagonal_columns(diag):
-    """The S^0 and S^z coefficient columns of the diagonals diag (d, n), as a list.
-
-    The diagonal pairs (2k, 2k+1) as (d_r + d_s) S^0 + (d_r - d_s) S^z, and
-    for odd n the lone trailing entry d as d S^0 - d S^z on the last pair
-    (for n = 1 the bare d S^0_{0,0}).
-    """
-    d, n = diag.shape
-    even, odd = diag[:, 0:n - 1:2], diag[:, 1:n:2]
-    parts = [np.stack([even + odd, even - odd], axis=-1).reshape(d, -1)]
-    if n % 2 == 1:
-        last = diag[:, n - 1:]
-        parts.append(np.hstack([last, -last]) if n >= 2 else last)
-    return parts
-
-
-def _coefficient_table(ms):
-    """Canonical Schwinger coefficients of a stack of Hermitian matrices.
-
-    ms has shape (d, n, n).  Returns a (d, len(_slots(n))) float array; a
-    zero coefficient means the term is absent.  The columns are those of
-    :func:`_diagonal_columns`, then 2 Re(M_rs) S^x - 2 Im(M_rs) S^y for each
-    r < s in lexicographic order.
-
-    Raises
-    ------
-    ShapeMismatch, NonHermitian
-    """
-    ms = np.asarray(ms, dtype=complex)
-    if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
-        raise ShapeMismatch(f"expected a stack of square matrices, got {ms.shape}")
-    _check_hermitian(ms, "matrix")
-    r, s = _pairs(ms.shape[1])
-    pairs = ms[:, r, s]
-    return np.hstack(
-        _diagonal_columns(np.diagonal(ms, axis1=1, axis2=2).real)
-        + [np.stack([2.0 * pairs.real, -2.0 * pairs.imag], axis=-1).reshape(len(ms), -1)]
-    )
-
-
-def matrix_to_expression(m):
-    """Decompose a Hermitian matrix into Schwinger terms (canonical form).
-
-    The Schwinger family is overcomplete, so a fixed decomposition rule is
-    used: each off-diagonal entry M_rs (r < s) contributes
-    2 Re(M_rs) S^x_{r,s} - 2 Im(M_rs) S^y_{r,s}; diagonal entries are taken
-    in consecutive pairs (2k, 2k+1) as (d_r + d_s) S^0 + (d_r - d_s) S^z,
-    and for odd n the lone trailing entry d becomes d (S^0 - S^z) on the
-    last pair.  The result round-trips through
-    :func:`expression_to_matrix` to 1e-12.
-
-    Raises
-    ------
-    ShapeMismatch
-        M is not square 2-D with at least one mode, or has a NaN or
-        infinite entry.
-    NonHermitian
-    """
-    m = graphs.finite_square(m, "matrix")
-    n = m.shape[0]
-    table = _coefficient_table(m[None])
-    terms = [
-        SchwingerTerm(axis, pair, c)
-        for (axis, pair), c in zip(_slots(n), table[0].tolist())
-        if c != 0.0
-    ]
-    return SchwingerExpression(n, terms)
 
 
 def combine_terms(expr):
@@ -277,26 +202,6 @@ def add_expressions(a, b, ca=1.0, cb=1.0):
     terms = [SchwingerTerm(t.axis, t.pair, ca * t.coeff) for t in a.terms]
     terms += [SchwingerTerm(t.axis, t.pair, cb * t.coeff) for t in b.terms]
     return combine_terms(SchwingerExpression(a.n, terms))
-
-
-def change_basis(m, w):
-    """Rewrite the quadratic form adag M a in the new modes b = W a.
-
-    Returns M' = W^H M W, so adag_new M' a_new is the same operator.
-    Hermiticity is preserved (re-symmetrized against rounding).
-
-    Raises
-    ------
-    ShapeMismatch
-        M or W is not square 2-D with at least one mode, their shapes
-        differ, or an entry is NaN or infinite.
-    NonUnitary
-        If max |W W^H - I| exceeds graphs.RTOL (see :func:`graphs.unitary`).
-    """
-    m = graphs.finite_square(m, "M")
-    w = graphs.unitary(w, m.shape[0])
-    out = w.conj().T @ m @ w
-    return 0.5 * (out + out.conj().T)
 
 
 def unitaries(m, thetas):
@@ -359,19 +264,10 @@ def generator_to_unitary(m, theta):
 # serialization and pretty printing
 
 
-def expression_to_json(expr):
-    """SchwingerExpression -> plain dict (stable term order as given)."""
-    return {
-        "n": int(expr.n),
-        "terms": [
-            {"axis": t.axis, "pair": [int(t.pair[0]), int(t.pair[1])], "coeff": float(t.coeff)}
-            for t in expr.terms
-        ],
-    }
-
-
 def expression_from_json(obj):
-    """Inverse of :func:`expression_to_json`; accepts a dict or JSON string.
+    """The expression of {"n": n, "terms": [{"axis":, "pair": [r, s], "coeff":}, ...]}.
+
+    Accepts a dict or a JSON string; the terms keep their order.
 
     Raises
     ------
@@ -420,13 +316,12 @@ _SIGNS = np.array(["", "-", " + ", " - "], dtype=object)
 def _join_terms(coeffs, bodies, ends):
     """Signed sums "c0·b0 - c1·b1 + ..." over consecutive runs of terms.
 
-    coeffs and bodies hold the terms of all runs back to back and ends the
-    offset where each run stops; returns one string per run, "0" for an
-    empty run.  The distinct |coeff| are formatted in one ``%.10g`` template
-    pass; :func:`_format_coeff` spells only those it treats specially.
+    coeffs (a float array) and bodies hold the terms of all runs back to
+    back and ends (an int array) the offset where each run stops; returns
+    one string per run, "0" for an empty run.  The distinct |coeff| are
+    formatted in one ``%.10g`` template pass; :func:`_format_coeff` spells
+    only those it treats specially.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    ends = np.asarray(ends, dtype=int)
     mags, which = np.unique(np.abs(coeffs), return_inverse=True)
     values = mags.tolist()
     texts = ("\0".join(["%.10g"] * len(values)) % tuple(values)).split("\0")
@@ -450,90 +345,9 @@ def _join_terms(coeffs, bodies, ends):
     ]
 
 
-def _term_body(axis, pair, labels):
-    return f"·S^{axis}_{{{labels[pair[0]]},{labels[pair[1]]}}}"
-
-
-def format_expression(expr, labels=None):
-    """Render an expression like "1.0·S^z_{0,1} - 0.5·S^x_{0,2}".
-
-    Parameters
-    ----------
-    expr : SchwingerExpression
-    labels : list of str, optional
-        Per-mode labels replacing the bare indices (e.g. "1a" for wire
-        spin/rail naming).
-    """
-    if labels is None:
-        labels = [str(i) for i in range(expr.n)]
-    return _join_terms(
-        [t.coeff for t in expr.terms],
-        [_term_body(t.axis, t.pair, labels) for t in expr.terms],
-        [len(expr.terms)],
-    )[0]
-
-
-# matrices or coordinate rows read per block by the display and by
+# coordinate rows read per block by coordinate_expressions and by
 # from_coordinates, which bounds their temporaries on large kernels
 DISPLAY_BLOCK = 64
-
-
-def _render(tables, labels):
-    """Pretty expressions of the rows of coefficient tables (see display_expressions).
-
-    tables yields (n, table) blocks, table (d, len(_slots(n))) as
-    :func:`_coefficient_table` returns it; the slots and their term bodies
-    are built once, at the first block.
-    """
-    out = []
-    bodies = None
-    for n, table in tables:
-        if bodies is None:
-            if labels is None:
-                labels = [str(i) for i in range(n)]
-            bodies = np.array(
-                [_term_body(axis, pair, labels) for axis, pair in _slots(n)], dtype=object
-            )
-        mags = np.abs(table)
-        scale = mags.max(axis=1, initial=0.0)
-        keep = (table != 0.0) & (mags >= 1e-12 * scale[:, None])
-        rows, cols = np.nonzero(keep)
-        out += _join_terms(
-            table[rows, cols] / scale[rows],
-            bodies[cols].tolist(),
-            np.cumsum(np.bincount(rows, minlength=len(table))),
-        )
-    return out
-
-
-def display_expressions(generators, labels=None):
-    """Pretty expression of each Hermitian matrix, largest coefficient 1.0.
-
-    Each matrix is written in the canonical Schwinger form of
-    :func:`matrix_to_expression` and rescaled so its largest |coefficient|
-    is 1.0.  Coefficients twelve orders below the largest are rounding dust
-    from the kernel solve and are dropped from the printout.  A matrix with
-    no terms renders as "0".  The matrices are read DISPLAY_BLOCK at a time
-    into one coefficient table; each distinct magnitude of a block is
-    spelled once (see :func:`_join_terms`) and each expression is one join
-    of sign, coefficient and term pieces.  :func:`coordinate_expressions`
-    renders coordinate rows the same way.
-
-    Parameters
-    ----------
-    generators : sequence of (n, n) Hermitian matrices, or a (d, n, n) array
-    labels : list of str, optional
-        Per-mode labels, as in :func:`format_expression`.
-
-    Raises
-    ------
-    ShapeMismatch, NonHermitian
-    """
-    blocks = (
-        np.asarray(generators[start:start + DISPLAY_BLOCK], dtype=complex)
-        for start in range(0, len(generators), DISPLAY_BLOCK)
-    )
-    return _render(((block.shape[-1], _coefficient_table(block)) for block in blocks), labels)
 
 
 # ----------------------------------------------------------------------
@@ -589,32 +403,87 @@ def real_from_coordinates(w, symmetric):
     return m
 
 
-def _coordinate_table(w):
-    """:func:`_coefficient_table` of :func:`from_coordinates` (w), value for value.
+def _slots(n):
+    """The (axis, pair) of every coefficient, in :func:`_coordinate_table`'s order."""
+    slots = []
+    for k in range(n // 2):
+        slots += [("0", (2 * k, 2 * k + 1)), ("z", (2 * k, 2 * k + 1))]
+    if n % 2 == 1 and n >= 2:
+        slots += [("0", (n - 2, n - 1)), ("z", (n - 2, n - 1))]
+    if n == 1:
+        # no partner mode: keep the bare number operator
+        slots.append(("0", (0, 0)))
+    for r in range(n):
+        for s in range(r + 1, n):
+            slots += [("x", (r, s)), ("y", (r, s))]
+    return slots
 
-    Read straight off the coordinates: the diagonal pairs as in
-    :func:`_diagonal_columns`, and the S^x and S^y coefficients of each pair
-    as 2 (sqrt(1/2) w_x) and 2 (sqrt(1/2) w_y), bit for bit the 2 Re M_rs
-    and -2 Im M_rs of the matrix (the complex product that forms M_rs rounds
-    its nonzero parts as the real one does; a zero may differ in sign, and
-    the display drops zeros).  No matrix is built or checked.
+
+def _coordinate_table(w):
+    """Canonical Schwinger coefficients of the matrices of coordinate rows w.
+
+    w has shape (d, n^2).  Returns a (d, len(_slots(n))) float array; a zero
+    coefficient means the term is absent.  The Schwinger family is
+    overcomplete, so a fixed rule is used: the diagonal pairs (2k, 2k+1) as
+    (d_r + d_s) S^0 + (d_r - d_s) S^z, for odd n the lone trailing entry d
+    as d S^0 - d S^z on the last pair (for n = 1 the bare d S^0_{0,0}), then
+    2 Re(M_rs) S^x - 2 Im(M_rs) S^y for each r < s in lexicographic order.
+    :func:`expression_to_matrix` of these terms gives back the matrix of the
+    row.
+
+    The S^x and S^y coefficients are read straight off the coordinates as
+    2 (sqrt(1/2) w_x) and 2 (sqrt(1/2) w_y), bit for bit the 2 Re M_rs and
+    -2 Im M_rs of the matrix :func:`from_coordinates` builds (the complex
+    product that forms M_rs rounds its nonzero parts as the real one does;
+    a zero may differ in sign, and the display drops zeros).  No matrix is
+    built.
     """
     n = math.isqrt(w.shape[1])
-    return np.hstack(_diagonal_columns(w[:, :n]) + [2.0 * (np.sqrt(0.5) * w[:, n:])])
+    diag = w[:, :n]
+    even, odd = diag[:, 0:n - 1:2], diag[:, 1:n:2]
+    parts = [np.stack([even + odd, even - odd], axis=-1).reshape(len(w), -1)]
+    if n % 2 == 1:
+        last = diag[:, n - 1:]
+        parts.append(np.hstack([last, -last]) if n >= 2 else last)
+    return np.hstack(parts + [2.0 * (np.sqrt(0.5) * w[:, n:])])
 
 
 def coordinate_expressions(w, labels=None):
-    """:func:`display_expressions` of :func:`from_coordinates` (w), string for string.
+    """Pretty Schwinger expression of the matrix of each coordinate row.
 
-    The coefficients are read off the coordinates (:func:`_coordinate_table`),
-    DISPLAY_BLOCK rows at a time; no matrix is built.
+    Each row is written in the canonical Schwinger form of
+    :func:`_coordinate_table` and rescaled so that its largest
+    |coefficient| is 1.0.  Coefficients more than twelve orders below the
+    largest are rounding dust from the kernel solve and are dropped; a row
+    with no term left renders as "0".  The rows are read DISPLAY_BLOCK at a
+    time, and no matrix is built.  Each distinct magnitude of a block is
+    spelled once (see :func:`_join_terms`) and each expression is one join
+    of sign, coefficient and term pieces, as in
+    "1.0·S^z_{0,1} - 0.5·S^x_{0,2}".
 
     Parameters
     ----------
     w : (d, n^2) float array of canonical coordinate rows
     labels : list of str, optional
-        Per-mode labels, as in :func:`format_expression`.
+        Per-mode labels replacing the bare indices (e.g. "1a" for wire
+        spin/rail naming).
     """
     n = math.isqrt(w.shape[1])
-    blocks = (w[start:start + DISPLAY_BLOCK] for start in range(0, len(w), DISPLAY_BLOCK))
-    return _render(((n, _coordinate_table(block)) for block in blocks), labels)
+    if labels is None:
+        labels = [str(i) for i in range(n)]
+    bodies = np.array(
+        [f"·S^{axis}_{{{labels[r]},{labels[s]}}}" for axis, (r, s) in _slots(n)], dtype=object
+    )
+    out = []
+    for start in range(0, len(w), DISPLAY_BLOCK):
+        table = _coordinate_table(w[start:start + DISPLAY_BLOCK])
+        mags = np.abs(table)
+        scale = mags.max(axis=1, initial=0.0)
+        keep = (table != 0.0) & (mags >= 1e-12 * scale[:, None])
+        rows, cols = np.nonzero(keep)
+        out += _join_terms(
+            table[rows, cols] / scale[rows],
+            bodies[cols].tolist(),
+            np.cumsum(np.bincount(rows, minlength=len(table))),
+        )
+    return out

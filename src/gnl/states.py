@@ -56,8 +56,9 @@ def tms_pair(alpha, alpha_second=None):
     """Two disjoint squeezed edges: (0,1) with alpha, (2,3) with alpha again.
 
     alpha_second overrides the second edge for negative-control tests; the
-    spin-pair nullifiers below only hold when both edges are squeezed
-    equally.
+    spin-pair nullifiers (:func:`bell_nullifier` of "phi+": S^x_A - S^x_B,
+    S^y_A + S^y_B, S^z_A - S^z_B and S^0_A - S^0_B) hold when both edges
+    are squeezed equally, and the x and y ones only then.
     """
     graphs.check_alpha(alpha)
     a2 = alpha if alpha_second is None else alpha_second
@@ -76,16 +77,6 @@ def _pair_expression(axis, sign_b, n=4):
             SchwingerTerm(axis, SPIN_B, float(sign_b)),
         ],
     )
-
-
-def tms_pair_nullifiers():
-    """The four spin-pair nullifiers of the equal-alpha TMS pair.
-
-    S^x_A - S^x_B, S^y_A + S^y_B, S^z_A - S^z_B and S^0_A - S^0_B; the first
-    three generate the pair's interferometric symmetries, the last states
-    that both spins carry the same total photon number.
-    """
-    return [bell_nullifier("phi+", axis) for axis in "xyz0"]
 
 
 def bell_analogue(variant, alpha):
@@ -397,8 +388,12 @@ def six_mode_symmetry(layout):
 
         M = -2 S^z_{2,3} + S^x_{0,5} + S^x_{0,4} - S^x_{1,5} - S^x_{1,4}
 
-    It nullifies every periodic wire with at least 3 spins; see
-    :func:`six_mode_symmetry_decomposition` for its factorization.
+    It nullifies every periodic wire with at least 3 spins.  Its
+    exponential exp(-i theta adag M a) splits into two commuting
+    interferometers: the z part is a pure phase differential on spin 1's
+    rails, and the x part is a single two-mode mixer between modes 1 and 4,
+    exp(-i theta sigma_x^{(1,4)}), conjugated by balanced mixers on (0,1)
+    and (4,5).
     """
     return SchwingerExpression(
         layout.n_modes,
@@ -410,34 +405,3 @@ def six_mode_symmetry(layout):
             SchwingerTerm("x", (1, 4), -1.0),
         ],
     )
-
-
-def six_mode_symmetry_decomposition(layout, theta):
-    """:func:`six_mode_symmetry` and its beamsplitter factorization.
-
-    The exponential exp(-i theta adag M a) splits into two commuting
-    interferometers: the z part is a pure phase differential on spin 1's
-    rails, and the x part is a single two-mode mixer between modes 1 and 4
-    conjugated by balanced mixers on (0,1) and (4,5).
-
-    Returns
-    -------
-    (expression, factors)
-        factors = [F, X(theta), F^{-1}, Z(theta)] as mode unitaries; the
-        product of the first three equals exp(-i theta M_x) and the full
-        product equals exp(-i theta M).
-    """
-    expr = six_mode_symmetry(layout)
-    n = layout.n_modes
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    f = np.eye(n, dtype=complex)
-    f[np.ix_([0, 1], [0, 1])] = h
-    f[np.ix_([4, 5], [4, 5])] = h
-    x_rot = schwinger.generator_to_unitary(
-        schwinger.embed_pauli("x", 1, 4, n), theta
-    )
-    z_rot = schwinger.generator_to_unitary(
-        -schwinger.embed_pauli("z", 2, 3, n), theta
-    )
-    # F is self-inverse; keep the conjugate-transpose form for readability
-    return expr, [f, x_rot, f.conj().T, z_rot]

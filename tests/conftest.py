@@ -112,6 +112,23 @@ def reference_from_coordinates(w):
     return m
 
 
+def reference_coordinates(ms):
+    """Canonical coordinate rows of Hermitian matrices: the inverse of reference_from_coordinates.
+
+    Row i holds the diagonal of ms[i], then per pair r < s (lexicographic)
+    sqrt(2) Re M_rs and -sqrt(2) Im M_rs; reference_from_coordinates gives
+    each matrix back to rounding.
+    """
+    ms = np.asarray(ms, dtype=complex)
+    n = ms.shape[-1]
+    r, s = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+    w = np.empty((len(ms), n * n))
+    w[:, :n] = ms[:, np.arange(n), np.arange(n)].real
+    w[:, n::2] = np.sqrt(2.0) * ms[:, r, s].real
+    w[:, n + 1::2] = -np.sqrt(2.0) * ms[:, r, s].imag
+    return w
+
+
 def reference_expression_matrix(expr):
     """The Hermitian matrix of a Schwinger expression, one embedded term at a time.
 
@@ -316,20 +333,16 @@ def wire_z_form(layout):
     ])
 
 
-def reference_display_expression(m, labels=None):
-    """Pretty Schwinger expression of one Hermitian matrix, term by term.
+def reference_terms(m):
+    """The canonical Schwinger terms (axis, r, s, coeff) of one Hermitian matrix.
 
-    The per-generator display rule written out with plain loops: the
-    canonical decomposition (diagonal pairs (2k, 2k+1) as S^0 and S^z, the
-    odd trailing entry as d S^0 - d S^z on the last pair, the bare S^0_{0,0}
-    for n = 1, then S^x and S^y for each r < s), rescaled so the largest
-    |coefficient| is 1.0, terms below 1e-12 of it dropped, coefficients
-    printed with one decimal when integral and 10 significant digits
-    otherwise, plus ".0" when those digits are a bare integer.
+    The decomposition rule written out with plain loops: the diagonal pairs
+    (2k, 2k+1) as S^0 and S^z, the odd trailing entry d as d S^0 - d S^z on
+    the last pair, the bare S^0_{0,0} for n = 1, then 2 Re M_rs S^x and
+    -2 Im M_rs S^y for each r < s.  Zero coefficients are left out.
     """
     m = np.asarray(m, dtype=complex)
     n = m.shape[0]
-    labels = [str(i) for i in range(n)] if labels is None else labels
     diag = m.diagonal().real
     terms = []
     for k in range(n // 2):
@@ -343,7 +356,29 @@ def reference_display_expression(m, labels=None):
     for r in range(n):
         for s in range(r + 1, n):
             terms += [("x", r, s, float(2.0 * m[r, s].real)), ("y", r, s, float(-2.0 * m[r, s].imag))]
-    terms = [t for t in terms if t[3] != 0.0]
+    return [t for t in terms if t[3] != 0.0]
+
+
+def reference_expression_json(m):
+    """The ``--gen @FILE`` object of the canonical terms of a Hermitian matrix."""
+    return {
+        "n": len(m),
+        "terms": [{"axis": a, "pair": [r, s], "coeff": c} for a, r, s, c in reference_terms(m)],
+    }
+
+
+def reference_display_expression(m, labels=None):
+    """Pretty Schwinger expression of one Hermitian matrix, term by term.
+
+    The per-generator display rule written out with plain loops: the
+    :func:`reference_terms` of m, rescaled so the largest |coefficient| is
+    1.0, terms below 1e-12 of it dropped, coefficients printed with one
+    decimal when integral and 10 significant digits otherwise, plus ".0"
+    when those digits are a bare integer.
+    """
+    n = len(m)
+    labels = [str(i) for i in range(n)] if labels is None else labels
+    terms = reference_terms(m)
     if not terms:
         return "0"
     scale = max(abs(t[3]) for t in terms)
@@ -362,6 +397,29 @@ def reference_display_expression(m, labels=None):
         else:
             pieces.append(f" {'-' if c < 0 else '+'} {body}")
     return "".join(pieces)
+
+
+def six_mode_factors(layout, theta):
+    """The factors [F, X(theta), F^{-1}, Z(theta)] of the six-mode wire symmetry, in closed form.
+
+    F is the balanced mixer [[1, 1], [1, -1]] / sqrt(2) on the mode pairs
+    (0, 1) and (4, 5), X(theta) = exp(-i theta sigma_x) on modes (1, 4) and
+    Z(theta) = exp(+i theta sigma_z) on modes (2, 3).  F^{-1} X F is the
+    exponential of the S^x terms of ``states.six_mode_symmetry`` and
+    Z F^{-1} X F that of the whole generator.
+    """
+    n = layout.n_modes
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    f = np.eye(n, dtype=complex)
+    f[np.ix_([0, 1], [0, 1])] = h
+    f[np.ix_([4, 5], [4, 5])] = h
+    x_rot = np.eye(n, dtype=complex)
+    x_rot[np.ix_([1, 4], [1, 4])] = [
+        [np.cos(theta), -1j * np.sin(theta)], [-1j * np.sin(theta), np.cos(theta)]
+    ]
+    z_rot = np.eye(n, dtype=complex)
+    z_rot[2, 2], z_rot[3, 3] = np.exp(1j * theta), np.exp(-1j * theta)
+    return [f, x_rot, f.conj().T, z_rot]
 
 
 # eigenvalue levels of a real K: repeated, opposite (+-) and zero

@@ -11,7 +11,9 @@ import time
 
 import numpy as np
 
-from conftest import brute_force_dim, random_hermitian, random_k, random_z, wire_z_form
+from conftest import (
+    brute_force_dim, random_hermitian, random_k, random_z, six_mode_factors, wire_z_form,
+)
 from gnl import cli, fock, graphs, nullifiers, schwinger, states
 
 
@@ -131,7 +133,7 @@ def test_04_kernel_dimensions_match_an_independent_rank_count():
 
 def test_05_tms_pair_nullifiers_and_detuning_control():
     k = states.tms_pair(0.5)
-    exprs = states.tms_pair_nullifiers()
+    exprs = states.bell_analogue("phi+", 0.5)[1]
     assert len(exprs) == 4
     for expr in exprs:
         m = _matrix(expr)
@@ -258,8 +260,8 @@ def test_09_six_mode_decomposition_and_overlap_forms():
     layout = states.WireLayout(3, 0.5)
     k = states.dual_rail_wire(layout)
     for theta in (0.1, 0.7, np.pi / 2.0):
-        expr, factors = states.six_mode_symmetry_decomposition(layout, theta)
-        m = _matrix(expr)
+        m = _matrix(states.six_mode_symmetry(layout))
+        factors = six_mode_factors(layout, theta)
         ok, res = nullifiers.is_nullifier(m, k)
         assert ok and res <= 1e-10
         product = factors[3] @ factors[2] @ factors[1] @ factors[0]

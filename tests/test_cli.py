@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fock_to_json, fock_vector, fock_vectors
+from conftest import fock_to_json, fock_vector, fock_vectors, reference_expression_json
 from gnl import cli, fock, graphs, nullifiers, schwinger, states
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -50,7 +50,7 @@ def test_state_text_report(capsys):
     assert any(line.startswith("edge 0 1 0.462117") for line in lines)
 
 
-# state --format text as it printed when the report came from graphs.validate
+# state --format text bytes; the report prints nothing that needs U = Im Z
 _STATE_TEXT = {
     "tms": (
         ["state", "tms"],
@@ -242,11 +242,8 @@ def test_check_rejects_a_local_index_outside_the_wire(capsys):
 
 
 def test_check_generator_from_file(tmp_path, capsys):
-    expr = schwinger.SchwingerExpression(
-        2, [schwinger.SchwingerTerm("z", (0, 1), 1.0)]
-    )
     path = tmp_path / "gen.json"
-    path.write_text(json.dumps(schwinger.expression_to_json(expr)))
+    path.write_text('{"n": 2, "terms": [{"axis": "z", "pair": [0, 1], "coeff": 1.0}]}')
     rc, out, _ = run(capsys, "check", "tms", "--gen", f"@{path}")
     assert rc == 0
 
@@ -287,6 +284,17 @@ def test_check_refuses_a_zero_generator(case, fmt, tmp_path, capsys):
     assert "generator is zero" in err
 
 
+@pytest.mark.parametrize("n", [-1, 0])
+def test_a_generator_file_with_no_mode_is_an_input_error(n, tmp_path, capsys):
+    # n = -1 died in numpy's "negative dimensions" ValueError: a traceback
+    # and exit 1, the failed-check code
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps({"n": n, "terms": []}))
+    rc, out, err = run(capsys, "check", "tms", "--gen", f"@{path}")
+    _assert_input_error(rc, out, err)
+    assert err == f"error: an expression needs at least one mode, got n = {n}\n"
+
+
 @pytest.mark.parametrize("coeffs", [["nan", "1", "0", "0"], ["0", "inf", "0", "0"], ["0", "0", "1", "1e400"]])
 def test_non_finite_twomode_coefficients_exit_with_2(coeffs, capsys):
     # a NaN died in numpy's LinAlgError: a traceback and exit 1
@@ -314,9 +322,15 @@ def test_check_judges_a_faint_squeezer_against_its_own_scale(gen, code, capsys):
 def test_check_passes_a_wire_nullifier_scaled_by_1e9(tmp_path, capsys):
     # its residual 5.21e-09 failed the absolute 1e-10 (exit 1)
     expr = states.wire_local_nullifiers(states.WireLayout(4, 0.5))[0]
-    obj = schwinger.expression_to_json(expr)
-    for term in obj["terms"]:
-        term["coeff"] *= 1e9
+    obj = {"n": 8, "terms": [
+        {"axis": "0", "pair": [0, 1], "coeff": 1e9},
+        {"axis": "x", "pair": [0, 1], "coeff": -1e9},
+        {"axis": "0", "pair": [2, 3], "coeff": -1e9},
+        {"axis": "x", "pair": [2, 3], "coeff": -1e9},
+    ]}
+    assert schwinger.expression_from_json(obj) == schwinger.SchwingerExpression(
+        8, [schwinger.SchwingerTerm(t.axis, t.pair, 1e9 * t.coeff) for t in expr.terms]
+    )
     path = tmp_path / "gen.json"
     path.write_text(json.dumps(obj))
     rc, out, _ = run(capsys, "check", "wire", "--spins", "4", "--gen", f"@{path}")
@@ -334,8 +348,7 @@ def test_check_passes_scaled_nullifiers_of_a_dense_k(scale, tmp_path, capsys):
     basis = nullifiers.nullifier_space(graphs.hgraph_k(g, 0.5))
     assert basis.dimension == 10
     for i, m in enumerate(basis.generators):
-        expr = schwinger.matrix_to_expression(scale * m)
-        (tmp_path / f"{i}.json").write_text(json.dumps(schwinger.expression_to_json(expr)))
+        (tmp_path / f"{i}.json").write_text(json.dumps(reference_expression_json(scale * m)))
         rc, out, _ = run(capsys, "check", "hgraph", "--g", str(tmp_path / "g.json"),
                          "--alpha", "0.5", "--cutoff", "4", "--gen", f"@{tmp_path / f'{i}.json'}")
         assert rc == 0 and out.startswith("gnl-report v1\nNULLIFIER residual"), out
@@ -345,9 +358,8 @@ def test_check_fails_when_the_symmetry_grid_overflows(tmp_path, capsys):
     # exp(-i theta M) overflowed to NaN at the larger theta; max(0.0, nan) kept
     # 0.0, so check passed with "symmetry dev 5.96e-17" and exit 0; later it
     # failed with "symmetry dev nan" and numpy's overflow warnings on stderr
-    expr = schwinger.SchwingerExpression(2, [schwinger.SchwingerTerm("z", (0, 1), 1e308)])
     path = tmp_path / "gen.json"
-    path.write_text(json.dumps(schwinger.expression_to_json(expr)))
+    path.write_text('{"n": 2, "terms": [{"axis": "z", "pair": [0, 1], "coeff": 1e308}]}')
     rc, out, err = run(capsys, "check", "tms", "--gen", f"@{path}")
     assert rc == 2 and out == ""
     assert err == (

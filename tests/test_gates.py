@@ -39,10 +39,6 @@ _CASES = {
     "unitaries M": lambda v: schwinger.unitaries(_spoil(M, v), [0.1]),
     "unitaries angles": lambda v: schwinger.unitaries(M, [0.1, v]),
     "generator_to_unitary theta": lambda v: schwinger.generator_to_unitary(M, v),
-    "matrix_to_expression M": lambda v: schwinger.matrix_to_expression(_spoil(M, v)),
-    "display_expressions M": lambda v: schwinger.display_expressions([_spoil(M, v)]),
-    "change_basis M": lambda v: schwinger.change_basis(_spoil(M, v), np.eye(2)),
-    "change_basis W": lambda v: schwinger.change_basis(M, _spoil(np.eye(2), v)),
     "nullifier_space K": lambda v: nullifiers.nullifier_space(_spoil(K, v)),
     "verify_symmetry K": lambda v: nullifiers.verify_symmetry(_spoil(K, v), M, [0.1]),
     "verify_symmetry M": lambda v: nullifiers.verify_symmetry(K, _spoil(M, v), [0.1]),

@@ -1,4 +1,4 @@
-"""Adjacency-matrix calculus: Z/K conversion, validation, transforms, export."""
+"""Adjacency-matrix calculus: Z/K conversion, checks, transforms, export."""
 
 import json
 
@@ -136,31 +136,41 @@ def test_round_trip_k_side_near_edge():
     assert np.max(np.abs(back - k)) < 1e-9
 
 
+def _is_valid(k):
+    """K passes the symmetry gate and lies below the norm edge."""
+    try:
+        graphs.check_symmetric(k)
+    except NonSymmetric:
+        return False
+    return _passes_edge(k)
+
+
 def test_validate_reports():
-    rep = graphs.validate(np.zeros((2, 2)))
-    assert rep.is_valid and rep.spectral_norm == 0.0
-    rep = graphs.validate(graphs.tms_k(0.5))
-    assert rep.is_valid
-    assert abs(rep.spectral_norm - np.tanh(0.5)) < 1e-12
-    assert rep.min_eig_U > 0.0
-    rep = graphs.validate(np.eye(2, dtype=complex))
-    assert not rep.is_valid
-    assert abs(rep.spectral_norm - 1.0) < 1e-12
+    # the numbers state --format text prints, and the verdicts on them
+    assert graphs.defect_and_norm(np.zeros((2, 2))) == (0.0, 0.0)
+    assert _is_valid(np.zeros((2, 2)))
+    defect, norm = graphs.defect_and_norm(graphs.tms_k(0.5))
+    assert defect == 0.0 and abs(norm - np.tanh(0.5)) < 1e-12
+    assert _is_valid(graphs.tms_k(0.5))
+    assert np.linalg.eigvalsh(graphs.u_from_k(graphs.tms_k(0.5))).min() > 0.0
+    defect, norm = graphs.defect_and_norm(np.eye(2, dtype=complex))
+    assert defect == 0.0 and abs(norm - 1.0) < 1e-12
+    assert not _is_valid(np.eye(2, dtype=complex))
 
 
 def test_validate_flags_asymmetry():
-    rep = graphs.validate(np.array([[0.0, 0.5], [0.2, 0.0]]))
-    assert rep.symmetric_defect > 0.1
-    assert not rep.is_valid
+    k = np.array([[0.0, 0.5], [0.2, 0.0]])
+    assert graphs.defect_and_norm(k)[0] > 0.1
+    assert not _is_valid(k)
 
 
 def test_validate_judges_the_defect_against_the_size_of_k():
     # a defect of 1e-11 passed the absolute 1e-10 however small K was
-    faint = graphs.validate(np.array([[0.0, 1e-11], [0.0, 0.0]]))
-    assert faint.symmetric_defect == 1e-11 and not faint.is_valid
+    faint = np.array([[0.0, 1e-11], [0.0, 0.0]])
+    assert graphs.defect_and_norm(faint)[0] == 1e-11 and not _is_valid(faint)
     k = graphs.tms_k(0.5)
     k[0, 1] += 1e-12
-    assert graphs.validate(k).is_valid
+    assert _is_valid(k)
 
 
 def test_passes_is_relative_to_the_largest_entries_of_its_operands():
@@ -190,8 +200,8 @@ def test_passes_takes_a_scale_past_the_float_range_as_inf():
 
 def test_validate_rejects_a_zero_mode_k():
     # an empty K died in numpy's ValueError ("zero-size array to reduction")
-    with pytest.raises(ShapeMismatch):
-        graphs.validate(np.zeros((0, 0)))
+    with pytest.raises(ShapeMismatch, match="at least one mode"):
+        graphs.defect_and_norm(np.zeros((0, 0)))
 
 
 _NON_FINITE = [float("nan"), float("inf"), float("-inf")]
@@ -200,9 +210,8 @@ _NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 @pytest.mark.parametrize("value", _NON_FINITE)
 def test_validate_reports_a_non_finite_k_as_invalid(value):
     # a NaN entry made the SVD raise numpy's LinAlgError
-    rep = graphs.validate(np.array([[0.0, value], [value, 0.0]]))
-    assert not rep.is_valid
-    assert np.isnan([rep.symmetric_defect, rep.spectral_norm, rep.min_eig_U]).all()
+    with pytest.raises(ShapeMismatch, match="finite"):
+        graphs.defect_and_norm(np.array([[0.0, value], [value, 0.0]]))
 
 
 @pytest.mark.parametrize("value", _NON_FINITE)

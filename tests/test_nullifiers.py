@@ -19,6 +19,7 @@ from conftest import (
     random_unitary,
     real_adjacency,
     reference_canonical_basis,
+    reference_display_expression,
     reference_from_coordinates,
     reference_nullifier_space,
 )
@@ -212,15 +213,15 @@ def _adjacency(draw):
 @example(k=np.zeros((3, 3)), wire_labels=True)  # everything, S^0_{r,r} pairs included
 @example(k=np.array([[0.4]]), wire_labels=False)  # one mode, dimension 0
 def test_coordinates_render_like_the_generators_they_build(k, wire_labels):
-    # the display read off the coordinates is the display of the matrices,
-    # and the matrices are those the solver built before, bit for bit
+    # the display read off the coordinates is the reference display of the
+    # matrices, and the matrices are those the solver built before, bit for bit
     basis = nullifiers.nullifier_space(k)
     n = k.shape[0]
     assert basis.coordinates.shape == (basis.dimension, n * n)
     assert basis.coordinates.dtype == np.float64
     assert "generators" not in vars(basis)  # not built by the solver
     labels = [f"{i // 2}{'ab'[i % 2]}" for i in range(n)] if wire_labels else None
-    expected = schwinger.display_expressions(basis.generators, labels)
+    expected = [reference_display_expression(m, labels) for m in basis.generators]
     assert schwinger.coordinate_expressions(basis.coordinates, labels) == expected
     reference = reference_from_coordinates(basis.coordinates)
     built = np.array(basis.generators, dtype=complex).reshape(reference.shape)

@@ -1,4 +1,4 @@
-"""Schwinger-operator layer: embeddings, conversions, basis changes, exponentials."""
+"""Schwinger-operator layer: embeddings, conversions, the display, exponentials."""
 
 import dataclasses
 import json
@@ -10,16 +10,16 @@ from hypothesis import strategies as st
 
 from conftest import (
     random_hermitian,
-    random_unitary,
+    reference_coordinates,
     reference_display_expression,
     reference_expression_matrix,
+    reference_from_coordinates,
 )
 from gnl import schwinger, states
 from gnl.errors import (
     EqualIndices,
     IndexOutOfRange,
     NonHermitian,
-    NonUnitary,
     PrecisionLimit,
     ShapeMismatch,
 )
@@ -39,11 +39,15 @@ def test_term_validation():
 
 @pytest.mark.parametrize("coeff", [float("inf"), float("-inf"), float("nan")])
 def test_format_expression_rejects_a_non_finite_coefficient(coeff):
-    # an infinite coefficient made _format_coeff raise OverflowError
+    # an infinite coefficient made _format_coeff raise OverflowError; a term
+    # refuses it, and the display of coordinates near the float limit
+    # formats finite coefficients only
     with pytest.raises(ShapeMismatch):
-        schwinger.format_expression(
-            SchwingerExpression(2, [SchwingerTerm("z", (0, 1), coeff)])
-        )
+        SchwingerTerm("z", (0, 1), coeff)
+    w = np.array([[1e308, -5e307, 1e308, 0.0]])
+    expected = reference_display_expression(reference_from_coordinates(w)[0])
+    assert schwinger.coordinate_expressions(w) == [expected]
+    assert expected.startswith("0.3333333333·S^0_{0,1} + 1.0·S^z_{0,1} ")
     # singleton on axis 0 is the number operator and is allowed
     SchwingerTerm("0", (1, 1), 1.0)
     with pytest.raises(IndexOutOfRange):
@@ -161,16 +165,27 @@ def test_expression_singleton_is_number_operator():
     assert np.count_nonzero(m) == 1
 
 
+def _canonical_expression(m):
+    """The expression of the display's coefficients of a Hermitian matrix, zeros left out."""
+    n = len(m)
+    table = schwinger._coordinate_table(reference_coordinates([m]))[0]
+    return SchwingerExpression(n, [
+        SchwingerTerm(axis, pair, c)
+        for (axis, pair), c in zip(schwinger._slots(n), table.tolist())
+        if c != 0.0
+    ])
+
+
 def test_matrix_to_expression_identity_and_half_sigma_z():
-    expr = schwinger.matrix_to_expression(np.eye(2, dtype=complex))
+    expr = _canonical_expression(np.eye(2, dtype=complex))
     assert [(t.axis, t.pair, t.coeff) for t in expr.terms] == [("0", (0, 1), 2.0)]
-    expr = schwinger.matrix_to_expression(0.5 * np.diag([1.0 + 0j, -1.0]))
+    expr = _canonical_expression(0.5 * np.diag([1.0 + 0j, -1.0]))
     assert [(t.axis, t.pair, t.coeff) for t in expr.terms] == [("z", (0, 1), 1.0)]
 
 
 def test_matrix_to_expression_odd_mode_count():
     m = np.diag([0.0, 0.0, 3.0]).astype(complex)
-    expr = schwinger.matrix_to_expression(m)
+    expr = _canonical_expression(m)
     back = schwinger.expression_to_matrix(expr)
     assert np.max(np.abs(back - m)) < 1e-12
     pairs = {t.pair for t in expr.terms}
@@ -179,15 +194,12 @@ def test_matrix_to_expression_odd_mode_count():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_matrix_expression_round_trip(n):
+    # the display's coefficient table is the decomposition that
+    # expression_to_matrix inverts
     rng = np.random.default_rng(100 + n)
     m = random_hermitian(rng, n)
-    back = schwinger.expression_to_matrix(schwinger.matrix_to_expression(m))
+    back = schwinger.expression_to_matrix(_canonical_expression(m))
     assert np.max(np.abs(back - m)) < 1e-12
-
-
-def test_matrix_to_expression_rejects_non_hermitian():
-    with pytest.raises(NonHermitian):
-        schwinger.matrix_to_expression(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
 def test_combine_terms_collects_and_sorts():
@@ -210,13 +222,13 @@ def test_combine_terms_collects_and_sorts():
 def test_add_expressions_is_linear():
     rng = np.random.default_rng(31)
     ma, mb = random_hermitian(rng, 4), random_hermitian(rng, 4)
-    ea = schwinger.matrix_to_expression(ma)
-    eb = schwinger.matrix_to_expression(mb)
+    ea = _canonical_expression(ma)
+    eb = _canonical_expression(mb)
     combo = schwinger.add_expressions(ea, eb, 2.0, -0.5)
     got = schwinger.expression_to_matrix(combo)
     assert np.max(np.abs(got - (2.0 * ma - 0.5 * mb))) < 1e-12
     with pytest.raises(ShapeMismatch):
-        schwinger.add_expressions(ea, schwinger.matrix_to_expression(np.eye(2)))
+        schwinger.add_expressions(ea, _canonical_expression(np.eye(2)))
 
 
 @pytest.mark.parametrize("r,s,n", [(0, 1, 2), (1, 3, 4), (0, 4, 6)])
@@ -246,37 +258,13 @@ def test_su2_relations_would_catch_a_dent():
     assert defect > 1e-3
 
 
-def test_change_basis_identity_and_spectrum():
-    rng = np.random.default_rng(41)
-    m = random_hermitian(rng, 4)
-    assert np.array_equal(schwinger.change_basis(m, np.eye(4)), m)
-    w = random_unitary(rng, 4)
-    mp = schwinger.change_basis(m, w)
-    assert np.max(np.abs(mp - mp.conj().T)) == 0.0
-    assert np.max(np.abs(np.linalg.eigvalsh(mp) - np.linalg.eigvalsh(m))) < 1e-12
-
-
-def test_change_basis_composition():
-    rng = np.random.default_rng(43)
-    m = random_hermitian(rng, 3)
-    w1 = random_unitary(rng, 3)
-    w2 = random_unitary(rng, 3)
-    lhs = schwinger.change_basis(m, w1 @ w2)
-    rhs = schwinger.change_basis(schwinger.change_basis(m, w1), w2)
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-def test_change_basis_rejects_non_unitary():
-    with pytest.raises(NonUnitary):
-        schwinger.change_basis(np.eye(2), 2.0 * np.eye(2))
-
-
 def test_change_basis_pulls_distributed_edge_z_back_to_rails():
     layout = states.WireLayout(3, 0.5)
     w = states.wire_mixer(layout)
-    # S^z between the two distributed modes of the first edge (flat 1 and 2)
+    # S^z between the two distributed modes of the first edge (flat 1 and 2),
+    # as a quadratic form in the rail modes: W^H M W
     dist = 0.5 * schwinger.embed_pauli("z", 1, 2, 6)
-    phys = schwinger.change_basis(dist, w)
+    phys = w.conj().T @ dist @ w
     n0 = schwinger.expression_to_matrix(states.wire_local_nullifiers(layout)[0])
     assert np.max(np.abs(phys - 0.5 * n0)) < 1e-14
 
@@ -349,24 +337,30 @@ def test_unitaries_names_the_first_angle_past_the_phase_limit():
         schwinger.unitaries(m, [0.5, -1e17, 1.7e308, 0.1])
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf])
-def test_display_expressions_rejects_a_non_finite_generator(value):
-    # the NaN generator displayed as "0"
-    with pytest.raises(NonHermitian):
-        schwinger.display_expressions([np.full((2, 2), value)])
-
-
 def test_expression_json_round_trip():
-    expr = SchwingerExpression(
+    obj = {"n": 5, "terms": [
+        {"axis": "x", "pair": [1, 3], "coeff": 1.0},
+        {"axis": "x", "pair": [2, 4], "coeff": -1},
+    ]}
+    expected = SchwingerExpression(
         5, [SchwingerTerm("x", (1, 3), 1.0), SchwingerTerm("x", (2, 4), -1.0)]
     )
-    blob = json.dumps(schwinger.expression_to_json(expr))
-    back = schwinger.expression_from_json(blob)
-    assert back.n == 5
-    assert [(t.axis, t.pair, t.coeff) for t in back.terms] == [
-        ("x", (1, 3), 1.0),
-        ("x", (2, 4), -1.0),
-    ]
+    for value in (obj, json.dumps(obj)):
+        back = schwinger.expression_from_json(value)
+        assert back == expected
+        assert type(back.terms[1].coeff) is float
+    terms = [{"axis": t.axis, "pair": list(t.pair), "coeff": t.coeff} for t in back.terms]
+    assert json.loads(json.dumps({"n": back.n, "terms": terms})) == obj
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_an_expression_needs_at_least_one_mode(n):
+    # n = -1 reached numpy's "negative dimensions" ValueError in
+    # expression_to_matrix, and gnl check exited 1, the failed-check code
+    with pytest.raises(ShapeMismatch, match=f"at least one mode, got n = {n}$"):
+        SchwingerExpression(n, [])
+    with pytest.raises(ShapeMismatch):
+        schwinger.expression_from_json({"n": n, "terms": []})
 
 
 @pytest.mark.parametrize(
@@ -395,27 +389,40 @@ def test_expression_from_json_keeps_the_term_errors():
         schwinger.expression_from_json(blob)
 
 
+def _display(expr, labels=None):
+    """The display of the matrix of expr, read through its coordinates."""
+    w = reference_coordinates([schwinger.expression_to_matrix(expr)])
+    return schwinger.coordinate_expressions(w, labels)[0]
+
+
 def test_format_expression_rendering():
     expr = SchwingerExpression(
         5, [SchwingerTerm("x", (1, 3), 1.0), SchwingerTerm("x", (2, 4), -1.0)]
     )
-    assert schwinger.format_expression(expr) == "1.0·S^x_{1,3} - 1.0·S^x_{2,4}"
-    assert schwinger.format_expression(SchwingerExpression(2, [])) == "0"
+    assert _display(expr) == "1.0·S^x_{1,3} - 1.0·S^x_{2,4}"
+    assert _display(SchwingerExpression(2, [])) == "0"
+    # scaled so that the largest |coefficient| is 1.0, its sign kept
     labeled = SchwingerExpression(2, [SchwingerTerm("z", (0, 1), -0.25)])
-    assert schwinger.format_expression(labeled, ["0a", "0b"]) == "-0.25·S^z_{0a,0b}"
+    assert _display(labeled, ["0a", "0b"]) == "-1.0·S^z_{0a,0b}"
+    labeled = SchwingerExpression(
+        2, [SchwingerTerm("0", (0, 1), 1.0), SchwingerTerm("z", (0, 1), -0.25)]
+    )
+    assert _display(labeled, ["0a", "0b"]) == "1.0·S^0_{0a,0b} - 0.25·S^z_{0a,0b}"
 
 
 def test_near_integral_coefficients_print_like_integral_ones():
     # 0.9999999999999999 differs from 1.0 in the last bit only; both must
-    # render "1.0", or rounding noise flips the text output
+    # render "1.0", or rounding noise flips the text output.  Through the
+    # coordinates and the scale, S^x_{0,1} and S^y_{0,2} read
+    # +-0.9999999999999998, whose %.10g text is the bare "1"
     terms = [
         SchwingerTerm("x", (0, 1), 0.9999999999999999),
         SchwingerTerm("x", (1, 2), 1.0),
-        SchwingerTerm("y", (0, 2), -2.0000000000000004),
+        SchwingerTerm("y", (0, 2), -0.9999999999999998),
         SchwingerTerm("z", (0, 1), 0.5000000000000001),
     ]
-    assert schwinger.format_expression(SchwingerExpression(3, terms)) == (
-        "1.0·S^x_{0,1} + 1.0·S^x_{1,2} - 2.0·S^y_{0,2} + 0.5·S^z_{0,1}"
+    assert _display(SchwingerExpression(3, terms)) == (
+        "0.5·S^z_{0,1} + 1.0·S^x_{0,1} - 1.0·S^y_{0,2} + 1.0·S^x_{1,2}"
     )
 
 
@@ -479,21 +486,25 @@ _HERMITIAN = {
     kind=st.sampled_from(sorted(_HERMITIAN)),
 )
 def test_display_expressions_match_the_reference(n, d, seed, wire_labels, kind):
+    # the coordinate rows of each stack render as the reference renders the
+    # matrices those rows stand for
     rng = np.random.default_rng(seed)
     gens = [_HERMITIAN[kind](rng, n) for _ in range(d)]
     if rng.random() < 0.2:
         gens[0] = np.zeros((n, n), dtype=complex)
     labels = [f"{i // 2}{'ab'[i % 2]}" for i in range(n)] if wire_labels else None
-    expected = [reference_display_expression(g, labels) for g in gens]
-    assert schwinger.display_expressions(gens, labels) == expected
-    assert schwinger.display_expressions(np.array(gens), labels) == expected
+    w = reference_coordinates(gens)
+    expected = [reference_display_expression(m, labels) for m in reference_from_coordinates(w)]
+    assert schwinger.coordinate_expressions(w, labels) == expected
 
 
 def test_display_expressions_run_across_blocks_and_check_hermiticity():
+    # every coordinate row stands for a Hermitian matrix, so the display has
+    # no matrix to check
     rng = np.random.default_rng(9)
     gens = [_mixed_hermitian(rng, 5) for _ in range(2 * schwinger.DISPLAY_BLOCK + 3)]
-    out = schwinger.display_expressions(gens)
-    assert out == [reference_display_expression(g) for g in gens]
-    gens[-1][0, 1] += 1e-6
-    with pytest.raises(NonHermitian):
-        schwinger.display_expressions(gens)
+    w = reference_coordinates(gens)
+    ms = schwinger.from_coordinates(w)
+    assert np.array_equal(ms, ms.conj().swapaxes(1, 2))
+    out = schwinger.coordinate_expressions(w)
+    assert out == [reference_display_expression(m) for m in reference_from_coordinates(w)]

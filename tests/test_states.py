@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import wire_z_form
+from conftest import six_mode_factors, wire_z_form
 from gnl import fock, graphs, nullifiers, schwinger, states
 from gnl.errors import (
     IndexOutOfRange,
@@ -18,6 +18,11 @@ from gnl.errors import (
 
 def _matrix(expr):
     return schwinger.expression_to_matrix(expr)
+
+
+def _tms_pair_nullifiers():
+    """S^x_A - S^x_B, S^y_A + S^y_B, S^z_A - S^z_B and S^0_A - S^0_B."""
+    return [states.bell_nullifier("phi+", axis) for axis in "xyz0"]
 
 
 def test_tms_pair_edges():
@@ -36,7 +41,7 @@ def test_tms_pair_edges():
 
 def test_tms_pair_nullifiers_all_pass():
     k = states.tms_pair(0.5)
-    exprs = states.tms_pair_nullifiers()
+    exprs = _tms_pair_nullifiers()
     assert len(exprs) == 4
     for expr in exprs:
         ok, res = nullifiers.is_nullifier(_matrix(expr), k)
@@ -45,7 +50,7 @@ def test_tms_pair_nullifiers_all_pass():
 
 def test_tms_pair_detuning_breaks_the_mixing_axes_only():
     k = states.tms_pair(0.5, alpha_second=0.6)
-    exprs = states.tms_pair_nullifiers()
+    exprs = _tms_pair_nullifiers()
     for expr in exprs[:2]:
         ok, res = nullifiers.is_nullifier(_matrix(expr), k)
         assert not ok and res > 1e-3
@@ -62,7 +67,7 @@ def test_four_mode_symmetries_pass_and_detune():
     # spins A and B of the pair
     k = states.tms_pair(0.5)
     detuned = states.tms_pair(0.5, alpha_second=0.6)
-    exprs = states.tms_pair_nullifiers()[:3]
+    exprs = _tms_pair_nullifiers()[:3]
     grid = np.linspace(0.0, 2.0 * np.pi, 16)
     for expr in exprs:
         m = _matrix(expr)
@@ -390,7 +395,7 @@ def test_wire_overlap_forms_are_the_same_operator():
 def test_six_mode_decomposition_nullifies_and_factors_compose():
     for n in (3, 4):
         layout = states.WireLayout(n, 0.5)
-        expr, factors = states.six_mode_symmetry_decomposition(layout, 0.3)
+        expr, factors = states.six_mode_symmetry(layout), six_mode_factors(layout, 0.3)
         m = _matrix(expr)
         ok, res = nullifiers.is_nullifier(m, states.dual_rail_wire(layout))
         assert ok and res <= 1e-10
@@ -407,21 +412,24 @@ def test_six_mode_decomposition_nullifies_and_factors_compose():
 
 def test_six_mode_decomposition_at_theta_zero():
     layout = states.WireLayout(3, 0.5)
-    _, factors = states.six_mode_symmetry_decomposition(layout, 0.0)
+    factors = six_mode_factors(layout, 0.0)
     for f in (factors[1], factors[3]):
         assert np.max(np.abs(f - np.eye(6))) < 1e-14
     # the beam-splitter factors are theta-independent and square to one
     assert np.max(np.abs(factors[0] @ factors[2] - np.eye(6))) < 1e-12
-    with pytest.raises(TooFewSpins):
-        states.six_mode_symmetry_decomposition(states.WireLayout(2, 0.5), 0.1)
+    # and the generator's exponential at theta = 0 is the identity too
+    m = _matrix(states.six_mode_symmetry(layout))
+    assert np.max(np.abs(schwinger.generator_to_unitary(m, 0.0) - np.eye(6))) < 1e-14
 
 
 def test_the_six_mode_symmetry_is_the_decomposition_s_expression():
     for spins in (3, 4, 6):
         layout = states.WireLayout(spins, 0.5)
-        expr = states.six_mode_symmetry(layout)
-        assert expr == states.six_mode_symmetry_decomposition(layout, 0.4)[0]
-        ok, res = nullifiers.is_nullifier(_matrix(expr), states.dual_rail_wire(layout))
+        m = _matrix(states.six_mode_symmetry(layout))
+        factors = six_mode_factors(layout, 0.4)
+        full = factors[3] @ factors[2] @ factors[1] @ factors[0]
+        assert np.max(np.abs(full - schwinger.generator_to_unitary(m, 0.4))) < 1e-12
+        ok, res = nullifiers.is_nullifier(m, states.dual_rail_wire(layout))
         assert ok and res <= 1e-10
     with pytest.raises(TooFewSpins):
         states.six_mode_symmetry(states.WireLayout(2, 0.5))
