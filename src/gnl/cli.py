@@ -31,6 +31,15 @@ present, that is when a token is ``--config`` or starts with
 norms are numpy sums, not ``np.vdot``, whose OpenBLAS result on a long
 vector moved in the last digit with the thread count.
 
+Each flag is declared once, in the argparse tree of :func:`build_parser`.
+A line is parsed in one pass over its subcommand's flag table, which
+:func:`_flag_table` reads off that tree once: each option string's dest,
+type, nargs and choices, the defaults and the required dests.  The table
+takes a strict subset of the lines argparse takes and gives the same
+namespace; :func:`_parse` returns None for every other line (help, ``--``,
+an abbreviation, a usage error, any ``--config`` line), and argparse
+parses or refuses it and writes every help, usage and error text.
+
 ``--format json`` output is exactly ``json.dumps(payload, indent=2)`` plus a
 newline.  The stdlib writes every value but the two large tables of numbers,
 the ``nullifiers`` generator stack and the ``oracle`` amplitude records; one
@@ -444,8 +453,10 @@ def _config_parser():
 def build_parser():
     """The argparse tree, built once; parse_args leaves it untouched.
 
-    Its ``config_flags`` attribute maps each subcommand to the config keys it
-    takes: the dest of every optional flag with one value, mapped to the flag.
+    Its ``flag_tables`` attribute maps each subcommand to its flag table
+    (see :func:`_flag_table`).  Its ``config_flags`` attribute, read off
+    those tables, maps each subcommand to the config keys it takes: the dest
+    of every optional flag with one value, mapped to the flag.
     """
     parser = argparse.ArgumentParser(
         prog="gnl",
@@ -506,15 +517,126 @@ def build_parser():
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_state, format="dot")
 
-    parser.config_flags = {
-        name: {
-            a.dest: a.option_strings[0]
-            for a in p._actions
-            if a.option_strings and a.nargs is None and not a.required
-        }
+    top = {**parser._defaults, **_action_defaults(parser)}
+    parser.flag_tables = {
+        name: _flag_table(p, {**top, sub.dest: name})
         for name, p in sub.choices.items()
     }
+    parser.config_flags = {
+        name: {
+            dest: option
+            for option, (dest, _, nargs, _) in options.items()
+            if nargs is None and dest not in required
+        }
+        for name, (options, _, _, required, _) in parser.flag_tables.items()
+    }
     return parser
+
+
+def _flag_table(sub, top):
+    """The flag table of subparser sub, read off its argparse actions.
+
+    top is the namespace the top-level parser hands down: its defaults and
+    the subcommand.  Returns (options, positionals, defaults, required,
+    number):
+
+    * options maps each option string of a store action of one value or of
+      a fixed count of values to (dest, type, nargs, choices); -h and every
+      other action are left out, so argparse parses a line that uses them;
+    * positionals holds that tuple for each positional, which takes one
+      token;
+    * defaults is the namespace of a line that gives no flag, merged as
+      argparse merges it: top, the ``set_defaults`` values, the actions'
+      defaults; the dests of required actions are left out;
+    * required holds those dests, which a line must give;
+    * number matches a negative number, which argparse reads as a value.
+    """
+    options, positionals = {}, []
+    for a in sub._actions:
+        flag = (a.dest, a.type or str, a.nargs, a.choices)
+        if not a.option_strings:
+            positionals.append(flag)
+        elif type(a) is argparse._StoreAction and (a.nargs is None or type(a.nargs) is int):
+            options.update(dict.fromkeys(a.option_strings, flag))
+    required = {a.dest for a in sub._actions if a.required}
+    defaults = {**top, **sub._defaults, **_action_defaults(sub)}
+    return options, positionals, defaults, required, sub._negative_number_matcher.match
+
+
+def _parse(argv):
+    """``build_parser().parse_args(argv)`` of a well-formed line, or None.
+
+    One pass over argv with the flag table of its subcommand (see
+    :func:`_flag_table`).  The table takes a strict subset of the lines
+    argparse takes.  It returns None for every other line: a first token
+    that is no subcommand; a token starting with ``-`` that is neither an
+    option string of the subcommand nor a negative number (``-h``, ``--``,
+    an abbreviation); ``--flag=value`` on a flag of several values; a
+    missing or option-like value; a wrong count of positionals; a missing
+    required flag; a value that its type or choices refuse.  argparse then
+    parses or refuses that line and writes every usage, error and help text.
+    """
+    table = build_parser().flag_tables.get(argv[0]) if argv else None
+    if table is None:
+        return None
+    options, positionals, defaults, required, number = table
+    given = []  # (flag, its value tokens), in line order
+    free = []  # the positionals' tokens
+    i = 1
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if token[:1] != "-" or number(token):
+            free.append(token)
+            continue
+        flag = options.get(token)
+        if flag is not None:
+            count = flag[2] or 1
+            tokens = argv[i:i + count]
+            i += count
+            if len(tokens) < count or any(t[:1] == "-" and not number(t) for t in tokens):
+                return None
+        else:
+            option, eq, value = token.partition("=")
+            flag = options.get(option)
+            if not eq or flag is None or flag[2] is not None:
+                return None
+            tokens = [value]
+        given.append((flag, tokens))
+    if len(free) != len(positionals):
+        return None
+    values = dict(defaults)
+    for flag, tokens in given + [(flag, [t]) for flag, t in zip(positionals, free)]:
+        value = _value(flag, tokens)
+        if value is None:
+            return None
+        values[flag[0]] = value  # a flag given twice keeps its last value
+    if not required <= values.keys():
+        return None
+    args = argparse.Namespace()
+    vars(args).update(values)  # a third of the cost of Namespace(**values)
+    return args
+
+
+def _action_defaults(parser):
+    """{dest: default} of the actions of parser that have a default and are optional."""
+    return {a.dest: a.default for a in parser._actions
+            if a.default is not argparse.SUPPRESS and not a.required}
+
+
+def _value(flag, tokens):
+    """The value of flag from its tokens, or None where argparse refuses one.
+
+    No type of the tree returns None.
+    """
+    _, convert, nargs, choices = flag
+    try:
+        values = [convert(t) for t in tokens]
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    if choices is not None and not all(v in choices for v in values):
+        return None
+    return values if nargs else values[0]
 
 
 def _with_config(argv, rest, path):
@@ -549,7 +671,9 @@ def main(argv=None):
             config, rest = _config_parser().parse_known_args(argv)
             if config.config is not None:
                 argv = _with_config(argv, rest, config.config)
-        args = build_parser().parse_args(argv)
+        # argparse parses what the flag table leaves and writes every usage,
+        # error and help text
+        args = _parse(argv) or build_parser().parse_args(argv)
         return args.func(args)
     except (GnlError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -448,6 +448,26 @@ def _coordinate_table(w):
     return np.hstack(parts + [2.0 * (np.sqrt(0.5) * w[:, n:])])
 
 
+_HALF_MAX = np.finfo(float).max / 2
+
+
+def _check_rows(w):
+    """Refuse coordinate rows whose Schwinger coefficients are not all finite.
+
+    Raises
+    ------
+    ShapeMismatch
+        An entry of w is NaN or infinite.
+    PrecisionLimit
+        A coefficient of a finite row overflows the float range.
+    """
+    graphs.finite(w, "coordinate row")
+    with np.errstate(over="ignore"):
+        table = _coordinate_table(w)
+    if not np.isfinite(table).all():
+        raise PrecisionLimit("a coordinate row's Schwinger coefficients overflow the float range")
+
+
 def coordinate_expressions(w, labels=None):
     """Pretty Schwinger expression of the matrix of each coordinate row.
 
@@ -467,6 +487,13 @@ def coordinate_expressions(w, labels=None):
     labels : list of str, optional
         Per-mode labels replacing the bare indices (e.g. "1a" for wire
         spin/rail naming).
+
+    Raises
+    ------
+    ShapeMismatch
+        A row has a NaN or infinite entry, which would render as "0".
+    PrecisionLimit
+        A finite row's coefficients overflow the float range.
     """
     n = math.isqrt(w.shape[1])
     if labels is None:
@@ -476,7 +503,12 @@ def coordinate_expressions(w, labels=None):
     )
     out = []
     for start in range(0, len(w), DISPLAY_BLOCK):
-        table = _coordinate_table(w[start:start + DISPLAY_BLOCK])
+        block = w[start:start + DISPLAY_BLOCK]
+        # no coefficient of rows below half the float range overflows; NaN
+        # fails the comparison too
+        if not np.abs(block).max() <= _HALF_MAX:
+            _check_rows(block)
+        table = _coordinate_table(block)
         mags = np.abs(table)
         scale = mags.max(axis=1, initial=0.0)
         keep = (table != 0.0) & (mags >= 1e-12 * scale[:, None])

@@ -90,7 +90,8 @@ def test_a_pair_with_a_failed_side_counts_against_the_gain():
 
 _REPORTER = """
 import json, os
-settings = {key: os.environ.get(key) for key in ("MALLOC_MMAP_THRESHOLD_", "OPENBLAS_NUM_THREADS")}
+settings = {key: value for key, value in os.environ.items()
+            if key.startswith("MALLOC_") or key == "OPENBLAS_NUM_THREADS"}
 print(json.dumps({"settings": settings, "cpus": sorted(os.sched_getaffinity(0))}))
 print(json.dumps({"metrics": {"ops_per_s": {"value": 1.0}}}))
 """
@@ -101,7 +102,9 @@ def test_both_sides_run_with_the_same_settings_on_the_same_cpu(tmp_path, monkeyp
     for side in ("parent", "change"):
         (tmp_path / side / "bench").mkdir(parents=True)
         (tmp_path / side / "bench" / "run.py").write_text(_REPORTER)
-    monkeypatch.setenv("MALLOC_MMAP_THRESHOLD_", "1")  # the constant wins
+    # an inherited allocator tunable is dropped: both sides run the default allocator
+    monkeypatch.setenv("MALLOC_MMAP_THRESHOLD_", "1")
+    monkeypatch.setenv("MALLOC_ARENA_MAX", "2")
     ours = os.sched_getaffinity(0)
     out = tmp_path / "pairs.json"
     assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
@@ -115,5 +118,4 @@ def test_both_sides_run_with_the_same_settings_on_the_same_cpu(tmp_path, monkeyp
     for r in runs:
         assert json.loads(r["stdout"][0]) == {"settings": bench_pairs.CHILD_ENV, "cpus": [cpu]}
         assert (r["env"], r["cpu"]) == (bench_pairs.CHILD_ENV, cpu)
-    assert bench_pairs.CHILD_ENV == {"MALLOC_MMAP_THRESHOLD_": "4194304",
-                                     "OPENBLAS_NUM_THREADS": "1"}
+    assert bench_pairs.CHILD_ENV == {"OPENBLAS_NUM_THREADS": "1"}

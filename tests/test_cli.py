@@ -1,5 +1,8 @@
 """Command-line surface: payload shapes, exit codes, config handling."""
 
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -516,6 +519,116 @@ def test_config_is_parsed_only_when_given(argv, parsed, outcome, tmp_path, capsy
     code, out, err = outcome
     assert (rc, captured.out, captured.err) == (code, out, err.replace("{cfg}", str(cfg)))
     assert len(calls) == parsed
+
+
+# ----------------------------------------------------------------------
+# parsing: the flag table for well-formed lines, argparse for the rest
+
+
+def _argparse(argv):
+    """build_parser().parse_args(argv), or ("exit", code) when argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return ("exit", exc.code)
+
+
+def _subparser(name):
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if a.dest == "command").choices[name]
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["check", "-h"]])
+def test_help_exits_0_with_the_parsers_help(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = _subparser(argv[0]) if len(argv) > 1 else cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (parser.format_help(), "")
+
+
+def test_abbreviated_flags_parse_as_the_full_ones(capsys):
+    full = run(capsys, "check", "tms", "--gen", "z", "--cutoff", "4", "--theta-points", "3")
+    assert full[0] == 0
+    assert run(capsys, "check", "tms", "--gen", "z", "--cut", "4", "--theta", "3") == full
+
+
+def test_a_value_argparse_reads_as_an_option_is_a_usage_error(capsys):
+    # argparse takes "-0.5" and "-.5" for negative numbers, not "-1e-3"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["state", "tms", "--alpha", "-1e-3"])
+    assert exc.value.code == 2
+    assert "error: argument --alpha: expected one argument\n" in capsys.readouterr().err
+    assert run(capsys, "state", "tms", "--alpha=-.5") == (2, "", "error: alpha must be > 0\n")
+
+
+_OPTIONS = sorted({o for name in cli.build_parser().flag_tables
+                   for o in _subparser(name)._option_string_actions})
+_VALUES = ["-0.5", "-.5", "-1e-3", "nan", "inf", "08", "a b", "-a b", "", "-", "0.5", "4",
+           "x", "tms", "wire", "bell:phi+", "json", "text", "dot", "xml"]
+_ABBREVIATIONS = ["--cut", "--theta", "--a", "--fo", "--c"]
+# flags and values that most subcommands take, apart or joined by "="
+_FITTING = st.sampled_from([
+    ("--alpha", "0.5"), ("--alpha", "-.5"), ("--alpha", "nan"), ("--spins", "08"),
+    ("--g", "a b"), ("--format", "json"), ("--format", "text"), ("--out", "-a b"),
+]).flatmap(lambda t: st.sampled_from([list(t), ["=".join(t)]]))
+# anything else: one token, a flag and a value, or a flag and four values
+_ODD = st.one_of(
+    st.sampled_from(_OPTIONS + _VALUES + _ABBREVIATIONS + ["--"]).map(lambda t: [t]),
+    st.tuples(st.sampled_from(_OPTIONS + _ABBREVIATIONS), st.sampled_from(_VALUES))
+    .flatmap(lambda t: st.sampled_from([list(t), ["=".join(t)]])),
+    st.lists(st.sampled_from(_VALUES), min_size=4, max_size=4).map(lambda v: ["--coeffs", *v]),
+)
+# what a line of each subcommand starts with: nothing, a state, a state and --gen
+_HEADS = {"check": [[], ["tms"], ["tms", "--gen", "z"]],
+          "twomode": [[], ["--coeffs", "1", "0", "-.5", "0"]]}
+
+
+@st.composite
+def _lines(draw):
+    command = draw(st.sampled_from([*cli.build_parser().flag_tables, "nope", "--config", "-h"]))
+    heads = _HEADS.get(command, [[], ["tms"]])
+    runs, odd = draw(st.lists(_FITTING, max_size=3)), draw(st.lists(_ODD, max_size=1))
+    runs = odd + runs if draw(st.booleans()) else runs + odd
+    head = heads[min(draw(st.integers(0, 3)), len(heads) - 1)]
+    return [command, *head, *(t for run in runs for t in run)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=_lines())
+@example(argv=["twomode", "--coeffs", "1", "0", "-.5", "0", "--coeffs=1"])
+@example(argv=["state", "tms", "--alpha", "-1e-3"])
+@example(argv=["state", "tms", "--alpha"])
+@example(argv=["state", "-1e-3"])
+@example(argv=["state", "-.5", "--alpha", "-0.5"])
+@example(argv=["state", "tms", "--alpha", "nan", "--format=dot"])
+@example(argv=["state", "tms", "--format", "xml"])
+@example(argv=["oracle", "tms", "--cutoff", "x"])
+@example(argv=["check", "tms", "--cut", "4"])
+@example(argv=["check", "tms"])
+@example(argv=["state", "tms", "wire"])
+@example(argv=["state", "--", "tms"])
+def test_the_flag_table_parses_a_subset_of_what_argparse_parses(argv):
+    parsed, expected = cli._parse(argv), _argparse(argv)
+    if parsed is not None:
+        assert isinstance(expected, argparse.Namespace), argv  # argparse did not exit
+        # repr compares NaN to NaN ("--alpha nan"); vars order may differ
+        assert repr(sorted(vars(parsed).items())) == repr(sorted(vars(expected).items()))
+
+
+def test_every_benchmark_command_line_takes_the_flag_table(tmp_path):
+    sys.path.insert(0, str(SRC.parent / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    for workload in ("solve", "verify", "small"):
+        for command in workloads.build(workload, 31, str(tmp_path)):
+            parsed = cli._parse(command.argv)
+            assert parsed is not None, command.argv
+            assert parsed == cli.build_parser().parse_args(command.argv)
 
 
 _FLOATS = st.floats() | st.sampled_from(

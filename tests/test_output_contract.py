@@ -1,6 +1,7 @@
-"""tools/output_contract.py: two checkouts run the benchmark commands alike."""
+"""tools/output_contract.py: two checkouts run the benchmark commands and parser lines alike."""
 
 import importlib.util
+import json
 import shutil
 from pathlib import Path
 
@@ -81,3 +82,40 @@ def test_the_command_line_needs_both_checkouts(capsys):
 )
 def test_each_difference_is_structural_or_numbers_only(old, new, kind):
     assert output_contract.classify(old, new) == kind
+
+
+def test_the_parser_lines_run_alike_with_their_config_file(tmp_path, capsys):
+    argvs = output_contract.parser_lines(tmp_path)
+    config = tmp_path / "config.json"
+    assert ["--config", str(config), "state", "tms"] in argvs and config.exists()
+    assert output_contract.compare(ROOT, ROOT, [output_contract.PARSER_RUN]) == (len(argvs), 0)
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == [f"parser lines: 0 of {len(argvs)} commands differ (0 structural)",
+                        f"all: 0 of {len(argvs)} commands differ"]
+
+
+def test_the_worker_pins_the_terminal_width_that_argparse_wraps_to(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "30")
+    commands = tmp_path / "commands.json"
+    commands.write_text(json.dumps([["-h"], ["state", "tms", "--format", "xml"]]))
+    (help_code, help_out, _), (code, _, err) = output_contract.run_checkout(
+        ROOT, commands, tmp_path / "results.json")
+    assert (help_code, code) == (0, 2)
+    assert help_out.startswith("usage: gnl [-h] [--config CONFIG]\n"
+                               "           {state,nullifiers,check,twomode,oracle,export} ...\n")
+    assert err.endswith("gnl state: error: argument --format: invalid choice: 'xml' "
+                        "(choose from 'json', 'dot', 'text')\n")
+
+
+def test_a_doctored_parser_is_reported_on_the_parser_lines(tmp_path, capsys):
+    # the doctored copy abbreviates no flag: "--cut" and "--theta" become usage errors
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "gnl" / "cli.py"
+    cli.write_text(cli.read_text().replace(
+        'sub = parser.add_subparsers(dest="command", required=True)',
+        'sub = parser.add_subparsers(dest="command", required=True)\n'
+        '    sub.add_parser = functools.partial(sub.add_parser, allow_abbrev=False)'))
+    total, differing = output_contract.compare(ROOT, tmp_path, [output_contract.PARSER_RUN])
+    out = capsys.readouterr().out
+    assert (total, differing) == (len(output_contract.PARSER_LINES), 1)
+    assert "parser lines: check tms --gen z --cut 4 --theta 3: exit code differs" in out

@@ -508,3 +508,15 @@ def test_display_expressions_run_across_blocks_and_check_hermiticity():
     assert np.array_equal(ms, ms.conj().swapaxes(1, 2))
     out = schwinger.coordinate_expressions(w)
     assert out == [reference_display_expression(m) for m in reference_from_coordinates(w)]
+
+
+def test_display_refuses_a_non_finite_coordinate_row():
+    # a NaN row would render as "0", a vacuous zero generator
+    with pytest.raises(ShapeMismatch, match="coordinate row entries must be finite"):
+        schwinger.coordinate_expressions(np.array([[np.nan, 0.0, 1.0, 0.0]]))
+
+
+def test_display_refuses_a_finite_row_whose_coefficients_overflow():
+    # the diagonal pair's S^0 and S^z coefficients are 1e308 -+ -1e308
+    with pytest.raises(PrecisionLimit, match="overflow"):
+        schwinger.coordinate_expressions(np.array([[1e308, -1e308, 0.0, 0.0]]))

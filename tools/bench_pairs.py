@@ -11,19 +11,17 @@ is odd, one run at a time; pairs already in the output file for the same
 workload, seed and trace setting are counted first. Each checkout runs its own bench/ and
 src/.
 
-Both sides run alike: every run gets the environment settings of CHILD_ENV
-and is pinned to one CPU, the lowest of those this process may use, by
-``os.sched_setaffinity`` in the child before it starts the harness. glibc
-moves its mmap threshold with a process's allocation history unless
-MALLOC_MMAP_THRESHOLD_ fixes it, so an edit off a workload's code path could
-move that workload; and the CPUs of a shared VM can differ in speed by tens
-of percent. Both settings are constants and each run's record states them.
-Setting MALLOC_MMAP_THRESHOLD_ also fixes glibc's trim threshold at its
-128 kB default, so each run returns the top of its heap to the system and
-takes page faults when it grows again. The command of BENCHMARK.json runs
-with the default allocator, whose thresholds move, so a gain or loss that
-comes from allocation can read differently there; check such a claim with
-plain ``bench/run.py`` runs too.
+Both sides run alike, and as the command of BENCHMARK.json runs. Every run
+gets the environment settings of CHILD_ENV (one BLAS thread) and no glibc
+allocator tunable: each inherited ``MALLOC_*`` variable is dropped, so the
+run uses the default allocator. Every run is pinned to one CPU, the lowest
+of those this process may use, by ``os.sched_setaffinity`` in the child
+before it starts the harness, because the CPUs of a shared VM can differ in
+speed by tens of percent. Both settings are constants and each run's record
+states them. A fixed MALLOC_MMAP_THRESHOLD_, as older pair files used, also
+fixes glibc's trim threshold at its 128 kB default: each run returns the
+top of its heap to the system and takes page faults when it grows again,
+so a pair run read a change differently from the declared command.
 
 The output file holds every run's stdout, line by line, as the harness
 printed it (the metric lines, the ``{"raw": ...}`` and ``{"env": ...}``
@@ -49,9 +47,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# the allocator setting that closed a 12-14 % gap between two processes of
-# equal per-command speed, and one BLAS thread
-CHILD_ENV = {"MALLOC_MMAP_THRESHOLD_": "4194304", "OPENBLAS_NUM_THREADS": "1"}
+# one BLAS thread; the allocator stays at its defaults, as in BENCHMARK.json
+CHILD_ENV = {"OPENBLAS_NUM_THREADS": "1"}
 
 
 def run_once(checkout, workload, seed, seconds, trace, cpu):
@@ -60,7 +57,9 @@ def run_once(checkout, workload, seed, seconds, trace, cpu):
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=False,
-        env={**os.environ, **CHILD_ENV}, preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
+        env={**{k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")},
+             **CHILD_ENV},
+        preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
     )
     return proc.returncode, proc.stdout.splitlines()
 

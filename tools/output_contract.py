@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare two checkouts' output on every command of the benchmark lists.
+"""Compare two checkouts' output on the benchmark's commands and on parser lines.
 
     python3 tools/output_contract.py --parent DIR --change DIR
 
@@ -7,15 +7,19 @@ For each workload of WORKLOADS and seed of SEEDS, the command list of ``bench/wo
 is built once, by this checkout's bench/, into one work directory that both
 sides read: the payload of ``check --gen @FILE`` echoes the file's path, so
 inputs written twice, to two directories, would differ where the program
-does not. Each checkout then runs ``gnl.cli.main`` over the list in a fresh
-subprocess that imports gnl from that checkout's src/, one command after
-another in list order and on one BLAS thread, as bench/run.py does, and
-keeps the exit code, stdout and stderr of each.
+does not. The benchmark's lists hold no help, usage error or abbreviated
+flag, so one more list, PARSER_LINES, holds such lines; its ``--config``
+run reads one file written to its work directory. Each checkout then runs
+``gnl.cli.main`` over each list in a fresh subprocess that imports gnl from
+that checkout's src/, one command after another in list order, on one BLAS
+thread as bench/run.py does, and with COLUMNS pinned, so argparse wraps its
+help and usage alike on both sides; it keeps the exit code, stdout and
+stderr of each.
 
-Prints, per workload and seed, each command whose exit code, stdout or
-stderr differ, with the first line that differs and the kind of the
-difference (see ``classify``), and a count; exits 1 if any command differs
-and 0 otherwise. Nothing under bench/ is written.
+Prints, per workload and seed and for the parser lines, each command whose
+exit code, stdout or stderr differ, with the first line that differs and
+the kind of the difference (see ``classify``), and a count; exits 1 if any
+command differs and 0 otherwise. Nothing under bench/ is written.
 """
 
 import argparse
@@ -34,6 +38,24 @@ ROOT = Path(__file__).resolve().parent.parent
 PARTS = ("exit code", "stdout", "stderr")
 WORKLOADS = ("solve", "verify", "small")
 SEEDS = (31, 32, 33)
+# the run of compare() that stands for PARSER_LINES
+PARSER_RUN = ("parser lines", None)
+# lines that argparse parses, refuses or answers with help; "{config}" is
+# the path of a config file that sets alpha 0.9 and the text format
+PARSER_LINES = (
+    ["-h"],
+    ["check", "-h"],
+    ["check", "tms", "--gen", "z", "--cut", "4", "--theta", "3"],
+    ["state", "tms", "--alpha", "-1e-3"],
+    ["state", "tms", "--alpha=-.5"],
+    ["nope"],
+    ["check", "tms"],
+    ["twomode", "--coeffs", "1", "2"],
+    ["state", "tms", "--format", "xml"],
+    ["oracle", "tms", "--cutoff", "x"],
+    ["state", "tms", "--config"],
+    ["--config", "{config}", "state", "tms"],
+)
 
 
 def invoke(main, argv):
@@ -65,6 +87,7 @@ def run_checkout(checkout, commands, results):
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
+    env["COLUMNS"] = "80"  # argparse wraps help and usage to the terminal
     subprocess.run(
         [sys.executable, __file__, "--worker", str(Path(checkout) / "src"),
          str(commands), str(results)],
@@ -170,9 +193,17 @@ def classify(old, new):
             f"payload's max |value| {scale:.2e}")
 
 
+def parser_lines(work):
+    """PARSER_LINES, with the config file they read written into work."""
+    config = Path(work) / "config.json"
+    config.write_text(json.dumps({"alpha": 0.9, "format": "text"}))
+    return [[token.format(config=config) for token in line] for line in PARSER_LINES]
+
+
 def compare(parent, change, runs):
-    """Print the differing commands of each (workload, seed) in runs; return
-    the number of commands run and the number that differ."""
+    """Print the differing commands of each (workload, seed) in runs, or of
+    PARSER_LINES for PARSER_RUN; return the number of commands run and the
+    number that differ."""
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
 
@@ -181,7 +212,11 @@ def compare(parent, change, runs):
         for workload, seed in runs:
             work = Path(tmp) / f"{workload}-{seed}"
             work.mkdir()
-            argvs = [c.argv for c in workloads.build(workload, seed, str(work))]
+            if (workload, seed) == PARSER_RUN:
+                label, argvs = workload, parser_lines(work)
+            else:
+                label = f"{workload} seed {seed}"
+                argvs = [c.argv for c in workloads.build(workload, seed, str(work))]
             commands = work / "commands.json"
             commands.write_text(json.dumps(argvs))
             old_out = run_checkout(parent, commands, work / "parent.json")
@@ -191,13 +226,13 @@ def compare(parent, change, runs):
                 if old == new:
                     continue
                 for cmd, part, a, b in differences([argv], [old], [new]):
-                    print(f"{workload} seed {seed}: {' '.join(cmd)}: {part} differs\n"
+                    print(f"{label}: {' '.join(cmd)}: {part} differs\n"
                           f"  parent: {a!r}\n  change: {b!r}")
                 kind = classify(old, new)
                 print(f"  {kind}")
                 commands_differing += 1
                 structural += kind.startswith("structural")
-            print(f"{workload} seed {seed}: {commands_differing} of {len(argvs)} "
+            print(f"{label}: {commands_differing} of {len(argvs)} "
                   f"commands differ ({structural} structural)", flush=True)
             total += len(argvs)
             differing += commands_differing
@@ -216,7 +251,7 @@ def main(argv=None):
         return 0
     if args.parent is None or args.change is None:
         parser.error("--parent and --change are required")
-    runs = [(workload, seed) for workload in WORKLOADS for seed in SEEDS]
+    runs = [(workload, seed) for workload in WORKLOADS for seed in SEEDS] + [PARSER_RUN]
     _, differing = compare(args.parent, args.change, runs)
     return 1 if differing else 0
 
