@@ -58,6 +58,7 @@ graphs.RTOL max|K| (1 + 2 pi max|M|).
 import argparse
 import functools
 import json
+import re
 import sys
 
 import numpy as np
@@ -441,6 +442,12 @@ def _add_output_arguments(sub, formats=("json", "text"), default="text"):
     sub.add_argument("--out", help="output path (default stdout)")
 
 
+# a negative number in decimal or exponent form ("-1e-3", "-2.5E+4"), which
+# the twomode parser reads as a value where argparse's own rule
+# (^-\d+$|^-\d*\.\d+$) reads an option
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 @functools.cache
 def _config_parser():
     # no abbreviations: "--c" must stay free for a subcommand's --cutoff
@@ -495,6 +502,9 @@ def build_parser():
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("twomode", help="solve the two-mode invariance class")
+    # --coeffs takes several values, so it has no "--coeffs=-1e-3" form: its
+    # negative values may be written in exponent form too
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     p.add_argument(
         "--coeffs", type=float, nargs=4, required=True,
         metavar=("A", "B", "C", "D"),

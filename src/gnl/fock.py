@@ -16,19 +16,22 @@ dtype follows K: a K with no imaginary part runs the whole recursion, the
 operator and the residual in float64, any other K in complex128 (a complex
 M makes the operator's output complex on either).  It is one path, generic
 in the dtype.
-Every step between two sectors is one gather through a whole table, with
-no scatter and no loop over the modes.  Two index tables per sector serve
-it (see _ladder): `flat` maps each mode j and occupation mu of sector t to
-mu - e_j in n rows over sector t - 1 read flat, which makes adag_j for all
-j, or all the routes below, one gather; `up` maps each occupation nu of
-sector t - 1 to nu + e_j in sector t, which makes a_j for all j one gather.
-Every array gathered from carries one zero entry past its last column,
-which the entries with mu_j = 0 read.  The sqrt weights are applied on the
-smaller sector, before the raise or after the lowering: sqrt(mu_j) c(mu -
-e_j) is sqrt(nu_j + 1) c(nu) at nu = mu - e_j.  The gathers of the top
-sector run in column blocks, and every step writes into the work arrays
-its call made once (see _Scratch).  One recursion step works through the
-odd sector t - 1:
+Every step between two sectors runs on one pair table per sector (see
+_ladder): it lists each mode j and occupation mu of sector t with mu_j > 0,
+in mode-major order, with the column of mu and the weight sqrt(mu_j).  In
+that order the pairs of mode j are the occupations mu - e_j of sector t - 1
+in theirs, so an (n, N_{t-1}) array over sector t - 1, one row per mode,
+lines up with the pairs of sector t as it is: a gather of a sector vector
+through the columns is a_j for every j at once, one ``np.bincount`` through
+them sums such an array over the modes, and adag_j writes each row to its
+columns.  Only occupied modes have pairs, a share t / (t + n - 1) of the
+n N_t (mode, occupation) entries of sector t.  The arrays of a step carry
+one spare column, and the vectors one zero entry past their end, which the
+spare pairs read and sum into: the matrix products then keep the column
+count that BLAS rounded by before (its kernels round a column alike only
+within one column count).  Every step writes into the work arrays its call
+made once (see _Scratch).  One recursion step works through the odd sector
+t - 1:
 
     D = K (adag c_{t-2}) / sqrt(nu_i + 1)       an (n, N_{t-1}) array
     route i:  c_t(mu) = D[i, mu - e_i]
@@ -75,16 +78,16 @@ from .errors import FockTooLarge, InconsistentRecursion, OddCutoff, ShapeMismatc
 # amplitudes below this are dropped from JSON exports
 EXPORT_CUTOFF = 1e-14
 # the largest ladder the oracle builds: C(cutoff + n, n) amplitudes over the
-# sectors 0..cutoff, which also bounds their count, cutoff + 1, and keeps
-# every int32 index of the tables below 2^31; 16 modes at cutoff 8 hold
-# 7.4e5 amplitudes and need about 120 MB with their tables (see _check_size)
+# sectors 0..cutoff, which also bounds their count, cutoff + 1; 16 modes at
+# cutoff 8 hold 7.4e5 amplitudes and need about 88 MB with their tables
+# (see _check_size)
 MAX_FOCK_AMPLITUDES = 10**6
 # bytes of sector tables a process keeps between calls (see _ladder); the
-# verify workload holds about 2.9e6, a 6-spin wire at cutoff 8 about 1.0e7
+# verify workload holds about 3.2e6, a 6-spin wire at cutoff 8 about 1.1e7
 SECTOR_CACHE_BYTES = 2**24
 # the bytes of Python objects one cached sector holds beside its arrays' data:
 # four array headers, the tables' tuple and its list slot; a 1-mode ladder of
-# 200,001 sectors held 597 bytes a sector by tracemalloc, 21 of them data
+# 200,001 sectors held 613 bytes a sector by tracemalloc, 37 of them data
 ENTRY_BYTES = 600
 
 # (modes, occupation dtype) -> (bytes held, [the read-only tables of _ladder
@@ -145,8 +148,9 @@ def _check_size(n, top):
 
     Every entry point calls this before it allocates anything that grows
     with the cutoff, so the size gate comes first.  The error's estimate
-    takes 17 + 9 n bytes an amplitude: a complex amplitude, its column of
-    occ and of flat, about one of up, and its count of occupied modes.
+    takes 17 + n bytes an amplitude (a complex amplitude, its column of occ
+    and its count of occupied modes) and 16 bytes a pair of the pair
+    tables, n (N_{t-1} + 1) of them in sector t (see _ladder).
 
     Raises
     ------
@@ -156,42 +160,50 @@ def _check_size(n, top):
     """
     total = math.comb(top + n, n)
     if total > MAX_FOCK_AMPLITUDES:
+        pairs = n * (math.comb(top - 1 + n, n) + top + 1)
         raise FockTooLarge(
             f"{n} modes at cutoff {top}: the Fock sectors up to the cutoff hold "
             f"C({top + n}, {n}) = {total:.3e} amplitudes, about "
-            f"{total * (17 + 9 * n):.3e} bytes of amplitudes and ladder "
+            f"{total * (17 + n) + 16 * pairs:.3e} bytes of amplitudes and sector "
             f"tables; the oracle's limit is {MAX_FOCK_AMPLITUDES:.0e}"
         )
 
 
 def _ladder(n, top):
-    """Yield the tables (occ, flat, up, occupied) of the sectors t = 0, 1, ..., top.
+    """Yield the tables (occ, cols, roots, occupied) of the sectors t = 0, 1, ..., top.
 
     occ is the (n, N_t) table of the occupations of sector t in
     lexicographic order, one column each, and occupied[r] counts the
     occupied modes of occ[:, r]; the rank of an occupation in its sector is
-    its row there.  The two int32 index tables serve arrays that carry a
-    zero entry past their end: a vector over sector t, (N_t + 1,), and an
-    (n, N_{t-1} + 1) array of one vector over sector t - 1 per mode, read
-    flat.
+    its row there.
 
-    - flat[j, r] indexes entry (j, row of occ[:, r] - e_j) of the latter,
-      or entry (j, N_{t-1}), a zero, where occ[j, r] == 0; its last column,
-      r = N_t, reads the zeros too.  A gather through flat is adag_j for
-      every mode j at once, or every route of the recursion, and ends in a
-      zero column itself.
-    - up[j, s] is the row in sector t of nu + e_j for the occupation nu of
-      row s of sector t - 1, and its last column is N_t; a gather of a
-      sector-t vector through up is a_j for every mode j at once.
+    cols and roots are the sector's pair table, with one entry for each
+    mode j and occupation mu of sector t with mu_j > 0, in mode-major
+    order.  Lowering by e_j maps these mu one to one onto sector t - 1 and
+    keeps their order, so the pairs of mode j, in the order of mu, are the
+    occupations nu = mu - e_j of sector t - 1 in theirs: pair (j, mu) is
+    entry (j, row of nu) of an (n, N_{t-1} + 1) array, and every such array
+    of a step lines up with the pairs as it is.  The last column of each
+    row is a spare pair, whose column is N_t and whose weight is 1: the
+    vectors of a walk carry a zero entry at N_t, which the spare pairs read
+    and sum into, so a step's matrix products keep their N_{t-1} + 1
+    columns (BLAS rounds a column the same only within one column count).
+
+    - cols[j, s] (intp) is the column in sector t of mu = nu_s + e_j, for
+      the occupation nu_s of row s of sector t - 1; a gather of a sector-t
+      vector through cols is a_j for every mode j at once, and
+      ``np.bincount`` through it sums an (n, N_{t-1} + 1) array over the
+      modes (see _mode_sum).
+    - roots[j, s] (float64) is sqrt(mu_j) = sqrt(nu_s,j + 1), the weight of
+      that pair: a_j takes c(mu) to sqrt(mu_j) c(mu) at nu, and adag_j
+      takes c(nu) to the same weight at mu.
 
     Sector t is built from sector t - 1 alone.  Ordered by the first
     occupied mode j, from n - 1 down to 0, its block j is mu = nu + e_j over
     the nu of sector t - 1 whose modes before j are empty, which are the
-    first C(t - 1 + n - j - 1, n - j - 1) rows of sector t - 1.  For i > j,
-    mu - e_i = (nu - e_i) + e_j lies in block j of sector t - 1, at the row
-    of nu - e_i in sector t - 2 past the start of that block; likewise a
-    nu of block j of sector t - 1 raised in a mode i > j lies in block j of
-    sector t, at the row of (nu - e_j) + e_i in sector t - 1 past its start.
+    first C(t - 1 + n - j - 1, n - j - 1) rows of sector t - 1.  A nu of
+    block j of sector t - 1 raised in a mode i > j lies in block j of sector
+    t, at the row of (nu - e_j) + e_i in sector t - 1 past its start.
 
     The cached sectors are read from _ladders once, and each sector past
     them is built from the one before and kept there if it fits within
@@ -204,16 +216,16 @@ def _ladder(n, top):
         if t < len(cached):
             tables = cached[t]
         else:
-            tables = _sealed(*(_vacuum(n, ladder[1]) if t == 0 else _next_sector(*tables[:3], t)))
+            tables = _sealed(*(_vacuum(n, ladder[1]) if t == 0 else _next_sector(*tables[:2], t)))
             with _ladders_lock:
                 _keep(ladder, t, tables)
         yield tables
 
 
-def _sealed(occ, flat, up):
-    """The read-only tables (occ, flat, up, occupied) of one sector."""
+def _sealed(occ, cols, roots):
+    """The read-only tables (occ, cols, roots, occupied) of one sector."""
     occupied = np.count_nonzero(occ, axis=0).astype(np.min_scalar_type(occ.shape[0]))
-    tables = occ, flat, up, occupied
+    tables = occ, cols, roots, occupied
     for a in tables:
         a.flags.writeable = False
     return tables
@@ -250,87 +262,58 @@ def _keep(ladder, t, tables):
 
 
 def _vacuum(n, dtype):
-    """(occ, flat, up) of sector 0: every index reads a zero entry."""
-    modes = np.arange(n, dtype=np.int32)[:, None]
-    return np.zeros((n, 1), dtype=dtype), np.repeat(modes, 2, axis=1), np.ones((n, 1), np.int32)
+    """(occ, cols, roots) of sector 0: the spare pairs alone."""
+    return np.zeros((n, 1), dtype=dtype), np.ones((n, 1), np.intp), np.ones((n, 1))
 
 
-def _next_sector(occ, flat, up, t):
-    """(occ, flat, up) of sector t from those of sector t - 1 (see _ladder).
+def _next_sector(occ, cols, t):
+    """(occ, cols, roots) of sector t from occ and cols of sector t - 1 (see _ladder).
 
-    Each table is written in place, block by block, from a slice of the
-    table before it; only the masks of the unoccupied modes are temporary.
+    occ and cols are written in place, block by block, from a slice of the
+    tables before them.
     """
     n, rows = occ.shape
     size_t = _sector_size(t, n)
-    # the row widths of the arrays gathered from over sectors t - 1 and t - 2
-    width, old_width = rows + 1, up.shape[1]
-    modes = np.arange(n)[:, None]
-    zeros = modes * width + rows  # entry (j, N_{t-1}): the zero of row j
     new_occ = np.empty((n, size_t), dtype=occ.dtype)
-    new_flat = np.empty((n, size_t + 1), dtype=np.int32)
-    new_up = np.empty((n, width), dtype=np.int32)
-    new_flat[:] = zeros
-    new_up[:, -1] = size_t
+    new_cols = np.empty((n, rows + 1), dtype=np.intp)
+    new_cols[:, -1] = size_t
     at = 0
     for j in range(n - 1, -1, -1):
         size = _sector_size(t - 1, n - j)
         block = slice(at, at + size)
         new_occ[:, block] = occ[:, :size]
         new_occ[j, block] += 1
-        new_flat[j, block] = np.arange(j * width, j * width + size)
-        new_up[j, :size] = np.arange(at, at + size)
-        if j < n - 1:
-            later = modes[j + 1:]
+        new_cols[j, :size] = np.arange(at, at + size)
+        if j < n - 1 and t > 1:
             start = _sector_size(t - 1, n - j - 1)
-            out = new_flat[j + 1:, block]
-            np.add(flat[j + 1:, :size], later * (width - old_width) + start, out=out)
-            np.copyto(out, zeros[j + 1:], where=occ[j + 1:, :size] == 0)
-            if t > 1:
-                lower = _sector_size(t - 2, n - j)
-                np.add(up[j + 1:, :lower], at, out=new_up[j + 1:, start:start + lower])
+            lower = _sector_size(t - 2, n - j)
+            np.add(cols[j + 1:, :lower], at, out=new_cols[j + 1:, start:start + lower])
         at += size
-    return new_occ, new_flat, new_up
+    roots = np.ones((n, rows + 1))
+    np.add(occ, 1.0, out=roots[:, :-1])
+    return new_occ, new_cols, np.sqrt(roots, out=roots)
 
 
 class _Scratch:
     """The work arrays of one walk up to sector top, reused by every step.
 
-    Each holds n (N_{top-1} + 1) entries, the size of the largest table
-    gathered whole (an up table of sector top); the tables of sector top
-    are gathered in blocks of as many columns, step.  index is intp: numpy
-    gathers with it about three times as fast as with the int32 of the
-    tables, so each table is cast into it first.  w holds the weights of
-    the sector below the step's, and pair(dtype) two arrays of a dtype,
-    made on first use.  A step writes into leading parts of them, so a
-    call touches their pages once, not once a step; where the allocator
-    hands freed memory back to the system, fresh arrays each step cost a
-    page fault per 4 kB.
+    pair(dtype) makes two arrays of a dtype on first use, each of n
+    (N_{top-1} + 1) entries: one for each pair of sector top with its spare
+    pairs (see _ladder), as many as any array of a step holds.  A step
+    writes into leading parts of them, so a call touches their pages once,
+    not once a step; where the allocator hands freed memory back to the
+    system, fresh arrays each step cost a page fault per 4 kB.
     """
 
     def __init__(self, n, top):
-        size = n * (_sector_size(top - 1, n) + 1 if top else 1)
-        self.index = np.empty(size, dtype=np.intp)
-        self.w = np.empty(size)
-        self.step = size // n
+        self.size = n * (_sector_size(top - 1, n) + 1 if top else 1)
         self._pairs = {}
 
     def pair(self, dtype):
         """The two work arrays of dtype."""
         if dtype not in self._pairs:
-            self._pairs[dtype] = (np.empty_like(self.w, dtype), np.empty_like(self.w, dtype))
+            self._pairs[dtype] = (np.empty(self.size, dtype), np.empty(self.size, dtype))
         return self._pairs[dtype]
-
-    def blocks(self, columns):
-        """Slices over range(columns), step columns each."""
-        return (slice(at, min(at + self.step, columns)) for at in range(0, columns, self.step))
-
-    def gather(self, src, table, out):
-        """src read flat at the entries of table, written into out (see _shaped)."""
-        index = _shaped(self.index, table.shape)
-        np.copyto(index, table)
-        # clip: no bounds pass and no copy of the output; every index is in range
-        return src.take(index, out=_shaped(out, table.shape), mode="clip")
 
 
 def _shaped(a, shape):
@@ -338,58 +321,66 @@ def _shaped(a, shape):
     return a[:shape[0] * shape[1]].reshape(shape)
 
 
-def _weights(occ, out):
-    """sqrt(nu_j + 1) over the occupations nu of a sector, (n, N + 1), last column 1.
+def _mode_sum(values, cols, spent):
+    """The sum over the modes of a pair array, with its zero entry at the end.
 
-    adag_j takes c(nu) to sqrt(nu_j + 1) c(nu) at nu + e_j, and a_j takes
-    c(nu + e_j) to the same weight at nu: every weight of a ladder step is
-    applied on its smaller sector.  The last column multiplies or divides
-    only the zero columns of the arrays it meets.  Written into out.
+    values lines up with the pairs cols indexes (see _ladder), and out[mu]
+    sums its entries at the pairs of mu.  ``np.bincount`` adds the pairs of
+    each mu in mode order, starting from 0, as a sum over the axis of the
+    modes does.  It takes float64 weights, so a complex array is summed
+    part by part, each part copied first into the array spent, whose
+    entries the caller no longer needs: the float64 view of a work array.
+    The spare pairs sum into the last entry, a zero.
     """
-    w = _shaped(out, (len(occ), occ.shape[1] + 1))
-    w[:, -1] = 1.0
-    np.add(occ, 1.0, out=w[:, :-1])
-    return np.sqrt(w, out=w)
-
-
-def _apply(m, c, flat, up, w, scratch):
-    """adag M a on one sector: lower, multiply by M, raise (sum over modes).
-
-    c is the sector's vector followed by a zero entry and w the
-    :func:`_weights` of the sector below.  The raise is gathered in column
-    blocks (see _Scratch); the sum over the modes adds them in mode order.
-    """
-    lowered = scratch.gather(c, up, scratch.pair(c.dtype)[1])
-    lowered *= w
-    p, block = scratch.pair(np.result_type(m, c))
-    p = np.matmul(m, lowered, out=_shaped(p, lowered.shape))
-    p *= w
-    out = np.empty(flat.shape[1] - 1, dtype=p.dtype)
-    for cols in scratch.blocks(len(out)):
-        np.add.reduce(scratch.gather(p, flat[:, cols], block), axis=0, initial=0, out=out[cols])
+    index, size = cols.ravel(), cols[0, -1] + 1
+    if values.dtype.kind != "c":
+        return np.bincount(index, values.ravel(), size)
+    part = _shaped(spent.view(np.float64), values.shape)
+    out = np.empty(size, dtype=values.dtype)
+    np.copyto(part, values.real)
+    out.real = np.bincount(index, part.ravel(), size)
+    np.copyto(part, values.imag)
+    out.imag = np.bincount(index, part.ravel(), size)
     return out
 
 
-def _routes(d, flat, occ, occupied, t, scratch):
+def _apply(m, c, cols, roots, scratch):
+    """adag M a on one sector: lower, multiply by M, raise (sum over modes).
+
+    c is the sector's vector followed by a zero entry, and cols and roots
+    its pair table: the lowered array holds sqrt(mu_j) c(mu) at each pair
+    (j, mu), which is a_j c for every mode j, and the raise weighs each
+    pair of M times it by sqrt(mu_j) again and sums them over the modes
+    (see _mode_sum).  The result has no zero entry at the end.
+    """
+    spent = scratch.pair(c.dtype)[1]
+    lowered = c.take(cols, out=_shaped(spent, cols.shape), mode="clip")
+    lowered *= roots
+    p = np.matmul(m, lowered, out=_shaped(scratch.pair(np.result_type(m, c))[0], cols.shape))
+    p *= roots
+    return _mode_sum(p, cols, spent)[:-1]
+
+
+def _routes(d, cols, occupied, t, scratch):
     """Sector-t amplitudes, the mean of the routes c(mu) = d[i, mu - e_i].
 
-    d is :func:`_odd_sector`'s.  Routes through unoccupied modes read the
-    zero column of d and are left out of the mean and of the spread.  The
-    routes are gathered in column blocks (see _Scratch), each block holding
-    its deviations in place.  The result carries a zero entry at the end.
+    d is :func:`_odd_sector`'s, which lines up with the pairs of sector t:
+    each pair (i, mu) is one route of mu.  The mean of each mu is the sum
+    of its routes by :func:`_mode_sum` over its count of occupied modes;
+    the spread is the largest deviation of a route from its mean, which
+    the spare pairs read as 0.  The first array of scratch.pair(d.dtype),
+    which holds d in a walk, takes the deviations' magnitudes.  The result
+    carries a zero entry at the end.
     """
-    c = np.zeros(flat.shape[1], dtype=d.dtype)
-    routes_out = scratch.pair(d.dtype)[1]
-    spread = 0.0
-    for cols in scratch.blocks(len(c) - 1):
-        routes = scratch.gather(d, flat[:, cols], routes_out)
-        part = np.add.reduce(routes, axis=0, out=c[cols])
-        part /= occupied[cols]
-        dev = np.abs(np.subtract(routes, part, out=routes), out=routes).real
-        # routes through unoccupied modes read 0: their deviation |c| is
-        # zeroed; np.maximum, not max, keeps a NaN, which fails
-        spread = np.maximum(spread, np.multiply(dev, occ[:, cols] > 0, out=dev).max())
-    if not graphs.passes(float(spread), c):
+    x, y = scratch.pair(d.dtype)
+    c = _mode_sum(d, cols, y)
+    c[:-1] /= occupied
+    dev = _shaped(y, cols.shape)
+    dev = np.subtract(d, c.take(cols, out=dev, mode="clip"), out=dev)
+    dev = np.abs(dev, out=_shaped(x.view(np.float64), cols.shape))
+    # max propagates a NaN, which fails
+    spread = float(dev.max())
+    if not graphs.passes(spread, c):
         raise InconsistentRecursion(
             f"recursion routes disagree by {spread:.3e} in sector {t} "
             f"(scale {np.abs(c).max():.3e})"
@@ -397,32 +388,35 @@ def _routes(d, flat, occ, occupied, t, scratch):
     return c
 
 
-def _odd_sector(k, c, below, occ, flat, scratch):
-    """(d, w) over the odd sector t - 1 from c_{t-2}; d has a zero last column.
+def _odd_sector(k, c, odd, even, scratch):
+    """d over the odd sector t - 1 from c_{t-2}, an (n, N_{t-1} + 1) array.
 
     d[i, nu] = (a_i c_t)(nu) / sqrt(nu_i + 1) = sum_j K_ij (adag_j c_{t-2})(nu)
-    / sqrt(nu_i + 1), from the nullifier relation, and w is the
-    :func:`_weights` of sector t - 1.  below is the occupation table of
-    sector t - 2, and occ and flat are those of sector t - 1.  d is written
-    into the first array of scratch.pair, w into scratch.w after the
-    weights of sector t - 2.
+    / sqrt(nu_i + 1), from the nullifier relation; its last column is the
+    zero of the spare pairs.  c carries its zero entry, and odd and even are
+    the tables of the sectors t - 1 and t.  adag c_{t-2} is c_{t-2} times the
+    roots of sector t - 1, each mode's row written at its pairs' columns in
+    a zeroed array; the roots of sector t, which line up with d, divide it.
+    d is written into the first array of scratch.pair.
     """
+    _, cols, roots, _ = odd
     x, y = scratch.pair(c.dtype)
-    lower = _weights(below, scratch.w)
-    src = np.multiply(lower, c, out=_shaped(x, lower.shape))
-    w = _weights(occ, scratch.w)
-    d = np.matmul(k, scratch.gather(src, flat, y), out=_shaped(x, w.shape))
-    d /= w
-    return d, w
+    src = np.multiply(roots, c, out=_shaped(x, cols.shape))
+    raised = _shaped(y, even[1].shape)
+    raised.fill(0)
+    for row, at, values in zip(raised, cols, src):
+        row[at] = values
+    d = np.matmul(k, raised, out=_shaped(x, raised.shape))
+    d /= even[2]
+    return d
 
 
 def _even_sectors(k, cutoff, scratch):
-    """Yield (tables, w, c) for the sectors 0, 2, ..., cutoff in turn.
+    """Yield (tables, c) for the sectors 0, 2, ..., cutoff in turn.
 
-    tables are :func:`_ladder`'s, w the :func:`_weights` of the sector
-    below (one column of 1s for sector 0), and c the unnormalized amplitudes
-    of the sector (c(vacuum) = 1) followed by a zero entry.  scratch is the
-    walk's :class:`_Scratch`.  One step goes through the odd sector t - 1:
+    tables are :func:`_ladder`'s and c the unnormalized amplitudes of the
+    sector (c(vacuum) = 1) followed by a zero entry.  scratch is the walk's
+    :class:`_Scratch`.  One step goes through the odd sector t - 1:
 
         d = K (adag c_{t-2}) / sqrt(nu_i + 1)        (n, N_{t-1} + 1)
         route i:  c_t(mu) = d[i, mu - e_i]
@@ -432,14 +426,13 @@ def _even_sectors(k, cutoff, scratch):
     ladder = _ladder(k.shape[0], cutoff)
     tables = next(ladder)
     c = np.array([1.0, 0.0], dtype=k.dtype)
-    yield tables, np.ones((k.shape[0], 1)), c
+    yield tables, c
     for t in range(2, cutoff + 1, 2):
-        below = tables[0]
-        odd_occ, odd_flat, _, _ = next(ladder)
-        tables = occ, flat, _, occupied = next(ladder)
-        d, w = _odd_sector(k, c, below, odd_occ, odd_flat, scratch)
-        c = _routes(d, flat, occ, occupied, t, scratch)
-        yield tables, w, c
+        odd = next(ladder)
+        tables = next(ladder)
+        d = _odd_sector(k, c, odd, tables, scratch)
+        c = _routes(d, tables[1], tables[3], t, scratch)
+        yield tables, c
 
 
 def _norm2(c):
@@ -510,7 +503,7 @@ def state_from_k(k, cutoff):
     k = _checked_k(k, cutoff)
     _check_size(k.shape[0], cutoff)
     scratch = _Scratch(k.shape[0], cutoff)
-    sectors = [(tables[0], c[:-1]) for tables, _, c in _even_sectors(k, cutoff, scratch)]
+    sectors = [(tables[0], c[:-1]) for tables, c in _even_sectors(k, cutoff, scratch)]
     nrm = math.sqrt(sum(_norm2(c) for _, c in sectors))
     return FockVector(k.shape[0], cutoff, tuple((occ, c / nrm) for occ, c in sectors))
 
@@ -535,13 +528,10 @@ def apply_quadratic(m, v):
     by_total = {int(occ[:, 0].sum()): c for occ, c in v.sectors}
     top = max(by_total, default=0)
     _check_size(v.n_modes, top)
-    out, below, scratch = [], np.empty((v.n_modes, 0)), _Scratch(v.n_modes, top)
-    for t, (occ, flat, up, _) in enumerate(_ladder(v.n_modes, top)):
+    out, scratch = [], _Scratch(v.n_modes, top)
+    for t, (occ, cols, roots, _) in enumerate(_ladder(v.n_modes, top)):
         if t in by_total:
-            c = np.append(by_total[t], 0)
-            w = _weights(below, scratch.w)
-            out.append((occ, _apply(m, c, flat, up, w, scratch)))
-        below = occ
+            out.append((occ, _apply(m, np.append(by_total[t], 0), cols, roots, scratch)))
     return FockVector(v.n_modes, v.cutoff, tuple(out))
 
 
@@ -565,9 +555,9 @@ def nullifier_residual(m, k, cutoff):
     _check_size(k.shape[0], cutoff)
     res2 = norm2 = 0.0
     scratch = _Scratch(k.shape[0], cutoff)
-    for (_, flat, up, _), w, c in _even_sectors(k, cutoff, scratch):
+    for (_, cols, roots, _), c in _even_sectors(k, cutoff, scratch):
         norm2 += _norm2(c[:-1])
-        res2 += _norm2(_apply(m, c, flat, up, w, scratch))
+        res2 += _norm2(_apply(m, c, cols, roots, scratch))
     return math.sqrt(res2 / norm2)
 
 

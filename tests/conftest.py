@@ -558,3 +558,166 @@ def fock_vectors(draw):
     n = min(n, 3)
     v = fock.state_from_k(random_k(rng, n), draw(st.sampled_from([2, 4, 6])))
     return fock.apply_quadratic(random_hermitian(rng, n), v)
+
+
+# ----------------------------------------------------------------------
+# the dense sector walk, as fock ran it before its pair tables
+
+
+def _dense_tables(n, top):
+    """(occ, flat, up) of the sectors 0..top, as the dense walk built them.
+
+    flat[j, r] indexes entry (j, row of occ[:, r] - e_j) of an (n, N_{t-1} +
+    1) array read flat, or its zero last entry (j, N_{t-1}) where occ[j, r]
+    is 0, and its last column reads that zero too; up[j, s] is the row in
+    sector t of nu_s + e_j, its last column N_t.  Both are int32.
+    """
+    sizes = [math.comb(t + n - 1, n - 1) for t in range(top + 1)]
+    dtype = np.min_scalar_type(top)
+    modes = np.arange(n)[:, None]
+    occ = np.zeros((n, 1), dtype=dtype)
+    flat = np.repeat(modes.astype(np.int32), 2, axis=1)
+    up = np.ones((n, 1), np.int32)
+    tables = [(occ, flat, up)]
+    for t in range(1, top + 1):
+        rows, size_t = sizes[t - 1], sizes[t]
+        width, old_width = rows + 1, up.shape[1]
+        zeros = modes * width + rows
+        new_occ = np.empty((n, size_t), dtype=dtype)
+        new_flat = np.empty((n, size_t + 1), dtype=np.int32)
+        new_up = np.empty((n, width), dtype=np.int32)
+        new_flat[:] = zeros
+        new_up[:, -1] = size_t
+        at = 0
+        for j in range(n - 1, -1, -1):
+            size = math.comb(t - 1 + n - j - 1, n - j - 1)
+            block = slice(at, at + size)
+            new_occ[:, block] = occ[:, :size]
+            new_occ[j, block] += 1
+            new_flat[j, block] = np.arange(j * width, j * width + size)
+            new_up[j, :size] = np.arange(at, at + size)
+            if j < n - 1:
+                start = math.comb(t - 1 + n - j - 2, n - j - 2)
+                out = new_flat[j + 1:, block]
+                np.add(flat[j + 1:, :size], modes[j + 1:] * (width - old_width) + start, out=out)
+                np.copyto(out, zeros[j + 1:], where=occ[j + 1:, :size] == 0)
+                if t > 1:
+                    lower = math.comb(t - 2 + n - j - 1, n - j - 1)
+                    np.add(up[j + 1:, :lower], at, out=new_up[j + 1:, start:start + lower])
+            at += size
+        occ, flat, up = new_occ, new_flat, new_up
+        tables.append((occ, flat, up))
+    return tables
+
+
+class DenseWalk:
+    """The dense per-sector walk of the oracle, kept as the bit-for-bit reference.
+
+    Every array gathered from carries one zero entry past its last column,
+    which the entries of an unoccupied mode read; each int32 table is cast
+    into an intp buffer before it is gathered with; the sqrt weights are
+    (n, N + 1) arrays rebuilt on each step; the n routes of every occupation
+    are gathered, summed over axis 0 and masked by occ > 0 for the spread;
+    the gathers of the top sector run in column blocks of N_{top-1} + 1.
+    K and M are narrowed to their real part where they have no imaginary
+    part, as the oracle narrows them; the gates are not repeated here.
+    """
+
+    def __init__(self, n, top):
+        self.tables = _dense_tables(n, top)
+        self.step = self.tables[top][2].shape[1] if top else 1
+
+    @staticmethod
+    def narrowed(a):
+        a = np.asarray(a)
+        return a if a.imag.any() else np.ascontiguousarray(a.real)
+
+    @staticmethod
+    def weights(occ):
+        w = np.ones((len(occ), occ.shape[1] + 1))
+        w[:, :-1] = occ + 1.0
+        return np.sqrt(w)
+
+    @staticmethod
+    def gather(src, table):
+        return src.take(table.astype(np.intp), mode="clip")
+
+    def blocks(self, columns):
+        return [slice(at, min(at + self.step, columns)) for at in range(0, columns, self.step)]
+
+    def apply(self, m, c, t):
+        """adag M a on the sector-t vector c (no trailing zero)."""
+        _, flat, up = self.tables[t]
+        below = self.tables[t - 1][0] if t else np.empty((len(m), 0))
+        w = self.weights(below)
+        lowered = self.gather(np.append(c, 0), up) * w
+        p = m @ lowered
+        p *= w
+        out = np.empty(flat.shape[1] - 1, dtype=p.dtype)
+        for cols in self.blocks(len(out)):
+            np.add.reduce(self.gather(p, flat[:, cols]), axis=0, initial=0, out=out[cols])
+        return out
+
+    def routes(self, k, c, t):
+        """The sector-t amplitudes from those of sector t - 2 (no trailing zero)."""
+        below = self.tables[t - 2][0]
+        odd_occ, odd_flat, _ = self.tables[t - 1]
+        occ, flat, _ = self.tables[t]
+        src = self.weights(below) * np.append(c, 0)
+        w = self.weights(odd_occ)
+        d = k @ self.gather(src, odd_flat)
+        d /= w
+        out = np.zeros(flat.shape[1], dtype=d.dtype)
+        occupied = np.count_nonzero(occ, axis=0).astype(np.min_scalar_type(len(occ)))
+        spread = 0.0
+        for cols in self.blocks(len(out) - 1):
+            routes = self.gather(d, flat[:, cols])
+            part = np.add.reduce(routes, axis=0, out=out[cols])
+            part /= occupied[cols]
+            dev = np.abs(routes - part).real
+            spread = np.maximum(spread, (dev * (occ[:, cols] > 0)).max())
+        return out[:-1], float(spread)
+
+    def sectors(self, k, cutoff):
+        """[(t, unnormalized c_t, route spread)] over the even sectors 0..cutoff."""
+        c = np.ones(1, dtype=k.dtype)
+        out = [(0, c, 0.0)]
+        for t in range(2, cutoff + 1, 2):
+            c, spread = self.routes(k, c, t)
+            out.append((t, c, spread))
+        return out
+
+
+def dense_state(k, cutoff):
+    """[(occ, c)] of the normalized state of K over the even sectors, by DenseWalk."""
+    k = DenseWalk.narrowed(k)
+    walk = DenseWalk(len(k), cutoff)
+    sectors = walk.sectors(k, cutoff)
+    nrm = math.sqrt(sum(_dense_norm2(c) for _, c, _ in sectors))
+    return [(walk.tables[t][0], c / nrm) for t, c, _ in sectors]
+
+
+def dense_residual(m, k, cutoff):
+    """|| adag M a |phi_K> || over the normalized truncated state, by DenseWalk."""
+    k, m = DenseWalk.narrowed(k), DenseWalk.narrowed(m)
+    walk = DenseWalk(len(k), cutoff)
+    res2 = norm2 = 0.0
+    for t, c, _ in walk.sectors(k, cutoff):
+        norm2 += _dense_norm2(c)
+        res2 += _dense_norm2(walk.apply(m, c, t))
+    return math.sqrt(res2 / norm2)
+
+
+def dense_apply(m, v):
+    """[(occ, adag M a c)] over the populated sectors of FockVector v, by DenseWalk."""
+    m = DenseWalk.narrowed(m)
+    totals = [int(occ[:, 0].sum()) for occ, _ in v.sectors]
+    walk = DenseWalk(v.n_modes, max(totals, default=0))
+    return [(occ, walk.apply(m, c, t)) for t, (occ, c) in zip(totals, v.sectors)]
+
+
+def _dense_norm2(c):
+    sq = c.real * c.real
+    if c.dtype.kind == "c":
+        sq += c.imag * c.imag
+    return float(np.add.reduce(sq))

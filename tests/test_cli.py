@@ -564,6 +564,21 @@ def test_a_value_argparse_reads_as_an_option_is_a_usage_error(capsys):
     assert run(capsys, "state", "tms", "--alpha=-.5") == (2, "", "error: alpha must be > 0\n")
 
 
+def test_a_twomode_coefficient_may_take_the_exponent_form(capsys):
+    # "-1e-3" was read as an option: "argument --coeffs: expected 4
+    # arguments", and a flag of four values has no "--coeffs=..." form
+    argv = ["twomode", "--coeffs", "1", "-1e-3", "-2.5E+4", "-.5"]
+    parsed = cli.build_parser().parse_args(argv)
+    assert parsed.coeffs == [1.0, -1e-3, -2.5e4, -0.5]
+    assert cli._parse(argv) == parsed
+    rc, out, err = run(capsys, *argv, "--format", "json")
+    assert rc == 0 and err == ""
+    assert json.loads(out)["coefficients"] == [1.0, -1e-3, -2.5e4, -0.5]
+    # the other subcommands keep argparse's rule, which has no exponent
+    assert cli._parse(["state", "tms", "--alpha", "-1e-3"]) is None
+    assert _argparse(["state", "tms", "--alpha", "-1e-3"]) == ("exit", 2)
+
+
 _OPTIONS = sorted({o for name in cli.build_parser().flag_tables
                    for o in _subparser(name)._option_string_actions})
 _VALUES = ["-0.5", "-.5", "-1e-3", "nan", "inf", "08", "a b", "-a b", "", "-", "0.5", "4",

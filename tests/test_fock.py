@@ -14,6 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    dense_apply,
+    dense_residual,
+    dense_state,
     dense_vector,
     fock_vector,
     fock_vectors,
@@ -283,6 +286,42 @@ def test_a_failing_residual_matches_the_dense_reference(seed, n, cutoff, real, e
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    cutoff=st.sampled_from([2, 4, 6, 8]),
+    real_k=st.booleans(),
+    real_m=st.booleans(),
+)
+def test_the_pair_walk_matches_the_dense_walk_bit_for_bit(seed, n, cutoff, real_k, real_m):
+    # the dense walk of conftest.DenseWalk gathered every route and raised
+    # through dense (mode, occupation) tables; the pair tables make the same
+    # additions in the same order, so every number keeps its bits
+    rng = np.random.default_rng(seed)
+    k = random_k(rng, n, norm=0.6)
+    if real_k:
+        k = k.real * (0.6 / np.linalg.norm(k.real, 2))
+    m = random_hermitian(rng, n)
+    if real_m:
+        m = m.real
+    v = fock.state_from_k(k, cutoff)
+    for (occ, c), (ref_occ, ref) in zip(v.sectors, dense_state(k, cutoff), strict=True):
+        assert (occ == ref_occ).all()
+        assert c.dtype == ref.dtype and c.tobytes() == ref.tobytes()
+    assert fock.nullifier_residual(m, k, cutoff).hex() == dense_residual(m, k, cutoff).hex()
+    # and on every sector, odd ones included, of a vector of random amplitudes
+    parts = 1 if real_k else 1j
+    w = fock.FockVector(n, cutoff, tuple(
+        (occ, rng.standard_normal(occ.shape[1]) + parts * rng.standard_normal(occ.shape[1]))
+        for occ, *_ in fock._ladder(n, cutoff)))
+    for vector in (v, w):
+        out = fock.apply_quadratic(m, vector)
+        for (occ, c), (ref_occ, ref) in zip(out.sectors, dense_apply(m, vector), strict=True):
+            assert occ is ref_occ
+            assert c.dtype == ref.dtype and c.tobytes() == ref.tobytes()
+
+
 def test_nullifier_residual_streams_its_sectors(monkeypatch):
     layout = states.WireLayout(6, 0.5)
     k = states.dual_rail_wire(layout)
@@ -296,13 +335,13 @@ def test_nullifier_residual_streams_its_sectors(monkeypatch):
         tracemalloc.stop()
     assert res < 1e-12
     assert peak <= 4e6, f"peak {peak / 1e6:.2f} MB"
-    # kept, for each sector t <= 6: the 12 x N_t uint8 occupations and
-    # int32 flat table, a uint8 count of each column, the flat table's zero
-    # column and the 12 x (N_{t-1} + 1) int32 up table; 18564 columns in
-    # all, 6188 of them in the sectors t - 1, and 600 bytes a sector
+    # kept, for each sector t <= 6: the 12 x N_t uint8 occupations, a uint8
+    # count of each column, and the pair table of 12 x (N_{t-1} + 1) intp
+    # columns and float64 weights; 18564 columns in all, 6188 of them in the
+    # sectors t - 1, and 600 bytes a sector
     columns = sum(math.comb(t + 11, 11) for t in range(7))
     below = sum(math.comb(t + 10, 11) for t in range(7))
-    assert fock._cached_bytes() == columns * (12 * 5 + 1) + 48 * (7 + below + 7) + 7 * 600
+    assert fock._cached_bytes() == columns * (12 + 1) + 12 * 16 * (below + 7) + 7 * 600
 
 
 def test_wire_local_residuals_at_small_cutoff():
@@ -467,26 +506,29 @@ def test_a_nan_route_fails_the_consistency_check():
     ladder = fock._ladder(2, 2)
     next(ladder)
     odd = next(ladder)[0]
-    occ, flat, _, occupied = next(ladder)
+    _, cols, _, occupied = next(ladder)
     d = np.zeros((2, odd.shape[1] + 1), dtype=complex)
     d[0, 0] = np.nan
     with pytest.raises(InconsistentRecursion):
-        fock._routes(d, flat, occ, occupied, 2, fock._Scratch(2, 2))
+        fock._routes(d, cols, occupied, 2, fock._Scratch(2, 2))
 
 
 def test_finite_routes_that_disagree_fail_the_consistency_check():
     # (1, 1) is reached from (0, 1) through mode 0 and from (1, 0) through
     # mode 1: routes of 1 and 2 have the mean 1.5 and a spread of 0.5
+    # the pairs of mode 0 and of mode 1 each read row i of d, over the odd
+    # sector and its spare column
     ladder = fock._ladder(2, 2)
     next(ladder)
     odd = next(ladder)[0]
-    occ, flat, _, occupied = next(ladder)
+    occ, cols, _, occupied = next(ladder)
     assert odd.T.tolist() == [[0, 1], [1, 0]]
+    assert occ.T.tolist() == [[0, 2], [1, 1], [2, 0]] and cols.tolist() == [[1, 2, 3], [0, 1, 3]]
     d = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
     with pytest.raises(InconsistentRecursion, match=r"disagree by 5\.000e-01 in sector 2"):
-        fock._routes(d, flat, occ, occupied, 2, fock._Scratch(2, 2))
+        fock._routes(d, cols, occupied, 2, fock._Scratch(2, 2))
     d[1] = d[0]
-    c = fock._routes(d, flat, occ, occupied, 2, fock._Scratch(2, 2))
+    c = fock._routes(d, cols, occupied, 2, fock._Scratch(2, 2))
     assert c.tolist() == [1.0, 1.0, 1.0, 0.0]
 
 
@@ -495,24 +537,20 @@ def test_finite_routes_that_disagree_fail_the_consistency_check():
 
 
 def brute_force_sector(n, t):
-    """(occ, flat, up, occupied) of sector t over n modes, by enumeration.
+    """(occ, cols, roots, occupied) of sector t over n modes, by enumeration.
 
-    flat[j, r] is j (N_{t-1} + 1) plus the row of occ[:, r] - e_j in sector
-    t - 1, or plus N_{t-1} where there is none, and its last column reads
-    N_{t-1} too; up[j, s] is the row of nu_s + e_j in sector t for the
-    occupation nu_s of row s of sector t - 1, and its last column is N_t.
+    cols[j, s] is the row of nu_s + e_j in sector t for the occupation nu_s
+    of row s of sector t - 1, and roots[j, s] is sqrt(nu_s,j + 1); the last
+    column, the spare pairs', is N_t in cols and 1 in roots.
     """
     rows = [o for o in itertools.product(range(t + 1), repeat=n) if sum(o) == t]
     lower = [o for o in itertools.product(range(t), repeat=n) if sum(o) == t - 1]
-    below = {o: r for r, o in enumerate(lower)}
     here = {o: r for r, o in enumerate(rows)}
-    width = len(lower) + 1
-    flat = [[j * width + below.get(o[:j] + (o[j] - 1,) + o[j + 1:], len(lower))
-             for o in rows] + [j * width + len(lower)] for j in range(n)]
-    up = [[here[o[:j] + (o[j] + 1,) + o[j + 1:]] for o in lower] + [len(rows)]
-          for j in range(n)]
+    cols = [[here[o[:j] + (o[j] + 1,) + o[j + 1:]] for o in lower] + [len(rows)]
+            for j in range(n)]
+    roots = [[math.sqrt(o[j] + 1) for o in lower] + [1.0] for j in range(n)]
     occupied = [sum(x > 0 for x in o) for o in rows]
-    return (np.array(rows).reshape(len(rows), n).T, np.array(flat), np.array(up),
+    return (np.array(rows).reshape(len(rows), n).T, np.array(cols), np.array(roots),
             np.array(occupied))
 
 
@@ -525,11 +563,12 @@ def test_every_sector_matches_the_brute_force_reference(n, monkeypatch):
         for got, want in zip(tables, brute_force_sector(n, t), strict=True):
             assert got.shape == want.shape and (got == want).all(), (n, t)
             assert not got.flags.writeable
-        # up inverts flat on every occupied entry: a_j then adag_j returns
-        occ, flat, up, _ = tables
-        j, r = np.nonzero(occ)
-        width = up.shape[1]
-        assert (up[j, flat[j, r] - j * width] == r).all(), (n, t)
+        # the pairs of mode j are the columns mu with mu_j > 0, each once and
+        # in their order, and weigh sqrt(mu_j)
+        occ, cols, roots, _ = tables
+        for j in range(n):
+            assert (cols[j, :-1] == np.flatnonzero(occ[j])).all(), (n, t, j)
+            assert (roots[j, :-1] == np.sqrt(occ[j, cols[j, :-1]] * 1.0)).all(), (n, t, j)
         # the second ladder is served the same arrays
         assert all(a is b for a, b in zip(tables, warm[t]))
     assert [len(kept) for _, kept in fock._ladders.values()] == [7]
@@ -580,42 +619,42 @@ def test_oracle_results_do_not_depend_on_the_cache(monkeypatch):
 
 
 def test_the_cache_keeps_within_its_budget(monkeypatch):
-    # sectors 0..8 of 5 modes take 55062 bytes (see _charge); a budget of
-    # 20000 keeps sectors 0..5 (12912 bytes; with sector 6, 21532) and
+    # sectors 0..8 of 5 modes take 77202 bytes (see _charge); a budget of
+    # 20000 keeps sectors 0..5 (15672 bytes; with sector 6, 27692) and
     # builds the rest on every call
     monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 20000)
     monkeypatch.setattr(fock, "_ladders", {})
     k = random_k(np.random.default_rng(113), 5, norm=0.5)
     v = fock.state_from_k(k, 8)
-    assert fock._cached_bytes() == 12912
+    assert fock._cached_bytes() == 15672
     assert _cached_sectors() == {(5, t) for t in range(6)}
     for t, tables in enumerate(fock._ladder(5, 8)):
         for got, want in zip(tables, brute_force_sector(5, t)):
             assert (got == want).all(), t
-    assert fock._cached_bytes() == 12912
+    assert fock._cached_bytes() == 15672
     assert _bits(fock.state_from_k(k, 8)) == _bits(v)
     for occ, c in hafnian_amplitudes(k, 8).items():
         assert abs(v.amplitude(occ) - c) <= 1e-12, occ
 
 
 def test_a_new_ladder_drops_other_ladders_to_fit(monkeypatch):
-    # 5 modes keep sectors 0..5 (12912 bytes of a budget of 20000); 3 modes
-    # fit beside them up to sector 6 (6384 bytes), and sector 7 (1536 more)
+    # 5 modes keep sectors 0..5 (15672 bytes of a budget of 20000); 3 modes
+    # fit beside them up to sector 3 (3152 bytes), and sector 4 (1188 more)
     # drops the 5-mode tables, so the ladder in use is the one kept
     monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 20000)
     monkeypatch.setattr(fock, "_ladders", {})
     list(fock._ladder(5, 5))
-    assert fock._cached_bytes() == 12912
+    assert fock._cached_bytes() == 15672
     for t, tables in enumerate(fock._ladder(3, 8)):
         for got, want in zip(tables, brute_force_sector(3, t)):
             assert (got == want).all(), t
     three = {(3, t) for t in range(9)}
     assert _cached_sectors() == three
-    assert fock._cached_bytes() == 9696
-    # a sector past the budget on its own (64 modes, sector 1: 21912 bytes)
+    assert fock._cached_bytes() == 12252
+    # a sector past the budget on its own (128 modes, sector 1: 21208 bytes)
     # is built and dropped, and drops no other ladder
-    assert list(fock._ladder(64, 1))[1][0].shape == (64, 64)
-    assert _cached_sectors() == three | {(64, 0)}
+    assert list(fock._ladder(128, 1))[1][0].shape == (128, 128)
+    assert _cached_sectors() == three | {(128, 0)}
 
 
 def test_a_long_one_mode_ladder_holds_no_more_than_the_budget(monkeypatch):
@@ -722,15 +761,16 @@ def test_the_kept_byte_count_follows_inserts_and_evictions(monkeypatch):
         return sum(fock._charge(t) for _, ladder in fock._ladders.values() for t in ladder)
 
     list(fock._ladder(5, 5))
-    assert kept() == fock._cached_bytes() == 12912
+    assert kept() == fock._cached_bytes() == 15672
     list(fock._ladder(3, 8))  # drops the 5-mode tables
-    assert kept() == fock._cached_bytes() == 9696
-    list(fock._ladder(64, 1))  # keeps sector 0 (1433 bytes), not sector 1 (21912)
-    assert kept() == fock._cached_bytes() == 9696 + 1433
-    # 2 modes, sectors 0..4: 15 columns of 2 + 2 * 4 + 1 bytes, the 5 zero
-    # columns and 15 up columns of 2 * 4 bytes, and 600 bytes a sector
+    assert kept() == fock._cached_bytes() == 12252
+    list(fock._ladder(128, 1))  # keeps sector 0 (2777 bytes), not sector 1 (21208)
+    assert kept() == fock._cached_bytes() == 12252 + 2777
+    # 2 modes, sectors 0..4: 15 columns of 2 + 1 bytes, 30 pairs (2 (N_{t-1}
+    # + 1) a sector) of an intp column and a float64 weight, and 600 bytes a
+    # sector
     list(fock._ladder(2, 4))
-    assert kept() == fock._cached_bytes() == 9696 + 1433 + 15 * 11 + 5 * 8 + 15 * 8 + 5 * 600
+    assert kept() == fock._cached_bytes() == 12252 + 2777 + 15 * 3 + 30 * 16 + 5 * 600
 
 
 def _assert_cached_prefixes():
@@ -746,13 +786,13 @@ def test_a_ladder_caches_only_a_prefix_of_its_sectors(monkeypatch):
     # a sector is kept only where its ladder holds every sector before it:
     # not after that ladder was dropped mid-walk, nor past a sector that
     # did not fit
-    monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 22000)
+    monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 30000)
     monkeypatch.setattr(fock, "_ladders", {})
     five = fock._ladder(5, 8)
     for _ in range(3):
         next(five)
     assert _cached_sectors() == {(5, t) for t in range(3)}
-    # 4 modes up to sector 8 take 21363 bytes: they drop the 5-mode tables,
+    # 4 modes up to sector 8 take 29571 bytes: they drop the 5-mode tables,
     # and the rest of the 5-mode walk keeps none of its sectors 3..8
     list(fock._ladder(4, 8))
     collections.deque(five, maxlen=0)
@@ -765,7 +805,7 @@ def test_a_ladder_caches_only_a_prefix_of_its_sectors(monkeypatch):
         next(three)
     monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 0)
     next(three)
-    monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 22000)
+    monkeypatch.setattr(fock, "SECTOR_CACHE_BYTES", 30000)
     collections.deque(three, maxlen=0)
     assert {key for key in _cached_sectors() if key[0] == 3} == {(3, t) for t in range(3)}
     _assert_cached_prefixes()
@@ -773,7 +813,7 @@ def test_a_ladder_caches_only_a_prefix_of_its_sectors(monkeypatch):
     list(fock._ladder(3, 8))
     assert _cached_sectors() == {(3, t) for t in range(9)}
     _assert_cached_prefixes()
-    assert fock._cached_bytes() == 9696
+    assert fock._cached_bytes() == 12252
 
 
 @pytest.mark.parametrize("entry", ["state_from_k", "apply_quadratic", "nullifier_residual"])

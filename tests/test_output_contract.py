@@ -119,3 +119,18 @@ def test_a_doctored_parser_is_reported_on_the_parser_lines(tmp_path, capsys):
     out = capsys.readouterr().out
     assert (total, differing) == (len(output_contract.PARSER_LINES), 1)
     assert "parser lines: check tms --gen z --cut 4 --theta 3: exit code differs" in out
+
+
+def test_the_exponent_form_twomode_line_is_the_one_a_parent_parser_refuses(tmp_path, capsys):
+    # argparse's own rule (^-\d+$|^-\d*\.\d+$) read "-1e-3" as an option, so a
+    # copy that keeps it for twomode differs on that parser line alone
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "gnl" / "cli.py"
+    text = cli.read_text()
+    assert "    p._negative_number_matcher = _NEGATIVE_NUMBER\n" in text
+    cli.write_text(text.replace("    p._negative_number_matcher = _NEGATIVE_NUMBER\n", ""))
+    total, differing = output_contract.compare(tmp_path, ROOT, [output_contract.PARSER_RUN])
+    out = capsys.readouterr().out
+    assert (total, differing) == (len(output_contract.PARSER_LINES), 1)
+    assert ("parser lines: twomode --coeffs 1 -1e-3 0 0: exit code differs\n"
+            "  parent: 2\n  change: 0\n") in out

@@ -51,6 +51,7 @@ PARSER_LINES = (
     ["nope"],
     ["check", "tms"],
     ["twomode", "--coeffs", "1", "2"],
+    ["twomode", "--coeffs", "1", "-1e-3", "0", "0"],
     ["state", "tms", "--format", "xml"],
     ["oracle", "tms", "--cutoff", "x"],
     ["state", "tms", "--config"],
