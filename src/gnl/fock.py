@@ -129,8 +129,17 @@ class FockVector:
         return math.sqrt(sum(_norm2(c) for _, c in self.sectors))
 
     def amplitude(self, occ):
-        """The amplitude of one occupation, 0 outside the populated sectors."""
-        column = np.asarray(occ).reshape(-1, 1)
+        """The amplitude of one occupation, 0 outside the populated sectors.
+
+        Raises
+        ------
+        ShapeMismatch
+            occ does not hold one occupation per mode.
+        """
+        column = np.asarray(occ)
+        if column.shape != (self.n_modes,):
+            raise ShapeMismatch(f"need {self.n_modes} occupations, got shape {column.shape}")
+        column = column.reshape(-1, 1)
         for table, c in self.sectors:
             hit = np.flatnonzero((table == column).all(axis=0))
             if hit.size:

@@ -381,7 +381,8 @@ def matrix_from_json(obj):
     ------
     ShapeMismatch
         The value is not an object with an integer n >= 1 and n*n
-        ``[re, im]`` entries, or an entry is NaN or infinite.
+        ``[re, im]`` entries of numbers, or an entry is a boolean, NaN or
+        infinite.
     """
     if isinstance(obj, str):
         obj = json.loads(obj)
@@ -392,6 +393,9 @@ def matrix_from_json(obj):
         raise ShapeMismatch(
             f"matrix JSON needs n and entries of [re, im] pairs: {exc}"
         ) from None
+    # complex() reads true and false as 1 and 0
+    if any(type(re) is bool or type(im) is bool for re, im in entries):
+        raise ShapeMismatch("matrix JSON entries must be numbers, not booleans")
     if type(n) is not int or n < 1:
         raise ShapeMismatch(f"matrix JSON needs an integer n >= 1, got {n!r}")
     if len(entries) != n * n:

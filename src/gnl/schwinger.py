@@ -361,14 +361,33 @@ DISPLAY_BLOCK = 64
 # below are the only readers of that layout.
 
 
+def _modes(w):
+    """The mode count n of a (d, n^2) array of coordinate rows.
+
+    Raises
+    ------
+    ShapeMismatch
+        w is not 2-D, or its row width is not n^2 for some n >= 1.
+    """
+    n = math.isqrt(w.shape[1]) if w.ndim == 2 else 0
+    if n < 1 or n * n != w.shape[1]:
+        raise ShapeMismatch(f"coordinate rows need shape (d, n^2) with n >= 1, got {w.shape}")
+    return n
+
+
 def from_coordinates(w):
     """The Hermitian matrices of rows of canonical coordinates.
 
     w is a (d, n^2) float array; returns the (d, n, n) complex stack.  Pairs
     are filled DISPLAY_BLOCK rows at a time, which bounds the complex
     temporaries.
+
+    Raises
+    ------
+    ShapeMismatch
+        w is not 2-D with a row width of n^2 (see :func:`_modes`).
     """
-    n = math.isqrt(w.shape[1])
+    n = _modes(w)
     r, s = _pairs(n)
     m = np.zeros((len(w), n, n), dtype=complex)
     m[:, np.arange(n), np.arange(n)] = w[:, :n]
@@ -387,8 +406,13 @@ def real_from_coordinates(w, symmetric):
     sigma_x coordinates; otherwise the real antisymmetric S, read from the
     sigma_y coordinates (S_rs = -sqrt(1/2) w_y for r < s).  w is a
     (d, n^2) float array; returns a (d, n, n) float stack.
+
+    Raises
+    ------
+    ShapeMismatch
+        w is not 2-D with a row width of n^2 (see :func:`_modes`).
     """
-    n = math.isqrt(w.shape[1])
+    n = _modes(w)
     r, s = _pairs(n)
     m = np.zeros((len(w), n, n))
     if symmetric:
@@ -491,13 +515,17 @@ def coordinate_expressions(w, labels=None):
     Raises
     ------
     ShapeMismatch
-        A row has a NaN or infinite entry, which would render as "0".
+        w is not 2-D with a row width of n^2 (see :func:`_modes`), labels
+        does not name n modes, or a row has a NaN or infinite entry, which
+        would render as "0".
     PrecisionLimit
         A finite row's coefficients overflow the float range.
     """
-    n = math.isqrt(w.shape[1])
+    n = _modes(w)
     if labels is None:
         labels = [str(i) for i in range(n)]
+    elif len(labels) != n:
+        raise ShapeMismatch(f"need {n} labels, got {len(labels)}")
     bodies = np.array(
         [f"·S^{axis}_{{{labels[r]},{labels[s]}}}" for axis, (r, s) in _slots(n)], dtype=object
     )

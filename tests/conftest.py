@@ -202,6 +202,76 @@ def reference_canonical_basis(kernel):
     return chosen[:count], index
 
 
+def _matmul_snap_rows(w, tol_zero=1e-13, tol_tie=1e-9):
+    # nullifiers._snap_rows as matmul_canonical_basis was written against
+    mags = np.abs(w)
+    top = mags.max(axis=1, keepdims=True)
+    w[mags < tol_zero * top] = 0.0
+    w /= np.sqrt(np.add.reduce((w.conj() * w).real, axis=1, keepdims=True))
+    rows = np.arange(len(w))
+    lead = (mags >= (1.0 - tol_tie) * top).argmax(axis=1)
+    head = w[rows, lead]
+    if np.iscomplexobj(w):
+        w *= (np.abs(head) / head)[:, None]
+        head = w[rows, lead]
+        head.imag[np.abs(head.imag) < tol_zero] = 0.0
+        w[rows, lead] = head
+    else:
+        w *= np.where(head < 0, -1.0, 1.0)[:, None]
+    return w
+
+
+def matmul_canonical_basis(kernel):
+    """The blocked greedy canonical basis with every product written as ``@``.
+
+    ``nullifiers._canonical_basis`` as it stood before its per-column passes
+    called ``ndarray.dot``, kept verbatim but for the snap, which is copied
+    above: on float64 kernels the two must agree byte for byte, accepted
+    indices included.  Returns the accepted rows and the coordinate index of
+    each.
+    """
+    from gnl import nullifiers
+
+    block_size = nullifiers.BLOCK
+    dim, size = kernel.shape
+    chosen = np.empty_like(kernel)
+    index = np.empty(dim, dtype=int)
+    coords = np.empty((dim, dim), dtype=kernel.dtype)
+    count = 0
+    for start in range(0, size, block_size):
+        if count == dim:
+            break
+        block = kernel[:, start:start + block_size].conj()
+        if count:
+            done = coords[:count]
+            coef = chosen[:count, start:start + block_size].conj()
+            live = coef.any(axis=1)
+            block = block - done[live].T @ coef[live]
+            block = block - done.T @ (done.conj() @ block)
+        new = np.empty((min(block_size, dim - count), dim), dtype=kernel.dtype)
+        taken = 0
+        cand = np.flatnonzero(np.add.reduce((block.conj() * block).real, axis=0) > 1e-16)
+        for col, c in zip(cand, block.T[cand]):
+            if taken:
+                ours = new[:taken]
+                for _ in range(2):
+                    c = c - ours.T @ (ours.conj() @ c)
+            norm = math.sqrt(np.vdot(c, c).real)
+            if norm > 1e-8:
+                new[taken] = c / norm
+                index[count + taken] = start + col
+                taken += 1
+                if taken == len(new):
+                    break
+        if taken:
+            rows = _matmul_snap_rows(new[:taken] @ kernel)
+            chosen[count:count + taken] = rows
+            used = rows.any(axis=0)
+            coords[count:count + taken] = rows[:, used] @ kernel[:, used].conj().T
+            count += taken
+    return chosen[:count], index[:count]
+
+
 def occupation_list(n_modes, cutoff):
     """All occupation tuples with total photon number <= cutoff, sorted."""
     occs = []

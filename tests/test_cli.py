@@ -953,6 +953,8 @@ def test_the_argument_parser_is_built_once():
         "[]",
         '{"n": "x", "entries": []}',
         '{"n": 2.9, "entries": [[0, 0], [0.1, 0], [0.1, 0], [0, 0]]}',
+        # json reads true as a bool, which complex() took as 1.0
+        '{"n": 2, "entries": [[0, 0], [true, 0], [1, 0], [0, 0]]}',
     ],
 )
 def test_malformed_matrix_files_exit_with_2(text, tmp_path, capsys):

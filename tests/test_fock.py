@@ -47,6 +47,16 @@ def test_vacuum_state():
     assert v.norm() == 1.0
 
 
+@pytest.mark.parametrize("occ", [(2,), (1, 1, 0)])
+def test_an_occupation_of_the_wrong_length_is_refused(occ):
+    # (2,) was broadcast against both modes and read c(2, 2) = 0.1903, and a
+    # long occupation reached numpy's own ValueError
+    v = fock.state_from_k(graphs.tms_k(0.5), 4)
+    with pytest.raises(ShapeMismatch, match=rf"need 2 occupations, got shape \({len(occ)},\)"):
+        v.amplitude(occ)
+    assert v.amplitude((2, 2)) == pytest.approx(0.1903, abs=1e-4)
+
+
 def test_tms_amplitudes_are_geometric():
     a = 0.5
     v = fock.state_from_k(graphs.tms_k(a), 12)

@@ -390,6 +390,8 @@ def test_matrix_from_json_checks_entry_count():
         {"n": 1, "entries": [[0.0, float("-inf")]]},
         '{"n": 1, "entries": [[Infinity, 0]]}',
         {"n": 0, "entries": []},
+        {"n": 1, "entries": [[True, 0]]},
+        {"n": 1, "entries": [[0.5, False]]},
     ],
 )
 def test_matrix_from_json_rejects_malformed_input(obj):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_force_dim,
+    matmul_canonical_basis,
     random_hermitian,
     random_k,
     random_unitary,
@@ -145,6 +146,51 @@ def test_blocked_canonical_basis_matches_the_column_loop(seed, size, share, kind
     assert np.max(np.abs(blocked - reference), initial=0.0) <= 1e-10
     gram = blocked.conj() @ blocked.T
     assert np.max(np.abs(gram - np.eye(dim)), initial=0.0) <= 1e-12
+
+
+def _assert_same_bytes(kernel):
+    rows, at = nullifiers._canonical_basis(kernel)
+    reference, reference_at = matmul_canonical_basis(kernel)
+    assert (rows.dtype, rows.shape) == (reference.dtype, reference.shape)
+    assert rows.tobytes() == reference.tobytes()
+    assert (at.dtype, at.tobytes()) == (reference_at.dtype, reference_at.tobytes())
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 3 * nullifiers.BLOCK + 10),
+    share=st.floats(0.0, 1.0),
+    kind=st.sampled_from(["dense", "sparse", "faint", "units"]),
+)
+@example(seed=3, size=200, share=0.35, kind="dense")
+@example(seed=5, size=150, share=0.3, kind="faint")
+def test_real_kernels_give_the_bytes_of_the_matmul_form(seed, size, share, kind):
+    # the per-column passes call ndarray.dot; on float64 it is the same gemv
+    # as @, so rows and indices must not move by a bit
+    _assert_same_bytes(_kernel(seed, size, round(share * size), kind, False))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=real_adjacency())
+def test_both_real_route_halves_give_the_bytes_of_the_matmul_form(case):
+    k, _ = case
+    kernels = []
+    canonical = nullifiers._canonical_basis
+
+    def recorded(kernel):
+        kernels.append(kernel)
+        return canonical(kernel)
+
+    nullifiers._canonical_basis = recorded
+    try:
+        nullifiers.nullifier_space(k)
+    finally:
+        nullifiers._canonical_basis = canonical
+    assert len(kernels) == 2  # the R half, then the S half
+    for kernel in kernels:
+        assert kernel.dtype == float
+        _assert_same_bytes(kernel)
 
 
 def test_oversized_kernels_fail_before_allocating():

@@ -516,6 +516,30 @@ def test_display_refuses_a_non_finite_coordinate_row():
         schwinger.coordinate_expressions(np.array([[np.nan, 0.0, 1.0, 0.0]]))
 
 
+_READERS = {
+    "coordinate_expressions": schwinger.coordinate_expressions,
+    "from_coordinates": schwinger.from_coordinates,
+    "real_from_coordinates": lambda w: schwinger.real_from_coordinates(w, True),
+    "real_from_coordinates, S half": lambda w: schwinger.real_from_coordinates(w, False),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+@pytest.mark.parametrize("shape", [(1, 5), (2, 3), (1, 0), (4,), (1, 2, 2)])
+def test_coordinate_readers_refuse_a_row_width_that_is_not_a_square(reader, shape):
+    # these reached an IndexError or a broadcast ValueError, or gave a
+    # result for a mode count the width does not have
+    with pytest.raises(ShapeMismatch, match=r"shape \(d, n\^2\)"):
+        _READERS[reader](np.ones(shape))
+
+
+@pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"]])
+def test_display_refuses_labels_that_do_not_name_every_mode(labels):
+    # too few labels reached an IndexError, too many were silently cut
+    with pytest.raises(ShapeMismatch, match=f"need 2 labels, got {len(labels)}$"):
+        schwinger.coordinate_expressions(np.array([[1.0, -1.0, 0.0, 0.0]]), labels)
+
+
 def test_display_refuses_a_finite_row_whose_coefficients_overflow():
     # the diagonal pair's S^0 and S^z coefficients are 1e308 -+ -1e308
     with pytest.raises(PrecisionLimit, match="overflow"):
