@@ -41,9 +41,15 @@ an abbreviation, a usage error, any ``--config`` line), and argparse
 parses or refuses it and writes every help, usage and error text.
 
 ``--format json`` output is exactly ``json.dumps(payload, indent=2)`` plus a
-newline.  The stdlib writes every value but the two large tables of numbers,
-the ``nullifiers`` generator stack and the ``oracle`` amplitude records; one
-table writer, :func:`_table`, writes those from arrays to the same bytes.
+newline.  The two large tables of numbers, the ``nullifiers`` generator
+stack and the ``oracle`` amplitude records, are written from arrays to the
+same bytes by one table writer, :func:`_table`: each number is one piece,
+its text with the separator that follows it folded in, made once per
+separator and distinct value of a block, and the separators come from
+json's encoding of a record of at most two entries per list, whatever the
+mode count.  The flat lists of ``nullifiers`` (singular values and
+expressions) go through json's C encoder, and the stdlib's indenting
+encoder writes every other value.
 
 Exit codes: 0 all requested checks pass, 1 a check ran and failed,
 2 invalid input, which includes a ``check`` generator that is zero (it
@@ -57,6 +63,7 @@ graphs.RTOL max|K| (1 + 2 pi max|M|).
 
 import argparse
 import functools
+import itertools
 import json
 import re
 import sys
@@ -73,60 +80,113 @@ TEXT_HEADER = "gnl-report v1"
 BLOCK = 16384
 _NUMBER = "\0"  # stands for a number in a record skeleton
 _MARK = json.dumps(_NUMBER)
+_CUT = "\1"  # in no number's text and no separator, so pieces split at it
 
 
 # json.dumps(value, indent=2) with the encoder built once; payloads are trees,
 # so json's cycle check (about 7 % of a small state payload's time) is off
 _indented = json.JSONEncoder(indent=2, check_circular=False).encode
+# a flat list as a value of a top-level object: json's C encoder, with the
+# item separator that indent=2 writes there
+_flat_items = json.JSONEncoder(separators=(",\n    ", ": "), check_circular=False).encode
 
 
-def _texts(array):
-    """The JSON text of each number of an int64 or float64 array, flat, in order.
+def _flat(values):
+    """A list of strings and numbers as a table (see :func:`_json_dumps`)."""
+    return lambda: ["[\n    ", _flat_items(values)[1:-1], "\n  ]"] if values else ["[]"]
 
-    Returns an object array.  Each distinct bit pattern is spelled once, by
-    one ``json.dumps`` of the distinct values, so -0.0, NaN and Infinity keep
-    json's spelling and no two floats merge; zero, most of a sparse
-    generator, is set aside first.
+
+def _marks(record):
+    """The text around the numbers of a one-record list at indent level 1.
+
+    record has :data:`_NUMBER` in place of each number.  Returns (first,
+    between, joint, end): the text before its first number, the text after
+    each number but the last, the text from the last number to the first
+    of a next record (json ends a list item with "," before the next one),
+    and the text after the last number, which closes the list.
     """
-    bits = array.view(np.int64).reshape(-1)
+    first, *between, end = _indented([record]).replace("\n", "\n  ").split(_MARK)
+    return first, between, end[:end.rindex("\n")] + "," + first[1:], end
+
+
+# the marks of an oracle amplitude record, whatever the mode count
+_AMP_MARKS = _marks({"occ": [_NUMBER] * 2, "re": _NUMBER, "im": _NUMBER})
+
+
+def _distinct(values):
+    """(texts, index): the distinct numbers of a 2-D int64 or float64 array.
+
+    texts holds the JSON text of each distinct bit pattern, zero's first;
+    index, of values' shape, the text of each value.  The texts come from
+    one ``json.dumps``, so -0.0, NaN and Infinity keep json's spelling and
+    no two floats merge.  Zero, most of a sparse generator, is set aside
+    before the sort.
+    """
+    bits = values.view(np.int64).reshape(-1)
     nonzero = np.flatnonzero(bits)
-    distinct, which = np.unique(bits[nonzero], return_inverse=True)
-    values = np.concatenate(([0], distinct)).view(array.dtype).tolist()
-    texts = np.array(json.dumps(values)[1:-1].split(", "), dtype=object)
+    at = nonzero[bits[nonzero].argsort()]  # the nonzero values in bit order
+    ranked = bits[at]
+    new = np.empty(len(at), dtype=bool)
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    numbers = np.concatenate(([0], ranked[new])).view(values.dtype).tolist()
     index = np.zeros(len(bits), dtype=np.intp)
-    index[nonzero] = which + 1
-    return texts[index]
+    index[at] = new.cumsum()
+    return json.dumps(numbers)[1:-1].split(", "), index.reshape(values.shape)
 
 
-def _table(record, columns, level):
-    """A list of records of one layout as JSON text at indent level, in chunks.
+def _table(first, end, columns):
+    """A list of records of one layout as JSON text at indent level 1, in chunks.
 
-    record is one record with :data:`_NUMBER` in place of each number.
-    columns are C-contiguous 2-D int64 or float64 arrays with one row per
-    record; a record's numbers are its rows, column after column.  The text
-    between two numbers comes from ``json.dumps`` of a one-record list,
-    split at the markers, so json alone sets the layout; json ends a list
-    item with "," before the next one.  Returns one chunk per block of about
-    :data:`BLOCK` numbers.
+    Each number is one piece: its text with the separator that follows it
+    in the record folded in.  columns are (array, classes) pairs: array is
+    2-D int64 or float64 with one row per record, a record's numbers being
+    its rows, column after column; classes are (separator, slice) pairs
+    that split the array's columns by the text that follows their numbers.
+    The last class of the last column holds the record's last number, and
+    its separator is the joint to the next record (see :func:`_marks`);
+    first and end are the text before the table's first number and after
+    its last.
+
+    A block of about :data:`BLOCK` numbers spells each column's distinct
+    values once (see :func:`_distinct`) and is one join of its pieces.  A
+    class's pieces are one join of texts with its separator, split again,
+    so no string is built per value: of every distinct value of the column
+    when the class has at least as many numbers (sparse generators), else
+    of only the values the class holds (oracle amplitudes and dense
+    generators, whose values are mostly distinct).  Returns first, one
+    chunk per block and end.
     """
-    count = len(columns[0])
+    count = len(columns[0][0])
     if not count:
         return ["[]"]
-    text = _indented([record]).replace("\n", "\n" + "  " * level)
-    first, *inner, last = text.split(_MARK)
-    joint = last[:last.rindex("\n")] + "," + first[1:]  # from one record to the next
-    each = [joint, *inner]  # the text before each number of a record
-    rows = max(1, BLOCK // len(each))
-    chunks = []
+    joint = columns[-1][1][-1][0]
+    width = sum(array.shape[1] for array, _ in columns)
+    rows = max(1, BLOCK // width)
+    chunks = [first]
     for start in range(0, count, rows):
-        block = [c[start:start + rows] for c in columns]
-        pieces = np.empty((len(block[0]), 2 * len(each)), dtype=object)
-        pieces[:, 0::2] = each
-        pieces[:, 1::2] = np.concatenate([_texts(c).reshape(c.shape) for c in block], axis=1)
-        if not start:
-            pieces[0, 0] = first
-        chunks.append("".join(pieces.reshape(-1).tolist()))
-    chunks.append(last)
+        pieces = []
+        index = np.empty((min(rows, count - start), width), dtype=np.intp)
+        at = 0
+        for array, classes in columns:
+            block = array[start:start + rows]
+            texts, which = _distinct(block)
+            spots = index[:, at:at + block.shape[1]]
+            for sep, cut in classes:
+                spot, own = which[:, cut], texts
+                if len(texts) > spot.size:
+                    keep = np.zeros(len(texts), dtype=bool)
+                    keep[spot] = True
+                    spot = (keep.cumsum() - 1)[spot]
+                    own = list(itertools.compress(texts, keep.tolist()))
+                spots[:, cut] = spot + len(pieces)
+                pieces += ((sep + _CUT).join(own) + sep).split(_CUT)
+            at += block.shape[1]
+        line = np.array(pieces, dtype=object)[index.reshape(-1)].tolist()
+        if start + rows >= count:
+            line[-1] = line[-1][:-len(joint)]
+        chunks.append("".join(line))
+    chunks.append(end)
     return chunks
 
 
@@ -137,11 +197,15 @@ def _generator_table(generators, n):
     A C-contiguous complex stack, as :func:`schwinger.from_coordinates`
     returns it, is read in place, without a copy; its float view is the one
     column of the table, each record's numbers the real and imaginary parts
-    of its entries in row-major order.
+    of its entries in row-major order.  The separators come from a record
+    of two entries, whatever n.
     """
     stack = np.asarray(generators, dtype=complex).reshape(-1, n * n)
-    record = {"n": n, "entries": [[_NUMBER, _NUMBER]] * (n * n)}
-    return functools.partial(_table, record, [stack.view(float)])
+    first, (re, im, _), joint, end = _marks({"n": n, "entries": [[_NUMBER] * 2] * 2})
+    width = 2 * n * n
+    classes = [(re, slice(0, width, 2)), (im, slice(1, width - 1, 2)),
+               (joint, slice(width - 1, width))]
+    return functools.partial(_table, first, end, [(stack.view(float), classes)])
 
 
 def _fock_payload(v):
@@ -149,14 +213,20 @@ def _fock_payload(v):
 
     ``{"n":, "cutoff":, "amps": [{"occ":, "re":, "im":}]}``, one record per
     row of :func:`fock.export_table`, whose complex amplitudes write a real
-    one, from the float64 recursion of a real K, as (re, 0.0).
+    one, from the float64 recursion of a real K, as (re, 0.0).  The
+    separators come from a record of two occupations, whatever n.
     """
+    n = v.n_modes
     occ, amps = fock.export_table(v)
-    record = {"occ": [_NUMBER] * v.n_modes, "re": _NUMBER, "im": _NUMBER}
+    first, (inner, last, re), joint, end = _AMP_MARKS
+    columns = [
+        (occ, [(inner, slice(0, n - 1)), (last, slice(n - 1, n))]),
+        (amps.view(float).reshape(-1, 2), [(re, slice(0, 1)), (joint, slice(1, 2))]),
+    ]
     return {
-        "n": int(v.n_modes),
+        "n": int(n),
         "cutoff": int(v.cutoff),
-        "amps": functools.partial(_table, record, [occ, amps.view(float).reshape(-1, 2)]),
+        "amps": functools.partial(_table, first, end, columns),
     }
 
 
@@ -164,9 +234,9 @@ def _json_dumps(payload):
     """``json.dumps(payload, indent=2) + "\n"``, byte for byte.
 
     A payload without a table is ``json.dumps`` itself.  A value of a
-    top-level object may be a table: a callable that takes the indent level
-    of that value, 1, and returns the table's text in chunks (see
-    :func:`_table`).  Every other value is then ``json.dumps(value,
+    top-level object may be a table: a callable that returns that value's
+    text at indent level 1 in chunks (see :func:`_table` and
+    :func:`_flat`).  Every other value is then ``json.dumps(value,
     indent=2)`` indented by one level, which is exact because JSON strings
     hold no raw newline.  The document is joined once.
     """
@@ -176,7 +246,7 @@ def _json_dumps(payload):
     for i, (key, value) in enumerate(payload.items()):
         chunks.append(("," if i else "") + "\n  " + json.dumps(key) + ": ")
         if callable(value):
-            chunks += value(1)
+            chunks += value()
         else:
             chunks.append(_indented(value).replace("\n", "\n  "))
     chunks.append("\n}\n")
@@ -334,11 +404,11 @@ def cmd_nullifiers(args):
             "state": args.state,
             "dimension": basis.dimension,
             "borderline": basis.borderline,
-            "singular_values": basis.singular_values,
+            "singular_values": _flat(basis.singular_values),
             "generators": _generator_table(
                 schwinger.from_coordinates(basis.coordinates), k.shape[0]
             ),
-            "expressions": expressions,
+            "expressions": _flat(expressions),
         }
         _write(args, _json_dumps(payload))
         return 0

@@ -708,8 +708,30 @@ def _generator_stacks(draw):
     return block, parts.view(complex)[..., 0]
 
 
+# values whose text json spells its own way, or that equal another value
+# but not its bits
+_SPECIALS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324]
+
+
+def _special_stack(n, dim=len(_SPECIALS)):
+    """A (dim, n, n) stack whose part p of generator r is _SPECIALS[(r + p) % 6].
+
+    Over six generators every special value sits in every separator class:
+    real parts, imaginary parts inside a record and the record's last one;
+    one bit pattern is in several classes of a block, and from n = 2 on a
+    record's last value also appears inside it.
+    """
+    parts = np.array(_SPECIALS)[(np.arange(dim)[:, None] + np.arange(2 * n * n)) % 6]
+    return parts.view(complex).reshape(dim, n, n)
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(drawn=_generator_stacks(), as_list=st.booleans())
+@example(drawn=(1, _special_stack(2)), as_list=False)  # one record per block
+@example(drawn=(1, _special_stack(1)), as_list=False)  # no imaginary part inside a record
+@example(drawn=(100, _special_stack(3)), as_list=True)
+@example(drawn=(cli.BLOCK, _special_stack(2, 1)), as_list=False)  # one record
+@example(drawn=(cli.BLOCK, np.full((3, 2, 2), 0.3 + 0.3j)), as_list=False)  # one value
 def test_generator_stack_writer_matches_the_per_matrix_payload(drawn, as_list):
     block, stack = drawn
     generators = list(stack) if as_list else stack
@@ -720,7 +742,36 @@ def test_generator_stack_writer_matches_the_per_matrix_payload(drawn, as_list):
         assert cli._json_dumps(new) == json.dumps(old, indent=2) + "\n"
 
 
+def test_nullifiers_payload_writer_matches_the_stdlib_payload():
+    # singular values with subnormals and signed zeros, and expressions with
+    # the non-ASCII middle dot and wire labels, beside a generator table
+    stack = _special_stack(2, 2)
+    values = [1.0, 0.5, 5e-324, -5e-324, 2.2250738585072014e-308, 0.0, -0.0, 1e16]
+    expressions = ["1.0·S^z_{0a,0b} - 0.5·S^x_{0a,1b}", "1.0·S^0_{1a,1a}", "0"]
+    payload = {"state": "wire", "dimension": 2, "borderline": False}
+    new = payload | {"singular_values": cli._flat(values),
+                     "generators": cli._generator_table(stack, 2),
+                     "expressions": cli._flat(expressions)}
+    old = payload | {"singular_values": values,
+                     "generators": [graphs.matrix_to_json(g) for g in stack],
+                     "expressions": expressions}
+    assert cli._json_dumps(new) == json.dumps(old, indent=2) + "\n"
+    empty = {"singular_values": cli._flat([]), "expressions": cli._flat([])}
+    assert cli._json_dumps(empty) == json.dumps(dict.fromkeys(empty, []), indent=2) + "\n"
+
+
 _ONE_ULP = np.nextafter(0.1, 1.0)
+_SPECIAL_AMPS = {
+    (0, 0): complex(0.5, 0.5),
+    (1, 1): complex(-0.0, 0.5),
+    (0, 2): complex(0.5, -0.0),
+    (2, 0): complex(5e-324, 1.0),
+    (2, 2): complex(1.0, 5e-324),
+    (3, 1): complex(float("inf"), -0.5),
+    (1, 3): complex(-0.5, float("-inf")),
+    (0, 4): complex(float("nan"), float("inf")),
+    (4, 0): complex(float("-inf"), float("nan")),
+}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -728,6 +779,13 @@ _ONE_ULP = np.nextafter(0.1, 1.0)
 @example(v=fock_vector(1, 600, {(300,): complex(0.1, -0.0), (256,): complex(_ONE_ULP, 0.0)}), block=1)
 @example(v=fock_vector(2, 4, {(1, 1): complex(float("nan"), float("inf")), (0, 2): 1.0}), block=8)
 @example(v=fock_vector(3, 4, {(0, 0, 2): 1e-15 + 0j}), block=cli.BLOCK)
+# each special value as a real and as an imaginary part, a value that is
+# both parts of a record, an occupation inside and at the end of the list
+@example(v=fock_vector(2, 4, _SPECIAL_AMPS), block=1)
+@example(v=fock_vector(2, 4, _SPECIAL_AMPS), block=cli.BLOCK)
+@example(v=fock_vector(1, 8, {(o,): a for o, a in zip(range(0, 9, 2), _SPECIAL_AMPS.values())}),
+         block=1)
+@example(v=fock_vector(2, 2, {(1, 1): complex(0.5, 0.5)}), block=cli.BLOCK)  # one record
 def test_oracle_writer_matches_the_stdlib_payload(v, block):
     new, old = cli._fock_payload(v), fock_to_json(v)
     with mock.patch.object(cli, "BLOCK", block):

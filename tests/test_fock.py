@@ -542,6 +542,18 @@ def test_finite_routes_that_disagree_fail_the_consistency_check():
     assert c.tolist() == [1.0, 1.0, 1.0, 0.0]
 
 
+def test_routes_that_disagree_by_1e_8_relative_fail_the_consistency_check():
+    # as above, with the routes of mode 1 2e-8 above those of mode 0: the
+    # mean of (1, 1) is 1 + 1e-8 and its spread 1e-8, 100 graphs.RTOL
+    ladder = fock._ladder(2, 2)
+    next(ladder)
+    next(ladder)
+    _, cols, _, occupied = next(ladder)
+    d = np.array([[1.0, 1.0, 0.0], [1.0 + 2e-8, 1.0 + 2e-8, 0.0]])
+    with pytest.raises(InconsistentRecursion, match=r"disagree by 1\.000e-08 in sector 2"):
+        fock._routes(d, cols, occupied, 2, fock._Scratch(2, 2))
+
+
 # ----------------------------------------------------------------------
 # the sector tables and their cache
 

@@ -467,6 +467,31 @@ def test_nullifier_space_matches_brute_force_rank():
         assert basis.dimension == brute_force_dim(k, rng)
 
 
+# Spectra with one value between RTOL and 1e3 RTOL of their scale: a cut
+# 10^3 times looser than graphs.RTOL takes that value into the kernel
+
+
+def test_takagi_values_1e_8_apart_are_not_a_degenerate_pair():
+    # K = Q diag(s) Q^T: a unit is in the kernel iff 2 s_a or s_a + s_b is
+    # 0 or s_a = s_b, so only (0.2, 0.2) counts; |s_0 - s_1| and s_4 are
+    # 1e-8 of the largest, and s_4 as 0 would add E_44
+    q = random_unitary(np.random.default_rng(7), 5)
+    s = np.array([0.5, 0.5 * (1.0 + 1e-8), 0.2, 0.2, 5e-9])
+    k = q @ np.diag(s) @ q.T
+    assert k.imag.any()  # the complex route
+    assert nullifiers.nullifier_space(k).dimension == 1
+
+
+def test_an_eigenvalue_1e_8_of_the_largest_is_not_zero():
+    # real K = O diag(lam) O^T: a unit is in the kernel iff 2 lam_a,
+    # lam_a + lam_b or lam_a - lam_b is 0, so only lam_0 + lam_1 = 0 counts;
+    # lam_3 is 1e-8 of the largest, and as 0 it would add E_33
+    o = np.linalg.qr(np.random.default_rng(8).standard_normal((4, 4)))[0]
+    k = o @ np.diag([0.5, -0.5, 0.3, 5e-9]) @ o.T
+    k = 0.5 * (k + k.T)
+    assert nullifiers.nullifier_space(k).dimension == 1
+
+
 def test_nullifier_space_generators_all_pass_the_criterion():
     rng = np.random.default_rng(73)
     for n in (2, 3, 4):
@@ -684,6 +709,19 @@ def test_two_mode_class_pure_s0_is_empty():
     cls = nullifiers.two_mode_invariant_class(1.0, 0.0, 0.0, 0.0)
     assert cls.dimension == 0
     assert cls.basis == []
+
+
+def test_two_mode_class_of_a_system_1e_8_from_singular_is_empty():
+    # with gamma = 0 the 3x3 system has determinant 2 alpha (beta^2 + delta^2
+    # - alpha^2): singular at (1, 0.8, 0, 0.6), and full rank, dimension 0,
+    # with beta 3e-8 larger, where its smallest singular value is 1e-8 of
+    # the largest
+    a, b, d = 1.0, 0.8 + 3e-8, 0.6
+    sing = np.linalg.svd([[a + d, b, 0.0], [0.0, b, a - d], [b, 2.0 * a, b]], compute_uv=False)
+    assert 0.5e-8 < sing[-1] / sing[0] < 2e-8
+    assert nullifiers.two_mode_invariant_class(a, 0.8, 0.0, d).dimension == 1
+    cls = nullifiers.two_mode_invariant_class(a, b, 0.0, d)
+    assert cls.dimension == 0 and cls.basis == []
 
 
 def test_two_mode_class_rejects_all_zero():

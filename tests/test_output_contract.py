@@ -94,6 +94,23 @@ def test_the_parser_lines_run_alike_with_their_config_file(tmp_path, capsys):
                         f"all: 0 of {len(argvs)} commands differ"]
 
 
+def test_the_writer_edge_lines_run_alike_with_their_g_files(tmp_path, capsys):
+    argvs = output_contract.edge_lines(tmp_path)
+    assert len(argvs) == 3 * len(output_contract.EDGE_GRAPHS)
+    assert output_contract.compare(ROOT, ROOT, [output_contract.EDGE_RUN]) == (len(argvs), 0)
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2] == f"writer edge lines: 0 of {len(argvs)} commands differ (0 structural)"
+    # every line writes its JSON, and the 1-mode G has no nullifier
+    commands = tmp_path / "commands.json"
+    commands.write_text(json.dumps(argvs))
+    results = output_contract.run_checkout(ROOT, commands, tmp_path / "results.json")
+    assert all(code == 0 and err == "" for code, _, err in results)
+    payloads = {(argv[0], Path(argv[3]).stem): json.loads(out) for argv, (_, out, _) in zip(argvs, results)}
+    assert payloads["nullifiers", "one"]["generators"] == []
+    assert payloads["nullifiers", "zero"]["dimension"] == 4
+    assert payloads["state", "edge"]["n"] == 3
+
+
 def test_the_worker_pins_the_terminal_width_that_argparse_wraps_to(tmp_path, monkeypatch):
     monkeypatch.setenv("COLUMNS", "30")
     commands = tmp_path / "commands.json"

@@ -9,17 +9,23 @@ sides read: the payload of ``check --gen @FILE`` echoes the file's path, so
 inputs written twice, to two directories, would differ where the program
 does not. The benchmark's lists hold no help, usage error or abbreviated
 flag, so one more list, PARSER_LINES, holds such lines; its ``--config``
-run reads one file written to its work directory. Each checkout then runs
+run reads one file written to its work directory. Nor do they hold a
+matrix whose JSON tables take the number table writer's edge cases, so
+EDGE_LINES runs ``state``, ``nullifiers`` and ``oracle`` with ``--format
+json`` on three hgraph files written to its work directory: a G with
+-0.0, subnormal and repeated entries, a zero G and a 1-mode G, whose
+nullifier space is empty. Each checkout then runs
 ``gnl.cli.main`` over each list in a fresh subprocess that imports gnl from
 that checkout's src/, one command after another in list order, on one BLAS
 thread as bench/run.py does, and with COLUMNS pinned, so argparse wraps its
 help and usage alike on both sides; it keeps the exit code, stdout and
 stderr of each.
 
-Prints, per workload and seed and for the parser lines, each command whose
-exit code, stdout or stderr differ, with the first line that differs and
-the kind of the difference (see ``classify``), and a count; exits 1 if any
-command differs and 0 otherwise. Nothing under bench/ is written.
+Prints, per workload and seed and for the parser and edge lines, each
+command whose exit code, stdout or stderr differ, with the first line that
+differs and the kind of the difference (see ``classify``), and a count;
+exits 1 if any command differs and 0 otherwise. Nothing under bench/ is
+written.
 """
 
 import argparse
@@ -56,6 +62,20 @@ PARSER_LINES = (
     ["oracle", "tms", "--cutoff", "x"],
     ["state", "tms", "--config"],
     ["--config", "{config}", "state", "tms"],
+)
+# the run of compare() that stands for EDGE_LINES
+EDGE_RUN = ("writer edge lines", None)
+# the G files of EDGE_LINES: -0.0, the smallest subnormal and a repeated
+# 0.5 among the entries; all zero; one mode
+EDGE_GRAPHS = {
+    "edge": [[-0.0, 0.5, 5e-324], [0.5, 0.5, -0.0], [5e-324, -0.0, 0.5]],
+    "zero": [[0.0, 0.0], [0.0, 0.0]],
+    "one": [[0.4]],
+}
+EDGE_LINES = tuple(
+    [command, "hgraph", "--g", "{%s}" % name, "--format", "json", *extra]
+    for name in EDGE_GRAPHS
+    for command, extra in (("state", []), ("nullifiers", []), ("oracle", ["--cutoff", "4"]))
 )
 
 
@@ -201,10 +221,24 @@ def parser_lines(work):
     return [[token.format(config=config) for token in line] for line in PARSER_LINES]
 
 
+def edge_lines(work):
+    """EDGE_LINES, with the G files they read written into work."""
+    paths = {}
+    for name, g in EDGE_GRAPHS.items():
+        paths[name] = Path(work) / f"{name}.json"
+        entries = [[x, 0.0] for row in g for x in row]
+        paths[name].write_text(json.dumps({"n": len(g), "entries": entries}))
+    return [[token.format(**paths) for token in line] for line in EDGE_LINES]
+
+
+# the fixed lists of commands and what writes their files
+FIXED_RUNS = {PARSER_RUN: parser_lines, EDGE_RUN: edge_lines}
+
+
 def compare(parent, change, runs):
     """Print the differing commands of each (workload, seed) in runs, or of
-    PARSER_LINES for PARSER_RUN; return the number of commands run and the
-    number that differ."""
+    PARSER_LINES for PARSER_RUN and of EDGE_LINES for EDGE_RUN; return the
+    number of commands run and the number that differ."""
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
 
@@ -213,8 +247,8 @@ def compare(parent, change, runs):
         for workload, seed in runs:
             work = Path(tmp) / f"{workload}-{seed}"
             work.mkdir()
-            if (workload, seed) == PARSER_RUN:
-                label, argvs = workload, parser_lines(work)
+            if (workload, seed) in FIXED_RUNS:
+                label, argvs = workload, FIXED_RUNS[workload, seed](work)
             else:
                 label = f"{workload} seed {seed}"
                 argvs = [c.argv for c in workloads.build(workload, seed, str(work))]
@@ -252,7 +286,7 @@ def main(argv=None):
         return 0
     if args.parent is None or args.change is None:
         parser.error("--parent and --change are required")
-    runs = [(workload, seed) for workload in WORKLOADS for seed in SEEDS] + [PARSER_RUN]
+    runs = [(workload, seed) for workload in WORKLOADS for seed in SEEDS] + list(FIXED_RUNS)
     _, differing = compare(args.parent, args.change, runs)
     return 1 if differing else 0
 
