@@ -81,6 +81,7 @@ BLOCK = 16384
 _NUMBER = "\0"  # stands for a number in a record skeleton
 _MARK = json.dumps(_NUMBER)
 _CUT = "\1"  # in no number's text and no separator, so pieces split at it
+_SIGN = np.iinfo(np.int64).min  # the bits of -0.0: the sign bit alone
 
 
 # json.dumps(value, indent=2) with the encoder built once; payloads are trees,
@@ -116,22 +117,25 @@ _AMP_MARKS = _marks({"occ": [_NUMBER] * 2, "re": _NUMBER, "im": _NUMBER})
 def _distinct(values):
     """(texts, index): the distinct numbers of a 2-D int64 or float64 array.
 
-    texts holds the JSON text of each distinct bit pattern, zero's first;
-    index, of values' shape, the text of each value.  The texts come from
-    one ``json.dumps``, so -0.0, NaN and Infinity keep json's spelling and
-    no two floats merge.  Zero, most of a sparse generator, is set aside
-    before the sort.
+    texts holds the JSON text of each distinct bit pattern, the two zeros'
+    first; index, of values' shape, the text of each value.  The texts come
+    from one ``json.dumps``, so -0.0, NaN and Infinity keep json's spelling
+    and no two floats merge.  Both zeros, 0.0 and -0.0 (the sign bit
+    alone), are set aside before the sort, told apart by their sign bit:
+    zero is most of a sparse generator, and -0.0 most of its zeros, since
+    :func:`schwinger.from_coordinates` writes the lower triangle as the
+    conjugate of the upper, negating each zero imaginary part.
     """
     bits = values.view(np.int64).reshape(-1)
-    nonzero = np.flatnonzero(bits)
+    nonzero = np.flatnonzero(values != 0)  # -0.0 == 0.0 too
     at = nonzero[bits[nonzero].argsort()]  # the nonzero values in bit order
     ranked = bits[at]
     new = np.empty(len(at), dtype=bool)
     new[:1] = True
     np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
-    numbers = np.concatenate(([0], ranked[new])).view(values.dtype).tolist()
-    index = np.zeros(len(bits), dtype=np.intp)
-    index[at] = new.cumsum()
+    numbers = np.concatenate(([0, _SIGN], ranked[new])).view(values.dtype).tolist()
+    index = (bits.view(np.uint64) >> 63).view(np.int64)  # 0 for 0.0, 1 for -0.0
+    index[at] = new.cumsum() + 1
     return json.dumps(numbers)[1:-1].split(", "), index.reshape(values.shape)
 
 

@@ -187,9 +187,17 @@ def _canonical_basis(kernel):
     BLAS gemv on the same operands, but ``dot`` skips the generalized-ufunc
     dispatch of matmul, which dominates on the small operands of this loop
     (about 0.6 against 1.0 µs a call at 30 x 66 float64, numpy 2.4 on one
-    BLAS thread of a Xeon VM).  On float64 kernels the result is byte for byte
-    that of ``@`` (tests/conftest.py keeps the ``@`` form as a reference);
-    on complex kernels the two may differ in the last bit.
+    BLAS thread of a Xeon VM).  Nor does the loop allocate per candidate:
+    each gemv writes into ``out=`` work vectors made once per call, each
+    pass subtracts into the candidate itself (a row of the block's copy of
+    its candidate columns, never the kernel), an accepted vector is divided
+    straight into its row, and the accepted rows and their conjugate are
+    sliced again only when a vector is accepted.  ``out=`` changes where a
+    result lands, not the call or its operands, and a real norm's
+    ``c.dot(c)`` is the ddot that ``np.vdot`` runs, so no bit moves.  On
+    float64 kernels the result is byte for byte that of ``@``
+    (tests/conftest.py keeps the ``@`` form as a reference); on complex
+    kernels the two may differ in the last bit.
 
     Returns the accepted rows and, for each, the coordinate index of the
     candidate column it was accepted at (ascending).
@@ -198,6 +206,9 @@ def _canonical_basis(kernel):
     chosen = np.empty_like(kernel)
     index = np.empty(dim, dtype=int)
     coords = np.empty((dim, dim), dtype=kernel.dtype)
+    real = not np.iscomplexobj(kernel)
+    # the per-column passes' gemv results: y = work[:taken], then z
+    work, z = np.empty(min(BLOCK, dim), dtype=kernel.dtype), np.empty(dim, dtype=kernel.dtype)
     count = 0
     for start in range(0, size, BLOCK):
         if count == dim:
@@ -219,18 +230,21 @@ def _canonical_basis(kernel):
         taken = 0
         # a column of norm under 1e-8 stays under it when projected further
         cand = np.flatnonzero(np.add.reduce((block.conj() * block).real, axis=0) > 1e-16)
+        # each c is a row of this copy, so the passes may subtract into it
         for col, c in zip(cand.tolist(), block.T[cand]):
             if taken:
-                left, right = new[:taken].T, new[:taken].conj()
-                c = c - left.dot(right.dot(c))
-                c = c - left.dot(right.dot(c))
-            norm = math.sqrt(np.vdot(c, c).real)
+                right.dot(c, out=y)
+                np.subtract(c, left.dot(y, out=z), out=c)
+                right.dot(c, out=y)
+                np.subtract(c, left.dot(y, out=z), out=c)
+            norm = math.sqrt(c.dot(c) if real else np.vdot(c, c).real)
             if norm > 1e-8:
-                new[taken] = c / norm
+                np.divide(c, norm, out=new[taken])
                 index[count + taken] = start + col
                 taken += 1
                 if taken == len(new):
                     break
+                left, right, y = new[:taken].T, new[:taken].conj(), work[:taken]
         if taken:
             rows = _snap_rows(new[:taken] @ kernel)
             chosen[count:count + taken] = rows

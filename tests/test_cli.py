@@ -689,18 +689,25 @@ _BLOCKS = st.sampled_from([1, 100, cli.BLOCK])
 @st.composite
 def _generator_stacks(draw):
     """(block, stack): a writer block size and a (dim, n, n) complex stack, all
-    zero, fully dense, or drawn from a small pool of values mixed with zeros;
-    dim 0 and dims across blocks."""
+    zero, fully dense, drawn from a small pool of values mixed with zeros, or
+    built by schwinger.from_coordinates from sparse coordinate rows, as the
+    nullifiers payload builds it, so that its lower triangle holds -0.0
+    where the upper holds an imaginary 0.0; dim 0 and dims across blocks."""
     n = draw(st.integers(1, 4))
     block = draw(_BLOCKS)
     rows = max(1, block // (2 * n * n))  # generators per block
     dim = draw(st.sampled_from([0, 1, 2, 5]) | st.integers(rows - 1, 2 * rows + 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["zero", "dense", "pool"]))
+    kind = draw(st.sampled_from(["zero", "dense", "pool", "coords"]))
     if kind == "zero":
         parts = np.zeros((dim, n, n, 2))
     elif kind == "dense":
         parts = rng.standard_normal((dim, n, n, 2)) * 10.0 ** rng.integers(-20, 20, (dim, n, n, 2))
+    elif kind == "coords":
+        pool = np.array(draw(_STACK_POOL) + [0.5])
+        pool = pool[np.isfinite(pool)]  # the coordinates of a nullifier basis
+        coords = np.where(rng.random((dim, n * n)) < 0.3, rng.choice(pool, (dim, n * n)), 0.0)
+        return block, schwinger.from_coordinates(coords)
     else:
         pool = np.array(draw(_STACK_POOL) + [0.0])
         parts = rng.choice(pool, (dim, n, n, 2))
@@ -713,16 +720,27 @@ def _generator_stacks(draw):
 _SPECIALS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324]
 
 
-def _special_stack(n, dim=len(_SPECIALS)):
-    """A (dim, n, n) stack whose part p of generator r is _SPECIALS[(r + p) % 6].
+def _special_stack(n, dim=None, values=_SPECIALS):
+    """A (dim, n, n) stack whose part p of generator r is values[(r + p) % len(values)].
 
-    Over six generators every special value sits in every separator class:
-    real parts, imaginary parts inside a record and the record's last one;
-    one bit pattern is in several classes of a block, and from n = 2 on a
-    record's last value also appears inside it.
+    Over len(values) generators, the default dim, every value sits in every
+    separator class: real parts, imaginary parts inside a record and the
+    record's last one; one bit pattern is in several classes of a block,
+    and from n = 2 on a record's last value also appears inside it.
     """
-    parts = np.array(_SPECIALS)[(np.arange(dim)[:, None] + np.arange(2 * n * n)) % 6]
+    dim = len(values) if dim is None else dim
+    parts = np.array(values)[(np.arange(dim)[:, None] + np.arange(2 * n * n)) % len(values)]
     return parts.view(complex).reshape(dim, n, n)
+
+
+def _at_each_block(*stacks):
+    """One @example per stack and writer block size: 1, 100 and cli.BLOCK."""
+    def wrap(test):
+        for stack in stacks:
+            for block in (1, 100, cli.BLOCK):
+                test = example(drawn=(block, stack), as_list=False)(test)
+        return test
+    return wrap
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -732,6 +750,14 @@ def _special_stack(n, dim=len(_SPECIALS)):
 @example(drawn=(100, _special_stack(3)), as_list=True)
 @example(drawn=(cli.BLOCK, _special_stack(2, 1)), as_list=False)  # one record
 @example(drawn=(cli.BLOCK, np.full((3, 2, 2), 0.3 + 0.3j)), as_list=False)  # one value
+# signed zeros, which the writer sets aside before it sorts: -0.0 as the only
+# zero, blocks of nothing but +-0.0, and -0.0 beside NaN, +-inf and 5e-324 in
+# every separator class
+@_at_each_block(
+    np.resize([-0.0, 0.5, -0.0, -0.25, 1.0, -0.0], (4, 2, 2, 2)).view(complex)[..., 0],
+    np.resize([0.0, -0.0, -0.0], (13, 2, 2, 2)).view(complex)[..., 0],
+    _special_stack(2, values=_SPECIALS[1:]),
+)
 def test_generator_stack_writer_matches_the_per_matrix_payload(drawn, as_list):
     block, stack = drawn
     generators = list(stack) if as_list else stack

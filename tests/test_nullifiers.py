@@ -171,6 +171,25 @@ def test_real_kernels_give_the_bytes_of_the_matmul_form(seed, size, share, kind)
     _assert_same_bytes(_kernel(seed, size, round(share * size), kind, False))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 3 * nullifiers.BLOCK + 10),
+    share=st.floats(0.0, 1.0),
+    kind=st.sampled_from(["dense", "sparse", "faint", "units"]),
+    is_complex=st.booleans(),
+)
+@example(seed=3, size=200, share=0.35, kind="dense", is_complex=False)
+@example(seed=4, size=200, share=0.45, kind="sparse", is_complex=True)
+def test_the_canonical_basis_leaves_its_kernel_as_it_was(seed, size, share, kind, is_complex):
+    # the per-column passes subtract into their candidate in place, which
+    # must be a copy: a real kernel's first block is a view of the kernel
+    kernel = _kernel(seed, size, round(share * size), kind, is_complex)
+    before = kernel.tobytes()
+    nullifiers._canonical_basis(kernel)
+    assert kernel.tobytes() == before
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(case=real_adjacency())
 def test_both_real_route_halves_give_the_bytes_of_the_matmul_form(case):
