@@ -71,13 +71,15 @@ import sys
 import numpy as np
 
 from . import fock, graphs, nullifiers, schwinger, states
-from .errors import AllZeroCoefficients, BadSpec, GnlError, IndexOutOfRange
+from .errors import AllZeroCoefficients, BadSpec, GnlError, IndexOutOfRange, SweepTooLarge
 
 TEXT_HEADER = "gnl-report v1"
 
 # numbers per block of a table; bounds the writer's temporaries on large
 # nullifier spaces and oracle tables
 BLOCK = 16384
+# bytes of angles and mode unitaries that the theta sweep of check may handle
+MAX_SWEEP_BYTES = 2**30
 _NUMBER = "\0"  # stands for a number in a record skeleton
 _MARK = json.dumps(_NUMBER)
 _CUT = "\1"  # in no number's text and no separator, so pieces split at it
@@ -434,6 +436,16 @@ def cmd_check(args):
     if args.theta_points < 2:
         raise GnlError(f"--theta-points must be at least 2, got {args.theta_points}")
     k, layout, _ = _build_state(args)
+    # the sweep holds the grid and builds one complex n x n unitary per angle
+    points = args.theta_points
+    need = points * (8 + 16 * k.size)
+    if need > MAX_SWEEP_BYTES:
+        size = f"about {need:.3e}" if need < 1e300 else "more than 1e300"
+        raise SweepTooLarge(
+            f"--theta-points {points}: a sweep of {k.shape[0]} modes over that many "
+            f"angles handles {size} bytes of angles and unitaries; the limit is "
+            f"{MAX_SWEEP_BYTES:.3e} bytes"
+        )
     m = schwinger.expression_to_matrix(_generator(args.state, layout, args.gen))
     ok, residual = nullifiers.is_nullifier(m, k)
     if not m.any():

@@ -102,6 +102,10 @@ class KernelTooLarge(GnlError):
     """Nullifier space too large for the kernel solver (the message gives the size)."""
 
 
+class SweepTooLarge(GnlError):
+    """Theta grid too large to hold or sweep (the message gives the count and the bytes)."""
+
+
 class BadSpec(GnlError):
     """A state name or a --gen spec that the command line does not define."""
 

@@ -20,6 +20,7 @@ and :func:`check_edge` for the norm of K; and its
 one tolerance rule, :func:`passes`, which every pass/fail check applies.
 """
 
+import itertools
 import json
 import math
 
@@ -377,30 +378,38 @@ def matrix_to_json(m):
 def matrix_from_json(obj):
     """Inverse of :func:`matrix_to_json`; accepts a dict or a JSON string.
 
+    The entries are read by one float conversion of their values and one
+    scan of the values' types, with no call per entry.
+
     Raises
     ------
     ShapeMismatch
         The value is not an object with an integer n >= 1 and n*n
-        ``[re, im]`` entries of numbers, or an entry is a boolean, NaN or
-        infinite.
+        ``[re, im]`` entries of numbers, or an entry is a boolean, NaN,
+        infinite or an integer past the float range.
     """
     if isinstance(obj, str):
         obj = json.loads(obj)
     try:
         n, entries = obj["n"], obj["entries"]
-        flat = np.array([complex(re, im) for re, im in entries])
-    except (LookupError, TypeError, ValueError) as exc:
+        values = list(itertools.chain.from_iterable(entries))
+        sizes = set(map(len, entries))
+        parts = np.array(values, dtype=float)
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise ShapeMismatch(
             f"matrix JSON needs n and entries of [re, im] pairs: {exc}"
         ) from None
-    # complex() reads true and false as 1 and 0
-    if any(type(re) is bool or type(im) is bool for re, im in entries):
-        raise ShapeMismatch("matrix JSON entries must be numbers, not booleans")
+    # the float conversion reads true and false as 1 and 0, a numeric string
+    # as its number and null as NaN
+    kinds = set(map(type, values)) - {int, float}
+    if kinds:
+        names = ", ".join(sorted(k.__name__ for k in kinds))
+        raise ShapeMismatch(f"matrix JSON entries must be numbers, not {names}")
     if type(n) is not int or n < 1:
         raise ShapeMismatch(f"matrix JSON needs an integer n >= 1, got {n!r}")
-    if len(entries) != n * n:
-        raise ShapeMismatch(f"expected {n * n} entries, got {len(entries)}")
-    return finite_square(flat.reshape(n, n), "matrix JSON")
+    if sizes != {2} or len(entries) != n * n:
+        raise ShapeMismatch(f"expected {n * n} [re, im] entries, got {len(entries)}")
+    return finite_square(parts.view(complex).reshape(n, n), "matrix JSON")
 
 
 def format_weight(v):

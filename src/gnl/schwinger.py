@@ -21,6 +21,7 @@ exponentials of generators.
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,9 @@ from .errors import (
 )
 
 AXES = ("0", "x", "y", "z")
+
+# the largest finite float; the comparison with it is exact for any int
+_FLOAT_MAX = sys.float_info.max
 
 # largest |theta lambda| for exp(-i theta lambda): past it the spacing of
 # floats near theta lambda is of order 2 pi, so the phase keeps no
@@ -274,7 +278,8 @@ def expression_from_json(obj):
     ShapeMismatch
         The value is not an object with an integer n and a list of terms,
         each with an axis, a pair of two integers and a finite numeric coeff
-        (JSON numbers, not strings, NaN or Infinity).
+        (JSON numbers, not strings, NaN, Infinity or integers past the float
+        range).
     """
     if isinstance(obj, str):
         obj = json.loads(obj)
@@ -287,7 +292,7 @@ def expression_from_json(obj):
         ) from None
     if type(n) is not int or not all(
         type(pair) is list and len(pair) == 2 and {type(i) for i in pair} == {int}
-        and type(coeff) in (int, float) and math.isfinite(coeff)
+        and type(coeff) in (int, float) and abs(coeff) <= _FLOAT_MAX
         for _, pair, coeff in terms
     ):
         raise ShapeMismatch(
@@ -307,42 +312,6 @@ def _format_coeff(c):
         return f"{c:.1f}"
     text = f"{c:.10g}"
     return text + ".0" if text.lstrip("-").isdigit() else text
-
-
-# sign before a term: first term (c >= 0, else), later term (c >= 0, c < 0)
-_SIGNS = np.array(["", "-", " + ", " - "], dtype=object)
-
-
-def _join_terms(coeffs, bodies, ends):
-    """Signed sums "c0·b0 - c1·b1 + ..." over consecutive runs of terms.
-
-    coeffs (a float array) and bodies hold the terms of all runs back to
-    back and ends (an int array) the offset where each run stops; returns
-    one string per run, "0" for an empty run.  The distinct |coeff| are
-    formatted in one ``%.10g`` template pass; :func:`_format_coeff` spells
-    only those it treats specially.
-    """
-    mags, which = np.unique(np.abs(coeffs), return_inverse=True)
-    values = mags.tolist()
-    texts = ("\0".join(["%.10g"] * len(values)) % tuple(values)).split("\0")
-    # _format_coeff respells integral and non-finite values and those within
-    # 1e-9 of an integer, whose %.10g text may be a bare integer
-    nearest = np.rint(mags)
-    for i in np.flatnonzero(~(np.abs(mags - nearest) > 1e-9 * nearest)).tolist():
-        texts[i] = _format_coeff(values[i])
-    starts = np.concatenate([[0], ends[:-1]])
-    first = np.zeros(len(coeffs), dtype=bool)
-    first[starts[starts < len(coeffs)]] = True
-    signs = np.where(first, ~(coeffs >= 0), 2 + (coeffs < 0))
-    # three pieces per term: its sign, its |coeff| and "·" with its body
-    pieces = [None] * (3 * len(coeffs))
-    pieces[0::3] = _SIGNS[signs].tolist()
-    pieces[1::3] = np.array(texts, dtype=object)[which].tolist()
-    pieces[2::3] = bodies
-    return [
-        "".join(pieces[3 * b:3 * e]) or "0"
-        for b, e in zip(starts.tolist(), ends.tolist())
-    ]
 
 
 # coordinate rows read per block by coordinate_expressions and by
@@ -428,7 +397,7 @@ def real_from_coordinates(w, symmetric):
 
 
 def _slots(n):
-    """The (axis, pair) of every coefficient, in :func:`_coordinate_table`'s order."""
+    """The (axis, pair) of every coefficient, in :func:`_terms`' order."""
     slots = []
     for k in range(n // 2):
         slots += [("0", (2 * k, 2 * k + 1)), ("z", (2 * k, 2 * k + 1))]
@@ -443,11 +412,12 @@ def _slots(n):
     return slots
 
 
-def _coordinate_table(w):
-    """Canonical Schwinger coefficients of the matrices of coordinate rows w.
+def _terms(w):
+    """The nonzero canonical Schwinger coefficients of coordinate rows w.
 
-    w has shape (d, n^2).  Returns a (d, len(_slots(n))) float array; a zero
-    coefficient means the term is absent.  The Schwinger family is
+    w has shape (d, n^2).  Returns (rows, slots, values): the row, the
+    index into :func:`_slots` and the value of each nonzero coefficient, in
+    row order and by slot within a row.  The Schwinger family is
     overcomplete, so a fixed rule is used: the diagonal pairs (2k, 2k+1) as
     (d_r + d_s) S^0 + (d_r - d_s) S^z, for odd n the lone trailing entry d
     as d S^0 - d S^z on the last pair (for n = 1 the bare d S^0_{0,0}), then
@@ -455,55 +425,240 @@ def _coordinate_table(w):
     :func:`expression_to_matrix` of these terms gives back the matrix of the
     row.
 
-    The S^x and S^y coefficients are read straight off the coordinates as
-    2 (sqrt(1/2) w_x) and 2 (sqrt(1/2) w_y), bit for bit the 2 Re M_rs and
-    -2 Im M_rs of the matrix :func:`from_coordinates` builds (the complex
-    product that forms M_rs rounds its nonzero parts as the real one does;
-    a zero may differ in sign, and the display drops zeros).  No matrix is
-    built.
+    The S^x and S^y coefficients are read straight off the nonzero
+    coordinates as 2 (sqrt(1/2) w_x) and 2 (sqrt(1/2) w_y), bit for bit the
+    2 Re M_rs and -2 Im M_rs of the matrix :func:`from_coordinates` builds
+    (the complex product that forms M_rs rounds its nonzero parts as the
+    real one does).  No matrix and no table of the zero coefficients is
+    built.  A NaN, infinite or overflowing coordinate gives a value that is
+    not finite.
     """
-    n = math.isqrt(w.shape[1])
-    diag = w[:, :n]
-    even, odd = diag[:, 0:n - 1:2], diag[:, 1:n:2]
-    parts = [np.stack([even + odd, even - odd], axis=-1).reshape(len(w), -1)]
+    d, n = len(w), math.isqrt(w.shape[1])
+    # the diagonal slots: n, or n + 1 for an odd n >= 3
+    width = n + (n % 2 == 1 and n > 1)
+    size = width + n * n - n
+    table = np.empty((d, size))
+    pairs = n // 2 * 2
+    even, odd = w[:, 0:pairs:2], w[:, 1:pairs:2]
+    np.add(even, odd, out=table[:, 0:pairs:2])
+    np.subtract(even, odd, out=table[:, 1:pairs:2])
     if n % 2 == 1:
-        last = diag[:, n - 1:]
-        parts.append(np.hstack([last, -last]) if n >= 2 else last)
-    return np.hstack(parts + [2.0 * (np.sqrt(0.5) * w[:, n:])])
+        table[:, n - 1] = w[:, n - 1]
+        if n > 1:
+            np.negative(w[:, n - 1], out=table[:, n])
+    table[:, width:] = w[:, n:]
+    # a NaN is nonzero, -0.0 is not
+    flat = np.flatnonzero(table != 0.0)
+    rows = flat // size
+    slots = flat - rows * size
+    values = table.ravel().take(flat)
+    pair = slots >= width
+    values[pair] = 2.0 * (np.sqrt(0.5) * values[pair])
+    return rows, slots, values
 
 
-_HALF_MAX = np.finfo(float).max / 2
+# bytes of the term matrix of :func:`_render`: _PAD fills each text to its
+# words and _SEP opens each expression.  Neither is a byte of UTF-8 text,
+# nor of the latin-1 bodies :func:`_bodies` writes.
+_PAD, _SEP = b"\xff", b"\xfe"
+# the margin around each rounding tie within which _spell leaves a
+# magnitude to the exact printer; its products err by at most 2^-20
+TIE_MARGIN = 1e-5
+# a block of fewer terms is spelled by the exact printer alone: at 48 terms
+# the two take about 40 us each, the kernel's cost being its ~40 numpy calls
+KERNEL_MIN_TERMS = 48
+# the kernel's range of magnitudes
+_SMALLEST = 1e-12
 
 
-def _check_rows(w):
-    """Refuse coordinate rows whose Schwinger coefficients are not all finite.
+@functools.cache
+def _decades():
+    """Per binary exponent k of np.frexp, at index k + 1073: p and the next power of ten.
 
-    Raises
-    ------
-    ShapeMismatch
-        An entry of w is NaN or infinite.
-    PrecisionLimit
-        A coefficient of a finite row overflows the float range.
+    x in [2^(k-1), 2^k) has x 10^p in [10^9, 10^10) below the power of ten
+    inside its binade and x 10^(p-1) there from on, a binade spanning less
+    than a decade.  Binades below 10^-13, past the powers 10^p <= 10^22 that
+    floats hold exactly, read p = 22 and no power.  Built on first use.
     """
-    graphs.finite(w, "coordinate row")
-    with np.errstate(over="ignore"):
-        table = _coordinate_table(w)
-    if not np.isfinite(table).all():
-        raise PrecisionLimit("a coordinate row's Schwinger coefficients overflow the float range")
+    p = [9 - math.floor((k - 1) * math.log10(2)) for k in range(-1073, 2)]
+    return (
+        np.array([min(e, 22) for e in p], dtype=np.intp),
+        np.array([float(f"1e{10 - e}") if e <= 22 else np.inf for e in p]),
+    )
+
+
+_BINADE_OFFSET = np.intp(1073)
+# 10^p, exact for p <= 22, and 10^(14 - p), 0 past p = 14
+_POW10 = np.array([float(10**p) for p in range(23)])
+_SHIFT = np.array([float(10 ** (14 - p)) if p <= 14 else 0.0 for p in range(23)])
+
+
+def _pack(texts):
+    """4-byte latin-1 texts, each filled with _PAD, as a uint32 array."""
+    raw = b"".join(t.encode("latin-1").ljust(4, _PAD) for t in texts)
+    return np.frombuffer(raw, dtype=np.uint32)
+
+
+# the sign word of a first term (c >= 0, c < 0), then of a later one
+_SIGNS = _pack([_SEP.decode("latin-1"), _SEP.decode("latin-1") + "-", " + ", " - "])
+
+
+@functools.cache
+def _word_tables():
+    """The word tables of :func:`_spell` and :func:`_render`, built on first use.
+
+    groups[2 v + more] spells the four digits of v < 10^4, and heads[2 h +
+    more] "0.dd" for h < 100, "1.0" at h = 100 and "d.d" of the two leading
+    digits h - 101 of an exponent form; where no nonzero digit follows
+    (more = 0), trailing zeros, and the point of an exponent form without
+    decimals, are padding.  exponents[X] spells "e-XX".  About 81 kB in
+    all, which blocks that only the exact printer spells never build.
+    """
+    v = np.arange(10**4)[:, None]
+    digits = (v // 10 ** np.arange(3, -1, -1) % 10 + ord("0")).astype(np.uint8)
+    trailing = np.logical_and.accumulate(digits[:, ::-1] == ord("0"), axis=1)[:, ::-1]
+    stripped = np.where(trailing, _PAD[0], digits).astype(np.uint8)
+    groups = np.stack([stripped, digits], axis=1).view(np.uint32).reshape(-1)
+    heads = []
+    for h in range(201):
+        if h < 100:
+            full = f"0.{h:02d}"
+            heads += [full.rstrip("0"), full]
+        elif h == 100:
+            heads += ["1.0", "1.0"]
+        else:
+            full = f"{(h - 101) // 10}.{(h - 101) % 10}"
+            heads += [full.rstrip("0").rstrip("."), full]
+    exponents = _pack([f"e-{x:02d}" for x in range(16)])
+    return _pack(heads), groups, exponents
+
+
+def _spell(x, out):
+    """Write the ``%.10g`` text of each magnitude x in [1e-12, 1] into out.
+
+    x is a float array and out a (len(x), 4) uint32 array (16 bytes a row,
+    padded with _PAD); "1.0" is spelled as :func:`_format_coeff` spells it.
+    Returns the indices of the magnitudes left to the exact printer.
+
+    With p the power that puts s = x 10^p in [10^9, 10^10], q = rint(s) is
+    the 10-digit mantissa.  10^p is exact (p <= 22) and s < 2^34, so s errs
+    from x 10^p by at most 2^-20, and q is the correctly rounded mantissa
+    unless x 10^p lies within 2^-20 of a half-integer.  The kernel flags
+    every x whose s lies within TIE_MARGIN of one, and every x below 1e-12;
+    those go to :func:`_format_coeff`.  (Rounding is monotone and each
+    half-integer below 2^34 is a float, so an s crosses a tie only by
+    landing on it: the margin guards more than the proof needs.)  The
+    rounded value q 10^-p is spelled "0." and its 14 decimals, trailing
+    zeros dropped, when it is at least 10^-4, else d.ddddddddde-XX.
+    """
+    heads, groups, exponents = _word_tables()
+    power, next_decade = _decades()
+    k = np.frexp(x)[1] + _BINADE_OFFSET
+    p = power.take(k) - (x >= next_decade.take(k))
+    s = x * _POW10.take(p)
+    q = np.rint(s)
+    flagged = np.flatnonzero((np.abs(s - q) >= 0.5 - TIE_MARGIN) | (x < _SMALLEST))
+    # the 14 decimals of the rounded value: exact, as q 10^(14 - p) < 2^53
+    # when it is at least 10^-4
+    big = q * _SHIFT.take(p)
+    expo = np.flatnonzero(big < 1e10)
+    if len(expo):
+        # the 10 digits of the exponent form, led by "d.d", then "e-XX"
+        qe = q[expo]
+        carry = qe >= 1e10
+        big[expo] = np.where(carry, 1e9, qe) * 1e4
+        exponent = p[expo] - 9 - carry
+    big = big.astype(np.int64)
+    hi = big // 10**8
+    lo = big - hi * 10**8
+    head = hi // 10**4
+    first = hi - head * 10**4
+    second = lo // 10**4
+    third = lo - second * 10**4
+    if len(expo):
+        head[expo] += 101
+    more = lo != 0
+    out[:, 0] = heads.take(2 * head + ((first != 0) | more))
+    out[:, 1] = groups.take(2 * first + more)
+    out[:, 2] = groups.take(2 * second + (third != 0))
+    out[:, 3] = groups.take(2 * third)
+    if len(expo):
+        out[expo, 3] = exponents.take(exponent)
+    return flagged
+
+
+@functools.lru_cache(maxsize=32)
+def _bodies(n, labels):
+    """The term bodies "·S^axis_{r,s}" of n labelled modes, by slot, and their codec.
+
+    Returns a read-only (words, len(_slots(n))) uint32 array, one row per
+    word of the bodies' bytes (padded with _PAD), and the codec of those
+    bytes: latin-1, or UTF-8 when a label has a character past U+00FD.
+    """
+    texts = [f"·S^{axis}_{{{labels[r]},{labels[s]}}}" for axis, (r, s) in _slots(n)]
+    codec = "latin-1" if max(map(ord, "".join(labels)), default=0) < _SEP[0] else "utf-8"
+    encoded = [t.encode(codec) for t in texts]
+    width = -(-max(map(len, encoded)) // 4) * 4
+    raw = b"".join(e.ljust(width, _PAD) for e in encoded)
+    words = np.frombuffer(raw, dtype=np.uint32).reshape(len(texts), -1).T.copy()
+    words.flags.writeable = False
+    return words, codec
+
+
+def _render(first, slots, coeffs, bodies, codec):
+    """The signed sums "c0·b0 - c1·b1 + ..." of consecutive runs of terms.
+
+    coeffs holds the nonzero coefficients, at most 1 in magnitude, of all
+    runs back to back, first marks the first term of each run and slots
+    the body of each term, a column of bodies.  Each term is one row of a
+    uint32 matrix: its sign word, the four words of its |coeff|
+    (:func:`_spell`, or :func:`_format_coeff` for those it flags) and its
+    body words.  The matrix is written out, stripped of its padding with
+    one ``bytes.translate``, and cut at each run's _SEP.
+    """
+    mags = np.abs(coeffs)
+    words = np.empty((len(coeffs), 5 + len(bodies)), dtype=np.uint32)
+    words[:, 0] = _SIGNS.take(np.where(first, 0, 2) + (coeffs < 0))
+    if len(mags) < KERNEL_MIN_TERMS:
+        exact = slice(None)
+    else:
+        exact = _spell(mags, words[:, 1:5])
+    raw = b"".join(_format_coeff(c).encode().ljust(16, _PAD) for c in mags[exact].tolist())
+    words[exact, 1:5] = np.frombuffer(raw, dtype=np.uint32).reshape(-1, 4)
+    for j, column in enumerate(bodies):
+        words[:, 5 + j] = column.take(slots)
+    text = words.tobytes().translate(None, _PAD)
+    return [part.decode(codec) for part in text.split(_SEP)[1:]]
+
+
+def _leads(rows):
+    """Mark the first entry of each run of equal values in a sorted int array."""
+    lead = np.empty(len(rows), dtype=bool)
+    lead[:1] = True
+    np.not_equal(rows[1:], rows[:-1], out=lead[1:])
+    return lead
 
 
 def coordinate_expressions(w, labels=None):
     """Pretty Schwinger expression of the matrix of each coordinate row.
 
-    Each row is written in the canonical Schwinger form of
-    :func:`_coordinate_table` and rescaled so that its largest
-    |coefficient| is 1.0.  Coefficients more than twelve orders below the
-    largest are rounding dust from the kernel solve and are dropped; a row
-    with no term left renders as "0".  The rows are read DISPLAY_BLOCK at a
-    time, and no matrix is built.  Each distinct magnitude of a block is
-    spelled once (see :func:`_join_terms`) and each expression is one join
-    of sign, coefficient and term pieces, as in
-    "1.0·S^z_{0,1} - 0.5·S^x_{0,2}".
+    Each row is written in the canonical Schwinger form of :func:`_terms`
+    and rescaled so that its largest |coefficient| is 1.0.  Coefficients
+    more than twelve orders below the largest are rounding dust from the
+    kernel solve and are dropped; a row with no term left renders as "0".
+    Each coefficient is spelled as ``%.10g`` spells it, with "1.0" for the
+    values :func:`_format_coeff` spells so, and each expression joins sign,
+    coefficient and term pieces, as in "1.0·S^z_{0,1} - 0.5·S^x_{0,2}".
+
+    The rows are read DISPLAY_BLOCK at a time, off their nonzero
+    coordinates, and each block is rendered by :func:`_render` as one
+    matrix of bytes.  The coefficients are spelled by the numpy kernel
+    :func:`_spell`, whose products err by at most 2^-20: it hands every
+    magnitude within TIE_MARGIN (1e-5) of a rounding tie, or below 1e-12,
+    to the exact printer :func:`_format_coeff`, so the text is ``%.10g``'s
+    byte for byte.  A block of fewer than KERNEL_MIN_TERMS (48) terms goes
+    to the exact printer whole, which is as fast there as the kernel's
+    fixed cost.
 
     Parameters
     ----------
@@ -526,24 +681,34 @@ def coordinate_expressions(w, labels=None):
         labels = [str(i) for i in range(n)]
     elif len(labels) != n:
         raise ShapeMismatch(f"need {n} labels, got {len(labels)}")
-    bodies = np.array(
-        [f"·S^{axis}_{{{labels[r]},{labels[s]}}}" for axis, (r, s) in _slots(n)], dtype=object
-    )
+    bodies, codec = _bodies(n, tuple(labels))
     out = []
     for start in range(0, len(w), DISPLAY_BLOCK):
         block = w[start:start + DISPLAY_BLOCK]
-        # no coefficient of rows below half the float range overflows; NaN
-        # fails the comparison too
-        if not np.abs(block).max() <= _HALF_MAX:
-            _check_rows(block)
-        table = _coordinate_table(block)
-        mags = np.abs(table)
-        scale = mags.max(axis=1, initial=0.0)
-        keep = (table != 0.0) & (mags >= 1e-12 * scale[:, None])
-        rows, cols = np.nonzero(keep)
-        out += _join_terms(
-            table[rows, cols] / scale[rows],
-            bodies[cols].tolist(),
-            np.cumsum(np.bincount(rows, minlength=len(table))),
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows, slots, values = _terms(block)
+        if not len(rows):
+            out += ["0"] * len(block)
+            continue
+        mags = np.abs(values)
+        if not np.isfinite(mags).all():
+            graphs.finite(block, "coordinate row")
+            raise PrecisionLimit(
+                "a coordinate row's Schwinger coefficients overflow the float range"
+            )
+        first = _leads(rows)
+        scale = np.maximum.reduceat(mags, np.flatnonzero(first))[np.cumsum(first) - 1]
+        coeffs = values / scale
+        keep = mags >= 1e-12 * scale
+        if not keep.all():
+            # a row's first term may be dust: its next kept term leads
+            rows, slots, coeffs = rows[keep], slots[keep], coeffs[keep]
+            first = _leads(rows)
+        texts = _render(first, slots, coeffs, bodies, codec)
+        if len(texts) < len(block):
+            full = ["0"] * len(block)
+            for r, text in zip(rows[first].tolist(), texts):
+                full[r] = text
+            texts = full
+        out += texts
     return out

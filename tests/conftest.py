@@ -469,6 +469,71 @@ def reference_display_expression(m, labels=None):
     return "".join(pieces)
 
 
+def _template_join_terms(coeffs, bodies, ends):
+    # schwinger._join_terms before the numpy kernel: one %.10g template pass
+    # over the block's distinct magnitudes
+    from gnl.schwinger import _format_coeff
+
+    mags, which = np.unique(np.abs(coeffs), return_inverse=True)
+    values = mags.tolist()
+    texts = ("\0".join(["%.10g"] * len(values)) % tuple(values)).split("\0")
+    nearest = np.rint(mags)
+    for i in np.flatnonzero(~(np.abs(mags - nearest) > 1e-9 * nearest)).tolist():
+        texts[i] = _format_coeff(values[i])
+    starts = np.concatenate([[0], ends[:-1]])
+    first = np.zeros(len(coeffs), dtype=bool)
+    first[starts[starts < len(coeffs)]] = True
+    signs = np.where(first, ~(coeffs >= 0), 2 + (coeffs < 0))
+    pieces = [None] * (3 * len(coeffs))
+    pieces[0::3] = np.array(["", "-", " + ", " - "], dtype=object)[signs].tolist()
+    pieces[1::3] = np.array(texts, dtype=object)[which].tolist()
+    pieces[2::3] = bodies
+    return [
+        "".join(pieces[3 * b:3 * e]) or "0"
+        for b, e in zip(starts.tolist(), ends.tolist())
+    ]
+
+
+def template_coordinate_expressions(w, labels=None):
+    """The display of coordinate rows through one ``%.10g`` template pass a block.
+
+    ``schwinger.coordinate_expressions`` as it stood before its numpy
+    kernel: a dense table of every coefficient per block of 64 rows, the
+    distinct magnitudes spelled by one ``"%.10g" % tuple`` and each
+    expression one join of sign, coefficient and body pieces.  Kept
+    verbatim but for the input checks, which it leaves out: on finite rows
+    the two must agree byte for byte.
+    """
+    from gnl import schwinger
+
+    n = math.isqrt(w.shape[1])
+    labels = [str(i) for i in range(n)] if labels is None else labels
+    bodies = np.array(
+        [f"·S^{axis}_{{{labels[r]},{labels[s]}}}" for axis, (r, s) in schwinger._slots(n)],
+        dtype=object,
+    )
+    out = []
+    for start in range(0, len(w), 64):
+        block = w[start:start + 64]
+        diag = block[:, :n]
+        even, odd = diag[:, 0:n - 1:2], diag[:, 1:n:2]
+        parts = [np.stack([even + odd, even - odd], axis=-1).reshape(len(block), -1)]
+        if n % 2 == 1:
+            last = diag[:, n - 1:]
+            parts.append(np.hstack([last, -last]) if n >= 2 else last)
+        table = np.hstack(parts + [2.0 * (np.sqrt(0.5) * block[:, n:])])
+        mags = np.abs(table)
+        scale = mags.max(axis=1, initial=0.0)
+        keep = (table != 0.0) & (mags >= 1e-12 * scale[:, None])
+        rows, cols = np.nonzero(keep)
+        out += _template_join_terms(
+            table[rows, cols] / scale[rows],
+            bodies[cols].tolist(),
+            np.cumsum(np.bincount(rows, minlength=len(table))),
+        )
+    return out
+
+
 def six_mode_factors(layout, theta):
     """The factors [F, X(theta), F^{-1}, Z(theta)] of the six-mode wire symmetry, in closed form.
 

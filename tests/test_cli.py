@@ -235,6 +235,19 @@ def test_check_rejects_a_theta_grid_below_two_points(capsys):
     assert rc == 0 and json.loads(out)["pass"] is True
 
 
+def test_check_refuses_a_theta_grid_too_large_to_sweep(capsys, monkeypatch):
+    # np.linspace raised ValueError ("Maximum allowed size exceeded"): exit 1
+    base = ("check", "wire", "--spins", "4", "--gen", "local:0", "--cutoff", "4")
+    for points, size in (("100000000000000000000", "about 1.032e+23"), ("1" + "0" * 400, "more than 1e300")):
+        rc, out, err = run(capsys, *base, "--theta-points", points)
+        assert rc == 2 and out == ""
+        assert f"--theta-points {points}: a sweep of 8 modes" in err and f"{size} bytes" in err
+    # the bound: 16 angles of 8 x 8 unitaries and their grid
+    monkeypatch.setattr(cli, "MAX_SWEEP_BYTES", 16 * (8 + 16 * 64))
+    assert run(capsys, *base, "--theta-points", "16")[0] == 0
+    assert run(capsys, *base, "--theta-points", "17")[0] == 2
+
+
 def test_check_rejects_a_local_index_outside_the_wire(capsys):
     for index in ("4", "99", "-1"):
         rc, out, err = run(capsys, "check", "wire", "--spins", "4", "--gen", f"local:{index}")
@@ -1039,6 +1052,8 @@ def test_the_argument_parser_is_built_once():
         '{"n": 2.9, "entries": [[0, 0], [0.1, 0], [0.1, 0], [0, 0]]}',
         # json reads true as a bool, which complex() took as 1.0
         '{"n": 2, "entries": [[0, 0], [true, 0], [1, 0], [0, 0]]}',
+        # an integer past the float range exited 1 with an OverflowError
+        '{"n": 1, "entries": [[1%s, 0]]}' % ("0" * 400),
     ],
 )
 def test_malformed_matrix_files_exit_with_2(text, tmp_path, capsys):
@@ -1055,6 +1070,8 @@ def test_malformed_matrix_files_exit_with_2(text, tmp_path, capsys):
         "[]",
         '{"n": 2, "terms": [{"axis": "z", "pair": "01", "coeff": 1.0}]}',
         '{"n": 2, "terms": [{"axis": "z", "pair": [0, 1], "coeff": "1.5"}]}',
+        # an integer past the float range exited 1 with an OverflowError
+        '{"n": 2, "terms": [{"axis": "z", "pair": [0, 1], "coeff": 1%s}]}' % ("0" * 400),
     ],
 )
 def test_malformed_expression_files_exit_with_2(text, tmp_path, capsys):

@@ -392,6 +392,12 @@ def test_matrix_from_json_checks_entry_count():
         {"n": 0, "entries": []},
         {"n": 1, "entries": [[True, 0]]},
         {"n": 1, "entries": [[0.5, False]]},
+        # past the float range: complex() raised OverflowError
+        {"n": 1, "entries": [[10**400, 0]]},
+        # a float conversion of the whole list reads these as 1.5 and NaN
+        {"n": 1, "entries": [["1.5", 0]]},
+        {"n": 1, "entries": [[None, 0]]},
+        {"n": 1, "entries": [[0.5, 0, 1]]},
     ],
 )
 def test_matrix_from_json_rejects_malformed_input(obj):

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -96,19 +97,24 @@ def test_the_parser_lines_run_alike_with_their_config_file(tmp_path, capsys):
 
 def test_the_writer_edge_lines_run_alike_with_their_g_files(tmp_path, capsys):
     argvs = output_contract.edge_lines(tmp_path)
-    assert len(argvs) == 3 * len(output_contract.EDGE_GRAPHS)
+    assert len(argvs) == 3 * len(output_contract.EDGE_GRAPHS) + 1
     assert output_contract.compare(ROOT, ROOT, [output_contract.EDGE_RUN]) == (len(argvs), 0)
     out = capsys.readouterr().out.splitlines()
     assert out[-2] == f"writer edge lines: 0 of {len(argvs)} commands differ (0 structural)"
-    # every line writes its JSON, and the 1-mode G has no nullifier
+    # every line but the last writes its JSON, and the 1-mode G has no nullifier
     commands = tmp_path / "commands.json"
     commands.write_text(json.dumps(argvs))
     results = output_contract.run_checkout(ROOT, commands, tmp_path / "results.json")
     assert all(code == 0 and err == "" for code, _, err in results)
-    payloads = {(argv[0], Path(argv[3]).stem): json.loads(out) for argv, (_, out, _) in zip(argvs, results)}
+    payloads = {(argv[0], Path(argv[3]).stem): json.loads(out)
+                for argv, (_, out, _) in zip(argvs[:-1], results)}
     assert payloads["nullifiers", "one"]["generators"] == []
     assert payloads["nullifiers", "zero"]["dimension"] == 4
     assert payloads["state", "edge"]["n"] == 3
+    # the text report of the reflection spells small coefficients as d.de-XX
+    assert argvs[-1][-2:] == ["--format", "text"]
+    text = results[-1][1]
+    assert "dimension 28\n" in text and len(re.findall(r"\de-(?:0[5-9]|1[0-2])·", text)) > 100
 
 
 def test_the_worker_pins_the_terminal_width_that_argparse_wraps_to(tmp_path, monkeypatch):

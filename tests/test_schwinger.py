@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from conftest import (
     reference_display_expression,
     reference_expression_matrix,
     reference_from_coordinates,
+    template_coordinate_expressions,
 )
 from gnl import schwinger, states
 from gnl.errors import (
@@ -168,11 +171,10 @@ def test_expression_singleton_is_number_operator():
 def _canonical_expression(m):
     """The expression of the display's coefficients of a Hermitian matrix, zeros left out."""
     n = len(m)
-    table = schwinger._coordinate_table(reference_coordinates([m]))[0]
+    _, slots, values = schwinger._terms(reference_coordinates([m]))
+    axes_pairs = schwinger._slots(n)
     return SchwingerExpression(n, [
-        SchwingerTerm(axis, pair, c)
-        for (axis, pair), c in zip(schwinger._slots(n), table.tolist())
-        if c != 0.0
+        SchwingerTerm(*axes_pairs[slot], c) for slot, c in zip(slots.tolist(), values.tolist())
     ])
 
 
@@ -376,6 +378,8 @@ def test_an_expression_needs_at_least_one_mode(n):
         {"n": 2, "terms": [{"axis": "z", "pair": [0, 1], "coeff": float("nan")}]},
         {"n": 2, "terms": [{"axis": "z", "pair": [0, 1], "coeff": float("-inf")}]},
         '{"n": 2, "terms": [{"axis": "z", "pair": [0, 1], "coeff": Infinity}]}',
+        # past the float range: math.isfinite raised OverflowError
+        {"n": 2, "terms": [{"axis": "z", "pair": [0, 1], "coeff": -(10**400)}]},
     ],
 )
 def test_expression_from_json_rejects_malformed_input(obj):
@@ -496,6 +500,68 @@ def test_display_expressions_match_the_reference(n, d, seed, wire_labels, kind):
     w = reference_coordinates(gens)
     expected = [reference_display_expression(m, labels) for m in reference_from_coordinates(w)]
     assert schwinger.coordinate_expressions(w, labels) == expected
+
+
+def _near_ties(rng, size):
+    """Doubles next to the rounding ties (q + 1/2) 10^(e - 9) of 10-digit
+    mantissas q, e = -12..-1, on either side, and the doubles nearest them."""
+    q = rng.integers(10**9, 10**10, size).tolist()
+    e = rng.integers(-12, 0, size).tolist()
+    ties = np.array([float(Fraction(2 * a + 1, 2) * Fraction(10) ** (b - 9)) for a, b in zip(q, e)])
+    return np.nextafter(ties, rng.choice([0.0, 1.0, np.inf], size))
+
+
+# magnitude families of the displayed coefficients
+_MAGNITUDES = {
+    # every decade from 1e-12 to 1, exponent forms below 1e-4
+    "decades": lambda rng, size: 10.0 ** rng.uniform(-12.0, 0.0, size),
+    # within 1e-9 of 1, where the exact printer's "1.0" rule holds
+    "near one": lambda rng, size: 1.0 - rng.uniform(0.0, 1e-9, size) * rng.integers(0, 2, size),
+    "near ties": _near_ties,
+    # the doubles next to the powers of ten, where the decade changes
+    "powers": lambda rng, size: np.minimum(
+        np.nextafter(10.0 ** rng.integers(-12, 1, size), rng.choice([0.0, np.inf], size)), 1.0
+    ),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 8),
+    d=st.integers(1, 3) | st.integers(40, 70),
+    seed=st.integers(0, 2**32 - 1),
+    families=st.lists(st.sampled_from(sorted(_MAGNITUDES)), min_size=1, max_size=4),
+    sparse=st.booleans(),
+)
+def test_display_spells_as_the_template_renderer(n, d, seed, families, sparse):
+    # each row carries one coefficient 1.0, so the others are displayed as
+    # drawn: exactly on the diagonal pairs (d_r S^0 + d_r S^z with d_s = 0),
+    # within a few ulps through a pair coordinate
+    rng = np.random.default_rng(seed)
+    size = d * n * n
+    mags = np.concatenate([_MAGNITUDES[f](rng, size) for f in families])
+    w = rng.choice(mags, size).reshape(d, n * n) * rng.choice([-1.0, 1.0], (d, n * n))
+    w[:, 1:n:2] = 0.0
+    w[:, n:] *= math.sqrt(0.5)
+    if sparse:
+        w[rng.random((d, n * n)) < 0.9] = 0.0
+    w[:, 0] = rng.choice([-1.0, 1.0], d)
+    labels = [f"{i // 2}{'ab'[i % 2]}" for i in range(n)] if rng.random() < 0.5 else None
+    assert schwinger.coordinate_expressions(w, labels) == template_coordinate_expressions(w, labels)
+
+
+@pytest.mark.parametrize("family", sorted(_MAGNITUDES))
+def test_the_kernel_spells_what_it_does_not_flag_as_the_exact_printer(family):
+    rng = np.random.default_rng(29)
+    x = np.concatenate([_MAGNITUDES[family](rng, 4000), [1.0, 1e-12, np.nextafter(1e-12, 1.0)]])
+    words = np.empty((len(x), 4), dtype=np.uint32)
+    flagged = set(schwinger._spell(x, words).tolist())
+    texts = [row.tobytes().replace(b"\xff", b"").decode() for row in words]
+    # the exact printer takes the near ties and what lies below 1e-12 only
+    assert len(flagged) < len(x) // 100 or family in ("near ties", "powers")
+    assert [t for i, t in enumerate(texts) if i not in flagged] == [
+        schwinger._format_coeff(v) for i, v in enumerate(x.tolist()) if i not in flagged
+    ]
 
 
 def test_display_expressions_run_across_blocks_and_check_hermiticity():

@@ -10,11 +10,13 @@ inputs written twice, to two directories, would differ where the program
 does not. The benchmark's lists hold no help, usage error or abbreviated
 flag, so one more list, PARSER_LINES, holds such lines; its ``--config``
 run reads one file written to its work directory. Nor do they hold a
-matrix whose JSON tables take the number table writer's edge cases, so
-EDGE_LINES runs ``state``, ``nullifiers`` and ``oracle`` with ``--format
-json`` on three hgraph files written to its work directory: a G with
--0.0, subnormal and repeated entries, a zero G and a 1-mode G, whose
-nullifier space is empty. Each checkout then runs
+matrix whose JSON tables take the number table writer's edge cases, nor
+a text report of coefficients below 1e-4, so EDGE_LINES runs ``state``,
+``nullifiers`` and ``oracle`` with ``--format json`` on four hgraph files
+written to its work directory: a G with -0.0, subnormal and repeated
+entries, a zero G, a 1-mode G, whose nullifier space is empty, and a
+dense 8-mode reflection, whose ``nullifiers --format text`` report is one
+more line. Each checkout then runs
 ``gnl.cli.main`` over each list in a fresh subprocess that imports gnl from
 that checkout's src/, one command after another in list order, on one BLAS
 thread as bench/run.py does, and with COLUMNS pinned, so argparse wraps its
@@ -65,18 +67,29 @@ PARSER_LINES = (
 )
 # the run of compare() that stands for EDGE_LINES
 EDGE_RUN = ("writer edge lines", None)
+
+
+def reflection(v):
+    """The dense involution I - 2 u u^T of u = v / |v|, as nested lists."""
+    norm2 = sum(x * x for x in v)
+    return [[float(i == j) - 2.0 * a * b / norm2 for j, b in enumerate(v)] for i, a in enumerate(v)]
+
+
 # the G files of EDGE_LINES: -0.0, the smallest subnormal and a repeated
-# 0.5 among the entries; all zero; one mode
+# 0.5 among the entries; all zero; one mode; and a reflection whose 28
+# nullifiers have coefficients from 1 down to 1e-12, most of them below
+# 1e-4, which the text report spells in the exponent form
 EDGE_GRAPHS = {
     "edge": [[-0.0, 0.5, 5e-324], [0.5, 0.5, -0.0], [5e-324, -0.0, 0.5]],
     "zero": [[0.0, 0.0], [0.0, 0.0]],
     "one": [[0.4]],
+    "reflection": reflection([1.0, 3e-3, 2e-5, 0.5, 0.25, 7e-4, 1e-6, 0.1]),
 }
 EDGE_LINES = tuple(
     [command, "hgraph", "--g", "{%s}" % name, "--format", "json", *extra]
     for name in EDGE_GRAPHS
     for command, extra in (("state", []), ("nullifiers", []), ("oracle", ["--cutoff", "4"]))
-)
+) + (["nullifiers", "hgraph", "--g", "{reflection}", "--format", "text"],)
 
 
 def invoke(main, argv):
